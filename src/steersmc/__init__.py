@@ -28,10 +28,7 @@ from .engine import (
     effective_sample_size,
     normalize_weights,
     resample,
-    run_importance,
     run_inference,
-    run_rejection,
-    run_smc,
     select_answer,
 )
 from .errors import (
@@ -94,11 +91,8 @@ from .steering import (
     as_model_set,
     execute_step,
     inject_hint,
-    observe_tokens,
     parse_plan,
-    proposal_prior_step,
     run_check,
-    sample_token,
 )
 
 __version__ = "0.1.0"

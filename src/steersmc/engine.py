@@ -47,7 +47,6 @@ from .steering import (
 
 NEG_INF = float("-inf")
 
-METHODS = ("smc", "importance", "rejection")
 RESAMPLE_SCHEMES = ("multinomial", "systematic")
 
 
@@ -71,7 +70,7 @@ class InferenceConfig:
     record_weights: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in _METHOD_TABLE:
             raise ValueError(f"unknown method {self.method!r}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
@@ -217,10 +216,9 @@ def _step_one(plan: SteeringPlan, particle: Particle, models: ModelSet,
             particle.log_weight = NEG_INF
 
 
-def _run_lockstep(plan: SteeringPlan, models, config: InferenceConfig,
+def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                   *, resample_enabled: bool, weighted: bool) -> tuple:
     """Shared driver: returns (particles, diagnostics, error|None)."""
-    models = as_model_set(models)
     start = time.monotonic()
     deadline = start + config.timeout if config.timeout is not None else None
     n = config.n_particles
@@ -320,17 +318,13 @@ def _dead_population_error(particles: list[Particle], step: int) -> SteeringErro
     return err
 
 
-def _weighted_outcome(particles, diag, error, models, config) -> InferenceOutcome:
-    vocab = as_model_set(models).vocabulary
-    if error is not None:
-        return InferenceOutcome([], None, None, diag, error=error)
+def _weighted_candidates(particles: list[Particle]) -> list[WeightedCandidate]:
+    """Softmax-weighted candidates; empty when no weight is finite."""
     raw = np.array([p.log_weight for p in particles])
     if float(np.max(raw)) == NEG_INF:
-        return InferenceOutcome([], None, None, diag,
-                                error=_dead_population_error(particles,
-                                                             diag.steps_executed))
+        return []
     norm = normalize_weights(raw)
-    candidates = [
+    return [
         WeightedCandidate(
             tokens=tuple(p.tokens),
             normalized_weight=float(norm[i]),
@@ -340,47 +334,18 @@ def _weighted_outcome(particles, diag, error, models, config) -> InferenceOutcom
         )
         for i, p in enumerate(particles)
     ]
-    selected = select_answer(candidates, RandomStream(config.seed, "select"))
-    return InferenceOutcome(candidates, selected, vocab.decode(selected), diag)
 
 
-def run_importance(plan: SteeringPlan, models, config: InferenceConfig) -> InferenceOutcome:
-    """Importance sampling: independent completions, softmax reweighting."""
-    if config.method != "importance":
-        raise ValueError("config.method must be 'importance'")
-    particles, diag, error = _run_lockstep(plan, models, config,
-                                           resample_enabled=False, weighted=True)
-    return _weighted_outcome(particles, diag, error, models, config)
-
-
-def run_smc(plan: SteeringPlan, models, config: InferenceConfig) -> InferenceOutcome:
-    """Sequential Monte Carlo with ESS-triggered resampling."""
-    if config.method != "smc":
-        raise ValueError("config.method must be 'smc'")
-    particles, diag, error = _run_lockstep(plan, models, config,
-                                           resample_enabled=True, weighted=True)
-    return _weighted_outcome(particles, diag, error, models, config)
-
-
-def run_rejection(plan: SteeringPlan, models, config: InferenceConfig) -> InferenceOutcome:
-    """Best-of-N: unweighted completions filtered by the plan check."""
-    if config.method != "rejection":
-        raise ValueError("config.method must be 'rejection'")
-    particles, diag, error = _run_lockstep(plan, models, config,
-                                           resample_enabled=False, weighted=False)
-    vocab = as_model_set(models).vocabulary
-    if error is not None:
-        return InferenceOutcome([], None, None, diag, error=error)
-    done = [p for p in particles if p.status == DONE]
-    if not done:
-        return InferenceOutcome([], None, None, diag,
-                                error=_dead_population_error(particles,
-                                                             diag.steps_executed))
-    passers = sum(1 for p in done if p.passed_check)
+def _rejection_candidates(particles: list[Particle]) -> list[WeightedCandidate]:
+    """Uniform weight over finished completions that pass the check;
+    empty when no particle finished."""
+    if not any(p.status == DONE for p in particles):
+        return []
+    passers = sum(1 for p in particles if p.status == DONE and p.passed_check)
     candidates = []
     for p in particles:
         finished = p.status == DONE
-        passed = bool(p.passed_check) if finished else False
+        passed = finished and bool(p.passed_check)
         candidates.append(WeightedCandidate(
             tokens=tuple(p.tokens),
             normalized_weight=(1.0 / passers) if passed else 0.0,
@@ -388,18 +353,35 @@ def run_rejection(plan: SteeringPlan, models, config: InferenceConfig) -> Infere
             raw_log_weight=0.0 if finished else NEG_INF,
             text=p.text,
         ))
-    if passers == 0:
-        err = AllParticlesDead("no completion passed the check")
-        err.step_index = diag.steps_executed
-        return InferenceOutcome(candidates, None, None, diag, error=err)
-    selected = select_answer(candidates, RandomStream(config.seed, "select"))
-    return InferenceOutcome(candidates, selected, vocab.decode(selected), diag)
+    return candidates
+
+
+# method -> (resample, weighted, candidate builder). Importance sampling
+# is SMC that never resamples; rejection keeps no weights and filters
+# completions by the plan check.
+_METHOD_TABLE = {
+    "smc": (True, True, _weighted_candidates),
+    "importance": (False, True, _weighted_candidates),
+    "rejection": (False, False, _rejection_candidates),
+}
 
 
 def run_inference(plan: SteeringPlan, models, config: InferenceConfig) -> InferenceOutcome:
-    """Dispatch on ``config.method``."""
-    if config.method == "importance":
-        return run_importance(plan, models, config)
-    if config.method == "smc":
-        return run_smc(plan, models, config)
-    return run_rejection(plan, models, config)
+    """Run the method named by ``config.method`` and select an answer."""
+    resample_enabled, weighted, build_candidates = _METHOD_TABLE[config.method]
+    models = as_model_set(models)
+    particles, diag, error = _run_lockstep(plan, models, config,
+                                           resample_enabled=resample_enabled,
+                                           weighted=weighted)
+    candidates = []
+    if error is None:
+        candidates = build_candidates(particles)
+        if not candidates:
+            error = _dead_population_error(particles, diag.steps_executed)
+        elif not any(c.normalized_weight > 0.0 for c in candidates):
+            error = AllParticlesDead("no completion passed the check")
+            error.step_index = diag.steps_executed
+    if error is not None:
+        return InferenceOutcome(candidates, None, None, diag, error=error)
+    selected = select_answer(candidates, RandomStream(config.seed, "select"))
+    return InferenceOutcome(candidates, selected, models.vocabulary.decode(selected), diag)

@@ -112,16 +112,3 @@ class SourceExhausted(SteeringError):
         super().__init__(message)
         self.result = result
 
-
-# Errors that an inference outcome may carry and that the outer loop
-# treats as retryable.
-OUTCOME_ERRORS = (
-    MaskEmpty,
-    StepBudgetExceeded,
-    Timeout,
-    AllParticlesDead,
-    RemoteUnavailable,
-    ProtocolError,
-    ParseError,
-    SchemaViolation,
-)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .errors import (
     EmptyCorpus,
@@ -92,14 +91,15 @@ class Vocabulary:
     def decode(self, tokens) -> str:
         return "".join(self.token_text[t] for t in tokens)
 
-    def encode(self, text: str) -> tuple[int, ...]:
+    def encode(self, text: str, lenient: bool = False) -> tuple[int, ...]:
         """Greedy longest-match tokenization of ``text``.
 
-        Raises SchemaViolation when some position cannot be matched by
-        any token; toy vocabularies are expected to cover their tasks.
+        A position that no token matches raises SchemaViolation; toy
+        vocabularies are expected to cover their tasks. With ``lenient``
+        such characters are skipped instead (hints may carry text the
+        vocabulary cannot spell).
         """
-        by_text = self._by_text()
-        max_len = max((len(t) for t in self.token_text if t), default=0)
+        by_text, max_len = self._text_index()
         out: list[int] = []
         i = 0
         while i < len(text):
@@ -110,19 +110,23 @@ class Vocabulary:
                     i += span
                     break
             else:
-                raise SchemaViolation(
-                    f"text not encodable at position {i}: {text[i:i + 8]!r}")
+                if not lenient:
+                    raise SchemaViolation(
+                        f"text not encodable at position {i}: {text[i:i + 8]!r}")
+                i += 1
         return tuple(out)
 
-    def _by_text(self) -> dict[str, int]:
-        cached = getattr(self, "_text_index", None)
+    def _text_index(self) -> tuple[dict[str, int], int]:
+        """Token id by text, and the longest token text; built once."""
+        cached = getattr(self, "_index_cache", None)
         if cached is None:
             # keep first id on duplicate texts; EOS ("") never matches
-            cached = {}
+            by_text: dict[str, int] = {}
             for i, t in enumerate(self.token_text):
-                if t and t not in cached:
-                    cached[t] = i
-            object.__setattr__(self, "_text_index", cached)
+                if t and t not in by_text:
+                    by_text[t] = i
+            cached = (by_text, max(map(len, by_text), default=0))
+            object.__setattr__(self, "_index_cache", cached)
         return cached
 
 
@@ -188,25 +192,8 @@ class TokenModel:
         ctx = list(query.context)
         for hint in query.hints:
             ctx.append(delim)
-            ctx.extend(self._encode_lenient(hint))
+            ctx.extend(self.vocabulary.encode(hint, lenient=True))
         return tuple(ctx)
-
-    def _encode_lenient(self, text: str):
-        # greedy longest-match, skipping characters no token covers
-        by_text = self.vocabulary._by_text()
-        max_len = max((len(t) for t in self.vocabulary.token_text if t), default=0)
-        out: list[int] = []
-        i = 0
-        while i < len(text):
-            for span in range(min(max_len, len(text) - i), 0, -1):
-                tok = by_text.get(text[i:i + span])
-                if tok is not None:
-                    out.append(tok)
-                    i += span
-                    break
-            else:
-                i += 1
-        return out
 
     def _distribution(self, context: tuple[int, ...], prompt_tag: str) -> np.ndarray:
         raise NotImplementedError
@@ -437,6 +424,8 @@ class RemoteModel(TokenModel):
 
     def __init__(self, endpoint: str, vocabulary: Vocabulary,
                  http_timeout: float = 10.0):
+        import requests  # only the remote adapters need it
+
         super().__init__(vocabulary)
         self.endpoint = endpoint.rstrip("/")
         self.http_timeout = http_timeout
@@ -455,6 +444,8 @@ class RemoteModel(TokenModel):
         return self._fetch(context, prompt_tag)
 
     def _fetch(self, context: tuple[int, ...], prompt_tag: str) -> np.ndarray:
+        import requests
+
         body = {"context": list(context), "prompt_tag": prompt_tag}
         try:
             resp = self._session.post(self.endpoint + "/v1/next_logprobs",

@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import requests
-
 from .constraints import TaskSpec
 from .engine import Diagnostics, InferenceConfig, InferenceOutcome, run_inference
 from .errors import (
@@ -101,6 +99,8 @@ class RemoteGenerator(ProgramSource):
 
     def __init__(self, endpoint: str, template: str = DEFAULT_PROMPT_TEMPLATE,
                  http_timeout: float = 30.0):
+        import requests  # only the remote adapters need it
+
         self.endpoint = endpoint.rstrip("/")
         self.template = template
         self.http_timeout = http_timeout
@@ -113,6 +113,8 @@ class RemoteGenerator(ProgramSource):
                    http_timeout=http_timeout)
 
     def fetch(self, task: TaskSpec, feedback: str | None) -> dict:
+        import requests
+
         rendered = self.template.format(task=task.prompt_text,
                                         prior_error=feedback or "none")
         body = {"task": rendered, "feedback": feedback, "plan_version": 1}

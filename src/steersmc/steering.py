@@ -255,78 +255,29 @@ def _masked_support(probs: np.ndarray, mask: TokenMask):
     return ids, sub, z
 
 
-def _draw_masked(particle: Particle, model: TokenModel, mask: TokenMask | None,
-                 rng, prompt_tag: str):
-    """Sample one token from the (masked) model. Returns (token, delta)."""
-    probs = model.next_distribution(particle.query(prompt_tag))
-    if mask is None:
-        return int(rng.choice(probs)), 0.0
-    ids, sub, z = _masked_support(probs, mask)
-    token = int(ids[rng.choice(sub)])
-    return token, math.log(z)
+def _draw(particle: Particle, models: ModelSet, mask: TokenMask | None, rng,
+          plan: SteeringPlan, score_with_prior: bool):
+    """Sample one token from the (masked) proposal. Returns (token, delta).
 
-
-def _draw_prior_scored(particle: Particle, proposal_model: TokenModel,
-                       prior_model: TokenModel, mask: TokenMask | None, rng,
-                       proposal_tag: str, prior_tag: str):
-    """Sample from the (masked) proposal, score against the prior.
-
-    The prior is evaluated without hints: hints condition the proposal
-    side only. Returns (token, delta) with delta possibly -inf.
+    Unscored, a mask adds its ``log Z`` importance correction (an
+    unmasked draw has Z = 1). Scored with the prior, delta is
+    ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
+    -inf; the prior is evaluated without hints, which condition the
+    proposal side only.
     """
-    probs = proposal_model.next_distribution(particle.query(proposal_tag))
+    probs = models.proposal.next_distribution(particle.query(plan.proposal_tag))
     if mask is None:
-        token = int(rng.choice(probs))
-        log_q = math.log(probs[token])
+        token, z = int(rng.choice(probs)), 1.0
     else:
         ids, sub, z = _masked_support(probs, mask)
         token = int(ids[rng.choice(sub)])
-        log_q = math.log(probs[token]) - math.log(z)
-    prior_probs = prior_model.next_distribution(
-        ModelQuery(tuple(particle.tokens), prior_tag, ()))
+    if not score_with_prior:
+        return token, math.log(z)
+    prior_probs = models.prior.next_distribution(
+        ModelQuery(tuple(particle.tokens), plan.prior_tag, ()))
     p = float(prior_probs[token])
-    delta = (math.log(p) - log_q) if p > 0.0 else NEG_INF
-    return token, delta
-
-
-def sample_token(particle: Particle, model: TokenModel, mask: TokenMask | None,
-                 rng, prompt_tag: str = "proposal") -> int:
-    """Sample one token; a mask adds its ``log Z`` importance correction."""
-    if particle.status != ACTIVE:
-        raise ValueError("sample_token requires an active particle")
-    token, delta = _draw_masked(particle, model, mask, rng, prompt_tag)
-    particle.log_weight += delta
-    _append(particle, token, model.vocabulary)
-    return token
-
-
-def observe_tokens(particle: Particle, model: TokenModel, forced,
-                   prompt_tag: str = "proposal") -> None:
-    """Force ``forced`` tokens, multiplying in their model probability.
-
-    Zero-probability forcing is legal and drives the weight to -inf.
-    """
-    if particle.status != ACTIVE:
-        raise ValueError("observe_tokens requires an active particle")
-    delta = model.sequence_logprob(particle.tokens, forced, prompt_tag,
-                                   hints=tuple(particle.hint_buffer))
-    particle.log_weight += delta
-    for token in forced:
-        _append(particle, token, model.vocabulary)
-
-
-def proposal_prior_step(particle: Particle, proposal_model: TokenModel,
-                        prior_model: TokenModel, mask: TokenMask | None, rng,
-                        proposal_tag: str = "proposal",
-                        prior_tag: str = "prior") -> int:
-    """Sample from the proposal, reweight toward the prior."""
-    if particle.status != ACTIVE:
-        raise ValueError("proposal_prior_step requires an active particle")
-    token, delta = _draw_prior_scored(particle, proposal_model, prior_model,
-                                      mask, rng, proposal_tag, prior_tag)
-    particle.log_weight += delta
-    _append(particle, token, proposal_model.vocabulary)
-    return token
+    log_q = math.log(probs[token]) - math.log(z)
+    return token, (math.log(p) - log_q) if p > 0.0 else NEG_INF
 
 
 def hint_bindings_for(plan: SteeringPlan, text: str, n_tokens: int) -> dict:
@@ -339,10 +290,6 @@ def hint_bindings_for(plan: SteeringPlan, text: str, n_tokens: int) -> dict:
     if isinstance(target, int):
         bindings["remaining_chars"] = target - len(text)
     return bindings
-
-
-def hint_bindings(plan: SteeringPlan, particle: Particle) -> dict:
-    return hint_bindings_for(plan, particle.text, len(particle.tokens))
 
 
 def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
@@ -370,12 +317,18 @@ class _StepState:
                           clause_index=self.clause_index)
 
 
-def _stop_satisfied(stop: StopSpec, particle: Particle, drawn: int) -> bool:
+def _stop_satisfied(stop: StopSpec, particle: Particle, count: int,
+                    vocab: Vocabulary) -> bool:
+    """Stop predicate of ``sample_until`` and ``loop until``.
+
+    ``count`` is what a ``token_count`` stop compares: the tokens drawn
+    in the clause for ``sample_until``, the sequence length for a loop.
+    """
     if stop.kind == "token_count":
-        return drawn >= stop.value
+        return count >= stop.value
     if stop.kind == "substring":
         return stop.value in particle.text
-    return False  # "eos" stops only via the EOS-finish path
+    return bool(particle.tokens) and particle.tokens[-1] == vocab.eos_id
 
 
 def _take_token(clause: StepClause, plan: SteeringPlan, particle: Particle,
@@ -383,13 +336,7 @@ def _take_token(clause: StepClause, plan: SteeringPlan, particle: Particle,
     vocab = models.vocabulary
     mask = clause.mask.build(vocab, particle.text) if clause.mask is not None else None
     try:
-        if clause.score_with_prior:
-            token, delta = _draw_prior_scored(
-                particle, models.proposal, models.prior, mask, rng,
-                plan.proposal_tag, plan.prior_tag)
-        else:
-            token, delta = _draw_masked(particle, models.proposal, mask, rng,
-                                        plan.proposal_tag)
+        token, delta = _draw(particle, models, mask, rng, plan, clause.score_with_prior)
     except MaskEmpty as exc:
         exc.clause_index = state.clause_index
         raise
@@ -423,7 +370,7 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
         bound = clause.max_new_tokens
         while True:
             state.check_deadline()
-            if _stop_satisfied(clause.stop, particle, drawn):
+            if _stop_satisfied(clause.stop, particle, drawn, vocab):
                 return
             if bound is not None and drawn >= bound:
                 raise StepBudgetExceeded(
@@ -464,7 +411,8 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
                 return
 
     elif clause.kind == "hint":
-        inject_hint(particle, clause.template, hint_bindings(plan, particle))
+        inject_hint(particle, clause.template,
+                    hint_bindings_for(plan, particle.text, len(particle.tokens)))
 
     elif clause.kind == "loop":
         if clause.iterations is not None:
@@ -477,7 +425,7 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
             done_iters = 0
             while True:
                 state.check_deadline()
-                if _until_satisfied(clause.stop, particle, vocab):
+                if _stop_satisfied(clause.stop, particle, len(particle.tokens), vocab):
                     return
                 if done_iters >= clause.max_iterations:
                     raise StepBudgetExceeded(
@@ -491,16 +439,6 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
 
     else:
         raise SchemaViolation(f"unknown clause kind {clause.kind!r}")
-
-
-def _until_satisfied(stop: StopSpec, particle: Particle, vocab: Vocabulary) -> bool:
-    if stop.kind == "token_count":
-        return len(particle.tokens) >= stop.value
-    if stop.kind == "substring":
-        return stop.value in particle.text
-    if stop.kind == "eos":
-        return bool(particle.tokens) and particle.tokens[-1] == vocab.eos_id
-    return False
 
 
 def execute_step(plan: SteeringPlan, particle: Particle, models, rng,

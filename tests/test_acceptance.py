@@ -39,9 +39,7 @@ from steersmc import (
     normalize_weights,
     parse_plan,
     resample,
-    run_importance,
-    run_rejection,
-    run_smc,
+    run_inference,
     steer,
     total_variation,
     train_ngram,
@@ -147,6 +145,38 @@ def fixture_prior_proposal() -> ConvergenceFixture:
     return ConvergenceFixture("prior-proposal", plan, (proposal, prior), 4)
 
 
+def fixture_masked_prior() -> ConvergenceFixture:
+    # A mask and prior scoring in one clause: the weight is
+    # p_prior(t) / q(t) for the masked proposal q, and the prior gives
+    # "a" zero mass after "b", so some paths die.
+    vocab = ["a", "b", "c", "<eos>"]
+    proposal = load_table_model({
+        "vocab": vocab,
+        "rows": [
+            {"context": [], "dist": [0.5, 0.2, 0.2, 0.1]},
+            {"context": ["a"], "dist": [0.2, 0.4, 0.3, 0.1]},
+            {"context": ["b"], "dist": [0.3, 0.3, 0.2, 0.2]},
+        ],
+        "default": "uniform",
+    })
+    prior = load_table_model({
+        "vocab": vocab,
+        "rows": [
+            {"context": [], "dist": [0.3, 0.4, 0.2, 0.1]},
+            {"context": ["a"], "dist": [0.5, 0.1, 0.1, 0.3]},
+            {"context": ["b"], "dist": [0.0, 0.5, 0.3, 0.2]},
+        ],
+        "default": "uniform",
+    })
+    plan = _plan({
+        "max_tokens": 4,
+        "steps": [{"kind": "masked_sample", "count": 2, "score_with_prior": True,
+                   "mask": {"kind": "explicit", "tokens": ["a", "b"], "ids": [3]}}],
+        "check": [],
+    })
+    return ConvergenceFixture("masked-prior", plan, (proposal, prior), 4)
+
+
 def fixture_force_ngram() -> ConvergenceFixture:
     model = train_ngram("ab$ab$ab$aab$", order=2, smoothing=0.1, eos_text="$")
     plan = _plan({
@@ -166,6 +196,7 @@ CONVERGENCE_FIXTURES = [
     fixture_word_boundary(),
     fixture_masked_biased(),
     fixture_prior_proposal(),
+    fixture_masked_prior(),
     fixture_force_ngram(),
 ]
 
@@ -185,7 +216,7 @@ class TestCriterion01ImportanceConvergence:
             table = brute_force_target(fx.plan, fx.models, fx.max_len)
             cfg = InferenceConfig(method="importance", n_particles=50_000,
                                   seed=20_001)
-            out = run_importance(fx.plan, fx.models, cfg)
+            out = run_inference(fx.plan, fx.models, cfg)
             assert out.error is None
             tv = total_variation(table.probs, candidate_law(out))
             elapsed = time.monotonic() - start
@@ -203,7 +234,7 @@ class TestCriterion02SmcConvergence:
             cfg = InferenceConfig(method="smc", n_particles=n, seed=20_002,
                                   ess_threshold=n / 2,
                                   resample_scheme="multinomial")
-            out = run_smc(fx.plan, fx.models, cfg)
+            out = run_inference(fx.plan, fx.models, cfg)
             assert out.error is None
             tv = total_variation(table.probs, candidate_law(out))
             elapsed = time.monotonic() - start
@@ -220,7 +251,7 @@ class TestCriterion03NormalizingConstant:
             for r in range(200):
                 cfg = InferenceConfig(method="importance", n_particles=1000,
                                       seed=30_000 + r)
-                out = run_importance(fx.plan, fx.models, cfg)
+                out = run_inference(fx.plan, fx.models, cfg)
                 assert out.error is None
                 weights = np.exp([c.raw_log_weight for c in out.candidates])
                 means.append(float(np.mean(weights)))
@@ -364,7 +395,7 @@ class TestCriterion08RejectionEquivalence:
             for r in range(runs):
                 cfg = InferenceConfig(method="rejection", n_particles=n,
                                       seed=80_000 + r)
-                out = run_rejection(plan, model, cfg)
+                out = run_inference(plan, model, cfg)
                 flags = [c.passed_check for c in out.candidates]
                 passers_total += sum(flags)
 
@@ -374,7 +405,7 @@ class TestCriterion08RejectionEquivalence:
                     # binary check alone determines rejection's weights.
                     cfg_is = InferenceConfig(method="importance", n_particles=n,
                                              seed=80_000 + r)
-                    out_is = run_importance(plan, model, cfg_is)
+                    out_is = run_inference(plan, model, cfg_is)
                     assert [c.tokens for c in out_is.candidates] == \
                         [c.tokens for c in out.candidates]
                     independent_flags = [
@@ -575,14 +606,14 @@ class TestCriterion12ErrorTaxonomy:
                 "steps": [{"kind": "masked_sample",
                            "mask": {"kind": "explicit", "tokens": ["b"]}}],
             })
-            out = run_smc(mask_plan, zero_b,
-                          InferenceConfig(method="smc", n_particles=4, seed=1))
+            out = run_inference(mask_plan, zero_b,
+                                InferenceConfig(method="smc", n_particles=4, seed=1))
             assert isinstance(out.error, MaskEmpty)
             assert out.selected is None
             self._assert_diagnostics(out.diagnostics)
 
-            out = run_smc(parse_plan(BROKEN_PLAN), uniform,
-                          InferenceConfig(method="smc", n_particles=4, seed=2))
+            out = run_inference(parse_plan(BROKEN_PLAN), uniform,
+                                InferenceConfig(method="smc", n_particles=4, seed=2))
             assert isinstance(out.error, StepBudgetExceeded)
             self._assert_diagnostics(out.diagnostics)
 
@@ -591,9 +622,9 @@ class TestCriterion12ErrorTaxonomy:
                 "steps": [{"kind": "sample_until",
                            "stop": {"kind": "token_count", "value": 4}}],
             })
-            out = run_smc(slow_plan, uniform,
-                          InferenceConfig(method="smc", n_particles=4, seed=3,
-                                          timeout=0.0))
+            out = run_inference(slow_plan, uniform,
+                                InferenceConfig(method="smc", n_particles=4, seed=3,
+                                                timeout=0.0))
             assert isinstance(out.error, Timeout)
             self._assert_diagnostics(out.diagnostics)
 
@@ -602,8 +633,8 @@ class TestCriterion12ErrorTaxonomy:
                 "steps": [{"kind": "force_string", "text": "ab"}],
                 "check": [{"kind": "char_count_exact", "value": 99}],
             })
-            out = run_importance(dead_plan, uniform,
-                                 InferenceConfig(method="importance",
-                                                 n_particles=4, seed=4))
+            out = run_inference(dead_plan, uniform,
+                                InferenceConfig(method="importance",
+                                                n_particles=4, seed=4))
             assert isinstance(out.error, AllParticlesDead)
             self._assert_diagnostics(out.diagnostics)

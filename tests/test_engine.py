@@ -22,10 +22,7 @@ from steersmc import (
     normalize_weights,
     parse_plan,
     resample,
-    run_importance,
     run_inference,
-    run_rejection,
-    run_smc,
     select_answer,
     total_variation,
 )
@@ -190,7 +187,7 @@ class TestRunImportance:
     def test_force_only_plan_degenerate(self, uniform3):
         plan = make_plan([{"kind": "force_string", "text": "ab"}])
         cfg = InferenceConfig(method="importance", n_particles=8, seed=1)
-        out = run_importance(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert out.error is None
         assert {c.tokens for c in out.candidates} == {(0, 1)}
         assert out.selected_text == "ab"
@@ -202,27 +199,22 @@ class TestRunImportance:
             [{"kind": "sample_until", "stop": {"kind": "token_count", "value": 2}}],
             max_tokens=4)
         cfg = InferenceConfig(method="importance", n_particles=1, seed=3)
-        out = run_importance(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert out.error is None
         assert out.selected == out.candidates[0].tokens
 
     def test_candidate_law_converges_to_target(self, uniform3, sample2_plan):
         table = brute_force_target(sample2_plan, uniform3, max_len=4)
         cfg = InferenceConfig(method="importance", n_particles=4000, seed=11)
-        out = run_importance(sample2_plan, uniform3, cfg)
+        out = run_inference(sample2_plan, uniform3, cfg)
         assert total_variation(table.probs, candidate_law(out)) <= 0.05
-
-    def test_method_mismatch_rejected(self, uniform3, sample2_plan):
-        cfg = InferenceConfig(method="smc", n_particles=4, seed=0)
-        with pytest.raises(ValueError):
-            run_importance(sample2_plan, uniform3, cfg)
 
     def test_mean_weight_estimates_z(self, uniform3, sample2_plan):
         table = brute_force_target(sample2_plan, uniform3, max_len=4)
         means = []
         for r in range(60):
             cfg = InferenceConfig(method="importance", n_particles=200, seed=1000 + r)
-            out = run_importance(sample2_plan, uniform3, cfg)
+            out = run_inference(sample2_plan, uniform3, cfg)
             weights = [math.exp(c.raw_log_weight) for c in out.candidates]
             means.append(sum(weights) / len(weights))
         grand = float(np.mean(means))
@@ -235,8 +227,8 @@ class TestRunSmc:
         cfg_is = InferenceConfig(method="importance", n_particles=64, seed=21)
         cfg_smc = InferenceConfig(method="smc", n_particles=64, seed=21,
                                   ess_threshold=0.0)
-        out_is = run_importance(sample2_plan, uniform3, cfg_is)
-        out_smc = run_smc(sample2_plan, uniform3, cfg_smc)
+        out_is = run_inference(sample2_plan, uniform3, cfg_is)
+        out_smc = run_inference(sample2_plan, uniform3, cfg_smc)
         assert out_smc.candidates == out_is.candidates
         assert out_smc.selected == out_is.selected
         assert out_smc.diagnostics.resample_events == []
@@ -249,7 +241,7 @@ class TestRunSmc:
               "mask": {"kind": "explicit", "tokens": ["a", "b"]}}],
             max_tokens=8)
         cfg = InferenceConfig(method="smc", n_particles=16, seed=5)
-        out = run_smc(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert out.error is None
         assert out.diagnostics.resample_events == []
         for ess in out.diagnostics.ess_trace:
@@ -258,7 +250,7 @@ class TestRunSmc:
     def test_smc_law_converges_to_target(self, uniform3, sample2_plan):
         table = brute_force_target(sample2_plan, uniform3, max_len=4)
         cfg = InferenceConfig(method="smc", n_particles=4000, seed=31)
-        out = run_smc(sample2_plan, uniform3, cfg)
+        out = run_inference(sample2_plan, uniform3, cfg)
         assert total_variation(table.probs, candidate_law(out)) <= 0.05
 
     def test_resampling_fires_under_weight_spread(self, vocab3):
@@ -276,7 +268,7 @@ class TestRunSmc:
         })
         cfg = InferenceConfig(method="smc", n_particles=32, seed=8,
                               ess_threshold=32.0)
-        out = run_smc(plan, (model, prior), cfg)
+        out = run_inference(plan, (model, prior), cfg)
         assert out.error is None
         # mixed tokens under a disagreeing prior spread the weights, so a
         # threshold of N forces a resample
@@ -290,7 +282,7 @@ class TestRunRejection:
             [{"kind": "sample_until", "stop": {"kind": "token_count", "value": 2}}],
             max_tokens=4)
         cfg = InferenceConfig(method="rejection", n_particles=8, seed=41)
-        out = run_rejection(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert out.error is None
         np.testing.assert_allclose(
             [c.normalized_weight for c in out.candidates], [1 / 8] * 8)
@@ -300,7 +292,7 @@ class TestRunRejection:
             [{"kind": "force_string", "text": "ab"}],
             check=[{"kind": "char_count_exact", "value": 99}])
         cfg = InferenceConfig(method="rejection", n_particles=8, seed=43)
-        out = run_rejection(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert isinstance(out.error, AllParticlesDead)
         assert out.selected is None
         assert out.candidates  # completions are reported for diagnosis
@@ -309,14 +301,14 @@ class TestRunRejection:
                                                               sample2_plan):
         cfg_rj = InferenceConfig(method="rejection", n_particles=32, seed=47)
         cfg_is = InferenceConfig(method="importance", n_particles=32, seed=47)
-        out_rj = run_rejection(sample2_plan, uniform3, cfg_rj)
-        out_is = run_importance(sample2_plan, uniform3, cfg_is)
+        out_rj = run_inference(sample2_plan, uniform3, cfg_rj)
+        out_is = run_inference(sample2_plan, uniform3, cfg_is)
         assert [c.tokens for c in out_rj.candidates] == \
                [c.tokens for c in out_is.candidates]
 
     def test_passers_get_uniform_weight_failers_zero(self, uniform3, sample2_plan):
         cfg = InferenceConfig(method="rejection", n_particles=64, seed=53)
-        out = run_rejection(sample2_plan, uniform3, cfg)
+        out = run_inference(sample2_plan, uniform3, cfg)
         passers = [c for c in out.candidates if c.passed_check]
         for c in out.candidates:
             if c.passed_check:
@@ -334,7 +326,7 @@ class TestErrorTaxonomy:
         plan = make_plan([{"kind": "masked_sample",
                            "mask": {"kind": "explicit", "tokens": ["b"]}}])
         cfg = InferenceConfig(method="smc", n_particles=4, seed=61)
-        out = run_smc(plan, model, cfg)
+        out = run_inference(plan, model, cfg)
         assert isinstance(out.error, MaskEmpty)
         assert out.selected is None
         assert out.diagnostics.wall_time >= 0.0
@@ -348,13 +340,13 @@ class TestErrorTaxonomy:
                         "mask": {"kind": "explicit", "tokens": ["a", "b"]}}]}],
             max_tokens=100)
         cfg = InferenceConfig(method="importance", n_particles=4, seed=67)
-        out = run_importance(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert isinstance(out.error, StepBudgetExceeded)
         assert out.diagnostics.steps_executed >= 1
 
     def test_timeout_is_graceful(self, uniform3, sample2_plan):
         cfg = InferenceConfig(method="smc", n_particles=4, seed=71, timeout=0.0)
-        out = run_smc(sample2_plan, uniform3, cfg)
+        out = run_inference(sample2_plan, uniform3, cfg)
         assert isinstance(out.error, Timeout)
         assert out.diagnostics.steps_executed == 0
         assert out.diagnostics.wall_time >= 0.0
@@ -364,7 +356,7 @@ class TestErrorTaxonomy:
             [{"kind": "force_string", "text": "ab"}],
             check=[{"kind": "char_count_exact", "value": 99}])
         cfg = InferenceConfig(method="importance", n_particles=4, seed=73)
-        out = run_importance(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert isinstance(out.error, AllParticlesDead)
 
     def test_partial_budget_death_leaves_survivors(self, uniform3):
@@ -374,7 +366,7 @@ class TestErrorTaxonomy:
             [{"kind": "sample_until", "stop": {"kind": "eos"}}],
             max_tokens=3)
         cfg = InferenceConfig(method="importance", n_particles=64, seed=79)
-        out = run_importance(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert out.error is None
         dead = [c for c in out.candidates if c.raw_log_weight == NEG_INF]
         alive = [c for c in out.candidates if c.raw_log_weight > NEG_INF]
@@ -390,7 +382,7 @@ class TestErrorTaxonomy:
             max_tokens=32)
         cfg = InferenceConfig(method="importance", n_particles=4, seed=83,
                               max_steps=3)
-        out = run_importance(plan, uniform3, cfg)
+        out = run_inference(plan, uniform3, cfg)
         assert isinstance(out.error, StepBudgetExceeded)
 
 
@@ -411,8 +403,8 @@ class TestDeterminism:
 
     def test_repeated_runs_bit_identical(self, uniform3, sample2_plan):
         cfg = InferenceConfig(method="smc", n_particles=32, seed=101)
-        a = run_smc(sample2_plan, uniform3, cfg)
-        b = run_smc(sample2_plan, uniform3, cfg)
+        a = run_inference(sample2_plan, uniform3, cfg)
+        b = run_inference(sample2_plan, uniform3, cfg)
         assert a.candidates == b.candidates
         assert a.selected == b.selected
 
@@ -427,7 +419,7 @@ class TestConsistencyScaling:
             for r in range(5):
                 cfg = InferenceConfig(method="importance", n_particles=n,
                                       seed=7000 + r)
-                out = run_importance(sample2_plan, uniform3, cfg)
+                out = run_inference(sample2_plan, uniform3, cfg)
                 tvs.append(total_variation(table.probs, candidate_law(out)))
             mean_tv.append(sum(tvs) / len(tvs))
         assert mean_tv[0] > mean_tv[1] > mean_tv[2]

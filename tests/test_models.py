@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steersmc
 from steersmc import (
     EmptyCorpus,
     InvalidContext,
@@ -45,6 +50,13 @@ class TestVocabulary:
         v = Vocabulary.from_tokens(["a", "<eos>"])
         with pytest.raises(SchemaViolation):
             v.encode("ax")
+
+    def test_encode_is_strict_unless_lenient(self):
+        v = Vocabulary.from_tokens(["a", "ab", "b", "<eos>"])
+        with pytest.raises(SchemaViolation):
+            v.encode("x ab!", lenient=False)
+        assert v.encode("x ab!", lenient=True) == (1,)
+        assert v.encode("ab", lenient=True) == v.encode("ab")
 
     def test_eos_decodes_to_empty(self):
         v = Vocabulary.from_tokens(["a", "<eos>"])
@@ -140,6 +152,19 @@ class TestTableModel:
         plain = m.next_distribution(ModelQuery(()))
         hinted = m.next_distribution(ModelQuery((), hints=("b",)))
         np.testing.assert_allclose(plain, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(hinted, [0.0, 1.0, 0.0, 0.0])
+
+    def test_hint_with_unencodable_characters_conditions_on_the_rest(self):
+        m = load_table_model({
+            "vocab": ["a", "b", "|", "<eos>"],
+            "rows": [
+                {"context": [], "dist": [1.0, 0.0, 0.0, 0.0]},
+                {"context": ["|", "b"], "dist": [0.0, 1.0, 0.0, 0.0]},
+            ],
+            "hint_delimiter": "|",
+        })
+        # "x", " " and "!" are not in the vocabulary: only "b" remains
+        hinted = m.next_distribution(ModelQuery((), hints=("x b!",)))
         np.testing.assert_allclose(hinted, [0.0, 1.0, 0.0, 0.0])
 
     def test_hints_without_delimiter_are_no_ops(self, table_721):
@@ -243,6 +268,13 @@ class TestProperties:
 
 
 class TestRemoteAdapter:
+    def test_package_import_does_not_load_requests(self):
+        src = Path(steersmc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, steersmc; sys.exit('requests' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def _logprob_server(self, local_endpoint, table):
         def respond(path, body):
             assert path == "/v1/next_logprobs"

@@ -12,7 +12,6 @@ from steersmc import (
     RandomStream,
     SchemaViolation,
     StepBudgetExceeded,
-    TokenMask,
     UnboundVariable,
     UniformModel,
     Vocabulary,
@@ -20,11 +19,8 @@ from steersmc import (
     execute_step,
     inject_hint,
     load_table_model,
-    observe_tokens,
     parse_plan,
-    proposal_prior_step,
     run_check,
-    sample_token,
 )
 
 NEG_INF = float("-inf")
@@ -52,27 +48,47 @@ def uniform4(vocab4):
     return UniformModel(vocab4)
 
 
+def explicit_mask_plan(ids=(), tokens=()):
+    mask = {"kind": "explicit", "ids": list(ids), "tokens": list(tokens)}
+    return make_plan([{"kind": "masked_sample", "mask": mask}])
+
+
+def force_plan(tokens, *then):
+    return make_plan([{"kind": "force_string", "tokens": list(tokens)}, *then])
+
+
+# one unmasked draw from the proposal, scored against the prior
+PRIOR_SCORED_PLAN = make_plan([{"kind": "sample_until", "score_with_prior": True,
+                                "stop": {"kind": "token_count", "value": 1}}])
+
+# a second clause keeps the particle active after the first step
+SECOND_CLAUSE = {"kind": "hint", "template": "then"}
+
+
 class TestSampleToken:
     def test_mask_of_two_under_uniform_adds_log_half(self, uniform4):
         particle = Particle()
-        mask = TokenMask(allowed=frozenset({0, 1}))
-        sample_token(particle, uniform4, mask, RandomStream(1, "t"))
+        execute_step(explicit_mask_plan(ids=(0, 1)), particle, uniform4,
+                     RandomStream(1, "t"))
         assert particle.log_weight == pytest.approx(math.log(0.5))
         assert particle.tokens[0] in (0, 1)
 
     def test_unmasked_sampling_leaves_weight_unchanged(self, uniform4):
+        plan = make_plan([{"kind": "sample_until",
+                           "stop": {"kind": "token_count", "value": 1}}])
         particle = Particle()
-        sample_token(particle, uniform4, None, RandomStream(2, "t"))
+        execute_step(plan, particle, uniform4, RandomStream(2, "t"))
         assert particle.log_weight == 0.0
 
     def test_masked_table_update_and_frequency(self, table_721):
         # mask {1, 2} over row [0.7, 0.2, 0.1]: Z = 0.3, P(token=1) = 2/3
-        mask = TokenMask(allowed=frozenset({1, 2}))
+        plan = explicit_mask_plan(ids=(1, 2))
         ones = 0
         n = 5000
         for i in range(n):
             particle = Particle()
-            tok = sample_token(particle, table_721, mask, RandomStream(3, "freq", i))
+            update = execute_step(plan, particle, table_721, RandomStream(3, "freq", i))
+            (tok,) = update.appended_tokens
             assert particle.log_weight == pytest.approx(math.log(0.3))
             assert tok in (1, 2)
             ones += tok == 1
@@ -81,8 +97,9 @@ class TestSampleToken:
         assert abs(ones / n - p) <= 3 * sigma
 
     def test_empty_mask_raises(self, uniform4):
+        # no vocabulary token has the listed text, so the mask is empty
         with pytest.raises(MaskEmpty):
-            sample_token(Particle(), uniform4, TokenMask(frozenset()),
+            execute_step(explicit_mask_plan(tokens=("z",)), Particle(), uniform4,
                          RandomStream(4, "t"))
 
     def test_zero_mass_mask_raises(self, table_721):
@@ -91,7 +108,7 @@ class TestSampleToken:
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
         with pytest.raises(MaskEmpty):
-            sample_token(Particle(), zero_only, TokenMask(frozenset({1, 2})),
+            execute_step(explicit_mask_plan(ids=(1, 2)), Particle(), zero_only,
                          RandomStream(5, "t"))
 
     def test_mask_correction_is_unbiased_by_enumeration(self, table_721):
@@ -108,7 +125,7 @@ class TestSampleToken:
 class TestObserveTokens:
     def test_forcing_accumulates_model_logprob(self, table_721):
         particle = Particle()
-        observe_tokens(particle, table_721, (0, 1))
+        execute_step(force_plan((0, 1)), particle, table_721, RandomStream(0, "t"))
         assert particle.log_weight == pytest.approx(math.log(0.7) + math.log(0.6))
         assert particle.tokens == [0, 1]
         assert particle.text == "ab"
@@ -119,7 +136,7 @@ class TestObserveTokens:
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
         particle = Particle()
-        observe_tokens(particle, m, (1,))
+        execute_step(force_plan((1,), SECOND_CLAUSE), particle, m, RandomStream(0, "t"))
         assert particle.log_weight == NEG_INF
         assert particle.status == "active"  # survives until culling
 
@@ -128,8 +145,8 @@ class TestObserveTokens:
         # relative to a sibling forcing the likely token; rank order of
         # weights matches model log probabilities.
         likely, unlikely = Particle(), Particle()
-        observe_tokens(likely, table_721, (0,))
-        observe_tokens(unlikely, table_721, (2,))
+        execute_step(force_plan((0,)), likely, table_721, RandomStream(0, "t"))
+        execute_step(force_plan((2,)), unlikely, table_721, RandomStream(0, "t"))
         assert table_721.sequence_logprob((), (0,)) > table_721.sequence_logprob((), (2,))
         assert likely.log_weight > unlikely.log_weight
 
@@ -137,7 +154,8 @@ class TestObserveTokens:
 class TestProposalPriorStep:
     def test_identical_models_give_zero_update(self, uniform4):
         particle = Particle()
-        proposal_prior_step(particle, uniform4, uniform4, None, RandomStream(6, "t"))
+        execute_step(PRIOR_SCORED_PLAN, particle, (uniform4, uniform4),
+                     RandomStream(6, "t"))
         assert particle.log_weight == pytest.approx(0.0)
 
     def test_direct_ratio_for_token_zero(self):
@@ -151,8 +169,8 @@ class TestProposalPriorStep:
         for i in range(10):
             stream = RandomStream(7, "ratio", i)
             particle = Particle()
-            tok = proposal_prior_step(particle, proposal, prior, None, stream)
-            if tok == 0:
+            update = execute_step(PRIOR_SCORED_PLAN, particle, (proposal, prior), stream)
+            if update.appended_tokens == (0,):
                 assert particle.log_weight == pytest.approx(math.log(0.9 / 0.5))
                 return
         pytest.fail("no stream sampled token 0")
@@ -166,9 +184,9 @@ class TestProposalPriorStep:
         })
         for i in range(10):
             particle = Particle()
-            tok = proposal_prior_step(particle, proposal, prior, None,
-                                      RandomStream(8, "zp", i))
-            if tok == 0:
+            update = execute_step(PRIOR_SCORED_PLAN, particle, (proposal, prior),
+                                  RandomStream(8, "zp", i))
+            if update.appended_tokens == (0,):
                 assert particle.log_weight == NEG_INF
                 return
         pytest.fail("no stream sampled token 0")
