@@ -87,7 +87,6 @@ from .steering import (
     StepClause,
     StepUpdate,
     StopSpec,
-    TokenMask,
     as_model_set,
     execute_step,
     inject_hint,

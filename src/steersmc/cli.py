@@ -38,7 +38,7 @@ PLANNER_ENDPOINT_ENV = "STEERSMC_PLANNER_ENDPOINT"
 MODEL_ENDPOINT_ENV = "STEERSMC_MODEL_ENDPOINT"
 
 CONFIG_FIELDS = ("method", "n_particles", "ess_threshold", "max_steps",
-                 "timeout", "seed", "resample_scheme", "jobs")
+                 "timeout", "seed", "resample_scheme")
 
 
 def _json_safe(value):

@@ -6,9 +6,8 @@ particles advance independently to completion), sequential Monte Carlo
 rejection sampling (no weight accounting; completions filtered by the
 plan check). All randomness flows through counter-based streams keyed
 on (seed, particle slot, particle step), so outcomes are bit-identical
-for a given seed regardless of how many worker threads step particles,
-and importance sampling coincides exactly with SMC at a zero resample
-threshold.
+for a given seed, and importance sampling coincides exactly with SMC at
+a zero resample threshold.
 
 Error discipline: an empty token mask aborts the run (it is a plan bug
 every particle would hit); a particle exceeding a step budget fails
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +30,7 @@ from .errors import (
     StepBudgetExceeded,
     Timeout,
 )
-from .rng import RandomStream, _mix, derive_key
+from .rng import _GOLDEN, RandomStream, _mix, derive_key
 from .steering import (
     ACTIVE,
     DONE,
@@ -55,8 +53,7 @@ class InferenceConfig:
     """Inference strategy and budgets.
 
     ``ess_threshold`` defaults to half the particle count; zero disables
-    resampling entirely. ``jobs`` controls worker threads used to step
-    particles; it never affects results.
+    resampling entirely.
     """
 
     method: str = "smc"
@@ -66,7 +63,6 @@ class InferenceConfig:
     timeout: float | None = None
     seed: int = 0
     resample_scheme: str = "multinomial"
-    jobs: int = 1
     record_weights: bool = False
 
     def __post_init__(self):
@@ -80,8 +76,6 @@ class InferenceConfig:
             raise ValueError(f"unknown resample scheme {self.resample_scheme!r}")
         if self.ess_threshold is not None and not 0 <= self.ess_threshold <= self.n_particles:
             raise ValueError("ess_threshold must lie in [0, n_particles]")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     def resolved_ess_threshold(self) -> float:
         return self.n_particles / 2 if self.ess_threshold is None else self.ess_threshold
@@ -198,24 +192,6 @@ def select_answer(candidates: list[WeightedCandidate], rng: RandomStream,
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
-class _Abort(Exception):
-    """Internal: wraps a typed error that ends the run."""
-
-    def __init__(self, error: SteeringError):
-        super().__init__(error.code)
-        self.error = error
-
-
-def _step_one(plan: SteeringPlan, particle: Particle, models: ModelSet,
-              stream: RandomStream, deadline: float | None, weighted: bool):
-    update = execute_step(plan, particle, models, stream, deadline=deadline)
-    if update.finished:
-        ok = run_check(plan, particle.tokens, models.vocabulary)
-        particle.passed_check = ok
-        if weighted and not ok:
-            particle.log_weight = NEG_INF
-
-
 def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                   *, resample_enabled: bool, weighted: bool) -> tuple:
     """Shared driver: returns (particles, diagnostics, error|None)."""
@@ -229,50 +205,40 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
     if config.record_weights:
         diag.per_step_weights = []
         diag.per_step_texts = []
-    pool = ThreadPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
     error: SteeringError | None = None
-
-    def step_slot(slot: int):
-        particle = particles[slot]
-        stream = RandomStream.from_key(
-            _mix(slot_keys[slot] + (particle.steps_taken + 1) * 0x9E3779B97F4A7C15))
-        try:
-            _step_one(plan, particle, models, stream, deadline, weighted)
-            return None
-        except SteeringError as exc:
-            # StepBudgetExceeded fails one particle; anything else
-            # (MaskEmpty, Timeout, remote or schema trouble) is a plan-
-            # or backend-level fault that aborts the whole run.
-            return exc
 
     try:
         for t in range(1, config.max_steps + 1):
             if deadline is not None and time.monotonic() > deadline:
-                raise _Abort(Timeout("wall-clock budget exhausted",
-                                     step_index=t))
-            active = [i for i, p in enumerate(particles) if p.status == ACTIVE]
-            if pool is not None:
-                results = list(pool.map(step_slot, active))
-            else:
-                results = [step_slot(i) for i in active]
+                raise Timeout("wall-clock budget exhausted", step_index=t)
             diag.steps_executed = t
-            # Apply per-slot results in slot order so outcomes do not
-            # depend on scheduling.
-            for slot, exc in zip(active, results):
-                if exc is None:
+            for slot, particle in enumerate(particles):
+                if particle.status != ACTIVE:
                     continue
-                exc.step_index = t
-                if isinstance(exc, StepBudgetExceeded):
-                    p = particles[slot]
-                    p.status = FAILED
-                    p.error = exc
-                    p.log_weight = NEG_INF
-                else:
-                    raise _Abort(exc)
+                stream = RandomStream.from_key(
+                    _mix(slot_keys[slot] + (particle.steps_taken + 1) * _GOLDEN))
+                try:
+                    update = execute_step(plan, particle, models, stream,
+                                          deadline=deadline)
+                    if update.finished:
+                        ok = run_check(plan, particle.tokens, models.vocabulary)
+                        particle.passed_check = ok
+                        if weighted and not ok:
+                            particle.log_weight = NEG_INF
+                except SteeringError as exc:
+                    # StepBudgetExceeded fails one particle; anything else
+                    # (MaskEmpty, Timeout, remote or schema trouble) is a plan-
+                    # or backend-level fault that aborts the whole run.
+                    exc.step_index = t
+                    if not isinstance(exc, StepBudgetExceeded):
+                        raise
+                    particle.status = FAILED
+                    particle.error = exc
+                    particle.log_weight = NEG_INF
             if weighted:
                 raw = np.array([p.log_weight for p in particles])
                 if float(np.max(raw)) == NEG_INF:
-                    raise _Abort(_dead_population_error(particles, t))
+                    raise _dead_population_error(particles, t)
                 norm = normalize_weights(raw)
                 ess = effective_sample_size(norm)
                 diag.ess_trace.append(ess)
@@ -296,12 +262,9 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                     p.error = limit_error
                     p.log_weight = NEG_INF
             if not any(p.status == DONE for p in particles):
-                raise _Abort(_dead_population_error(particles, config.max_steps))
-    except _Abort as abort:
-        error = abort.error
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+                raise _dead_population_error(particles, config.max_steps)
+    except SteeringError as exc:
+        error = exc
     diag.wall_time = time.monotonic() - start
     return particles, diag, error
 

@@ -16,13 +16,14 @@ import math
 from dataclasses import dataclass
 
 from .constraints import verify
-from .errors import EnumerationTooLarge
+from .errors import EnumerationTooLarge, SchemaViolation
 from .models import ModelQuery, TokenModel
 from .steering import (
     HINT_PREFIX,
     SteeringPlan,
     StepClause,
     as_model_set,
+    forced_tokens,
     hint_bindings_for,
 )
 
@@ -136,12 +137,21 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
         return models.prior.next_distribution(
             ModelQuery(tokens, plan.prior_tag, ()))
 
+    def plan_fault(exc: SchemaViolation, clause: StepClause) -> None:
+        """Point a plan fault at the top-level step holding ``clause``."""
+        def holds(step: StepClause) -> bool:
+            return step is clause or any(holds(sub) for sub in step.body)
+        exc.clause_index = next(i for i, step in enumerate(plan.steps) if holds(step))
+
     def branch_token(clause: StepClause, tokens, text, hints, log_qw, continue_fn):
         """Branch over every sampleable token at one stochastic point."""
         probs = proposal_dist(tokens, hints)
         if clause.mask is not None:
-            mask = clause.mask.build(vocab, text)
-            ids = sorted(mask.allowed)
+            try:
+                ids = clause.mask.build(vocab, text).tolist()
+            except SchemaViolation as exc:
+                plan_fault(exc, clause)
+                raise
             z = float(sum(probs[i] for i in ids))
             if not ids or z <= 0.0:
                 return  # engine would abort; the path carries no mass
@@ -182,8 +192,11 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
             if clause.kind == "sample_until":
                 rec(tokens, text, hints, (("sampling", clause, 0),) + rest, log_qw)
             elif clause.kind == "force_string":
-                forced = (clause.tokens if clause.tokens is not None
-                          else vocab.encode(clause.text))
+                try:
+                    forced = forced_tokens(clause, vocab)
+                except SchemaViolation as exc:
+                    plan_fault(exc, clause)
+                    raise
                 if not forced:
                     rec(tokens, text, hints, rest, log_qw)
                     return

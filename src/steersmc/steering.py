@@ -94,21 +94,6 @@ class StepUpdate:
     finished: bool
 
 
-@dataclass(frozen=True)
-class TokenMask:
-    """Restriction of next-token support to an allowed id set."""
-
-    allowed: frozenset[int]
-
-    def index_array(self) -> np.ndarray:
-        cached = getattr(self, "_indices", None)
-        if cached is None:
-            cached = np.fromiter(sorted(self.allowed), dtype=np.intp,
-                                 count=len(self.allowed))
-            object.__setattr__(self, "_indices", cached)
-        return cached
-
-
 _CHAR_CLASSES = ("letter", "digit", "whitespace", "punctuation")
 
 
@@ -147,31 +132,30 @@ class MaskSpec:
     tokens: tuple[str, ...] = ()
     ids: tuple[int, ...] = ()
 
-    def build(self, vocabulary: Vocabulary, current_text: str) -> TokenMask:
+    def build(self, vocabulary: Vocabulary, current_text: str) -> np.ndarray:
+        """Ascending, de-duplicated ids of the tokens the mask allows."""
         texts = vocabulary.token_text
         if self.kind == "max_remaining_chars":
             remaining = self.target_chars - len(current_text)
-            allowed = frozenset(i for i, t in enumerate(texts) if len(t) <= remaining)
+            allowed = [i for i, t in enumerate(texts) if len(t) <= remaining]
         elif self.kind == "allowed_words":
             wanted = set(self.words)
-            allowed = frozenset(i for i, t in enumerate(texts) if t.strip() in wanted)
+            allowed = [i for i, t in enumerate(texts) if t.strip() in wanted]
         elif self.kind == "char_class":
             if self.negate:
-                allowed = frozenset(
-                    i for i, t in enumerate(texts)
-                    if not any(_char_in_classes(c, self.classes) for c in t))
+                allowed = [i for i, t in enumerate(texts)
+                           if not any(_char_in_classes(c, self.classes) for c in t)]
             else:
-                allowed = frozenset(
-                    i for i, t in enumerate(texts)
-                    if all(_char_in_classes(c, self.classes) for c in t))
+                allowed = [i for i, t in enumerate(texts)
+                           if all(_char_in_classes(c, self.classes) for c in t)]
         elif self.kind == "explicit":
-            allowed = frozenset(self.ids)
-            if self.tokens:
-                wanted = set(self.tokens)
-                allowed |= frozenset(i for i, t in enumerate(texts) if t in wanted)
+            _check_token_ids(self.ids, vocabulary, "explicit mask ids")
+            wanted = set(self.tokens)
+            allowed = sorted(set(self.ids).union(
+                i for i, t in enumerate(texts) if t in wanted))
         else:
             raise SchemaViolation(f"unknown mask kind {self.kind!r}")
-        return TokenMask(allowed=allowed)
+        return np.array(allowed, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -243,9 +227,24 @@ def _append(particle: Particle, token: int, vocabulary: Vocabulary) -> None:
     particle.text += vocabulary.token_text[token]
 
 
-def _masked_support(probs: np.ndarray, mask: TokenMask):
-    """Restrict ``probs`` to the mask; raises MaskEmpty on zero mass."""
-    ids = mask.index_array()
+def _check_token_ids(ids, vocabulary: Vocabulary, what: str) -> None:
+    """Raise SchemaViolation when a plan names a token id the vocabulary lacks."""
+    bad = [i for i in ids if not 0 <= i < vocabulary.size]
+    if bad:
+        raise SchemaViolation(
+            f"{what} {bad} outside a vocabulary of {vocabulary.size} tokens")
+
+
+def forced_tokens(clause: StepClause, vocabulary: Vocabulary) -> tuple[int, ...]:
+    """The token ids a ``force_string`` clause appends."""
+    if clause.tokens is None:
+        return vocabulary.encode(clause.text)
+    _check_token_ids(clause.tokens, vocabulary, "force_string tokens")
+    return clause.tokens
+
+
+def _masked_support(probs: np.ndarray, ids: np.ndarray):
+    """Restrict ``probs`` to the mask ids; raises MaskEmpty on zero mass."""
     if ids.size == 0:
         raise MaskEmpty("mask allows no tokens")
     sub = probs[ids]
@@ -255,7 +254,7 @@ def _masked_support(probs: np.ndarray, mask: TokenMask):
     return ids, sub, z
 
 
-def _draw(particle: Particle, models: ModelSet, mask: TokenMask | None, rng,
+def _draw(particle: Particle, models: ModelSet, mask: np.ndarray | None, rng,
           plan: SteeringPlan, score_with_prior: bool):
     """Sample one token from the (masked) proposal. Returns (token, delta).
 
@@ -335,11 +334,7 @@ def _take_token(clause: StepClause, plan: SteeringPlan, particle: Particle,
                 models: ModelSet, rng, state: _StepState) -> int:
     vocab = models.vocabulary
     mask = clause.mask.build(vocab, particle.text) if clause.mask is not None else None
-    try:
-        token, delta = _draw(particle, models, mask, rng, plan, clause.score_with_prior)
-    except MaskEmpty as exc:
-        exc.clause_index = state.clause_index
-        raise
+    token, delta = _draw(particle, models, mask, rng, plan, clause.score_with_prior)
     particle.log_weight += delta
     state.log_update += delta
     _append(particle, token, vocab)
@@ -383,7 +378,7 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
                 return
 
     elif clause.kind == "force_string":
-        forced = clause.tokens if clause.tokens is not None else vocab.encode(clause.text)
+        forced = forced_tokens(clause, vocab)
         if not forced:
             return
         if len(particle.tokens) + len(forced) > plan.max_tokens:
@@ -461,7 +456,11 @@ def execute_step(plan: SteeringPlan, particle: Particle, models, rng,
         return StepUpdate((), 0.0, True)
 
     clause = plan.steps[particle.clause_index]
-    _exec_clause(clause, plan, particle, models, rng, state)
+    try:
+        _exec_clause(clause, plan, particle, models, rng, state)
+    except (MaskEmpty, SchemaViolation) as exc:
+        exc.clause_index = state.clause_index
+        raise
     particle.clause_index += 1
     particle.steps_taken += 1
     if particle.clause_index >= len(plan.steps) and not state.finished:

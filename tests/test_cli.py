@@ -95,6 +95,14 @@ class TestCmdRun:
                 "--out", str(out2))
         assert all(r["method"] == "smc" for r in read_records(out2))
 
+    def test_config_file_rejects_jobs(self, tmp_path):
+        # Particles step on one thread; --jobs sets task threads only.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 4}))
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", *CHAR_ARGS, "--config", str(cfg))
+        assert "unknown config field 'jobs'" in str(info.value.code)
+
     def test_missing_task_file_exits_nonzero(self, tmp_path, capsys):
         code = run_cli("run", "--tasks", str(tmp_path / "nope.tasks"),
                        "--plans", str(FIXTURES / "plans"),

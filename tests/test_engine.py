@@ -11,6 +11,7 @@ from steersmc import (
     MaskEmpty,
     Particle,
     RandomStream,
+    SchemaViolation,
     StepBudgetExceeded,
     Timeout,
     UniformModel,
@@ -331,6 +332,22 @@ class TestErrorTaxonomy:
         assert out.selected is None
         assert out.diagnostics.wall_time >= 0.0
 
+    @pytest.mark.parametrize("bad", [
+        {"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [7]}},
+        {"kind": "force_string", "tokens": [9]},
+        {"kind": "loop", "iterations": 1, "body": [
+            {"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [0, 7]}}]},
+    ], ids=["mask-id", "force-id", "mask-id-in-loop"])
+    def test_out_of_range_token_id_is_schema_violation(self, uniform3, bad):
+        plan = make_plan([{"kind": "force_string", "text": "a"}, bad])
+        cfg = InferenceConfig(method="smc", n_particles=4, seed=61)
+        out = run_inference(plan, uniform3, cfg)
+        assert isinstance(out.error, SchemaViolation)
+        assert (out.error.clause_index, out.error.step_index) == (1, 2)
+        with pytest.raises(SchemaViolation) as info:
+            brute_force_target(plan, uniform3, max_len=4)
+        assert info.value.clause_index == 1
+
     def test_universal_step_budget_is_surfaced(self, uniform3):
         plan = make_plan(
             [{"kind": "loop", "until": {"kind": "substring", "value": "zz"},
@@ -388,18 +405,21 @@ class TestErrorTaxonomy:
 
 class TestDeterminism:
     @pytest.mark.parametrize("method", ["importance", "smc", "rejection"])
-    def test_jobs_do_not_change_outcomes(self, uniform3, sample2_plan, method):
-        outs = []
-        for jobs in (1, 8):
-            cfg = InferenceConfig(method=method, n_particles=64, seed=97,
-                                  jobs=jobs, record_weights=True)
-            outs.append(run_inference(sample2_plan, uniform3, cfg))
-        a, b = outs
-        assert a.candidates == b.candidates
-        assert a.selected == b.selected
-        assert a.diagnostics.ess_trace == b.diagnostics.ess_trace
-        assert a.diagnostics.resample_events == b.diagnostics.resample_events
-        assert a.diagnostics.per_step_weights == b.diagnostics.per_step_weights
+    def test_slot_draws_do_not_depend_on_population_size(self, table_721, method):
+        # A slot's stream is keyed on (seed, slot, step) alone, so without
+        # resampling the first 16 slots of a 64-particle run repeat a
+        # 16-particle run exactly.
+        plan = make_plan(
+            [{"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [0, 1]}},
+             {"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [1, 2]}}],
+            max_tokens=4, check=[{"kind": "char_count_exact", "value": 2}])
+        small, large = (
+            run_inference(plan, table_721, InferenceConfig(
+                method=method, n_particles=n, seed=97, ess_threshold=0))
+            for n in (16, 64))
+        head = [(c.tokens, c.raw_log_weight) for c in small.candidates]
+        assert head == [(c.tokens, c.raw_log_weight) for c in large.candidates[:16]]
+        assert len(set(head)) > 2
 
     def test_repeated_runs_bit_identical(self, uniform3, sample2_plan):
         cfg = InferenceConfig(method="smc", n_particles=32, seed=101)

@@ -99,6 +99,17 @@ class TestScriptedRetries:
         assert [a.error_code for a in result.attempts] == \
             ["StepBudgetExceeded", None]
 
+    def test_out_of_range_mask_id_is_retried(self, model, task, config):
+        bad = {"plan_version": 1, "max_tokens": 8,
+               "steps": [{"kind": "masked_sample",
+                          "mask": {"kind": "explicit", "ids": [7]}}]}
+        source = ScriptedSource([bad, GOOD_PLAN])
+        result = steer(task, source, model, config, max_retries=3)
+        assert result.succeeded
+        assert result.retries_used == 1
+        assert "SchemaViolation" in source.feedback_seen[1]
+        assert "clause=0(masked_sample)" in source.feedback_seen[1]
+
     def test_feedback_only_from_second_attempt(self, model, task, config):
         source = ScriptedSource([BROKEN_PLAN, GOOD_PLAN])
         steer(task, source, model, config, max_retries=3)

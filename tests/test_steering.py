@@ -218,28 +218,28 @@ class TestMaskSpecs:
         vocab = Vocabulary.from_tokens(["a", "bb", "ccc", "<eos>"])
         spec = MaskSpec("max_remaining_chars", target_chars=5)
         mask = spec.build(vocab, "aaa")  # remaining = 2
-        assert mask.allowed == {0, 1, 3}
+        assert mask.tolist() == [0, 1, 3]
 
     def test_char_class_no_punctuation(self):
         vocab = Vocabulary.from_tokens(["a", ".", " ", "<eos>"])
         spec = MaskSpec("char_class", classes=("letter", "whitespace"))
-        assert spec.build(vocab, "").allowed == {0, 2, 3}
+        assert spec.build(vocab, "").tolist() == [0, 2, 3]
 
     def test_char_class_negated(self):
         vocab = Vocabulary.from_tokens(["a", ".", "<eos>"])
         spec = MaskSpec("char_class", classes=("punctuation",), negate=True)
-        assert spec.build(vocab, "").allowed == {0, 2}
+        assert spec.build(vocab, "").tolist() == [0, 2]
 
     def test_allowed_words_matches_stripped_token_text(self):
         vocab = Vocabulary.from_tokens(["Glasgow ", "home ", "and ", "<eos>"])
         spec = MaskSpec("allowed_words", words=("Glasgow", "and"))
         # equality test: EOS's empty text matches no word
-        assert spec.build(vocab, "").allowed == {0, 2}
+        assert spec.build(vocab, "").tolist() == [0, 2]
 
     def test_explicit_ids_and_tokens(self):
         vocab = Vocabulary.from_tokens(["a", "b", "c", "<eos>"])
-        spec = MaskSpec("explicit", tokens=("b",), ids=(0,))
-        assert spec.build(vocab, "").allowed == {0, 1}
+        spec = MaskSpec("explicit", tokens=("b",), ids=(2, 0, 2))
+        assert spec.build(vocab, "").tolist() == [0, 1, 2]
 
 
 class TestExecuteStep:
