@@ -37,8 +37,8 @@ from .steering import ModelSet
 PLANNER_ENDPOINT_ENV = "STEERSMC_PLANNER_ENDPOINT"
 MODEL_ENDPOINT_ENV = "STEERSMC_MODEL_ENDPOINT"
 
-CONFIG_FIELDS = ("method", "n_particles", "ess_threshold", "max_steps",
-                 "timeout", "seed", "resample_scheme")
+CONFIG_FIELDS = ("method", "n_particles", "ess_threshold", "timeout", "seed",
+                 "resample_scheme")
 
 
 def _json_safe(value):
@@ -101,7 +101,6 @@ def _merge_config(args) -> dict:
         "method": args.method,
         "n_particles": args.n_particles,
         "ess_threshold": args.ess_threshold,
-        "max_steps": args.max_steps,
         "timeout": args.timeout,
         "seed": args.seed,
         "resample_scheme": args.resample_scheme,
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--method", choices=("smc", "importance", "rejection"))
     runp.add_argument("-N", "--n-particles", type=int, dest="n_particles")
     runp.add_argument("--ess-threshold", type=float, dest="ess_threshold")
-    runp.add_argument("--max-steps", type=int, dest="max_steps")
     runp.add_argument("--timeout", type=float)
     runp.add_argument("--retries", type=int, default=3)
     runp.add_argument("--seed", type=int)

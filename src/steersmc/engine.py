@@ -18,6 +18,7 @@ Timeout with diagnostics populated up to the interruption point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -59,7 +60,6 @@ class InferenceConfig:
     method: str = "smc"
     n_particles: int = 16
     ess_threshold: float | None = None
-    max_steps: int = 1000
     timeout: float | None = None
     seed: int = 0
     resample_scheme: str = "multinomial"
@@ -70,8 +70,6 @@ class InferenceConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if self.resample_scheme not in RESAMPLE_SCHEMES:
             raise ValueError(f"unknown resample scheme {self.resample_scheme!r}")
         if self.ess_threshold is not None and not 0 <= self.ess_threshold <= self.n_particles:
@@ -194,7 +192,11 @@ def select_answer(candidates: list[WeightedCandidate], rng: RandomStream,
 
 def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                   *, resample_enabled: bool, weighted: bool) -> tuple:
-    """Shared driver: returns (particles, diagnostics, error|None)."""
+    """Lockstep loop of every method: returns (particles, diagnostics, error|None).
+
+    Each step moves every active particle on by one top-level clause or
+    ends it, so a run takes at most ``max(1, len(plan.steps))`` steps.
+    """
     start = time.monotonic()
     deadline = start + config.timeout if config.timeout is not None else None
     n = config.n_particles
@@ -208,7 +210,7 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
     error: SteeringError | None = None
 
     try:
-        for t in range(1, config.max_steps + 1):
+        for t in itertools.count(1):
             if deadline is not None and time.monotonic() > deadline:
                 raise Timeout("wall-clock budget exhausted", step_index=t)
             diag.steps_executed = t
@@ -252,17 +254,6 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                     diag.resample_events.append(t)
             if all(p.status != ACTIVE for p in particles):
                 break
-        else:
-            limit_error = StepBudgetExceeded(
-                f"engine step limit max_steps={config.max_steps} reached")
-            limit_error.step_index = config.max_steps
-            for p in particles:
-                if p.status == ACTIVE:
-                    p.status = FAILED
-                    p.error = limit_error
-                    p.log_weight = NEG_INF
-            if not any(p.status == DONE for p in particles):
-                raise _dead_population_error(particles, config.max_steps)
     except SteeringError as exc:
         error = exc
     diag.wall_time = time.monotonic() - start

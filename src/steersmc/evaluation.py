@@ -16,15 +16,15 @@ import math
 from dataclasses import dataclass
 
 from .constraints import verify
-from .errors import EnumerationTooLarge, SchemaViolation
+from .errors import EnumerationTooLarge, SteeringError
 from .models import ModelQuery, TokenModel
 from .steering import (
-    HINT_PREFIX,
     SteeringPlan,
     StepClause,
     as_model_set,
     forced_tokens,
     hint_bindings_for,
+    render_hint,
 )
 
 NEG_INF = float("-inf")
@@ -137,21 +137,22 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
         return models.prior.next_distribution(
             ModelQuery(tokens, plan.prior_tag, ()))
 
-    def plan_fault(exc: SchemaViolation, clause: StepClause) -> None:
-        """Point a plan fault at the top-level step holding ``clause``."""
+    def at_clause(clause: StepClause, fn, *args):
+        """``fn(*args)``; a typed error it raises names the top-level step
+        holding ``clause``, as the engine's errors do."""
         def holds(step: StepClause) -> bool:
             return step is clause or any(holds(sub) for sub in step.body)
-        exc.clause_index = next(i for i, step in enumerate(plan.steps) if holds(step))
+        try:
+            return fn(*args)
+        except SteeringError as exc:
+            exc.clause_index = next(i for i, step in enumerate(plan.steps) if holds(step))
+            raise
 
     def branch_token(clause: StepClause, tokens, text, hints, log_qw, continue_fn):
         """Branch over every sampleable token at one stochastic point."""
         probs = proposal_dist(tokens, hints)
         if clause.mask is not None:
-            try:
-                ids = clause.mask.build(vocab, text).tolist()
-            except SchemaViolation as exc:
-                plan_fault(exc, clause)
-                raise
+            ids = at_clause(clause, clause.mask.build, vocab, text).tolist()
             z = float(sum(probs[i] for i in ids))
             if not ids or z <= 0.0:
                 return  # engine would abort; the path carries no mass
@@ -192,11 +193,7 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
             if clause.kind == "sample_until":
                 rec(tokens, text, hints, (("sampling", clause, 0),) + rest, log_qw)
             elif clause.kind == "force_string":
-                try:
-                    forced = forced_tokens(clause, vocab)
-                except SchemaViolation as exc:
-                    plan_fault(exc, clause)
-                    raise
+                forced = at_clause(clause, forced_tokens, clause, vocab)
                 if not forced:
                     rec(tokens, text, hints, rest, log_qw)
                     return
@@ -210,12 +207,9 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
                     finish(new_tokens, new_text, log_qw + delta)
                 else:
                     rec(new_tokens, new_text, hints, rest, log_qw + delta)
-            elif clause.kind == "masked_sample":
-                rec(tokens, text, hints,
-                    (("masked", clause, clause.count),) + rest, log_qw)
             elif clause.kind == "hint":
                 bindings = hint_bindings_for(plan, text, len(tokens))
-                rendered = HINT_PREFIX + clause.template.format(**bindings)
+                rendered = at_clause(clause, render_hint, clause.template, bindings)
                 rec(tokens, text, hints + (rendered,), rest, log_qw)
             elif clause.kind == "loop":
                 rec(tokens, text, hints,
@@ -239,18 +233,6 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
                 clause, tokens, text, hints, log_qw,
                 lambda tk, tx, lw: rec(
                     tk, tx, hints, (("sampling", clause, drawn + 1),) + rest, lw))
-
-        elif frame[0] == "masked":
-            clause, remaining = frame[1], frame[2]
-            if remaining == 0:
-                rec(tokens, text, hints, rest, log_qw)
-                return
-            if len(tokens) >= plan.max_tokens or len(tokens) >= cap:
-                return
-            branch_token(
-                clause, tokens, text, hints, log_qw,
-                lambda tk, tx, lw: rec(
-                    tk, tx, hints, (("masked", clause, remaining - 1),) + rest, lw))
 
         elif frame[0] == "loop_until":
             clause, done = frame[1], frame[2]

@@ -255,29 +255,27 @@ class NgramModel(TokenModel):
         super().__init__(vocabulary)
         self.order = order
         self.smoothing = smoothing
-        self._counts = counts
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._lock = threading.Lock()
+        # Each row of ``counts`` (which the model takes over) becomes its
+        # smoothed distribution in place: one array per seen window.
+        size = vocabulary.size
+        for row in counts.values():
+            denom = row.sum() + smoothing * size
+            row += smoothing
+            row /= denom
+            row.setflags(write=False)
+        self._rows = counts
+        self._unseen = None  # the shared row of unseen windows, smoothing > 0
+        if smoothing > 0.0:
+            self._unseen = np.full(size, smoothing) / (smoothing * size)
+            self._unseen.setflags(write=False)
 
     def _distribution(self, context, prompt_tag):
         window = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
-        while window not in self._counts:
-            if self.smoothing > 0.0:
-                break
+        while window not in self._rows:
+            if self._unseen is not None:
+                return self._unseen
             window = window[1:]  # () is always present for nonempty corpora
-        cached = self._cache.get(window)
-        if cached is not None:
-            return cached
-        size = self.vocabulary.size
-        counts = self._counts.get(window)
-        if counts is None:
-            counts = np.zeros(size)
-        vec = (counts + self.smoothing) / (counts.sum() + self.smoothing * size)
-        vec.setflags(write=False)
-        with self._lock:
-            if len(self._cache) < 65536:
-                self._cache[window] = vec
-        return vec
+        return self._rows[window]
 
 
 def tokenize_corpus(corpus: str, tokenizer: str = "char") -> list[str]:

@@ -29,6 +29,7 @@ from .errors import (
     MaskEmpty,
     ParseError,
     SchemaViolation,
+    SteeringError,
     StepBudgetExceeded,
     Timeout,
     UnboundVariable,
@@ -177,7 +178,6 @@ class StepClause:
     max_new_tokens: int | None = None
     text: str | None = None
     tokens: tuple[int, ...] | None = None
-    count: int = 1
     template: str | None = None
     body: tuple["StepClause", ...] = ()
     iterations: int | None = None
@@ -291,29 +291,39 @@ def hint_bindings_for(plan: SteeringPlan, text: str, n_tokens: int) -> dict:
     return bindings
 
 
-def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
-    """Render a hint and append it to the particle's hint buffer."""
+def render_hint(template: str, bindings: dict) -> str:
+    """The hint string a model sees: the prefix plus the rendered template.
+
+    A name with no binding raises UnboundVariable; a format spec that
+    does not fit its value (``{x:d}`` with a string) raises
+    SchemaViolation.
+    """
     try:
-        rendered = template.format(**bindings)
+        return HINT_PREFIX + template.format(**bindings)
     except (KeyError, IndexError) as exc:
         raise UnboundVariable(f"hint template references unbound {exc}") from exc
-    particle.hint_buffer.append(HINT_PREFIX + rendered)
+    except (ValueError, TypeError) as exc:
+        raise SchemaViolation(f"hint template {template!r} does not fit its "
+                              f"values: {exc}") from exc
+
+
+def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
+    """Render a hint and append it to the particle's hint buffer."""
+    particle.hint_buffer.append(render_hint(template, bindings))
 
 
 class _StepState:
-    __slots__ = ("appended", "log_update", "finished", "deadline", "clause_index")
+    __slots__ = ("appended", "log_update", "finished", "deadline")
 
-    def __init__(self, deadline: float | None, clause_index: int):
+    def __init__(self, deadline: float | None):
         self.appended: list[int] = []
         self.log_update = 0.0
         self.finished = False
         self.deadline = deadline
-        self.clause_index = clause_index
 
     def check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise Timeout("wall-clock budget exhausted mid-step",
-                          clause_index=self.clause_index)
+            raise Timeout("wall-clock budget exhausted mid-step")
 
 
 def _stop_satisfied(stop: StopSpec, particle: Particle, count: int,
@@ -345,12 +355,10 @@ def _take_token(clause: StepClause, plan: SteeringPlan, particle: Particle,
     return token
 
 
-def _budget_guard(plan: SteeringPlan, particle: Particle, state: _StepState,
-                  what: str) -> None:
+def _budget_guard(plan: SteeringPlan, particle: Particle) -> None:
     if len(particle.tokens) >= plan.max_tokens:
         raise StepBudgetExceeded(
-            f"{what} needs more than max_tokens={plan.max_tokens} tokens",
-            clause_index=state.clause_index)
+            f"clause needs more than max_tokens={plan.max_tokens} tokens")
 
 
 def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
@@ -370,8 +378,8 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
             if bound is not None and drawn >= bound:
                 raise StepBudgetExceeded(
                     f"sample_until drew {drawn} tokens without satisfying its "
-                    "stop predicate", clause_index=state.clause_index)
-            _budget_guard(plan, particle, state, "sample_until")
+                    "stop predicate")
+            _budget_guard(plan, particle)
             token = _take_token(clause, plan, particle, models, rng, state)
             drawn += 1
             if token == vocab.eos_id:
@@ -384,7 +392,7 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
         if len(particle.tokens) + len(forced) > plan.max_tokens:
             raise StepBudgetExceeded(
                 f"force_string of {len(forced)} tokens exceeds "
-                f"max_tokens={plan.max_tokens}", clause_index=state.clause_index)
+                f"max_tokens={plan.max_tokens}")
         delta = models.proposal.sequence_logprob(
             particle.tokens, forced, plan.proposal_tag,
             hints=tuple(particle.hint_buffer))
@@ -396,14 +404,6 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
         if forced[-1] == vocab.eos_id:
             state.finished = True
             particle.status = DONE
-
-    elif clause.kind == "masked_sample":
-        for _ in range(clause.count):
-            state.check_deadline()
-            _budget_guard(plan, particle, state, "masked_sample")
-            token = _take_token(clause, plan, particle, models, rng, state)
-            if token == vocab.eos_id:
-                return
 
     elif clause.kind == "hint":
         inject_hint(particle, clause.template,
@@ -425,7 +425,7 @@ def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
                 if done_iters >= clause.max_iterations:
                     raise StepBudgetExceeded(
                         f"loop ran {done_iters} iterations without satisfying "
-                        "its until predicate", clause_index=state.clause_index)
+                        "its until predicate")
                 for sub in clause.body:
                     _exec_clause(sub, plan, particle, models, rng, state)
                     if state.finished:
@@ -448,7 +448,7 @@ def execute_step(plan: SteeringPlan, particle: Particle, models, rng,
     if particle.status != ACTIVE:
         raise ValueError("execute_step requires an active particle")
     models = as_model_set(models)
-    state = _StepState(deadline, particle.clause_index)
+    state = _StepState(deadline)
 
     if particle.clause_index >= len(plan.steps):
         particle.status = DONE
@@ -458,8 +458,8 @@ def execute_step(plan: SteeringPlan, particle: Particle, models, rng,
     clause = plan.steps[particle.clause_index]
     try:
         _exec_clause(clause, plan, particle, models, rng, state)
-    except (MaskEmpty, SchemaViolation) as exc:
-        exc.clause_index = state.clause_index
+    except SteeringError as exc:
+        exc.clause_index = particle.clause_index
         raise
     particle.clause_index += 1
     particle.steps_taken += 1
@@ -481,6 +481,23 @@ def run_check(plan: SteeringPlan, tokens, vocabulary: Vocabulary) -> bool:
 
 _MISSING = object()
 
+# The fields each clause, mask and stop kind may carry besides "kind";
+# any other field is a SchemaViolation.
+_CLAUSE_FIELDS = {
+    "sample_until": {"stop", "mask", "score_with_prior", "max_new_tokens"},
+    "force_string": {"text", "tokens"},
+    "masked_sample": {"mask", "count", "score_with_prior"},
+    "hint": {"template"},
+    "loop": {"body", "iterations", "until", "max_iterations"},
+}
+_MASK_FIELDS = {
+    "max_remaining_chars": {"target_chars"},
+    "allowed_words": {"words"},
+    "char_class": {"classes", "negate"},
+    "explicit": {"tokens", "ids"},
+}
+_STOP_FIELDS = {"token_count": {"value"}, "substring": {"value"}, "eos": set()}
+
 
 def _want(doc: dict, key: str, types, where: str, default=_MISSING):
     if key not in doc:
@@ -488,15 +505,31 @@ def _want(doc: dict, key: str, types, where: str, default=_MISSING):
             return default
         raise SchemaViolation(f"{where}.{key}: missing required field")
     value = doc[key]
-    if not isinstance(value, types):
+    # bool subclasses int, but a JSON true is never a count
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise SchemaViolation(f"{where}.{key}: wrong type")
     return value
 
 
-def _parse_stop(doc, where: str) -> StopSpec:
+def _is_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _kind(doc, fields: dict, what: str, where: str) -> str:
+    """The kind of an object whose fields must all belong to that kind."""
     if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: stop predicate must be an object")
+        raise SchemaViolation(f"{where}: {what} must be an object")
     kind = _want(doc, "kind", str, where)
+    if kind not in fields:
+        raise SchemaViolation(f"{where}.kind: unknown {what} kind {kind!r}")
+    for key in doc:
+        if key != "kind" and key not in fields[kind]:
+            raise SchemaViolation(f"{where}.{key}: unknown field")
+    return kind
+
+
+def _parse_stop(doc, where: str) -> StopSpec:
+    kind = _kind(doc, _STOP_FIELDS, "stop predicate", where)
     if kind == "token_count":
         value = _want(doc, "value", int, where)
         if value < 0:
@@ -507,15 +540,11 @@ def _parse_stop(doc, where: str) -> StopSpec:
         if not value:
             raise SchemaViolation(f"{where}.value: empty substring")
         return StopSpec("substring", value)
-    if kind == "eos":
-        return StopSpec("eos")
-    raise SchemaViolation(f"{where}.kind: unknown stop predicate {kind!r}")
+    return StopSpec("eos")
 
 
 def _parse_mask(doc, where: str) -> MaskSpec:
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: mask must be an object")
-    kind = _want(doc, "kind", str, where)
+    kind = _kind(doc, _MASK_FIELDS, "mask", where)
     if kind == "max_remaining_chars":
         target = _want(doc, "target_chars", int, where)
         if target < 0:
@@ -533,17 +562,15 @@ def _parse_mask(doc, where: str) -> MaskSpec:
                 raise SchemaViolation(f"{where}.classes: unknown class {cls!r}")
         return MaskSpec("char_class", classes=tuple(classes),
                         negate=_want(doc, "negate", bool, where, default=False))
-    if kind == "explicit":
-        tokens = _want(doc, "tokens", list, where, default=[])
-        ids = _want(doc, "ids", list, where, default=[])
-        if not tokens and not ids:
-            raise SchemaViolation(f"{where}: explicit mask needs tokens or ids")
-        if not all(isinstance(t, str) for t in tokens):
-            raise SchemaViolation(f"{where}.tokens: must be strings")
-        if not all(isinstance(i, int) and i >= 0 for i in ids):
-            raise SchemaViolation(f"{where}.ids: must be nonnegative integers")
-        return MaskSpec("explicit", tokens=tuple(tokens), ids=tuple(ids))
-    raise SchemaViolation(f"{where}.kind: unknown mask kind {kind!r}")
+    tokens = _want(doc, "tokens", list, where, default=[])
+    ids = _want(doc, "ids", list, where, default=[])
+    if not tokens and not ids:
+        raise SchemaViolation(f"{where}: explicit mask needs tokens or ids")
+    if not all(isinstance(t, str) for t in tokens):
+        raise SchemaViolation(f"{where}.tokens: must be strings")
+    if not all(_is_id(i) for i in ids):
+        raise SchemaViolation(f"{where}.ids: must be nonnegative integers")
+    return MaskSpec("explicit", tokens=tuple(tokens), ids=tuple(ids))
 
 
 def _template_fields(template: str) -> set[str]:
@@ -557,34 +584,35 @@ def _template_fields(template: str) -> set[str]:
 
 
 def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClause:
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: clause must be an object")
+    kind = _kind(doc, _CLAUSE_FIELDS, "clause", where)
     if depth > 8:
         raise SchemaViolation(f"{where}: loops nested deeper than 8")
-    kind = _want(doc, "kind", str, where)
-    common = {"kind"}
+    score_with_prior = _want(doc, "score_with_prior", bool, where, default=False)
 
     if kind == "sample_until":
-        allowed_fields = common | {"stop", "mask", "score_with_prior", "max_new_tokens"}
-        for key in doc:
-            if key not in allowed_fields:
-                raise SchemaViolation(f"{where}.{key}: unknown field")
         stop = _parse_stop(_want(doc, "stop", dict, where), f"{where}.stop")
         mask = doc.get("mask")
         max_new = doc.get("max_new_tokens")
-        if max_new is not None and (not isinstance(max_new, int) or max_new < 1):
+        if max_new is not None and not (_is_id(max_new) and max_new >= 1):
             raise SchemaViolation(f"{where}.max_new_tokens: must be a positive integer")
         return StepClause(
             kind="sample_until", stop=stop,
             mask=_parse_mask(mask, f"{where}.mask") if mask is not None else None,
-            score_with_prior=_want(doc, "score_with_prior", bool, where, default=False),
-            max_new_tokens=max_new)
+            score_with_prior=score_with_prior, max_new_tokens=max_new)
+
+    if kind == "masked_sample":
+        # Drawing ``count`` masked tokens is sample_until with a
+        # token-count stop of ``count``; the interpreter and the oracle
+        # only ever see the latter.
+        count = _want(doc, "count", int, where, default=1)
+        if count < 1:
+            raise SchemaViolation(f"{where}.count: must be a positive integer")
+        return StepClause(
+            kind="sample_until", stop=StopSpec("token_count", count),
+            mask=_parse_mask(_want(doc, "mask", dict, where), f"{where}.mask"),
+            score_with_prior=score_with_prior)
 
     if kind == "force_string":
-        allowed_fields = common | {"text", "tokens"}
-        for key in doc:
-            if key not in allowed_fields:
-                raise SchemaViolation(f"{where}.{key}: unknown field")
         has_text = "text" in doc
         has_tokens = "tokens" in doc
         if has_text == has_tokens:
@@ -592,29 +620,11 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
         if has_text:
             return StepClause(kind="force_string", text=_want(doc, "text", str, where))
         ids = _want(doc, "tokens", list, where)
-        if not all(isinstance(i, int) and i >= 0 for i in ids):
+        if not all(_is_id(i) for i in ids):
             raise SchemaViolation(f"{where}.tokens: must be nonnegative integers")
         return StepClause(kind="force_string", tokens=tuple(ids))
 
-    if kind == "masked_sample":
-        allowed_fields = common | {"mask", "count", "score_with_prior"}
-        for key in doc:
-            if key not in allowed_fields:
-                raise SchemaViolation(f"{where}.{key}: unknown field")
-        count = _want(doc, "count", int, where, default=1)
-        if count < 1:
-            raise SchemaViolation(f"{where}.count: must be a positive integer")
-        return StepClause(
-            kind="masked_sample",
-            mask=_parse_mask(_want(doc, "mask", dict, where), f"{where}.mask"),
-            count=count,
-            score_with_prior=_want(doc, "score_with_prior", bool, where, default=False))
-
     if kind == "hint":
-        allowed_fields = common | {"template"}
-        for key in doc:
-            if key not in allowed_fields:
-                raise SchemaViolation(f"{where}.{key}: unknown field")
         template = _want(doc, "template", str, where)
         known = set(variables) | set(HINT_BUILTINS)
         unknown = _template_fields(template) - known
@@ -628,34 +638,27 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
                 "target_chars plan variable")
         return StepClause(kind="hint", template=template)
 
-    if kind == "loop":
-        allowed_fields = common | {"body", "iterations", "until", "max_iterations"}
-        for key in doc:
-            if key not in allowed_fields:
-                raise SchemaViolation(f"{where}.{key}: unknown field")
-        body_doc = _want(doc, "body", list, where)
-        if not body_doc:
-            raise SchemaViolation(f"{where}.body: must be nonempty")
-        body = tuple(_parse_clause(c, f"{where}.body[{i}]", variables, depth + 1)
-                     for i, c in enumerate(body_doc))
-        has_iters = "iterations" in doc
-        has_until = "until" in doc
-        if has_iters == has_until:
-            raise SchemaViolation(f"{where}: exactly one of iterations or until required")
-        if has_iters:
-            iters = _want(doc, "iterations", int, where)
-            if not 1 <= iters <= MAX_LOOP_BOUND:
-                raise SchemaViolation(
-                    f"{where}.iterations: must be in [1, {MAX_LOOP_BOUND}]")
-            return StepClause(kind="loop", body=body, iterations=iters)
-        until = _parse_stop(_want(doc, "until", dict, where), f"{where}.until")
-        max_iters = _want(doc, "max_iterations", int, where, default=DEFAULT_LOOP_BOUND)
-        if not 1 <= max_iters <= MAX_LOOP_BOUND:
+    body_doc = _want(doc, "body", list, where)
+    if not body_doc:
+        raise SchemaViolation(f"{where}.body: must be nonempty")
+    body = tuple(_parse_clause(c, f"{where}.body[{i}]", variables, depth + 1)
+                 for i, c in enumerate(body_doc))
+    has_iters = "iterations" in doc
+    has_until = "until" in doc
+    if has_iters == has_until:
+        raise SchemaViolation(f"{where}: exactly one of iterations or until required")
+    if has_iters:
+        iters = _want(doc, "iterations", int, where)
+        if not 1 <= iters <= MAX_LOOP_BOUND:
             raise SchemaViolation(
-                f"{where}.max_iterations: must be in [1, {MAX_LOOP_BOUND}]")
-        return StepClause(kind="loop", body=body, stop=until, max_iterations=max_iters)
-
-    raise SchemaViolation(f"{where}.kind: unknown clause kind {kind!r}")
+                f"{where}.iterations: must be in [1, {MAX_LOOP_BOUND}]")
+        return StepClause(kind="loop", body=body, iterations=iters)
+    until = _parse_stop(_want(doc, "until", dict, where), f"{where}.until")
+    max_iters = _want(doc, "max_iterations", int, where, default=DEFAULT_LOOP_BOUND)
+    if not 1 <= max_iters <= MAX_LOOP_BOUND:
+        raise SchemaViolation(
+            f"{where}.max_iterations: must be in [1, {MAX_LOOP_BOUND}]")
+    return StepClause(kind="loop", body=body, stop=until, max_iterations=max_iters)
 
 
 def parse_plan(source: str | bytes | dict | Path) -> SteeringPlan:

@@ -103,6 +103,15 @@ class TestCmdRun:
             run_cli("run", *CHAR_ARGS, "--config", str(cfg))
         assert "unknown config field 'jobs'" in str(info.value.code)
 
+    def test_config_file_rejects_max_steps(self, tmp_path):
+        # A run takes one engine step per top-level clause; there is no
+        # step cap to configure.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_steps": 10}))
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", *CHAR_ARGS, "--config", str(cfg))
+        assert "unknown config field 'max_steps'" in str(info.value.code)
+
     def test_missing_task_file_exits_nonzero(self, tmp_path, capsys):
         code = run_cli("run", "--tasks", str(tmp_path / "nope.tasks"),
                        "--plans", str(FIXTURES / "plans"),

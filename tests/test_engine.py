@@ -14,6 +14,7 @@ from steersmc import (
     SchemaViolation,
     StepBudgetExceeded,
     Timeout,
+    UnboundVariable,
     UniformModel,
     Vocabulary,
     WeightedCandidate,
@@ -348,6 +349,25 @@ class TestErrorTaxonomy:
             brute_force_target(plan, uniform3, max_len=4)
         assert info.value.clause_index == 1
 
+    @pytest.mark.parametrize("template, x, error", [
+        ("{x:d}", "abc", SchemaViolation),
+        ("{x:d}", [1], SchemaViolation),
+        ("{x:{y}}", 1, UnboundVariable),
+    ], ids=["spec-on-str", "spec-on-list", "nested-unbound"])
+    def test_hint_render_error_is_typed(self, uniform3, template, x, error):
+        plan = parse_plan({
+            "plan_version": 1, "max_tokens": 4, "vars": {"x": x},
+            "steps": [{"kind": "force_string", "text": "a"},
+                      {"kind": "hint", "template": template},
+                      {"kind": "force_string", "text": "b"}]})
+        out = run_inference(plan, uniform3, InferenceConfig(
+            method="smc", n_particles=4, seed=61))
+        assert isinstance(out.error, error)
+        assert (out.error.clause_index, out.error.step_index) == (1, 2)
+        with pytest.raises(error) as info:
+            brute_force_target(plan, uniform3, max_len=4)
+        assert info.value.clause_index == 1
+
     def test_universal_step_budget_is_surfaced(self, uniform3):
         plan = make_plan(
             [{"kind": "loop", "until": {"kind": "substring", "value": "zz"},
@@ -391,16 +411,19 @@ class TestErrorTaxonomy:
         for c in dead:
             assert c.normalized_weight == 0.0
 
-    def test_engine_max_steps_exhaustion(self, uniform3):
+    @pytest.mark.parametrize("method", ["importance", "smc", "rejection"])
+    def test_plan_longer_than_a_thousand_clauses_finishes(self, uniform3, method):
+        # A run takes one engine step per top-level clause; no step cap
+        # fails a long valid plan.
         plan = make_plan(
-            [{"kind": "sample_until", "stop": {"kind": "token_count", "value": 1},
-              "mask": {"kind": "explicit", "tokens": ["a", "b"]}}
-             for _ in range(8)],
-            max_tokens=32)
-        cfg = InferenceConfig(method="importance", n_particles=4, seed=83,
-                              max_steps=3)
-        out = run_inference(plan, uniform3, cfg)
-        assert isinstance(out.error, StepBudgetExceeded)
+            [{"kind": "force_string", "text": "a"}] * 1000
+            + [{"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [1]}}],
+            max_tokens=1001, check=[{"kind": "char_count_exact", "value": 1001}])
+        out = run_inference(plan, uniform3, InferenceConfig(
+            method=method, n_particles=2, seed=83))
+        assert out.error is None
+        assert out.selected_text == "a" * 1000 + "b"
+        assert out.diagnostics.steps_executed == 1001
 
 
 class TestDeterminism:

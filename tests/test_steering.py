@@ -12,6 +12,8 @@ from steersmc import (
     RandomStream,
     SchemaViolation,
     StepBudgetExceeded,
+    StepClause,
+    StopSpec,
     UnboundVariable,
     UniformModel,
     Vocabulary,
@@ -483,6 +485,45 @@ class TestParsePlan:
         with pytest.raises(SchemaViolation) as info:
             make_plan([{"kind": "force_string", "text": "a", "speed": 9}])
         assert "speed" in info.value.message
+
+    def test_masked_sample_is_sample_until_with_token_count_stop(self):
+        mask = {"kind": "char_class", "classes": ["letter"]}
+        plan = make_plan([{"kind": "masked_sample", "count": 3, "mask": mask,
+                           "score_with_prior": True}])
+        assert plan.steps == (StepClause(
+            kind="sample_until", stop=StopSpec("token_count", 3),
+            mask=MaskSpec("char_class", classes=("letter",)),
+            score_with_prior=True),)
+
+    @pytest.mark.parametrize("change", [
+        {"steps": [{"kind": "masked_sample", "mask": {
+            "kind": "char_class", "classes": ["letter"], "negated": True}}]},
+        {"steps": [{"kind": "sample_until", "stop": {"kind": "eos", "value": 3}}]},
+        {"steps": [{"kind": "loop", "body": [{"kind": "force_string", "text": "a"}],
+                    "until": {"kind": "substring", "value": "a", "limit": 2}}]},
+    ], ids=["mask", "stop", "until"])
+    def test_unknown_field_of_nested_object_rejected(self, change):
+        doc = {"plan_version": 1, "max_tokens": 4, "steps": [], **change}
+        with pytest.raises(SchemaViolation) as info:
+            parse_plan(doc)
+        assert "unknown field" in info.value.message
+
+    @pytest.mark.parametrize("change", [
+        {"plan_version": True},
+        {"max_tokens": True},
+        {"steps": [{"kind": "masked_sample", "count": True,
+                    "mask": {"kind": "explicit", "ids": [0]}}]},
+        {"steps": [{"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [True]}}]},
+        {"steps": [{"kind": "force_string", "tokens": [True]}]},
+        {"steps": [{"kind": "sample_until", "max_new_tokens": True,
+                    "stop": {"kind": "token_count", "value": 1}}]},
+        {"steps": [{"kind": "sample_until", "stop": {"kind": "token_count", "value": True}}]},
+    ], ids=["plan_version", "max_tokens", "count", "mask-ids", "force-tokens",
+            "max_new_tokens", "stop-value"])
+    def test_bool_is_not_an_integer(self, change):
+        doc = {"plan_version": 1, "max_tokens": 4, "steps": [], **change}
+        with pytest.raises(SchemaViolation):
+            parse_plan(doc)
 
     def test_missing_plan_version_rejected(self):
         with pytest.raises(SchemaViolation):
