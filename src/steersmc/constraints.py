@@ -65,6 +65,11 @@ def sentences(text: str) -> list[str]:
     return out
 
 
+def _is_count(value) -> bool:
+    """A nonnegative integer; a JSON ``true`` (a Python bool) is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
     """One machine-checkable constraint; fields used depend on ``kind``."""
@@ -81,7 +86,7 @@ class ConstraintSpec:
             raise SchemaViolation(f"unknown constraint kind {self.kind!r}")
         if self.kind in ("char_count_exact", "word_count_exact", "word_count_min",
                          "max_word_length", "sentence_count_exact"):
-            if not isinstance(self.value, int) or self.value < 0:
+            if not _is_count(self.value):
                 raise SchemaViolation(f"{self.kind}: value must be a nonnegative integer")
         if self.kind in ("contains_words", "forbidden_words", "sentence_last_words"):
             if not self.words or not all(isinstance(w, str) and w for w in self.words):
@@ -90,7 +95,7 @@ class ConstraintSpec:
             if not self.positions:
                 raise SchemaViolation("positioned_words: positions must be nonempty")
             for pos, word in self.positions:
-                if not isinstance(pos, int) or pos < 1:
+                if not _is_count(pos) or pos < 1:
                     raise SchemaViolation("positioned_words: positions are 1-based integers")
                 if not isinstance(word, str) or not word:
                     raise SchemaViolation("positioned_words: each position needs a word")
@@ -98,7 +103,7 @@ class ConstraintSpec:
             if self.min_value is None and self.max_value is None:
                 raise SchemaViolation("per_sentence_word_bounds: need min_value or max_value")
             for bound in (self.min_value, self.max_value):
-                if bound is not None and (not isinstance(bound, int) or bound < 0):
+                if bound is not None and not _is_count(bound):
                     raise SchemaViolation("per_sentence_word_bounds: bounds are nonnegative integers")
             if (self.min_value is not None and self.max_value is not None
                     and self.min_value > self.max_value):
@@ -134,6 +139,8 @@ def constraint_from_dict(doc: dict, where: str = "constraint") -> ConstraintSpec
         raw = doc["positions"]
         if not isinstance(raw, dict):
             raise SchemaViolation(f"{where}.positions: must map position -> word")
+        if any(isinstance(k, bool) for k in raw):
+            raise SchemaViolation(f"{where}.positions: keys must be integers")
         try:
             positions = tuple(sorted((int(k), v) for k, v in raw.items()))
         except (TypeError, ValueError):

@@ -15,6 +15,7 @@ delimiter ignore hints.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -38,6 +39,9 @@ NEG_INF = float("-inf")
 # Stored rows may be off by this much before load fails; rows are then
 # renormalized exactly so query-time sums hold to 1e-9.
 ROW_SUM_TOLERANCE = 1e-6
+
+# Hints memoized per vocabulary by Vocabulary.hint_ids.
+HINT_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class Vocabulary:
         such characters are skipped instead (hints may carry text the
         vocabulary cannot spell).
         """
-        by_text, max_len = self._text_index()
+        by_text, max_len, _ = self._text_index()
         out: list[int] = []
         i = 0
         while i < len(text):
@@ -116,8 +120,13 @@ class Vocabulary:
                 i += 1
         return tuple(out)
 
-    def _text_index(self) -> tuple[dict[str, int], int]:
-        """Token id by text, and the longest token text; built once."""
+    def token_lengths(self) -> np.ndarray:
+        """Read-only character length of every token text."""
+        return self._text_index()[2]
+
+    def _text_index(self) -> tuple[dict[str, int], int, np.ndarray]:
+        """Token id by text, the longest token text and every token
+        text's length; built once."""
         cached = getattr(self, "_index_cache", None)
         if cached is None:
             # keep first id on duplicate texts; EOS ("") never matches
@@ -125,9 +134,26 @@ class Vocabulary:
             for i, t in enumerate(self.token_text):
                 if t and t not in by_text:
                     by_text[t] = i
-            cached = (by_text, max(map(len, by_text), default=0))
+            lengths = np.array([len(t) for t in self.token_text], dtype=np.intp)
+            lengths.setflags(write=False)
+            cached = (by_text, int(lengths.max()), lengths)
             object.__setattr__(self, "_index_cache", cached)
         return cached
+
+    def hint_ids(self, hint: str) -> tuple[int, ...]:
+        """The ids a hint adds to a context: the delimiter, then the
+        lenient encoding of ``hint``.
+
+        Memoized per vocabulary in an LRU of HINT_MEMO_SIZE hints, since
+        a particle's hints are re-serialized on every model query.
+        """
+        memo = getattr(self, "_hint_memo", None)
+        if memo is None:
+            delim = self.hint_delimiter_id
+            memo = functools.lru_cache(maxsize=HINT_MEMO_SIZE)(
+                lambda h: (delim,) + self.encode(h, lenient=True))
+            object.__setattr__(self, "_hint_memo", memo)
+        return memo(hint)
 
 
 @dataclass(frozen=True)
@@ -186,14 +212,12 @@ class TokenModel:
         without a declared delimiter the context is returned untouched
         and hints do not affect conditioning.
         """
-        delim = self.vocabulary.hint_delimiter_id
-        if delim is None or not query.hints:
-            return query.context
-        ctx = list(query.context)
-        for hint in query.hints:
-            ctx.append(delim)
-            ctx.extend(self.vocabulary.encode(hint, lenient=True))
-        return tuple(ctx)
+        vocab = self.vocabulary
+        ctx = query.context
+        if vocab.hint_delimiter_id is not None:
+            for hint in query.hints:
+                ctx += vocab.hint_ids(hint)
+        return ctx
 
     def _distribution(self, context: tuple[int, ...], prompt_tag: str) -> np.ndarray:
         raise NotImplementedError

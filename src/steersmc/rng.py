@@ -81,22 +81,22 @@ class RandomStream:
         return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def choice(self, probs) -> int:
-        """Draw an index proportional to ``probs`` (nonnegative weights).
+        """Draw an index proportional to ``probs``, a 1-D float array of
+        nonnegative weights.
 
-        Zero-probability entries are never selected.
+        Zero-probability entries are never selected. The pick is the
+        first index whose running sum exceeds ``u * probs.sum()``; the
+        sequential ``cumsum`` adds exactly what a scalar walk adds, and a
+        zero entry never raises it, so the first such index is positive.
         """
-        target = self.uniform() * float(np.sum(probs))
-        acc = 0.0
-        last_positive = -1
-        for i, p in enumerate(probs):
-            if p > 0.0:
-                last_positive = i
-                acc += p
-                if acc > target:
-                    return i
-        if last_positive < 0:
+        target = self.uniform() * float(probs.sum())
+        i = int(probs.cumsum().searchsorted(target, "right"))
+        if i < probs.size:
+            return i
+        positive = (probs > 0.0).nonzero()[0]
+        if positive.size == 0:
             raise ValueError("choice over all-zero weights")
-        return last_positive  # target hit the top of the cumulative range
+        return int(positive[-1])  # target hit the top of the cumulative range
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""

@@ -134,12 +134,23 @@ class MaskSpec:
     ids: tuple[int, ...] = ()
 
     def build(self, vocabulary: Vocabulary, current_text: str) -> np.ndarray:
-        """Ascending, de-duplicated ids of the tokens the mask allows."""
-        texts = vocabulary.token_text
+        """Ascending, de-duplicated, read-only ids of the tokens the mask
+        allows.
+
+        Every kind but ``max_remaining_chars`` depends on the vocabulary
+        alone, so its ids are scanned once and kept on the spec, tagged
+        with the vocabulary object they were built for.
+        """
         if self.kind == "max_remaining_chars":
             remaining = self.target_chars - len(current_text)
-            allowed = [i for i, t in enumerate(texts) if len(t) <= remaining]
-        elif self.kind == "allowed_words":
+            allowed = np.flatnonzero(vocabulary.token_lengths() <= remaining)
+            allowed.setflags(write=False)
+            return allowed
+        compiled = getattr(self, "_compiled", None)
+        if compiled is not None and compiled[0] is vocabulary:
+            return compiled[1]
+        texts = vocabulary.token_text
+        if self.kind == "allowed_words":
             wanted = set(self.words)
             allowed = [i for i, t in enumerate(texts) if t.strip() in wanted]
         elif self.kind == "char_class":
@@ -156,7 +167,10 @@ class MaskSpec:
                 i for i, t in enumerate(texts) if t in wanted))
         else:
             raise SchemaViolation(f"unknown mask kind {self.kind!r}")
-        return np.array(allowed, dtype=np.intp)
+        ids = np.array(allowed, dtype=np.intp)
+        ids.setflags(write=False)
+        object.__setattr__(self, "_compiled", (vocabulary, ids))
+        return ids
 
 
 @dataclass(frozen=True)
@@ -574,12 +588,19 @@ def _parse_mask(doc, where: str) -> MaskSpec:
 
 
 def _template_fields(template: str) -> set[str]:
+    """Names a hint template reads, including those nested in format specs."""
     fields = set()
-    for _, name, _, _ in _string.Formatter().parse(template):
+    try:
+        parsed = list(_string.Formatter().parse(template))
+    except ValueError as exc:
+        raise SchemaViolation(f"hint template {template!r} is malformed: {exc}") from None
+    for _, name, spec, _ in parsed:
         if name is not None:
             if not name or not name.isidentifier():
                 raise SchemaViolation(f"hint template field {name!r} is not a name")
             fields.add(name)
+            if spec:
+                fields |= _template_fields(spec)
     return fields
 
 
@@ -626,12 +647,12 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
 
     if kind == "hint":
         template = _want(doc, "template", str, where)
-        known = set(variables) | set(HINT_BUILTINS)
-        unknown = _template_fields(template) - known
+        names = _template_fields(template)
+        unknown = names - set(variables) - set(HINT_BUILTINS)
         if unknown:
             raise SchemaViolation(
                 f"{where}.template: undeclared variables {sorted(unknown)}")
-        if ("remaining_chars" in _template_fields(template)
+        if ("remaining_chars" in names
                 and not isinstance(variables.get("target_chars"), int)):
             raise SchemaViolation(
                 f"{where}.template: remaining_chars needs an integer "

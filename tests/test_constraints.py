@@ -171,6 +171,25 @@ class TestTaskSpecs:
         with pytest.raises(SchemaViolation):
             constraint_from_dict({"kind": "rhymes_with", "words": ["orange"]})
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "char_count_exact", "value": True},
+        {"kind": "max_word_length", "value": False},
+        {"kind": "positioned_words", "positions": {True: "x"}},
+        {"kind": "per_sentence_word_bounds", "min_value": True},
+        {"kind": "per_sentence_word_bounds", "min_value": 1, "max_value": True},
+    ], ids=["value", "value-false", "positions", "min_value", "max_value"])
+    def test_bool_is_not_an_integer(self, doc):
+        with pytest.raises(SchemaViolation):
+            constraint_from_dict(doc, "x")
+
+    def test_plan_check_rejects_bool_value(self):
+        from steersmc import parse_plan
+
+        with pytest.raises(SchemaViolation) as info:
+            parse_plan({"plan_version": 1, "max_tokens": 4, "steps": [],
+                        "check": [{"kind": "char_count_exact", "value": True}]})
+        assert "plan.check[0]" in info.value.message
+
     def test_generation_is_deterministic_per_seed(self):
         a = generate_task_instances("para_03", 5, seed=99)
         b = generate_task_instances("para_03", 5, seed=99)

@@ -13,6 +13,8 @@ from steersmc import (
     RandomStream,
     SchemaViolation,
     StepBudgetExceeded,
+    SteeringPlan,
+    StepClause,
     Timeout,
     UnboundVariable,
     UniformModel,
@@ -355,11 +357,21 @@ class TestErrorTaxonomy:
         ("{x:{y}}", 1, UnboundVariable),
     ], ids=["spec-on-str", "spec-on-list", "nested-unbound"])
     def test_hint_render_error_is_typed(self, uniform3, template, x, error):
-        plan = parse_plan({
-            "plan_version": 1, "max_tokens": 4, "vars": {"x": x},
-            "steps": [{"kind": "force_string", "text": "a"},
-                      {"kind": "hint", "template": template},
-                      {"kind": "force_string", "text": "b"}]})
+        if error is UnboundVariable:
+            # parse_plan rejects the nested unbound name, so the plan is
+            # made directly to reach the render-time check
+            plan = SteeringPlan(
+                proposal_tag="proposal", prior_tag="prior", max_tokens=4,
+                steps=(StepClause("force_string", text="a"),
+                       StepClause("hint", template=template),
+                       StepClause("force_string", text="b")),
+                check=(), variables={"x": x})
+        else:
+            plan = parse_plan({
+                "plan_version": 1, "max_tokens": 4, "vars": {"x": x},
+                "steps": [{"kind": "force_string", "text": "a"},
+                          {"kind": "hint", "template": template},
+                          {"kind": "force_string", "text": "b"}]})
         out = run_inference(plan, uniform3, InferenceConfig(
             method="smc", n_particles=4, seed=61))
         assert isinstance(out.error, error)

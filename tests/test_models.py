@@ -83,6 +83,12 @@ class TestUniformModel:
         with pytest.raises(InvalidContext):
             uniform3.next_distribution(ModelQuery((7,)))
 
+    def test_invalid_context_names_the_first_bad_id(self, uniform3):
+        with pytest.raises(InvalidContext, match=r"token id -1 out of range \[0, 3\)"):
+            uniform3.next_distribution(ModelQuery((0, -1, 2, 9)))
+        with pytest.raises(InvalidContext, match=r"token id 3 out of range"):
+            uniform3.next_distribution(ModelQuery((2, 3, -4)))
+
 
 class TestTableModel:
     def test_echoes_stored_row(self, table_721):
@@ -166,6 +172,26 @@ class TestTableModel:
         # "x", " " and "!" are not in the vocabulary: only "b" remains
         hinted = m.next_distribution(ModelQuery((), hints=("x b!",)))
         np.testing.assert_allclose(hinted, [0.0, 1.0, 0.0, 0.0])
+
+    def test_memoized_hint_ids_equal_a_fresh_encoding(self):
+        vocab = Vocabulary.from_tokens(["a", "b", "ab", "|", "<eos>"], hint_delimiter="|")
+        for hint in ("x b!", "abba", "", "x b!", "zz", "abba"):
+            assert vocab.hint_ids(hint) == (3,) + vocab.encode(hint, lenient=True)
+
+    def test_repeated_hints_condition_as_a_fresh_serialization(self):
+        m = load_table_model({
+            "vocab": ["a", "b", "|", "<eos>"],
+            "rows": [
+                {"context": [], "dist": [1.0, 0.0, 0.0, 0.0]},
+                {"context": ["a", "|", "b", "|", "a"], "dist": [0.0, 0.0, 0.0, 1.0]},
+            ],
+            "hint_delimiter": "|",
+        })
+        # the context is a, then each hint behind the delimiter with the
+        # unencodable characters dropped: a | b | a
+        for _ in range(2):
+            hinted = m.next_distribution(ModelQuery((0,), hints=("x b!", "?a")))
+            np.testing.assert_array_equal(hinted, [0.0, 0.0, 0.0, 1.0])
 
     def test_hints_without_delimiter_are_no_ops(self, table_721):
         plain = table_721.next_distribution(ModelQuery(()))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import string
 
+import numpy as np
 import pytest
 
 from steersmc import (
@@ -215,6 +217,30 @@ class TestInjectHint:
         assert particle.log_weight == 0.0
 
 
+def _scan_mask(spec: MaskSpec, vocab: Vocabulary, text: str) -> list[int]:
+    """The ids a mask allows, by a direct scan of the vocabulary."""
+    out = []
+    for i, t in enumerate(vocab.token_text):
+        if spec.kind == "max_remaining_chars":
+            keep = len(t) <= spec.target_chars - len(text)
+        elif spec.kind == "allowed_words":
+            keep = t.strip() in spec.words
+        elif spec.kind == "char_class":
+            hits = [any(_in_class(c, cls) for cls in spec.classes) for c in t]
+            keep = not any(hits) if spec.negate else all(hits)
+        else:
+            keep = i in spec.ids or t in spec.tokens
+        if keep:
+            out.append(i)
+    return out
+
+
+def _in_class(ch: str, cls: str) -> bool:
+    return {"letter": ch.isalpha(), "digit": ch.isdigit(),
+            "whitespace": ch.isspace(),
+            "punctuation": ch in string.punctuation}[cls]
+
+
 class TestMaskSpecs:
     def test_max_remaining_chars(self):
         vocab = Vocabulary.from_tokens(["a", "bb", "ccc", "<eos>"])
@@ -242,6 +268,42 @@ class TestMaskSpecs:
         vocab = Vocabulary.from_tokens(["a", "b", "c", "<eos>"])
         spec = MaskSpec("explicit", tokens=("b",), ids=(2, 0, 2))
         assert spec.build(vocab, "").tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("spec", [
+        MaskSpec("max_remaining_chars", target_chars=4),
+        MaskSpec("allowed_words", words=("ab", "c")),
+        MaskSpec("char_class", classes=("letter",)),
+        MaskSpec("char_class", classes=("punctuation", "digit"), negate=True),
+        MaskSpec("explicit", tokens=("c ", "zz"), ids=(3, 0)),
+    ], ids=["max_remaining_chars", "allowed_words", "char_class",
+            "char_class-negated", "explicit"])
+    def test_build_equals_a_fresh_scan_and_is_read_only(self, spec):
+        vocab = Vocabulary.from_tokens(["ab", "c ", "7", ".", "xyz", "<eos>"])
+        for text in ("", "a", "abc", "abcdef", "", "a"):
+            ids = spec.build(vocab, text)
+            assert ids.dtype == np.intp
+            assert ids.tolist() == _scan_mask(spec, vocab, text)
+            assert not ids.flags.writeable
+
+    def test_compiled_ids_follow_the_vocabulary_object(self):
+        # same size, different texts: the ids must come from each one
+        first = Vocabulary.from_tokens(["a", "b", "1", "<eos>"])
+        second = Vocabulary.from_tokens(["1", "2", "b", "<eos>"])
+        spec = MaskSpec("char_class", classes=("letter",))
+        for _ in range(2):
+            assert spec.build(first, "").tolist() == [0, 1, 3]
+            assert spec.build(second, "").tolist() == [2, 3]
+
+    def test_out_of_range_explicit_id_raises_on_every_build(self):
+        vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+        spec = MaskSpec("explicit", ids=(0, 5))
+        for _ in range(3):
+            with pytest.raises(SchemaViolation):
+                spec.build(vocab, "")
+        wide = Vocabulary.from_tokens(["a", "b", "c", "d", "e", "f", "<eos>"])
+        assert spec.build(wide, "").tolist() == [0, 5]
+        with pytest.raises(SchemaViolation):
+            spec.build(vocab, "")
 
 
 class TestExecuteStep:
@@ -535,6 +597,20 @@ class TestParsePlan:
         plan = make_plan([{"kind": "hint", "template": "{goal}"}],
                          variables={"goal": "short"})
         assert plan.steps[0].template == "{goal}"
+
+    def test_nested_hint_names_are_checked_at_parse_time(self):
+        # a name inside a format spec is read when the hint renders
+        with pytest.raises(SchemaViolation) as info:
+            make_plan([{"kind": "hint", "template": "{x:{y}}"}], variables={"x": 1})
+        assert "['y']" in info.value.message
+        plan = make_plan([{"kind": "hint", "template": "{x:>{y}}"}],
+                         variables={"x": 1, "y": 3})
+        assert plan.steps[0].template == "{x:>{y}}"
+
+    @pytest.mark.parametrize("template", ["{", "}", "{x:{"])
+    def test_malformed_hint_template_rejected(self, template):
+        with pytest.raises(SchemaViolation):
+            make_plan([{"kind": "hint", "template": template}], variables={"x": 1})
 
     def test_remaining_chars_requires_target_chars(self):
         with pytest.raises(SchemaViolation):
