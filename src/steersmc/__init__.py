@@ -78,19 +78,15 @@ from .planner import (
     format_feedback,
     steer,
 )
+from .plans import MaskSpec, SteeringPlan, StepClause, StopSpec, parse_plan
 from .rng import RandomStream, derive_key
 from .steering import (
-    MaskSpec,
     ModelSet,
     Particle,
-    SteeringPlan,
-    StepClause,
     StepUpdate,
-    StopSpec,
     as_model_set,
     execute_step,
     inject_hint,
-    parse_plan,
     run_check,
 )
 

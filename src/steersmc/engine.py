@@ -214,29 +214,27 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             if deadline is not None and time.monotonic() > deadline:
                 raise Timeout("wall-clock budget exhausted", step_index=t)
             diag.steps_executed = t
-            for slot, particle in enumerate(particles):
-                if particle.status != ACTIVE:
-                    continue
-                stream = RandomStream.from_key(
-                    _mix(slot_keys[slot] + (particle.steps_taken + 1) * _GOLDEN))
-                try:
-                    update = execute_step(plan, particle, models, stream,
-                                          deadline=deadline)
-                    if update.finished:
-                        ok = run_check(plan, particle.tokens, models.vocabulary)
-                        particle.passed_check = ok
-                        if weighted and not ok:
-                            particle.log_weight = NEG_INF
-                except SteeringError as exc:
-                    # StepBudgetExceeded fails one particle; anything else
-                    # (MaskEmpty, Timeout, remote or schema trouble) is a plan-
-                    # or backend-level fault that aborts the whole run.
-                    exc.step_index = t
-                    if not isinstance(exc, StepBudgetExceeded):
-                        raise
-                    particle.status = FAILED
-                    particle.error = exc
-                    particle.log_weight = NEG_INF
+            active = [p for p in particles if p.status == ACTIVE]
+            streams = [RandomStream.from_key(
+                _mix(slot_keys[slot] + (p.steps_taken + 1) * _GOLDEN))
+                for slot, p in enumerate(particles) if p.status == ACTIVE]
+            try:
+                execute_step(plan, active, models, streams, deadline=deadline)
+            except SteeringError as exc:
+                # A budget fault only fails its own particle; anything else
+                # (MaskEmpty, Timeout, remote or schema trouble) is a plan-
+                # or backend-level fault that aborts the whole run.
+                exc.step_index = t
+                raise
+            del streams  # free them before a resample doubles the population
+            for particle in active:
+                if particle.status == FAILED:
+                    particle.error.step_index = t
+                elif particle.status == DONE:
+                    ok = run_check(plan, particle.tokens, models.vocabulary)
+                    particle.passed_check = ok
+                    if weighted and not ok:
+                        particle.log_weight = NEG_INF
             if weighted:
                 raw = np.array([p.log_weight for p in particles])
                 if float(np.max(raw)) == NEG_INF:

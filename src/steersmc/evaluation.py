@@ -18,14 +18,8 @@ from dataclasses import dataclass
 from .constraints import verify
 from .errors import EnumerationTooLarge, SteeringError
 from .models import ModelQuery, TokenModel
-from .steering import (
-    SteeringPlan,
-    StepClause,
-    as_model_set,
-    forced_tokens,
-    hint_bindings_for,
-    render_hint,
-)
+from .plans import SteeringPlan, StepClause, forced_tokens
+from .steering import as_model_set, hint_bindings_for, render_hint
 
 NEG_INF = float("-inf")
 

@@ -19,6 +19,8 @@ import functools
 import json
 import math
 import threading
+import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .errors import (
     RemoteUnavailable,
     RowNotNormalized,
     SchemaViolation,
+    Timeout,
 )
 
 NEG_INF = float("-inf")
@@ -42,6 +45,10 @@ ROW_SUM_TOLERANCE = 1e-6
 
 # Hints memoized per vocabulary by Vocabulary.hint_ids.
 HINT_MEMO_SIZE = 1024
+
+# Rows a RemoteModel keeps, least recently used first out: one adapter
+# serves every task of a CLI run.
+REMOTE_CACHE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -185,8 +192,21 @@ class TokenModel:
         for t in query.context:
             if not 0 <= t < size:
                 raise InvalidContext(f"token id {t} out of range [0, {size})")
-        ctx = self._conditioning_context(query)
-        return self._distribution(ctx, query.prompt_tag)
+        return self.next_distributions((query,))[0]
+
+    def next_distributions(self, queries, deadline: float | None = None) -> list:
+        """One probability vector per query, for queries whose context ids
+        are already known to lie in the vocabulary.
+
+        The step interpreter calls this with the distinct queries of each
+        token tick, ``steering.QUERY_BATCH`` at a time; every id it
+        appends comes from a row, from a checked ``force_string`` or from
+        ``Vocabulary.encode``. Rows may
+        be shared read-only arrays. ``deadline`` (a ``time.monotonic``
+        instant) bounds models that wait on I/O.
+        """
+        return [self._distribution(self._conditioning_context(q), q.prompt_tag)
+                for q in queries]
 
     def sequence_logprob(self, prefix, continuation, prompt_tag: str = "proposal",
                          hints: tuple[str, ...] = ()) -> float:
@@ -437,9 +457,12 @@ class RemoteModel(TokenModel):
 
     POST ``{endpoint}/v1/next_logprobs`` with ``{"context": [int],
     "prompt_tag": str}``; the response carries ``{"logprobs": [float]}``
-    of vocabulary size. Responses are renormalized defensively and
-    cached per (context, prompt_tag) for the lifetime of the adapter
-    (one run); the cache is thread-safe.
+    of vocabulary size. Responses are renormalized defensively and kept
+    in a thread-safe LRU of REMOTE_CACHE_ROWS rows per (context,
+    prompt_tag); one adapter serves every task of a CLI run, so
+    ``evictions`` counts the rows it dropped. Each request waits at most
+    ``http_timeout`` seconds, and no longer than the time left before a
+    query's deadline, which ends in Timeout.
     """
 
     kind = "remote"
@@ -451,27 +474,42 @@ class RemoteModel(TokenModel):
         super().__init__(vocabulary)
         self.endpoint = endpoint.rstrip("/")
         self.http_timeout = http_timeout
+        self.evictions = 0
         self._session = requests.Session()
-        self._cache: dict[tuple[tuple[int, ...], str], np.ndarray] = {}
+        self._cache: OrderedDict[tuple[tuple[int, ...], str], np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         # Construction-time health check: one real (cached) query.
         self._fetch((), "health")
 
-    def _distribution(self, context, prompt_tag):
-        key = (context, prompt_tag)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        return self._fetch(context, prompt_tag)
+    def next_distributions(self, queries, deadline: float | None = None) -> list:
+        out = []
+        for q in queries:
+            key = (self._conditioning_context(q), q.prompt_tag)
+            with self._lock:
+                row = self._cache.get(key)
+                if row is not None:
+                    self._cache.move_to_end(key)
+            out.append(row if row is not None else self._fetch(*key, deadline))
+        return out
 
-    def _fetch(self, context: tuple[int, ...], prompt_tag: str) -> np.ndarray:
+    def _fetch(self, context: tuple[int, ...], prompt_tag: str,
+               deadline: float | None = None) -> np.ndarray:
         import requests
 
+        timeout = self.http_timeout
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0.0:
+                raise Timeout("wall-clock budget exhausted before a model query")
+            timeout = min(timeout, left)
         body = {"context": list(context), "prompt_tag": prompt_tag}
         try:
             resp = self._session.post(self.endpoint + "/v1/next_logprobs",
-                                      json=body, timeout=self.http_timeout)
+                                      json=body, timeout=timeout)
+        except requests.Timeout as exc:
+            if timeout < self.http_timeout:
+                raise Timeout("wall-clock budget exhausted during a model query") from exc
+            raise RemoteUnavailable(f"model endpoint timed out: {exc}") from exc
         except requests.RequestException as exc:
             raise RemoteUnavailable(f"model endpoint unreachable: {exc}") from exc
         if 400 <= resp.status_code < 500:
@@ -503,6 +541,9 @@ class RemoteModel(TokenModel):
         probs.setflags(write=False)
         with self._lock:
             self._cache[(context, prompt_tag)] = probs
+            while len(self._cache) > REMOTE_CACHE_ROWS:
+                self._cache.popitem(last=False)
+                self.evictions += 1
         return probs
 
 

@@ -25,7 +25,7 @@ from .errors import (
     SteeringError,
 )
 from .rng import derive_key
-from .steering import parse_plan
+from .plans import parse_plan
 
 DEFAULT_PROMPT_TEMPLATE = (
     "Write a steering plan (plan_version 1 JSON) for this task.\n"

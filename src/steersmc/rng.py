@@ -44,6 +44,40 @@ def derive_key(seed: int, *path: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def uniforms_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The uniform each stream draws next, element-wise: the stream with
+    key ``keys[i]`` that has made ``counters[i]`` draws (both uint64
+    arrays) yields ``out[i]``, bit for bit what ``RandomStream.uniform``
+    returns. The counter arithmetic wraps modulo 2**64, as ``_mix`` does.
+    """
+    z = keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def draw_indices(probs: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
+    """One index per uniform in ``u``, drawn proportional to ``probs``, a
+    1-D float array of nonnegative weights summing to ``total``.
+
+    Zero-probability entries are never selected. Each pick is the first
+    index whose running sum exceeds ``u * total``; the sequential
+    ``cumsum`` adds exactly what a scalar walk adds, and a zero entry
+    never raises it, so the first such index is positive. A target at
+    the top of the cumulative range falls back to the last positive
+    index; all-zero weights raise ValueError.
+    """
+    picks = probs.cumsum().searchsorted(u * total, "right")
+    over = picks >= probs.size
+    if over.any():
+        positive = np.flatnonzero(probs > 0.0)
+        if positive.size == 0:
+            raise ValueError("choice over all-zero weights")
+        picks[over] = positive[-1]
+    return picks
+
+
 class RandomStream:
     """A stateless-by-construction uniform stream over a derived key.
 
@@ -72,31 +106,15 @@ class RandomStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Vector of the next ``n`` uniform draws in [0, 1)."""
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        counters = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n
-        z = (np.uint64(self.key) + idx * np.uint64(_GOLDEN))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return uniforms_at(np.full(n, self.key, dtype=np.uint64), counters)
 
     def choice(self, probs) -> int:
         """Draw an index proportional to ``probs``, a 1-D float array of
-        nonnegative weights.
-
-        Zero-probability entries are never selected. The pick is the
-        first index whose running sum exceeds ``u * probs.sum()``; the
-        sequential ``cumsum`` adds exactly what a scalar walk adds, and a
-        zero entry never raises it, so the first such index is positive.
-        """
-        target = self.uniform() * float(probs.sum())
-        i = int(probs.cumsum().searchsorted(target, "right"))
-        if i < probs.size:
-            return i
-        positive = (probs > 0.0).nonzero()[0]
-        if positive.size == 0:
-            raise ValueError("choice over all-zero weights")
-        return int(positive[-1])  # target hit the top of the cumulative range
+        nonnegative weights (see ``draw_indices``)."""
+        u = np.array([self.uniform()])
+        return int(draw_indices(probs, float(probs.sum()), u)[0])
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""

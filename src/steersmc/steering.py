@@ -1,11 +1,11 @@
-"""Steering plans: particles, token masks, and the step interpreter.
+"""Particles and the step interpreter for steering plans (``plans``).
 
-A plan is a declarative program over a token model: an ordered list of
-step clauses (sample with optional masks, force strings, inject hints,
-bounded loops) plus a final check. Executing one clause on a particle
-extends its token sequence and multiplies a score update into its
-weight; the weighted law over finished sequences is the plan's target
-distribution, which the inference engine approximates.
+Executing one clause on a particle extends its token sequence and
+multiplies a score update into its weight; the weighted law over
+finished sequences is the plan's target distribution, which the
+inference engine approximates. The interpreter steps a whole
+population at once: one query per distinct model context and one
+vectorized draw per distinct (row, mask) on each token tick.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -15,19 +15,17 @@ replaces that correction with ``log p_prior(t) - log q_proposal(t)``.
 
 from __future__ import annotations
 
-import json
+import bisect
 import math
-import string as _string
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .constraints import ConstraintSpec, constraint_from_dict, verify, words
+from .constraints import verify, words
 from .errors import (
     MaskEmpty,
-    ParseError,
+    ProtocolError,
     SchemaViolation,
     SteeringError,
     StepBudgetExceeded,
@@ -35,6 +33,15 @@ from .errors import (
     UnboundVariable,
 )
 from .models import ModelQuery, TokenModel, Vocabulary
+from .plans import (  # MaskSpec and parse_plan are re-exported
+    MaskSpec,
+    SteeringPlan,
+    StepClause,
+    StopSpec,
+    forced_tokens,
+    parse_plan,
+)
+from .rng import draw_indices, uniforms_at
 
 NEG_INF = float("-inf")
 
@@ -42,19 +49,15 @@ ACTIVE = "active"
 DONE = "done"
 FAILED = "failed"
 
-PLAN_VERSION = 1
-MAX_LOOP_BOUND = 10_000
-DEFAULT_LOOP_BOUND = 1_000
-
-# Variables always available to hint templates, computed from particle
-# state; ``remaining_chars`` additionally needs a ``target_chars`` plan
-# variable.
-HINT_BUILTINS = ("chars_so_far", "words_so_far", "tokens_so_far", "remaining_chars")
-
 HINT_PREFIX = "Note to self: "
 
+# Distinct model queries the interpreter sends per next_distributions
+# call; it bounds the context tuples alive at once, which a whole tick's
+# worth would leave parked in CPython's tuple free lists.
+QUERY_BATCH = 16
 
-@dataclass
+
+@dataclass(slots=True)
 class Particle:
     """One in-progress candidate generation with an accumulated weight."""
 
@@ -82,132 +85,16 @@ class Particle:
             passed_check=self.passed_check,
         )
 
-    def query(self, prompt_tag: str) -> ModelQuery:
-        return ModelQuery(tuple(self.tokens), prompt_tag, tuple(self.hint_buffer))
-
 
 @dataclass(frozen=True)
 class StepUpdate:
-    """Result of executing one clause: appended tokens and score delta."""
+    """Result of one population step: every token appended in it, in slot
+    order; the sum of every score delta applied; and whether no stepped
+    particle is still active."""
 
     appended_tokens: tuple[int, ...]
     log_score_update: float
     finished: bool
-
-
-_CHAR_CLASSES = ("letter", "digit", "whitespace", "punctuation")
-
-
-def _char_in_classes(ch: str, classes: tuple[str, ...]) -> bool:
-    for cls in classes:
-        if cls == "letter" and ch.isalpha():
-            return True
-        if cls == "digit" and ch.isdigit():
-            return True
-        if cls == "whitespace" and ch.isspace():
-            return True
-        if cls == "punctuation" and ch in _string.punctuation:
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class MaskSpec:
-    """Declarative mask constructor, built against the live particle text.
-
-    Kinds: ``max_remaining_chars`` (token text must fit in the remaining
-    character budget), ``allowed_words`` (token text, whitespace-stripped,
-    must be one of the listed words), ``char_class`` (every character of
-    the token text must fall in the listed classes, or in none of them
-    when negated), ``explicit`` (literal token texts or ids). The EOS
-    token has empty text: it passes the vacuous character tests
-    (max_remaining_chars, char_class) but never an allowed_words
-    equality test.
-    """
-
-    kind: str
-    target_chars: int | None = None
-    words: tuple[str, ...] = ()
-    classes: tuple[str, ...] = ()
-    negate: bool = False
-    tokens: tuple[str, ...] = ()
-    ids: tuple[int, ...] = ()
-
-    def build(self, vocabulary: Vocabulary, current_text: str) -> np.ndarray:
-        """Ascending, de-duplicated, read-only ids of the tokens the mask
-        allows.
-
-        Every kind but ``max_remaining_chars`` depends on the vocabulary
-        alone, so its ids are scanned once and kept on the spec, tagged
-        with the vocabulary object they were built for.
-        """
-        if self.kind == "max_remaining_chars":
-            remaining = self.target_chars - len(current_text)
-            allowed = np.flatnonzero(vocabulary.token_lengths() <= remaining)
-            allowed.setflags(write=False)
-            return allowed
-        compiled = getattr(self, "_compiled", None)
-        if compiled is not None and compiled[0] is vocabulary:
-            return compiled[1]
-        texts = vocabulary.token_text
-        if self.kind == "allowed_words":
-            wanted = set(self.words)
-            allowed = [i for i, t in enumerate(texts) if t.strip() in wanted]
-        elif self.kind == "char_class":
-            if self.negate:
-                allowed = [i for i, t in enumerate(texts)
-                           if not any(_char_in_classes(c, self.classes) for c in t)]
-            else:
-                allowed = [i for i, t in enumerate(texts)
-                           if all(_char_in_classes(c, self.classes) for c in t)]
-        elif self.kind == "explicit":
-            _check_token_ids(self.ids, vocabulary, "explicit mask ids")
-            wanted = set(self.tokens)
-            allowed = sorted(set(self.ids).union(
-                i for i, t in enumerate(texts) if t in wanted))
-        else:
-            raise SchemaViolation(f"unknown mask kind {self.kind!r}")
-        ids = np.array(allowed, dtype=np.intp)
-        ids.setflags(write=False)
-        object.__setattr__(self, "_compiled", (vocabulary, ids))
-        return ids
-
-
-@dataclass(frozen=True)
-class StopSpec:
-    """Stop predicate: draw count, substring presence, or EOS."""
-
-    kind: str
-    value: int | str | None = None
-
-
-@dataclass(frozen=True)
-class StepClause:
-    """One clause of a steering plan; fields used depend on ``kind``."""
-
-    kind: str
-    stop: StopSpec | None = None
-    mask: MaskSpec | None = None
-    score_with_prior: bool = False
-    max_new_tokens: int | None = None
-    text: str | None = None
-    tokens: tuple[int, ...] | None = None
-    template: str | None = None
-    body: tuple["StepClause", ...] = ()
-    iterations: int | None = None
-    max_iterations: int = DEFAULT_LOOP_BOUND
-
-
-@dataclass(frozen=True)
-class SteeringPlan:
-    """A parsed, validated steering program."""
-
-    proposal_tag: str
-    prior_tag: str
-    max_tokens: int
-    steps: tuple[StepClause, ...]
-    check: tuple[ConstraintSpec, ...]
-    variables: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -234,63 +121,6 @@ def as_model_set(models) -> ModelSet:
     if isinstance(models, (tuple, list)) and len(models) == 2:
         return ModelSet(proposal=models[0], prior_model=models[1])
     raise TypeError(f"cannot interpret {type(models).__name__} as models")
-
-
-def _append(particle: Particle, token: int, vocabulary: Vocabulary) -> None:
-    particle.tokens.append(token)
-    particle.text += vocabulary.token_text[token]
-
-
-def _check_token_ids(ids, vocabulary: Vocabulary, what: str) -> None:
-    """Raise SchemaViolation when a plan names a token id the vocabulary lacks."""
-    bad = [i for i in ids if not 0 <= i < vocabulary.size]
-    if bad:
-        raise SchemaViolation(
-            f"{what} {bad} outside a vocabulary of {vocabulary.size} tokens")
-
-
-def forced_tokens(clause: StepClause, vocabulary: Vocabulary) -> tuple[int, ...]:
-    """The token ids a ``force_string`` clause appends."""
-    if clause.tokens is None:
-        return vocabulary.encode(clause.text)
-    _check_token_ids(clause.tokens, vocabulary, "force_string tokens")
-    return clause.tokens
-
-
-def _masked_support(probs: np.ndarray, ids: np.ndarray):
-    """Restrict ``probs`` to the mask ids; raises MaskEmpty on zero mass."""
-    if ids.size == 0:
-        raise MaskEmpty("mask allows no tokens")
-    sub = probs[ids]
-    z = float(sub.sum())
-    if z <= 0.0:
-        raise MaskEmpty("mask removed all probability mass (Z=0)")
-    return ids, sub, z
-
-
-def _draw(particle: Particle, models: ModelSet, mask: np.ndarray | None, rng,
-          plan: SteeringPlan, score_with_prior: bool):
-    """Sample one token from the (masked) proposal. Returns (token, delta).
-
-    Unscored, a mask adds its ``log Z`` importance correction (an
-    unmasked draw has Z = 1). Scored with the prior, delta is
-    ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
-    -inf; the prior is evaluated without hints, which condition the
-    proposal side only.
-    """
-    probs = models.proposal.next_distribution(particle.query(plan.proposal_tag))
-    if mask is None:
-        token, z = int(rng.choice(probs)), 1.0
-    else:
-        ids, sub, z = _masked_support(probs, mask)
-        token = int(ids[rng.choice(sub)])
-    if not score_with_prior:
-        return token, math.log(z)
-    prior_probs = models.prior.next_distribution(
-        ModelQuery(tuple(particle.tokens), plan.prior_tag, ()))
-    p = float(prior_probs[token])
-    log_q = math.log(probs[token]) - math.log(z)
-    return token, (math.log(p) - log_q) if p > 0.0 else NEG_INF
 
 
 def hint_bindings_for(plan: SteeringPlan, text: str, n_tokens: int) -> dict:
@@ -326,20 +156,6 @@ def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
     particle.hint_buffer.append(render_hint(template, bindings))
 
 
-class _StepState:
-    __slots__ = ("appended", "log_update", "finished", "deadline")
-
-    def __init__(self, deadline: float | None):
-        self.appended: list[int] = []
-        self.log_update = 0.0
-        self.finished = False
-        self.deadline = deadline
-
-    def check_deadline(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise Timeout("wall-clock budget exhausted mid-step")
-
-
 def _stop_satisfied(stop: StopSpec, particle: Particle, count: int,
                     vocab: Vocabulary) -> bool:
     """Stop predicate of ``sample_until`` and ``loop until``.
@@ -354,133 +170,361 @@ def _stop_satisfied(stop: StopSpec, particle: Particle, count: int,
     return bool(particle.tokens) and particle.tokens[-1] == vocab.eos_id
 
 
-def _take_token(clause: StepClause, plan: SteeringPlan, particle: Particle,
-                models: ModelSet, rng, state: _StepState) -> int:
-    vocab = models.vocabulary
-    mask = clause.mask.build(vocab, particle.text) if clause.mask is not None else None
-    token, delta = _draw(particle, models, mask, rng, plan, clause.score_with_prior)
-    particle.log_weight += delta
-    state.log_update += delta
-    _append(particle, token, vocab)
-    state.appended.append(token)
-    if token == vocab.eos_id:
-        state.finished = True
-        particle.status = DONE
-    return token
+class _Pass:
+    """One population step: the particles, their streams' keys and draw
+    counters, the summed score delta and the lowest non-budget fault.
 
+    Each clause runs on an ascending list of slots (particle indices)
+    and returns the slots still running: a slot leaves on EOS or on a
+    fault. A slot that ends a loop or a ``sample_until`` early waits for
+    the others without drawing, so its draws are those of a walk over
+    its particle alone.
+    """
 
-def _budget_guard(plan: SteeringPlan, particle: Particle) -> None:
-    if len(particle.tokens) >= plan.max_tokens:
-        raise StepBudgetExceeded(
-            f"clause needs more than max_tokens={plan.max_tokens} tokens")
+    __slots__ = ("plan", "models", "vocab", "particles", "keys", "counters",
+                 "deadline", "log_update", "limit", "error")
 
+    def __init__(self, plan, models: ModelSet, particles, streams, deadline):
+        self.plan = plan
+        self.models = models
+        self.vocab = models.vocabulary
+        self.particles = particles
+        self.keys = np.array([st.key for st in streams], dtype=np.uint64)
+        self.counters = np.array([st.counter for st in streams], dtype=np.uint64)
+        self.deadline = deadline
+        self.log_update = 0.0
+        self.limit = len(particles)  # slots from here on no longer run
+        self.error: SteeringError | None = None
 
-def _exec_clause(clause: StepClause, plan: SteeringPlan, particle: Particle,
-                 models: ModelSet, rng, state: _StepState) -> None:
-    if state.finished:
-        return
-    state.check_deadline()
-    vocab = models.vocabulary
+    def fault(self, slot: int, exc: SteeringError) -> None:
+        """A budget fault fails its particle alone. Any other fault ends
+        the step with the fault of the lowest faulting slot, so only the
+        slots below it keep running, as a slot-by-slot walk would."""
+        if isinstance(exc, StepBudgetExceeded):
+            particle = self.particles[slot]
+            exc.clause_index = particle.clause_index
+            particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
+        elif slot < self.limit:
+            self.limit, self.error = slot, exc
 
-    if clause.kind == "sample_until":
+    def cut(self, slots: list[int]) -> list[int]:
+        if slots and slots[-1] >= self.limit:
+            return slots[:bisect.bisect_left(slots, self.limit)]
+        return slots
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise Timeout("wall-clock budget exhausted mid-step")
+
+    def run(self, clause: StepClause, slots: list[int]) -> list[int]:
+        slots = self.cut(slots)
+        if not slots:
+            return slots
+        self.check_deadline()
+        if clause.kind == "sample_until":
+            return self.sample_until(clause, slots)
+        if clause.kind == "force_string":
+            return self.force(clause, slots)
+        if clause.kind == "hint":
+            return self.hint(clause, slots)
+        if clause.kind == "loop":
+            return self.loop(clause, slots)
+        self.fault(slots[0], SchemaViolation(f"unknown clause kind {clause.kind!r}"))
+        return []
+
+    def sample_until(self, clause: StepClause, slots: list[int]) -> list[int]:
+        stop, bound = clause.stop, clause.max_new_tokens
+        particles, max_tokens = self.particles, self.plan.max_tokens
+        done: list[int] = []
         drawn = 0
-        bound = clause.max_new_tokens
-        while True:
-            state.check_deadline()
-            if _stop_satisfied(clause.stop, particle, drawn, vocab):
-                return
-            if bound is not None and drawn >= bound:
-                raise StepBudgetExceeded(
-                    f"sample_until drew {drawn} tokens without satisfying its "
-                    "stop predicate")
-            _budget_guard(plan, particle)
-            token = _take_token(clause, plan, particle, models, rng, state)
+        while slots:
+            self.check_deadline()
+            if stop.kind == "token_count" and drawn >= stop.value:
+                done += slots
+                break
+            draw = []
+            for s in slots:
+                particle = particles[s]
+                if _stop_satisfied(stop, particle, drawn, self.vocab):
+                    done.append(s)
+                elif bound is not None and drawn >= bound:
+                    self.fault(s, StepBudgetExceeded(
+                        f"sample_until drew {drawn} tokens without satisfying its "
+                        "stop predicate"))
+                elif len(particle.tokens) >= max_tokens:
+                    self.fault(s, StepBudgetExceeded(
+                        f"clause needs more than max_tokens={max_tokens} tokens"))
+                else:
+                    draw.append(s)
+            slots = self.draw(clause, draw)
             drawn += 1
-            if token == vocab.eos_id:
-                return
+        done.sort()
+        return self.cut(done)
 
-    elif clause.kind == "force_string":
-        forced = forced_tokens(clause, vocab)
+    def draw(self, clause: StepClause, slots: list[int]) -> list[int]:
+        """Draw one token for every slot from the (masked) proposal;
+        returns the slots that neither drew EOS nor faulted.
+
+        Unscored, a mask adds its ``log Z`` importance correction (an
+        unmasked draw has Z = 1). Scored with the prior, the delta is
+        ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
+        -inf; the prior is evaluated without hints, which condition the
+        proposal side only. Slots sharing a (row, mask) pair share one
+        normalization and one cumulative sum.
+        """
+        slots, rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
+        if not slots:
+            return slots
+        particles, vocab, mask = self.particles, self.vocab, clause.mask
+        static = None
+        if mask is not None and mask.kind != "max_remaining_chars":
+            try:
+                static = mask.build(vocab, "")
+            except SteeringError as exc:
+                self.fault(slots[0], exc)
+                return []
+        # one group per distinct (row, mask); positions in slot order
+        index: dict[tuple, int] = {}
+        firsts: list[int] = []
+        group: list[int] = []
+        for s, row in zip(slots, rows):
+            key = (id(row), len(particles[s].text)
+                   if mask is not None and static is None else 0)
+            g = index.get(key)
+            if g is None:
+                g = index[key] = len(firsts)
+                firsts.append(s)
+            group.append(g)
+        at = np.array(slots, dtype=np.intp)
+        u = uniforms_at(self.keys[at], self.counters[at])
+        self.counters[at] += np.uint64(1)
+        group = np.array(group, dtype=np.intp)
+        order = np.argsort(group, kind="stable")
+        ends = np.cumsum(np.bincount(group)).tolist()
+        chosen = np.zeros(len(slots), dtype=np.intp)
+        log_z = [0.0] * len(firsts)
+        start = 0
+        for g, (first, end) in enumerate(zip(firsts, ends)):
+            members, start = order[start:end], end
+            row = sub = rows[members[0]]
+            ids = None
+            if mask is not None:
+                ids = static if static is not None else mask.build(
+                    vocab, particles[first].text)
+                if ids.size == 0:
+                    self.fault(first, MaskEmpty("mask allows no tokens"))
+                    continue
+                sub = row[ids]
+            total = float(sub.sum())
+            if ids is None:
+                chosen[members] = draw_indices(sub, total, u[members])
+            elif total <= 0.0:
+                self.fault(first, MaskEmpty("mask removed all probability mass (Z=0)"))
+            else:
+                chosen[members] = ids[draw_indices(sub, total, u[members])]
+                log_z[g] = math.log(total)
+        slots = self.cut(slots)
+        tokens = chosen.tolist()
+        deltas = [log_z[g] for g in group.tolist()]
+        if clause.score_with_prior:
+            slots, prior_rows = self.rows(self.models.prior, self.plan.prior_tag,
+                                          slots, False)
+            for i, prior_row in enumerate(prior_rows):
+                t = tokens[i]
+                p = float(prior_row[t])
+                log_q = math.log(rows[i][t]) - deltas[i]
+                deltas[i] = (math.log(p) - log_q) if p > 0.0 else NEG_INF
+        texts, eos = vocab.token_text, vocab.eos_id
+        running = []
+        for s, t, delta in zip(slots, tokens, deltas):
+            particle = particles[s]
+            particle.log_weight += delta
+            self.log_update += delta
+            particle.tokens.append(t)
+            particle.text += texts[t]
+            if t == eos:
+                particle.status = DONE
+            else:
+                running.append(s)
+        return running
+
+    def rows(self, model: TokenModel, tag: str, slots: list[int], hinted: bool):
+        """One row per slot, from one query per distinct (context, hints).
+
+        Queries are keyed by hash and first slot, and built QUERY_BATCH
+        at a time, so few context tuples are alive at once. A faulting
+        query stops its first slot and every slot above it; returns the
+        slots below that one with their rows.
+        """
+        particles = self.particles
+        by_hash: dict[int, int] = {}
+        firsts: list[int] = []
+        which: list[int] = []
+        for s in slots:
+            p = particles[s]
+            hints = p.hint_buffer if hinted else ()
+            j = by_hash.get(h := hash((tuple(p.tokens), tuple(hints))))
+            if j is None or particles[firsts[j]].tokens != p.tokens or (
+                    hinted and particles[firsts[j]].hint_buffer != hints):
+                by_hash.setdefault(h, len(firsts))  # a collision keeps the first
+                j = len(firsts)
+                firsts.append(s)
+            which.append(j)
+        distinct: list = []
+        for lo in range(0, len(firsts), QUERY_BATCH):
+            batch = firsts[lo:lo + QUERY_BATCH]
+            try:
+                distinct += self.query(model, tag, batch, hinted)
+            except SteeringError:
+                for s in batch:  # one at a time, to find the first fault
+                    try:
+                        distinct += self.query(model, tag, [s], hinted)
+                    except SteeringError as exc:
+                        self.fault(s, exc)
+                        slots = slots[:slots.index(s)]
+                        return slots, [distinct[j] for j in which[:len(slots)]]
+        return slots, [distinct[j] for j in which]
+
+    def query(self, model: TokenModel, tag: str, firsts: list[int], hinted: bool) -> list:
+        """The model's rows for the queries of these slots, each checked
+        once to be a vector over the vocabulary, so that every drawn id
+        is a valid context id."""
+        particles = self.particles
+        queries = [ModelQuery(tuple(particles[s].tokens), tag,
+                              tuple(particles[s].hint_buffer) if hinted else ())
+                   for s in firsts]
+        rows = model.next_distributions(queries, deadline=self.deadline)
+        size = self.vocab.size
+        if len(rows) != len(queries) or not all(
+                isinstance(r, np.ndarray) and r.shape == (size,) for r in rows):
+            raise ProtocolError(f"{type(model).__name__} did not return one "
+                                f"{size}-entry vector per query")
+        return rows
+
+    def force(self, clause: StepClause, slots: list[int]) -> list[int]:
+        try:
+            forced = forced_tokens(clause, self.vocab)
+        except SteeringError as exc:
+            self.fault(slots[0], exc)
+            return []
         if not forced:
-            return
-        if len(particle.tokens) + len(forced) > plan.max_tokens:
-            raise StepBudgetExceeded(
-                f"force_string of {len(forced)} tokens exceeds "
-                f"max_tokens={plan.max_tokens}")
-        delta = models.proposal.sequence_logprob(
-            particle.tokens, forced, plan.proposal_tag,
-            hints=tuple(particle.hint_buffer))
-        particle.log_weight += delta
-        state.log_update += delta
-        for token in forced:
-            _append(particle, token, vocab)
-            state.appended.append(token)
-        if forced[-1] == vocab.eos_id:
-            state.finished = True
-            particle.status = DONE
+            return slots
+        plan, model = self.plan, self.models.proposal
+        text = self.vocab.decode(forced)
+        ends = forced[-1] == self.vocab.eos_id
+        running = []
+        for s in slots:
+            particle = self.particles[s]
+            if len(particle.tokens) + len(forced) > plan.max_tokens:
+                self.fault(s, StepBudgetExceeded(
+                    f"force_string of {len(forced)} tokens exceeds "
+                    f"max_tokens={plan.max_tokens}"))
+                continue
+            try:
+                delta = model.sequence_logprob(particle.tokens, forced, plan.proposal_tag,
+                                               hints=tuple(particle.hint_buffer))
+            except SteeringError as exc:
+                self.fault(s, exc)
+                break
+            particle.log_weight += delta
+            self.log_update += delta
+            particle.tokens.extend(forced)
+            particle.text += text
+            if ends:
+                particle.status = DONE
+            else:
+                running.append(s)
+        return running
 
-    elif clause.kind == "hint":
-        inject_hint(particle, clause.template,
-                    hint_bindings_for(plan, particle.text, len(particle.tokens)))
+    def hint(self, clause: StepClause, slots: list[int]) -> list[int]:
+        for n, s in enumerate(slots):
+            particle = self.particles[s]
+            try:
+                inject_hint(particle, clause.template, hint_bindings_for(
+                    self.plan, particle.text, len(particle.tokens)))
+            except SteeringError as exc:
+                self.fault(s, exc)
+                return slots[:n]
+        return slots
 
-    elif clause.kind == "loop":
+    def loop(self, clause: StepClause, slots: list[int]) -> list[int]:
         if clause.iterations is not None:
             for _ in range(clause.iterations):
                 for sub in clause.body:
-                    _exec_clause(sub, plan, particle, models, rng, state)
-                    if state.finished:
-                        return
-        else:
-            done_iters = 0
-            while True:
-                state.check_deadline()
-                if _stop_satisfied(clause.stop, particle, len(particle.tokens), vocab):
-                    return
-                if done_iters >= clause.max_iterations:
-                    raise StepBudgetExceeded(
-                        f"loop ran {done_iters} iterations without satisfying "
-                        "its until predicate")
-                for sub in clause.body:
-                    _exec_clause(sub, plan, particle, models, rng, state)
-                    if state.finished:
-                        return
-                done_iters += 1
+                    slots = self.run(sub, slots)
+                if not slots:
+                    break
+            return slots
+        particles, stop = self.particles, clause.stop
+        done: list[int] = []
+        iterations = 0
+        while slots:
+            self.check_deadline()
+            going = []
+            for s in slots:
+                particle = particles[s]
+                if _stop_satisfied(stop, particle, len(particle.tokens), self.vocab):
+                    done.append(s)
+                elif iterations >= clause.max_iterations:
+                    self.fault(s, StepBudgetExceeded(
+                        f"loop ran {iterations} iterations without satisfying "
+                        "its until predicate"))
+                else:
+                    going.append(s)
+            for sub in clause.body:
+                going = self.run(sub, going)
+            slots = going
+            iterations += 1
+        done.sort()
+        return self.cut(done)
 
-    else:
-        raise SchemaViolation(f"unknown clause kind {clause.kind!r}")
 
-
-def execute_step(plan: SteeringPlan, particle: Particle, models, rng,
+def execute_step(plan: SteeringPlan, particles: list[Particle], models, streams,
                  deadline: float | None = None) -> StepUpdate:
-    """Run the particle's current clause to completion.
+    """Run every active particle's current clause to completion, all
+    together; ``streams[i]`` is particle i's random stream.
 
-    Advances the particle's program counter, accumulates appended tokens
-    and the log score update, and marks the particle done when the plan
-    is exhausted or EOS was emitted. Identical (plan, particle, stream
-    state) always produce bit-identical updates.
+    Advances each particle's program counter and marks it done when the
+    plan is exhausted or EOS was emitted. A particle that exceeds a step
+    budget is marked failed, with the StepBudgetExceeded (carrying its
+    clause index) as its error and weight -inf; its siblings go on. Any
+    other typed error ends the step: the error of the lowest faulting
+    slot is raised, after every slot below it has finished its clause.
+    Identical (plan, particle, stream state) give bit-identical results
+    for that particle, whatever population it steps in.
     """
-    if particle.status != ACTIVE:
-        raise ValueError("execute_step requires an active particle")
     models = as_model_set(models)
-    state = _StepState(deadline)
-
-    if particle.clause_index >= len(plan.steps):
-        particle.status = DONE
-        particle.steps_taken += 1
-        return StepUpdate((), 0.0, True)
-
-    clause = plan.steps[particle.clause_index]
-    try:
-        _exec_clause(clause, plan, particle, models, rng, state)
-    except SteeringError as exc:
-        exc.clause_index = particle.clause_index
-        raise
-    particle.clause_index += 1
-    particle.steps_taken += 1
-    if particle.clause_index >= len(plan.steps) and not state.finished:
-        state.finished = True
-        particle.status = DONE
-    return StepUpdate(tuple(state.appended), state.log_update, state.finished)
+    step = _Pass(plan, models, particles, streams, deadline)
+    stepped = [s for s, p in enumerate(particles) if p.status == ACTIVE]
+    starts = [len(p.tokens) for p in particles]
+    by_clause: dict[int, list[int]] = {}
+    for s in stepped:
+        by_clause.setdefault(particles[s].clause_index, []).append(s)
+    for index, slots in sorted(by_clause.items()):
+        if index < len(plan.steps):
+            try:
+                step.run(plan.steps[index], slots)
+            except SteeringError as exc:
+                exc.clause_index = index
+                raise
+    appended: list[int] = []
+    for s in step.cut(stepped):
+        p = particles[s]
+        appended += p.tokens[starts[s]:]
+        if p.status == FAILED:
+            continue
+        if p.clause_index < len(plan.steps):
+            p.clause_index += 1
+        p.steps_taken += 1
+        if p.clause_index >= len(plan.steps):
+            p.status = DONE
+    for stream, counter in zip(streams, step.counters.tolist()):
+        stream.counter = counter
+    if step.error is not None:
+        step.error.clause_index = particles[step.limit].clause_index
+        raise step.error
+    return StepUpdate(tuple(appended), step.log_update,
+                      all(particles[s].status != ACTIVE for s in stepped))
 
 
 def run_check(plan: SteeringPlan, tokens, vocabulary: Vocabulary) -> bool:
@@ -489,239 +533,3 @@ def run_check(plan: SteeringPlan, tokens, vocabulary: Vocabulary) -> bool:
     return report.passed
 
 
-# ---------------------------------------------------------------------------
-# Plan document parsing
-
-
-_MISSING = object()
-
-# The fields each clause, mask and stop kind may carry besides "kind";
-# any other field is a SchemaViolation.
-_CLAUSE_FIELDS = {
-    "sample_until": {"stop", "mask", "score_with_prior", "max_new_tokens"},
-    "force_string": {"text", "tokens"},
-    "masked_sample": {"mask", "count", "score_with_prior"},
-    "hint": {"template"},
-    "loop": {"body", "iterations", "until", "max_iterations"},
-}
-_MASK_FIELDS = {
-    "max_remaining_chars": {"target_chars"},
-    "allowed_words": {"words"},
-    "char_class": {"classes", "negate"},
-    "explicit": {"tokens", "ids"},
-}
-_STOP_FIELDS = {"token_count": {"value"}, "substring": {"value"}, "eos": set()}
-
-
-def _want(doc: dict, key: str, types, where: str, default=_MISSING):
-    if key not in doc:
-        if default is not _MISSING:
-            return default
-        raise SchemaViolation(f"{where}.{key}: missing required field")
-    value = doc[key]
-    # bool subclasses int, but a JSON true is never a count
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise SchemaViolation(f"{where}.{key}: wrong type")
-    return value
-
-
-def _is_id(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _kind(doc, fields: dict, what: str, where: str) -> str:
-    """The kind of an object whose fields must all belong to that kind."""
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: {what} must be an object")
-    kind = _want(doc, "kind", str, where)
-    if kind not in fields:
-        raise SchemaViolation(f"{where}.kind: unknown {what} kind {kind!r}")
-    for key in doc:
-        if key != "kind" and key not in fields[kind]:
-            raise SchemaViolation(f"{where}.{key}: unknown field")
-    return kind
-
-
-def _parse_stop(doc, where: str) -> StopSpec:
-    kind = _kind(doc, _STOP_FIELDS, "stop predicate", where)
-    if kind == "token_count":
-        value = _want(doc, "value", int, where)
-        if value < 0:
-            raise SchemaViolation(f"{where}.value: must be nonnegative")
-        return StopSpec("token_count", value)
-    if kind == "substring":
-        value = _want(doc, "value", str, where)
-        if not value:
-            raise SchemaViolation(f"{where}.value: empty substring")
-        return StopSpec("substring", value)
-    return StopSpec("eos")
-
-
-def _parse_mask(doc, where: str) -> MaskSpec:
-    kind = _kind(doc, _MASK_FIELDS, "mask", where)
-    if kind == "max_remaining_chars":
-        target = _want(doc, "target_chars", int, where)
-        if target < 0:
-            raise SchemaViolation(f"{where}.target_chars: must be nonnegative")
-        return MaskSpec("max_remaining_chars", target_chars=target)
-    if kind == "allowed_words":
-        ws = _want(doc, "words", list, where)
-        if not ws or not all(isinstance(w, str) for w in ws):
-            raise SchemaViolation(f"{where}.words: nonempty list of strings required")
-        return MaskSpec("allowed_words", words=tuple(ws))
-    if kind == "char_class":
-        classes = _want(doc, "classes", list, where)
-        for cls in classes:
-            if cls not in _CHAR_CLASSES:
-                raise SchemaViolation(f"{where}.classes: unknown class {cls!r}")
-        return MaskSpec("char_class", classes=tuple(classes),
-                        negate=_want(doc, "negate", bool, where, default=False))
-    tokens = _want(doc, "tokens", list, where, default=[])
-    ids = _want(doc, "ids", list, where, default=[])
-    if not tokens and not ids:
-        raise SchemaViolation(f"{where}: explicit mask needs tokens or ids")
-    if not all(isinstance(t, str) for t in tokens):
-        raise SchemaViolation(f"{where}.tokens: must be strings")
-    if not all(_is_id(i) for i in ids):
-        raise SchemaViolation(f"{where}.ids: must be nonnegative integers")
-    return MaskSpec("explicit", tokens=tuple(tokens), ids=tuple(ids))
-
-
-def _template_fields(template: str) -> set[str]:
-    """Names a hint template reads, including those nested in format specs."""
-    fields = set()
-    try:
-        parsed = list(_string.Formatter().parse(template))
-    except ValueError as exc:
-        raise SchemaViolation(f"hint template {template!r} is malformed: {exc}") from None
-    for _, name, spec, _ in parsed:
-        if name is not None:
-            if not name or not name.isidentifier():
-                raise SchemaViolation(f"hint template field {name!r} is not a name")
-            fields.add(name)
-            if spec:
-                fields |= _template_fields(spec)
-    return fields
-
-
-def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClause:
-    kind = _kind(doc, _CLAUSE_FIELDS, "clause", where)
-    if depth > 8:
-        raise SchemaViolation(f"{where}: loops nested deeper than 8")
-    score_with_prior = _want(doc, "score_with_prior", bool, where, default=False)
-
-    if kind == "sample_until":
-        stop = _parse_stop(_want(doc, "stop", dict, where), f"{where}.stop")
-        mask = doc.get("mask")
-        max_new = doc.get("max_new_tokens")
-        if max_new is not None and not (_is_id(max_new) and max_new >= 1):
-            raise SchemaViolation(f"{where}.max_new_tokens: must be a positive integer")
-        return StepClause(
-            kind="sample_until", stop=stop,
-            mask=_parse_mask(mask, f"{where}.mask") if mask is not None else None,
-            score_with_prior=score_with_prior, max_new_tokens=max_new)
-
-    if kind == "masked_sample":
-        # Drawing ``count`` masked tokens is sample_until with a
-        # token-count stop of ``count``; the interpreter and the oracle
-        # only ever see the latter.
-        count = _want(doc, "count", int, where, default=1)
-        if count < 1:
-            raise SchemaViolation(f"{where}.count: must be a positive integer")
-        return StepClause(
-            kind="sample_until", stop=StopSpec("token_count", count),
-            mask=_parse_mask(_want(doc, "mask", dict, where), f"{where}.mask"),
-            score_with_prior=score_with_prior)
-
-    if kind == "force_string":
-        has_text = "text" in doc
-        has_tokens = "tokens" in doc
-        if has_text == has_tokens:
-            raise SchemaViolation(f"{where}: exactly one of text or tokens required")
-        if has_text:
-            return StepClause(kind="force_string", text=_want(doc, "text", str, where))
-        ids = _want(doc, "tokens", list, where)
-        if not all(_is_id(i) for i in ids):
-            raise SchemaViolation(f"{where}.tokens: must be nonnegative integers")
-        return StepClause(kind="force_string", tokens=tuple(ids))
-
-    if kind == "hint":
-        template = _want(doc, "template", str, where)
-        names = _template_fields(template)
-        unknown = names - set(variables) - set(HINT_BUILTINS)
-        if unknown:
-            raise SchemaViolation(
-                f"{where}.template: undeclared variables {sorted(unknown)}")
-        if ("remaining_chars" in names
-                and not isinstance(variables.get("target_chars"), int)):
-            raise SchemaViolation(
-                f"{where}.template: remaining_chars needs an integer "
-                "target_chars plan variable")
-        return StepClause(kind="hint", template=template)
-
-    body_doc = _want(doc, "body", list, where)
-    if not body_doc:
-        raise SchemaViolation(f"{where}.body: must be nonempty")
-    body = tuple(_parse_clause(c, f"{where}.body[{i}]", variables, depth + 1)
-                 for i, c in enumerate(body_doc))
-    has_iters = "iterations" in doc
-    has_until = "until" in doc
-    if has_iters == has_until:
-        raise SchemaViolation(f"{where}: exactly one of iterations or until required")
-    if has_iters:
-        iters = _want(doc, "iterations", int, where)
-        if not 1 <= iters <= MAX_LOOP_BOUND:
-            raise SchemaViolation(
-                f"{where}.iterations: must be in [1, {MAX_LOOP_BOUND}]")
-        return StepClause(kind="loop", body=body, iterations=iters)
-    until = _parse_stop(_want(doc, "until", dict, where), f"{where}.until")
-    max_iters = _want(doc, "max_iterations", int, where, default=DEFAULT_LOOP_BOUND)
-    if not 1 <= max_iters <= MAX_LOOP_BOUND:
-        raise SchemaViolation(
-            f"{where}.max_iterations: must be in [1, {MAX_LOOP_BOUND}]")
-    return StepClause(kind="loop", body=body, stop=until, max_iterations=max_iters)
-
-
-def parse_plan(source: str | bytes | dict | Path) -> SteeringPlan:
-    """Parse and validate a plan document (JSON text or dict)."""
-    if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
-    if isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"plan is not valid JSON: line {exc.lineno} "
-                             f"column {exc.colno}: {exc.msg}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise SchemaViolation("plan document must be an object")
-    known = {"plan_version", "proposal_tag", "prior_tag", "max_tokens",
-             "steps", "check", "vars"}
-    for key in doc:
-        if key not in known:
-            raise SchemaViolation(f"unknown plan field {key!r}")
-    version = _want(doc, "plan_version", int, "plan")
-    if version != PLAN_VERSION:
-        raise SchemaViolation(f"plan.plan_version: expected {PLAN_VERSION}, got {version}")
-    max_tokens = _want(doc, "max_tokens", int, "plan")
-    if not 1 <= max_tokens <= 100_000:
-        raise SchemaViolation("plan.max_tokens: must be in [1, 100000]")
-    variables = _want(doc, "vars", dict, "plan", default={})
-    for name in variables:
-        if not isinstance(name, str) or not name.isidentifier():
-            raise SchemaViolation(f"plan.vars: {name!r} is not a valid name")
-    steps_doc = _want(doc, "steps", list, "plan")
-    steps = tuple(_parse_clause(c, f"plan.steps[{i}]", variables)
-                  for i, c in enumerate(steps_doc))
-    check_doc = _want(doc, "check", list, "plan", default=[])
-    check = tuple(constraint_from_dict(c, f"plan.check[{i}]")
-                  for i, c in enumerate(check_doc))
-    return SteeringPlan(
-        proposal_tag=_want(doc, "proposal_tag", str, "plan", default="proposal"),
-        prior_tag=_want(doc, "prior_tag", str, "plan", default="prior"),
-        max_tokens=max_tokens,
-        steps=steps,
-        check=check,
-        variables=dict(variables),
-    )

@@ -10,12 +10,15 @@ from steersmc import (
     InferenceConfig,
     MaskEmpty,
     Particle,
+    ProtocolError,
     RandomStream,
+    RemoteUnavailable,
     SchemaViolation,
     StepBudgetExceeded,
     SteeringPlan,
     StepClause,
     Timeout,
+    TokenModel,
     UnboundVariable,
     UniformModel,
     Vocabulary,
@@ -422,6 +425,35 @@ class TestErrorTaxonomy:
         assert dead and alive
         for c in dead:
             assert c.normalized_weight == 0.0
+
+    def test_lowest_faulting_slot_reports_its_error(self, vocab3):
+        # Slot 0 draws "a" and faults on its third draw; slot 1 draws "b"
+        # and faults one draw earlier, with another error. Stepping slot by
+        # slot, slot 0 raises first, so its error is the run's.
+        class Faulting(TokenModel):
+            def _distribution(self, context, prompt_tag):
+                if context[:1] == (1,):
+                    raise RemoteUnavailable("slot drew b")
+                if len(context) >= 2:
+                    raise ProtocolError("slot drew a")
+                return np.array([0.5, 0.5, 0.0])
+
+        model = Faulting(vocab3)
+        draw = {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}
+        probe = make_plan([draw])
+        for seed in range(100):
+            out = run_inference(probe, model, InferenceConfig(
+                method="importance", n_particles=2, seed=seed))
+            if [c.tokens for c in out.candidates] == [(0,), (1,)]:
+                break
+        else:
+            pytest.fail("no seed draws a for slot 0 and b for slot 1")
+        plan = make_plan([{"kind": "loop", "iterations": 3, "body": [draw]}])
+        out = run_inference(plan, model, InferenceConfig(
+            method="importance", n_particles=2, seed=seed))
+        assert isinstance(out.error, ProtocolError)
+        assert out.error.message == "slot drew a"
+        assert (out.error.clause_index, out.error.step_index) == (0, 1)
 
     @pytest.mark.parametrize("method", ["importance", "smc", "rejection"])
     def test_plan_longer_than_a_thousand_clauses_finishes(self, uniform3, method):

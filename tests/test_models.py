@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +15,20 @@ from hypothesis import strategies as st
 import steersmc
 from steersmc import (
     EmptyCorpus,
+    InferenceConfig,
     InvalidContext,
     ModelQuery,
     ProtocolError,
     RemoteUnavailable,
     RowNotNormalized,
     SchemaViolation,
+    Timeout,
     UniformModel,
     Vocabulary,
     load_table_model,
+    parse_plan,
     remote_model_adapter,
+    run_inference,
     train_ngram,
 )
 
@@ -324,6 +329,35 @@ class TestRemoteAdapter:
         assert len(ep.calls) == baseline + 1
         m.next_distribution(ModelQuery((0,), "prior"))
         assert len(ep.calls) == baseline + 2
+
+    def test_evicted_row_is_fetched_again(self, local_endpoint, abc_vocab, monkeypatch):
+        monkeypatch.setattr(steersmc.models, "REMOTE_CACHE_ROWS", 2)
+        ep = self._logprob_server(local_endpoint, {(): [0.0, 0.0, -1.0]})
+        m = remote_model_adapter(ep.url, abc_vocab)  # caches the health row
+        baseline = len(ep.calls)
+        m.next_distribution(ModelQuery((0,)))
+        m.next_distribution(ModelQuery((1,)))  # evicts the health row
+        assert (m.evictions, len(ep.calls)) == (1, baseline + 2)
+        m.next_distribution(ModelQuery((0,)))  # a hit: (1,) is now the oldest
+        m.next_distribution(ModelQuery((0, 1)))  # evicts (1,)
+        assert (m.evictions, len(ep.calls)) == (2, baseline + 3)
+        m.next_distribution(ModelQuery((1,)))
+        assert (m.evictions, len(ep.calls)) == (3, baseline + 4)
+
+    def test_run_timeout_caps_each_request(self, local_endpoint, abc_vocab):
+        def respond(path, body):
+            if body["prompt_tag"] != "health":
+                time.sleep(2.0)
+            return 200, {"logprobs": [0.0, 0.0, 0.0]}
+
+        m = remote_model_adapter(local_endpoint(respond).url, abc_vocab)
+        plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [
+            {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}]})
+        start = time.monotonic()
+        out = run_inference(plan, m, InferenceConfig(
+            method="importance", n_particles=2, seed=0, timeout=0.3))
+        assert isinstance(out.error, Timeout)
+        assert time.monotonic() - start < 1.5
 
     def test_unreachable_endpoint(self, abc_vocab):
         with pytest.raises(RemoteUnavailable):

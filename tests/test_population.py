@@ -1,0 +1,409 @@
+"""Population stepping against a slot-by-slot reference.
+
+``execute_step`` runs every particle's clause together: one query per
+distinct context, uniforms from one vectorized SplitMix pass and one
+cumulative sum per distinct (row, mask). The reference below is the
+per-particle clause walk it replaced, kept here as ``tests/test_rng.py``
+keeps the scalar ``choice`` walk, and stepped slot by slot as the engine
+used to. Random plans over vocabularies of at most five tokens must give
+bit-identical particles, errors and stream counters.
+
+Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
+``steering._Pass.draw`` fails ``test_population_step_matches_the_walk``.
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+import time
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from steersmc import (
+    MaskEmpty,
+    ModelQuery,
+    Particle,
+    RandomStream,
+    SteeringError,
+    StepBudgetExceeded,
+    TableModel,
+    Timeout,
+    Vocabulary,
+    as_model_set,
+    execute_step,
+    inject_hint,
+    parse_plan,
+)
+from steersmc.plans import forced_tokens
+from steersmc.rng import _GOLDEN, _MASK64, uniforms_at
+from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for
+
+NEG_INF = float("-inf")
+
+
+# ---------------------------------------------------------------------------
+# The slot-by-slot reference: the per-particle clause walk.
+
+
+def reference_choice(rng: RandomStream, probs) -> int:
+    target = rng.uniform() * float(probs.sum())
+    i = int(probs.cumsum().searchsorted(target, "right"))
+    if i < probs.size:
+        return i
+    positive = (probs > 0.0).nonzero()[0]
+    if positive.size == 0:
+        raise ValueError("choice over all-zero weights")
+    return int(positive[-1])
+
+
+class _StepState:
+    def __init__(self, deadline):
+        self.appended = []
+        self.log_update = 0.0
+        self.finished = False
+        self.deadline = deadline
+
+    def check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise Timeout("wall-clock budget exhausted mid-step")
+
+
+def _stop_satisfied(stop, particle, count, vocab) -> bool:
+    if stop.kind == "token_count":
+        return count >= stop.value
+    if stop.kind == "substring":
+        return stop.value in particle.text
+    return bool(particle.tokens) and particle.tokens[-1] == vocab.eos_id
+
+
+def _masked_support(probs, ids):
+    if ids.size == 0:
+        raise MaskEmpty("mask allows no tokens")
+    sub = probs[ids]
+    z = float(sub.sum())
+    if z <= 0.0:
+        raise MaskEmpty("mask removed all probability mass (Z=0)")
+    return ids, sub, z
+
+
+def _draw(particle, models, mask, rng, plan, score_with_prior):
+    probs = models.proposal.next_distribution(ModelQuery(
+        tuple(particle.tokens), plan.proposal_tag, tuple(particle.hint_buffer)))
+    if mask is None:
+        token, z = reference_choice(rng, probs), 1.0
+    else:
+        ids, sub, z = _masked_support(probs, mask)
+        token = int(ids[reference_choice(rng, sub)])
+    if not score_with_prior:
+        return token, math.log(z)
+    prior_probs = models.prior.next_distribution(
+        ModelQuery(tuple(particle.tokens), plan.prior_tag, ()))
+    p = float(prior_probs[token])
+    log_q = math.log(probs[token]) - math.log(z)
+    return token, (math.log(p) - log_q) if p > 0.0 else NEG_INF
+
+
+def _append(particle, token, vocab):
+    particle.tokens.append(token)
+    particle.text += vocab.token_text[token]
+
+
+def _take_token(clause, plan, particle, models, rng, state):
+    vocab = models.vocabulary
+    mask = clause.mask.build(vocab, particle.text) if clause.mask is not None else None
+    token, delta = _draw(particle, models, mask, rng, plan, clause.score_with_prior)
+    particle.log_weight += delta
+    state.log_update += delta
+    _append(particle, token, vocab)
+    state.appended.append(token)
+    if token == vocab.eos_id:
+        state.finished = True
+        particle.status = DONE
+    return token
+
+
+def _budget_guard(plan, particle):
+    if len(particle.tokens) >= plan.max_tokens:
+        raise StepBudgetExceeded(
+            f"clause needs more than max_tokens={plan.max_tokens} tokens")
+
+
+def _exec_clause(clause, plan, particle, models, rng, state):
+    if state.finished:
+        return
+    state.check_deadline()
+    vocab = models.vocabulary
+    if clause.kind == "sample_until":
+        drawn = 0
+        bound = clause.max_new_tokens
+        while True:
+            state.check_deadline()
+            if _stop_satisfied(clause.stop, particle, drawn, vocab):
+                return
+            if bound is not None and drawn >= bound:
+                raise StepBudgetExceeded(
+                    f"sample_until drew {drawn} tokens without satisfying its "
+                    "stop predicate")
+            _budget_guard(plan, particle)
+            token = _take_token(clause, plan, particle, models, rng, state)
+            drawn += 1
+            if token == vocab.eos_id:
+                return
+    elif clause.kind == "force_string":
+        forced = forced_tokens(clause, vocab)
+        if not forced:
+            return
+        if len(particle.tokens) + len(forced) > plan.max_tokens:
+            raise StepBudgetExceeded(
+                f"force_string of {len(forced)} tokens exceeds "
+                f"max_tokens={plan.max_tokens}")
+        delta = models.proposal.sequence_logprob(
+            particle.tokens, forced, plan.proposal_tag,
+            hints=tuple(particle.hint_buffer))
+        particle.log_weight += delta
+        state.log_update += delta
+        for token in forced:
+            _append(particle, token, vocab)
+            state.appended.append(token)
+        if forced[-1] == vocab.eos_id:
+            state.finished = True
+            particle.status = DONE
+    elif clause.kind == "hint":
+        inject_hint(particle, clause.template,
+                    hint_bindings_for(plan, particle.text, len(particle.tokens)))
+    elif clause.kind == "loop":
+        if clause.iterations is not None:
+            for _ in range(clause.iterations):
+                for sub in clause.body:
+                    _exec_clause(sub, plan, particle, models, rng, state)
+                    if state.finished:
+                        return
+        else:
+            done_iters = 0
+            while True:
+                state.check_deadline()
+                if _stop_satisfied(clause.stop, particle, len(particle.tokens), vocab):
+                    return
+                if done_iters >= clause.max_iterations:
+                    raise StepBudgetExceeded(
+                        f"loop ran {done_iters} iterations without satisfying "
+                        "its until predicate")
+                for sub in clause.body:
+                    _exec_clause(sub, plan, particle, models, rng, state)
+                    if state.finished:
+                        return
+                done_iters += 1
+
+
+def reference_step_one(plan, particle, models, rng):
+    models = as_model_set(models)
+    state = _StepState(None)
+    if particle.clause_index >= len(plan.steps):
+        particle.status = DONE
+        particle.steps_taken += 1
+        return
+    try:
+        _exec_clause(plan.steps[particle.clause_index], plan, particle, models, rng, state)
+    except SteeringError as exc:
+        exc.clause_index = particle.clause_index
+        raise
+    particle.clause_index += 1
+    particle.steps_taken += 1
+    if particle.clause_index >= len(plan.steps) and not state.finished:
+        particle.status = DONE
+
+
+def reference_step(plan, particles, models, streams):
+    """Slot-order loop: a budget fault fails its particle; any other
+    error is raised at once. Returns (error, faulting slot)."""
+    for slot, (particle, stream) in enumerate(zip(particles, streams)):
+        if particle.status != ACTIVE:
+            continue
+        try:
+            reference_step_one(plan, particle, models, stream)
+        except StepBudgetExceeded as exc:
+            particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
+        except SteeringError as exc:
+            return exc, slot
+    return None, len(particles)
+
+
+# ---------------------------------------------------------------------------
+# Random plans and table models over at most five tokens.
+
+TEXTS = ("a", "b", "ab", " ", "|")
+
+
+@st.composite
+def vocabularies(draw):
+    texts = draw(st.lists(st.sampled_from(TEXTS), min_size=2, max_size=4, unique=True))
+    delimiter = "|" if "|" in texts else None
+    return Vocabulary.from_tokens(texts + ["<eos>"], hint_delimiter=delimiter)
+
+
+@st.composite
+def rows(draw, size):
+    weights = draw(st.lists(st.one_of(st.just(0), st.integers(1, 10 ** 6)),
+                            min_size=size, max_size=size))
+    if not any(weights):
+        weights[draw(st.integers(0, size - 1))] = 1
+    row = np.array(weights, dtype=np.float64) / sum(weights)
+    row.setflags(write=False)
+    return row
+
+
+@st.composite
+def table_models(draw, vocab):
+    ids = st.integers(0, vocab.size - 1)
+    contexts = draw(st.lists(st.lists(ids, max_size=3).map(tuple), max_size=6))
+    table = {(draw(st.sampled_from([None, "proposal", "prior"])), ctx):
+             draw(rows(vocab.size)) for ctx in contexts}
+    return TableModel(vocab, table, draw(rows(vocab.size)))
+
+
+def stops(vocab, draw):
+    texts = [t for t in vocab.token_text if t]
+    return draw(st.one_of(
+        st.builds(lambda v: {"kind": "token_count", "value": v}, st.integers(0, 3)),
+        st.builds(lambda v: {"kind": "substring", "value": v}, st.sampled_from(texts + ["zz"])),
+        st.just({"kind": "eos"})))
+
+
+def masks(vocab, draw):
+    texts = [t for t in vocab.token_text if t]
+    return draw(st.one_of(
+        st.none(),
+        st.builds(lambda n: {"kind": "max_remaining_chars", "target_chars": n},
+                  st.integers(0, 5)),
+        st.builds(lambda w: {"kind": "allowed_words", "words": w},
+                  st.lists(st.sampled_from(texts + ["c"]), min_size=1, max_size=2)),
+        st.builds(lambda c, n: {"kind": "char_class", "classes": c, "negate": n},
+                  st.lists(st.sampled_from(["letter", "whitespace", "punctuation"]),
+                           max_size=2), st.booleans()),
+        st.builds(lambda t, i: {"kind": "explicit", "tokens": t, "ids": i},
+                  st.lists(st.sampled_from(texts), max_size=2),
+                  st.lists(st.integers(0, vocab.size), min_size=1, max_size=2))))
+
+
+def clauses(vocab, draw, depth):
+    kinds = ["sample_until", "masked_sample", "force_string", "hint"]
+    kind = draw(st.sampled_from(kinds + (["loop"] if depth < 2 else [])))
+    if kind == "sample_until":
+        doc = {"kind": kind, "stop": stops(vocab, draw),
+               "score_with_prior": draw(st.booleans())}
+        mask = masks(vocab, draw)
+        if mask is not None:
+            doc["mask"] = mask
+        if draw(st.booleans()):
+            doc["max_new_tokens"] = draw(st.integers(1, 3))
+        return doc
+    if kind == "masked_sample":
+        mask = masks(vocab, draw) or {"kind": "max_remaining_chars", "target_chars": 3}
+        return {"kind": kind, "mask": mask, "count": draw(st.integers(1, 2)),
+                "score_with_prior": draw(st.booleans())}
+    if kind == "force_string":
+        if draw(st.booleans()):
+            return {"kind": kind, "text": "".join(draw(st.lists(
+                st.sampled_from([t for t in vocab.token_text if t]), max_size=2)))}
+        return {"kind": kind, "tokens": draw(st.lists(st.integers(0, vocab.size),
+                                                      max_size=2))}
+    if kind == "hint":
+        return {"kind": kind, "template": draw(st.sampled_from(
+            ["{tokens_so_far}", "b{chars_so_far}", "a", "{words_so_far:x>2}"]))}
+    body = [clauses(vocab, draw, depth + 1) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        return {"kind": "loop", "body": body, "iterations": draw(st.integers(1, 3))}
+    return {"kind": "loop", "body": body, "until": stops(vocab, draw),
+            "max_iterations": draw(st.integers(1, 4))}
+
+
+@st.composite
+def cases(draw):
+    vocab = draw(vocabularies())
+    doc = {"plan_version": 1, "max_tokens": draw(st.integers(1, 6)),
+           "steps": [clauses(vocab, draw, 0) for _ in range(draw(st.integers(1, 3)))]}
+    models = (draw(table_models(vocab)), draw(table_models(vocab)))
+    return parse_plan(doc), models, draw(st.sampled_from([1, 3, 6])), draw(st.integers(0, 2 ** 32))
+
+
+def _mask_mass_case():
+    """A masked draw whose ``log Z`` has different bits under ``np.log``
+    than under ``math.log`` (numpy 2.4 on x86-64)."""
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    z = float.fromhex("0x1.23d6f3e37b4f2p-1")
+    row = np.array([z, 1.0 - z, 0.0])
+    row.setflags(write=False)
+    model = TableModel(vocab, {}, row)
+    plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [
+        {"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [0]}}]})
+    return plan, (model, model), 2, 0
+
+
+def _remaining_chars_case():
+    """Particles of different text lengths share a row but not a
+    ``max_remaining_chars`` mask."""
+    vocab = Vocabulary.from_tokens(["a", "ab", "<eos>"])
+    row = np.full(3, 1.0 / 3.0)
+    row.setflags(write=False)
+    model = TableModel(vocab, {}, row)
+    plan = parse_plan({"plan_version": 1, "max_tokens": 3, "steps": [
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
+        {"kind": "masked_sample", "count": 2,
+         "mask": {"kind": "max_remaining_chars", "target_chars": 2}}]})
+    return plan, (model, model), 6, 1  # slot 0 draws "ab", slot 2 "a"
+
+
+def _state(particle: Particle) -> tuple:
+    return (particle.tokens, particle.text, particle.log_weight.hex(), particle.status,
+            type(particle.error), getattr(particle.error, "message", None),
+            getattr(particle.error, "clause_index", None),
+            particle.clause_index, particle.steps_taken, particle.hint_buffer)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=cases())
+@example(case=_mask_mass_case())
+@example(case=_remaining_chars_case())
+def test_population_step_matches_the_walk(case):
+    plan, models, n, seed = case
+    ours = [Particle() for _ in range(n)]
+    theirs = [Particle() for _ in range(n)]
+    for step in range(len(plan.steps) + 1):
+        ours_streams = [RandomStream(seed, "slot", s, step) for s in range(n)]
+        theirs_streams = copy.deepcopy(ours_streams)
+        want, limit = reference_step(plan, theirs, models, theirs_streams)
+        try:
+            execute_step(plan, ours, models, ours_streams)
+            got = None
+        except SteeringError as exc:
+            got = exc
+        assert (type(got), getattr(got, "message", None),
+                getattr(got, "clause_index", None)) == (
+            type(want), getattr(want, "message", None),
+            getattr(want, "clause_index", None))
+        # past a fault the slot-by-slot walk stops, the population does not
+        assert [_state(p) for p in ours[:limit]] == [_state(p) for p in theirs[:limit]]
+        assert ([stream.counter for stream in ours_streams[:limit]]
+                == [stream.counter for stream in theirs_streams[:limit]])
+        if want is not None or all(p.status != ACTIVE for p in theirs):
+            break
+
+
+keys = st.integers(0, _MASK64)
+counters = st.one_of(st.integers(0, 2 ** 20), st.integers(_MASK64 - 2 ** 10, _MASK64),
+                     st.integers(0, _MASK64))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(keys, counters), min_size=1, max_size=20))
+@example(pairs=[(0, _MASK64), (_MASK64, _MASK64 - 1), (_GOLDEN, 0)])
+def test_vectorized_splitmix_equals_the_stream(pairs):
+    got = uniforms_at(np.array([k for k, _ in pairs], dtype=np.uint64),
+                      np.array([c for _, c in pairs], dtype=np.uint64))
+    for (key, counter), u in zip(pairs, got.tolist()):
+        stream = RandomStream.from_key(key)
+        stream.counter = counter
+        assert u == stream.uniform()

@@ -69,11 +69,19 @@ PRIOR_SCORED_PLAN = make_plan([{"kind": "sample_until", "score_with_prior": True
 SECOND_CLAUSE = {"kind": "hint", "template": "then"}
 
 
+def assert_budget_failed(particle: Particle, clause_index: int) -> None:
+    """A budget fault fails the particle instead of raising."""
+    assert particle.status == "failed"
+    assert isinstance(particle.error, StepBudgetExceeded)
+    assert particle.error.clause_index == clause_index
+    assert particle.log_weight == NEG_INF
+
+
 class TestSampleToken:
     def test_mask_of_two_under_uniform_adds_log_half(self, uniform4):
         particle = Particle()
-        execute_step(explicit_mask_plan(ids=(0, 1)), particle, uniform4,
-                     RandomStream(1, "t"))
+        execute_step(explicit_mask_plan(ids=(0, 1)), [particle], uniform4,
+                     [RandomStream(1, "t")])
         assert particle.log_weight == pytest.approx(math.log(0.5))
         assert particle.tokens[0] in (0, 1)
 
@@ -81,7 +89,7 @@ class TestSampleToken:
         plan = make_plan([{"kind": "sample_until",
                            "stop": {"kind": "token_count", "value": 1}}])
         particle = Particle()
-        execute_step(plan, particle, uniform4, RandomStream(2, "t"))
+        execute_step(plan, [particle], uniform4, [RandomStream(2, "t")])
         assert particle.log_weight == 0.0
 
     def test_masked_table_update_and_frequency(self, table_721):
@@ -91,7 +99,7 @@ class TestSampleToken:
         n = 5000
         for i in range(n):
             particle = Particle()
-            update = execute_step(plan, particle, table_721, RandomStream(3, "freq", i))
+            update = execute_step(plan, [particle], table_721, [RandomStream(3, "freq", i)])
             (tok,) = update.appended_tokens
             assert particle.log_weight == pytest.approx(math.log(0.3))
             assert tok in (1, 2)
@@ -103,8 +111,8 @@ class TestSampleToken:
     def test_empty_mask_raises(self, uniform4):
         # no vocabulary token has the listed text, so the mask is empty
         with pytest.raises(MaskEmpty):
-            execute_step(explicit_mask_plan(tokens=("z",)), Particle(), uniform4,
-                         RandomStream(4, "t"))
+            execute_step(explicit_mask_plan(tokens=("z",)), [Particle()], uniform4,
+                         [RandomStream(4, "t")])
 
     def test_zero_mass_mask_raises(self, table_721):
         zero_only = load_table_model({
@@ -112,8 +120,8 @@ class TestSampleToken:
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
         with pytest.raises(MaskEmpty):
-            execute_step(explicit_mask_plan(ids=(1, 2)), Particle(), zero_only,
-                         RandomStream(5, "t"))
+            execute_step(explicit_mask_plan(ids=(1, 2)), [Particle()], zero_only,
+                         [RandomStream(5, "t")])
 
     def test_mask_correction_is_unbiased_by_enumeration(self, table_721):
         # For every allowed token: q(t) * exp(update) must equal p(t).
@@ -129,7 +137,7 @@ class TestSampleToken:
 class TestObserveTokens:
     def test_forcing_accumulates_model_logprob(self, table_721):
         particle = Particle()
-        execute_step(force_plan((0, 1)), particle, table_721, RandomStream(0, "t"))
+        execute_step(force_plan((0, 1)), [particle], table_721, [RandomStream(0, "t")])
         assert particle.log_weight == pytest.approx(math.log(0.7) + math.log(0.6))
         assert particle.tokens == [0, 1]
         assert particle.text == "ab"
@@ -140,7 +148,7 @@ class TestObserveTokens:
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
         particle = Particle()
-        execute_step(force_plan((1,), SECOND_CLAUSE), particle, m, RandomStream(0, "t"))
+        execute_step(force_plan((1,), SECOND_CLAUSE), [particle], m, [RandomStream(0, "t")])
         assert particle.log_weight == NEG_INF
         assert particle.status == "active"  # survives until culling
 
@@ -149,8 +157,8 @@ class TestObserveTokens:
         # relative to a sibling forcing the likely token; rank order of
         # weights matches model log probabilities.
         likely, unlikely = Particle(), Particle()
-        execute_step(force_plan((0,)), likely, table_721, RandomStream(0, "t"))
-        execute_step(force_plan((2,)), unlikely, table_721, RandomStream(0, "t"))
+        execute_step(force_plan((0,)), [likely], table_721, [RandomStream(0, "t")])
+        execute_step(force_plan((2,)), [unlikely], table_721, [RandomStream(0, "t")])
         assert table_721.sequence_logprob((), (0,)) > table_721.sequence_logprob((), (2,))
         assert likely.log_weight > unlikely.log_weight
 
@@ -158,8 +166,8 @@ class TestObserveTokens:
 class TestProposalPriorStep:
     def test_identical_models_give_zero_update(self, uniform4):
         particle = Particle()
-        execute_step(PRIOR_SCORED_PLAN, particle, (uniform4, uniform4),
-                     RandomStream(6, "t"))
+        execute_step(PRIOR_SCORED_PLAN, [particle], (uniform4, uniform4),
+                     [RandomStream(6, "t")])
         assert particle.log_weight == pytest.approx(0.0)
 
     def test_direct_ratio_for_token_zero(self):
@@ -173,7 +181,7 @@ class TestProposalPriorStep:
         for i in range(10):
             stream = RandomStream(7, "ratio", i)
             particle = Particle()
-            update = execute_step(PRIOR_SCORED_PLAN, particle, (proposal, prior), stream)
+            update = execute_step(PRIOR_SCORED_PLAN, [particle], (proposal, prior), [stream])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == pytest.approx(math.log(0.9 / 0.5))
                 return
@@ -188,8 +196,8 @@ class TestProposalPriorStep:
         })
         for i in range(10):
             particle = Particle()
-            update = execute_step(PRIOR_SCORED_PLAN, particle, (proposal, prior),
-                                  RandomStream(8, "zp", i))
+            update = execute_step(PRIOR_SCORED_PLAN, [particle], (proposal, prior),
+                                  [RandomStream(8, "zp", i)])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == NEG_INF
                 return
@@ -310,7 +318,7 @@ class TestExecuteStep:
     def test_single_force_clause_finishes(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "ab"}])
         particle = Particle()
-        update = execute_step(plan, particle, table_721, RandomStream(9, "t"))
+        update = execute_step(plan, [particle], table_721, [RandomStream(9, "t")])
         assert update.appended_tokens == (0, 1)
         assert update.finished
         assert particle.status == "done"
@@ -324,7 +332,7 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}},
         ])
         particle = Particle()
-        update = execute_step(plan, particle, uniform4, RandomStream(10, "t"))
+        update = execute_step(plan, [particle], uniform4, [RandomStream(10, "t")])
         assert len(update.appended_tokens) == 3
 
     def test_sample_until_substring(self, uniform4):
@@ -333,7 +341,7 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}},
         ], max_tokens=64)
         particle = Particle()
-        execute_step(plan, particle, uniform4, RandomStream(11, "t"))
+        execute_step(plan, [particle], uniform4, [RandomStream(11, "t")])
         assert "c" in particle.text
         assert particle.text.count("c") == 1
 
@@ -347,7 +355,7 @@ class TestExecuteStep:
             {"kind": "force_string", "text": "a"},
         ])
         particle = Particle()
-        update = execute_step(plan, particle, eos_certain, RandomStream(12, "t"))
+        update = execute_step(plan, [particle], eos_certain, [RandomStream(12, "t")])
         assert update.finished
         assert particle.status == "done"
         assert particle.tokens == [eos_certain.vocabulary.eos_id]
@@ -361,13 +369,15 @@ class TestExecuteStep:
                        "stop": {"kind": "token_count", "value": 1},
                        "mask": {"kind": "explicit", "tokens": ["a", "b"]}}]},
         ], max_tokens=100)
-        with pytest.raises(StepBudgetExceeded):
-            execute_step(plan, Particle(), uniform4, RandomStream(13, "t"))
+        particle = Particle()
+        execute_step(plan, [particle], uniform4, [RandomStream(13, "t")])
+        assert_budget_failed(particle, clause_index=0)
 
     def test_force_beyond_max_tokens_raises(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "abab"}], max_tokens=3)
-        with pytest.raises(StepBudgetExceeded):
-            execute_step(plan, Particle(), table_721, RandomStream(14, "t"))
+        particle = Particle()
+        execute_step(plan, [particle], table_721, [RandomStream(14, "t")])
+        assert_budget_failed(particle, clause_index=0)
 
     def test_sample_until_bounded_by_max_new_tokens(self, uniform4):
         plan = make_plan([
@@ -375,9 +385,33 @@ class TestExecuteStep:
              "max_new_tokens": 5,
              "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
         ], max_tokens=100)
-        with pytest.raises(StepBudgetExceeded) as info:
-            execute_step(plan, Particle(), uniform4, RandomStream(15, "t"))
-        assert info.value.clause_index == 0
+        particle = Particle()
+        execute_step(plan, [particle], uniform4, [RandomStream(15, "t")])
+        assert_budget_failed(particle, clause_index=0)
+
+    def test_budget_failure_does_not_stop_siblings(self, table_721):
+        plan = make_plan([{"kind": "force_string", "text": "ab"}], max_tokens=3)
+        full, fresh = Particle(tokens=[0, 0], text="aa"), Particle()
+        update = execute_step(plan, [full, fresh], table_721,
+                              [RandomStream(19, "a"), RandomStream(19, "b")])
+        assert_budget_failed(full, clause_index=0)
+        assert full.tokens == [0, 0] and full.steps_taken == 0
+        assert fresh.status == "done" and fresh.tokens == [0, 1]
+        assert update.appended_tokens == (0, 1)
+        assert update.finished
+
+    def test_particles_at_different_clauses_step_together(self, table_721):
+        plan = make_plan([{"kind": "force_string", "text": "a"},
+                          {"kind": "force_string", "text": "b"}])
+        behind, ahead, done = Particle(), Particle(), Particle(status="done")
+        execute_step(plan, [ahead], table_721, [RandomStream(20, "x")])
+        update = execute_step(plan, [behind, ahead, done], table_721,
+                              [RandomStream(20, "y") for _ in range(3)])
+        assert (behind.text, behind.status, behind.clause_index) == ("a", "active", 1)
+        assert (ahead.text, ahead.status, ahead.clause_index) == ("ab", "done", 2)
+        assert done.steps_taken == 0
+        assert update.appended_tokens == (0, 1)
+        assert not update.finished
 
     def test_deterministic_given_stream(self, uniform4):
         plan = make_plan([
@@ -386,8 +420,8 @@ class TestExecuteStep:
         updates = []
         for _ in range(2):
             particle = Particle()
-            updates.append(execute_step(plan, particle, uniform4,
-                                        RandomStream(16, "det")))
+            updates.append(execute_step(plan, [particle], uniform4,
+                                        [RandomStream(16, "det")]))
         assert updates[0] == updates[1]
 
     def test_fixed_loop_runs_within_one_step(self, table_721):
@@ -396,7 +430,7 @@ class TestExecuteStep:
              "body": [{"kind": "force_string", "text": "a"}]},
         ])
         particle = Particle()
-        update = execute_step(plan, particle, table_721, RandomStream(17, "t"))
+        update = execute_step(plan, [particle], table_721, [RandomStream(17, "t")])
         assert particle.text == "aaa"
         assert particle.steps_taken == 1
         assert update.finished  # single-clause plan exhausted
@@ -415,9 +449,9 @@ class TestExecuteStep:
             {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
         ])
         particle = Particle()
-        execute_step(plan, particle, model, RandomStream(18, "t"))
+        execute_step(plan, [particle], model, [RandomStream(18, "t")])
         assert particle.hint_buffer == ["Note to self: b"]
-        execute_step(plan, particle, model, RandomStream(18, "t2"))
+        execute_step(plan, [particle], model, [RandomStream(18, "t2")])
         assert particle.tokens == [1]  # hinted row forces token b
 
     def test_observe_then_sample_commutes_with_one_clause(self, table_721):
@@ -469,21 +503,21 @@ class TestPlanTermination:
                 "steps": steps, "check": []}
 
     def test_every_plan_terminates_within_budget_or_raises(self, uniform4):
-        # total appended tokens never exceed max_tokens; otherwise a
-        # typed budget error is raised
+        # total appended tokens never exceed max_tokens; otherwise the
+        # particle fails with a typed budget error
         for trial in range(200):
             stream = RandomStream(4242, "plans", trial)
             plan = parse_plan(self._random_plan(stream))
             particle = Particle()
-            try:
-                for step in range(20):
-                    execute_step(plan, particle, uniform4,
-                                 RandomStream(4242, "exec", trial, step))
-                    if particle.status != "active":
-                        break
+            for step in range(20):
+                execute_step(plan, [particle], uniform4,
+                             [RandomStream(4242, "exec", trial, step)])
+                if particle.status != "active":
+                    break
+            if particle.status == "failed":
+                assert isinstance(particle.error, StepBudgetExceeded)
+            else:
                 assert particle.status == "done"
-            except StepBudgetExceeded:
-                pass
             assert len(particle.tokens) <= plan.max_tokens
 
 
