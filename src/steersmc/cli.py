@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .constraints import TaskSpec, load_tasks, verify
@@ -108,24 +109,20 @@ def _merge_config(args) -> dict:
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value
-    merged.setdefault("method", "smc")
-    merged.setdefault("n_particles", 16)
-    merged.setdefault("seed", 0)
     return merged
 
 
 def run_one_task(index: int, task: TaskSpec, source, models: ModelSet,
-                 base: dict, args) -> tuple[dict, dict | None]:
+                 base: InferenceConfig, args) -> tuple[dict, dict | None]:
     """Execute one task instance; returns (record, trace payload or None)."""
-    seed = derive_key(base["seed"], "task", index)
-    config = InferenceConfig(record_weights=bool(args.trace),
-                             **{**base, "seed": seed})
+    seed = derive_key(base.seed, "task", index)
+    config = replace(base, seed=seed)
     try:
         result = steer(task, source, models, config, max_retries=args.retries)
     except SourceExhausted as exc:
         result = exc.result
     outcome = result.final
-    run_id = f"{task.task_type}-{index:03d}-{config.method}-N{config.n_particles}-s{base['seed']}"
+    run_id = f"{task.task_type}-{index:03d}-{config.method}-N{config.n_particles}-s{base.seed}"
 
     if outcome.error is None:
         passed = verify(task.constraints, outcome.selected_text).passed
@@ -185,6 +182,12 @@ def run_one_task(index: int, task: TaskSpec, source, models: ModelSet,
 
 
 def cmd_run(args) -> int:
+    try:  # checked before any task runs; each task changes only the seed
+        base = InferenceConfig(record_weights=bool(args.trace), **_merge_config(args))
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}")
+    if args.retries < 1:
+        raise SystemExit("error: --retries must be >= 1")
     tasks = load_tasks(args.tasks)
     source = build_source(args)
     model_spec = args.model or (
@@ -193,7 +196,6 @@ def cmd_run(args) -> int:
     if not model_spec:
         raise SystemExit(f"error: need --model (or ${MODEL_ENDPOINT_ENV})")
     models = build_model(model_spec, args)
-    base = _merge_config(args)
 
     def worker(pair):
         index, task = pair

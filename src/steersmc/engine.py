@@ -31,7 +31,7 @@ from .errors import (
     StepBudgetExceeded,
     Timeout,
 )
-from .rng import _GOLDEN, RandomStream, _mix, derive_key
+from .rng import _GOLDEN, _MASK64, RandomStream, derive_key, mix64
 from .steering import (
     ACTIVE,
     DONE,
@@ -68,8 +68,14 @@ class InferenceConfig:
     def __post_init__(self):
         if self.method not in _METHOD_TABLE:
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("n_particles", "seed"):  # a JSON true is not an integer
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.resample_scheme not in RESAMPLE_SCHEMES:
             raise ValueError(f"unknown resample scheme {self.resample_scheme!r}")
         if self.ess_threshold is not None and not 0 <= self.ess_threshold <= self.n_particles:
@@ -202,7 +208,8 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
     n = config.n_particles
     tau = config.resolved_ess_threshold()
     particles = [Particle() for _ in range(n)]
-    slot_keys = [derive_key(config.seed, "particle", slot) for slot in range(n)]
+    slot_keys = np.array([derive_key(config.seed, "particle", slot) for slot in range(n)],
+                         dtype=np.uint64)
     diag = Diagnostics()
     if config.record_weights:
         diag.per_step_weights = []
@@ -212,21 +219,16 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
     try:
         for t in itertools.count(1):
             if deadline is not None and time.monotonic() > deadline:
-                raise Timeout("wall-clock budget exhausted", step_index=t)
+                raise Timeout("wall-clock budget exhausted")
             diag.steps_executed = t
-            active = [p for p in particles if p.status == ACTIVE]
-            streams = [RandomStream.from_key(
-                _mix(slot_keys[slot] + (p.steps_taken + 1) * _GOLDEN))
-                for slot, p in enumerate(particles) if p.status == ACTIVE]
-            try:
-                execute_step(plan, active, models, streams, deadline=deadline)
-            except SteeringError as exc:
-                # A budget fault only fails its own particle; anything else
-                # (MaskEmpty, Timeout, remote or schema trouble) is a plan-
-                # or backend-level fault that aborts the whole run.
-                exc.step_index = t
-                raise
-            del streams  # free them before a resample doubles the population
+            slots = [s for s, p in enumerate(particles) if p.status == ACTIVE]
+            active = [particles[s] for s in slots]
+            # every active particle has taken t - 1 steps: slot s draws
+            # from the key _mix(slot_keys[s] + t * GOLDEN), in one pass
+            keys = mix64(slot_keys[slots] + np.uint64(t * _GOLDEN & _MASK64))
+            # A budget fault fails only its particle; any other typed error
+            # (MaskEmpty, Timeout, remote or schema trouble) ends the run.
+            execute_step(plan, active, models, keys, deadline=deadline)
             for particle in active:
                 if particle.status == FAILED:
                     particle.error.step_index = t
@@ -253,7 +255,7 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             if all(p.status != ACTIVE for p in particles):
                 break
     except SteeringError as exc:
-        error = exc
+        exc.step_index, error = t, exc
     diag.wall_time = time.monotonic() - start
     return particles, diag, error
 

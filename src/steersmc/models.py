@@ -201,9 +201,9 @@ class TokenModel:
         The step interpreter calls this with the distinct queries of each
         token tick, ``steering.QUERY_BATCH`` at a time; every id it
         appends comes from a row, from a checked ``force_string`` or from
-        ``Vocabulary.encode``. Rows may
-        be shared read-only arrays. ``deadline`` (a ``time.monotonic``
-        instant) bounds models that wait on I/O.
+        ``Vocabulary.encode``. Rows may be shared read-only arrays.
+        ``deadline`` (a ``time.monotonic`` instant) bounds models that
+        wait on I/O.
         """
         return [self._distribution(self._conditioning_context(q), q.prompt_tag)
                 for q in queries]

@@ -44,16 +44,20 @@ def derive_key(seed: int, *path: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def mix64(z: np.ndarray) -> np.ndarray:
+    """``_mix`` element-wise over a uint64 array, wrapping modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def uniforms_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """The uniform each stream draws next, element-wise: the stream with
     key ``keys[i]`` that has made ``counters[i]`` draws (both uint64
     arrays) yields ``out[i]``, bit for bit what ``RandomStream.uniform``
     returns. The counter arithmetic wraps modulo 2**64, as ``_mix`` does.
     """
-    z = keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
+    z = mix64(keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
@@ -90,13 +94,6 @@ class RandomStream:
     def __init__(self, seed: int, *path: int | str):
         self.key = derive_key(seed, *path)
         self.counter = 0
-
-    @classmethod
-    def from_key(cls, key: int) -> "RandomStream":
-        stream = cls.__new__(cls)
-        stream.key = key & _MASK64
-        stream.counter = 0
-        return stream
 
     def uniform(self) -> float:
         """Next uniform draw in [0, 1)."""

@@ -64,7 +64,6 @@ class Particle:
     tokens: list[int] = field(default_factory=list)
     text: str = ""
     log_weight: float = 0.0
-    steps_taken: int = 0
     status: str = ACTIVE
     hint_buffer: list[str] = field(default_factory=list)
     clause_index: int = 0
@@ -73,17 +72,11 @@ class Particle:
 
     def clone(self) -> "Particle":
         """Independent copy sharing no mutable state."""
-        return Particle(
-            tokens=list(self.tokens),
-            text=self.text,
-            log_weight=self.log_weight,
-            steps_taken=self.steps_taken,
-            status=self.status,
-            hint_buffer=list(self.hint_buffer),
-            clause_index=self.clause_index,
-            error=self.error,
-            passed_check=self.passed_check,
-        )
+        return Particle(tokens=list(self.tokens), text=self.text,
+                        log_weight=self.log_weight, status=self.status,
+                        hint_buffer=list(self.hint_buffer),
+                        clause_index=self.clause_index, error=self.error,
+                        passed_check=self.passed_check)
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,7 @@ def _stop_satisfied(stop: StopSpec, particle: Particle, count: int,
 
 
 class _Pass:
-    """One population step: the particles, their streams' keys and draw
+    """One population step: the particles, their stream keys and draw
     counters, the summed score delta and the lowest non-budget fault.
 
     Each clause runs on an ascending list of slots (particle indices)
@@ -184,13 +177,13 @@ class _Pass:
     __slots__ = ("plan", "models", "vocab", "particles", "keys", "counters",
                  "deadline", "log_update", "limit", "error")
 
-    def __init__(self, plan, models: ModelSet, particles, streams, deadline):
+    def __init__(self, plan, models: ModelSet, particles, keys, deadline):
         self.plan = plan
         self.models = models
         self.vocab = models.vocabulary
         self.particles = particles
-        self.keys = np.array([st.key for st in streams], dtype=np.uint64)
-        self.counters = np.array([st.counter for st in streams], dtype=np.uint64)
+        self.keys = np.asarray(keys, dtype=np.uint64)
+        self.counters = np.zeros(len(particles), dtype=np.uint64)
         self.deadline = deadline
         self.log_update = 0.0
         self.limit = len(particles)  # slots from here on no longer run
@@ -402,6 +395,10 @@ class _Pass:
         return rows
 
     def force(self, clause: StepClause, slots: list[int]) -> list[int]:
+        """Append the forced tokens to every slot and add their log
+        probability to its weight once, summed in token order as
+        ``TokenModel.sequence_logprob`` sums it (-inf after a zero). A
+        slot at -inf makes no further queries."""
         try:
             forced = forced_tokens(clause, self.vocab)
         except SteeringError as exc:
@@ -409,26 +406,31 @@ class _Pass:
             return []
         if not forced:
             return slots
-        plan, model = self.plan, self.models.proposal
+        particles, max_tokens = self.particles, self.plan.max_tokens
+        for s in slots:
+            if len(particles[s].tokens) + len(forced) > max_tokens:
+                self.fault(s, StepBudgetExceeded(
+                    f"force_string of {len(forced)} tokens exceeds "
+                    f"max_tokens={max_tokens}"))
+        slots = scoring = [s for s in slots if particles[s].status == ACTIVE]
+        totals = dict.fromkeys(slots, 0.0)
+        for t in forced:
+            self.check_deadline()
+            scoring, rows = self.rows(self.models.proposal, self.plan.proposal_tag,
+                                      scoring, True)
+            for s, row in zip(scoring, rows):
+                totals[s] = totals[s] + math.log(row[t]) if row[t] > 0.0 else NEG_INF
+            scoring = [s for s in scoring if totals[s] != NEG_INF]
+            slots = self.cut(slots)
+            for s in slots:
+                particles[s].tokens.append(t)
         text = self.vocab.decode(forced)
         ends = forced[-1] == self.vocab.eos_id
         running = []
         for s in slots:
-            particle = self.particles[s]
-            if len(particle.tokens) + len(forced) > plan.max_tokens:
-                self.fault(s, StepBudgetExceeded(
-                    f"force_string of {len(forced)} tokens exceeds "
-                    f"max_tokens={plan.max_tokens}"))
-                continue
-            try:
-                delta = model.sequence_logprob(particle.tokens, forced, plan.proposal_tag,
-                                               hints=tuple(particle.hint_buffer))
-            except SteeringError as exc:
-                self.fault(s, exc)
-                break
-            particle.log_weight += delta
-            self.log_update += delta
-            particle.tokens.extend(forced)
+            particle = particles[s]
+            particle.log_weight += totals[s]
+            self.log_update += totals[s]
             particle.text += text
             if ends:
                 particle.status = DONE
@@ -479,10 +481,11 @@ class _Pass:
         return self.cut(done)
 
 
-def execute_step(plan: SteeringPlan, particles: list[Particle], models, streams,
+def execute_step(plan: SteeringPlan, particles: list[Particle], models, keys,
                  deadline: float | None = None) -> StepUpdate:
     """Run every active particle's current clause to completion, all
-    together; ``streams[i]`` is particle i's random stream.
+    together; particle i draws from the stream with key ``keys[i]`` (a
+    uint64), starting at counter 0.
 
     Advances each particle's program counter and marks it done when the
     plan is exhausted or EOS was emitted. A particle that exceeds a step
@@ -490,11 +493,11 @@ def execute_step(plan: SteeringPlan, particles: list[Particle], models, streams,
     clause index) as its error and weight -inf; its siblings go on. Any
     other typed error ends the step: the error of the lowest faulting
     slot is raised, after every slot below it has finished its clause.
-    Identical (plan, particle, stream state) give bit-identical results
-    for that particle, whatever population it steps in.
+    Identical (plan, particle, key) give bit-identical results for that
+    particle, whatever population it steps in.
     """
     models = as_model_set(models)
-    step = _Pass(plan, models, particles, streams, deadline)
+    step = _Pass(plan, models, particles, keys, deadline)
     stepped = [s for s, p in enumerate(particles) if p.status == ACTIVE]
     starts = [len(p.tokens) for p in particles]
     by_clause: dict[int, list[int]] = {}
@@ -515,11 +518,8 @@ def execute_step(plan: SteeringPlan, particles: list[Particle], models, streams,
             continue
         if p.clause_index < len(plan.steps):
             p.clause_index += 1
-        p.steps_taken += 1
         if p.clause_index >= len(plan.steps):
             p.status = DONE
-    for stream, counter in zip(streams, step.counters.tolist()):
-        stream.counter = counter
     if step.error is not None:
         step.error.clause_index = particles[step.limit].clause_index
         raise step.error
@@ -529,7 +529,6 @@ def execute_step(plan: SteeringPlan, particles: list[Particle], models, streams,
 
 def run_check(plan: SteeringPlan, tokens, vocabulary: Vocabulary) -> bool:
     """Evaluate the plan's check conjunction on a finished sequence."""
-    report = verify(plan.check, vocabulary.decode(tokens))
-    return report.passed
+    return verify(plan.check, vocabulary.decode(tokens)).passed
 
 

@@ -112,6 +112,28 @@ class TestCmdRun:
             run_cli("run", *CHAR_ARGS, "--config", str(cfg))
         assert "unknown config field 'max_steps'" in str(info.value.code)
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["-N", "0"], None, "n_particles must be >= 1"),
+        (["--retries", "0"], None, "--retries must be >= 1"),
+        (["-N", "16", "--ess-threshold", "99"], None, "ess_threshold must lie in"),
+        (["--seed", "-1"], None, "seed must lie in"),
+        ([], {"n_particles": "x"}, "n_particles must be an integer"),
+        ([], {"n_particles": True}, "n_particles must be an integer"),
+        ([], {"seed": 1.5}, "seed must be an integer"),
+    ], ids=["zero_particles", "zero_retries", "ess_above_n", "negative_seed",
+            "string_particles", "bool_particles", "float_seed"])
+    def test_bad_settings_exit_before_any_task(self, tmp_path, capsys, flags, config,
+                                               message):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as info:  # not a traceback
+            run_cli("run", *CHAR_ARGS, *flags)
+        assert str(info.value.code).startswith("error: ")
+        assert message in str(info.value.code)
+        assert capsys.readouterr().out == ""  # no record written
+
     def test_missing_task_file_exits_nonzero(self, tmp_path, capsys):
         code = run_cli("run", "--tasks", str(tmp_path / "nope.tasks"),
                        "--plans", str(FIXTURES / "plans"),

@@ -344,15 +344,18 @@ class TestRemoteAdapter:
         m.next_distribution(ModelQuery((1,)))
         assert (m.evictions, len(ep.calls)) == (3, baseline + 4)
 
-    def test_run_timeout_caps_each_request(self, local_endpoint, abc_vocab):
+    @pytest.mark.parametrize("step", [
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
+        {"kind": "force_string", "text": "a"},
+    ], ids=["sample_until", "force_string"])
+    def test_run_timeout_caps_each_request(self, local_endpoint, abc_vocab, step):
         def respond(path, body):
             if body["prompt_tag"] != "health":
                 time.sleep(2.0)
             return 200, {"logprobs": [0.0, 0.0, 0.0]}
 
         m = remote_model_adapter(local_endpoint(respond).url, abc_vocab)
-        plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [
-            {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}]})
+        plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [step]})
         start = time.monotonic()
         out = run_inference(plan, m, InferenceConfig(
             method="importance", n_particles=2, seed=0, timeout=0.3))

@@ -5,8 +5,9 @@ distinct context, uniforms from one vectorized SplitMix pass and one
 cumulative sum per distinct (row, mask). The reference below is the
 per-particle clause walk it replaced, kept here as ``tests/test_rng.py``
 keeps the scalar ``choice`` walk, and stepped slot by slot as the engine
-used to. Random plans over vocabularies of at most five tokens must give
-bit-identical particles, errors and stream counters.
+used to, forcing strings through ``TokenModel.sequence_logprob``. Random
+plans over vocabularies of at most five tokens must give bit-identical
+particles and errors.
 
 Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 ``steering._Pass.draw`` fails ``test_population_step_matches_the_walk``.
@@ -14,7 +15,6 @@ Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 
@@ -33,12 +33,13 @@ from steersmc import (
     Timeout,
     Vocabulary,
     as_model_set,
+    derive_key,
     execute_step,
     inject_hint,
     parse_plan,
 )
 from steersmc.plans import forced_tokens
-from steersmc.rng import _GOLDEN, _MASK64, uniforms_at
+from steersmc.rng import _GOLDEN, _MASK64, _mix, mix64, uniforms_at
 from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for
 
 NEG_INF = float("-inf")
@@ -203,7 +204,6 @@ def reference_step_one(plan, particle, models, rng):
     state = _StepState(None)
     if particle.clause_index >= len(plan.steps):
         particle.status = DONE
-        particle.steps_taken += 1
         return
     try:
         _exec_clause(plan.steps[particle.clause_index], plan, particle, models, rng, state)
@@ -211,7 +211,6 @@ def reference_step_one(plan, particle, models, rng):
         exc.clause_index = particle.clause_index
         raise
     particle.clause_index += 1
-    particle.steps_taken += 1
     if particle.clause_index >= len(plan.steps) and not state.finished:
         particle.status = DONE
 
@@ -360,7 +359,7 @@ def _state(particle: Particle) -> tuple:
     return (particle.tokens, particle.text, particle.log_weight.hex(), particle.status,
             type(particle.error), getattr(particle.error, "message", None),
             getattr(particle.error, "clause_index", None),
-            particle.clause_index, particle.steps_taken, particle.hint_buffer)
+            particle.clause_index, particle.hint_buffer)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -372,11 +371,11 @@ def test_population_step_matches_the_walk(case):
     ours = [Particle() for _ in range(n)]
     theirs = [Particle() for _ in range(n)]
     for step in range(len(plan.steps) + 1):
-        ours_streams = [RandomStream(seed, "slot", s, step) for s in range(n)]
-        theirs_streams = copy.deepcopy(ours_streams)
+        theirs_streams = [RandomStream(seed, "slot", s, step) for s in range(n)]
         want, limit = reference_step(plan, theirs, models, theirs_streams)
         try:
-            execute_step(plan, ours, models, ours_streams)
+            execute_step(plan, ours, models,
+                         [derive_key(seed, "slot", s, step) for s in range(n)])
             got = None
         except SteeringError as exc:
             got = exc
@@ -386,8 +385,6 @@ def test_population_step_matches_the_walk(case):
             getattr(want, "clause_index", None))
         # past a fault the slot-by-slot walk stops, the population does not
         assert [_state(p) for p in ours[:limit]] == [_state(p) for p in theirs[:limit]]
-        assert ([stream.counter for stream in ours_streams[:limit]]
-                == [stream.counter for stream in theirs_streams[:limit]])
         if want is not None or all(p.status != ACTIVE for p in theirs):
             break
 
@@ -404,6 +401,21 @@ def test_vectorized_splitmix_equals_the_stream(pairs):
     got = uniforms_at(np.array([k for k, _ in pairs], dtype=np.uint64),
                       np.array([c for _, c in pairs], dtype=np.uint64))
     for (key, counter), u in zip(pairs, got.tolist()):
-        stream = RandomStream.from_key(key)
-        stream.counter = counter
+        stream = RandomStream(0)
+        stream.key, stream.counter = key, counter
         assert u == stream.uniform()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(words=st.lists(st.one_of(keys, st.integers(_MASK64 - 2 ** 10, _MASK64)),
+                      min_size=1, max_size=20),
+       t=st.one_of(st.integers(1, 64), st.integers(1, 2 ** 20)))
+@example(words=[0, 1, _MASK64, _MASK64 - _GOLDEN + 1], t=2 ** 20)
+def test_vectorized_key_derivation_equals_mix(words, t):
+    """``mix64`` is ``_mix`` element by element, and the engine's step-t
+    keys ``mix64(slot_keys + G_t)`` are ``_mix(slot_key + t * GOLDEN)``,
+    the sum wrapping at 2**64."""
+    z = np.array(words, dtype=np.uint64)
+    assert mix64(z).tolist() == [_mix(w) for w in words]
+    got = mix64(z + np.uint64(t * _GOLDEN & _MASK64))
+    assert got.tolist() == [_mix(w + t * _GOLDEN) for w in words]

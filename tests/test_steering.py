@@ -20,6 +20,7 @@ from steersmc import (
     UniformModel,
     Vocabulary,
     brute_force_target,
+    derive_key,
     execute_step,
     inject_hint,
     load_table_model,
@@ -81,7 +82,7 @@ class TestSampleToken:
     def test_mask_of_two_under_uniform_adds_log_half(self, uniform4):
         particle = Particle()
         execute_step(explicit_mask_plan(ids=(0, 1)), [particle], uniform4,
-                     [RandomStream(1, "t")])
+                     [derive_key(1, "t")])
         assert particle.log_weight == pytest.approx(math.log(0.5))
         assert particle.tokens[0] in (0, 1)
 
@@ -89,7 +90,7 @@ class TestSampleToken:
         plan = make_plan([{"kind": "sample_until",
                            "stop": {"kind": "token_count", "value": 1}}])
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [RandomStream(2, "t")])
+        execute_step(plan, [particle], uniform4, [derive_key(2, "t")])
         assert particle.log_weight == 0.0
 
     def test_masked_table_update_and_frequency(self, table_721):
@@ -99,7 +100,7 @@ class TestSampleToken:
         n = 5000
         for i in range(n):
             particle = Particle()
-            update = execute_step(plan, [particle], table_721, [RandomStream(3, "freq", i)])
+            update = execute_step(plan, [particle], table_721, [derive_key(3, "freq", i)])
             (tok,) = update.appended_tokens
             assert particle.log_weight == pytest.approx(math.log(0.3))
             assert tok in (1, 2)
@@ -112,7 +113,7 @@ class TestSampleToken:
         # no vocabulary token has the listed text, so the mask is empty
         with pytest.raises(MaskEmpty):
             execute_step(explicit_mask_plan(tokens=("z",)), [Particle()], uniform4,
-                         [RandomStream(4, "t")])
+                         [derive_key(4, "t")])
 
     def test_zero_mass_mask_raises(self, table_721):
         zero_only = load_table_model({
@@ -121,7 +122,7 @@ class TestSampleToken:
         })
         with pytest.raises(MaskEmpty):
             execute_step(explicit_mask_plan(ids=(1, 2)), [Particle()], zero_only,
-                         [RandomStream(5, "t")])
+                         [derive_key(5, "t")])
 
     def test_mask_correction_is_unbiased_by_enumeration(self, table_721):
         # For every allowed token: q(t) * exp(update) must equal p(t).
@@ -137,7 +138,7 @@ class TestSampleToken:
 class TestObserveTokens:
     def test_forcing_accumulates_model_logprob(self, table_721):
         particle = Particle()
-        execute_step(force_plan((0, 1)), [particle], table_721, [RandomStream(0, "t")])
+        execute_step(force_plan((0, 1)), [particle], table_721, [derive_key(0, "t")])
         assert particle.log_weight == pytest.approx(math.log(0.7) + math.log(0.6))
         assert particle.tokens == [0, 1]
         assert particle.text == "ab"
@@ -148,7 +149,7 @@ class TestObserveTokens:
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
         particle = Particle()
-        execute_step(force_plan((1,), SECOND_CLAUSE), [particle], m, [RandomStream(0, "t")])
+        execute_step(force_plan((1,), SECOND_CLAUSE), [particle], m, [derive_key(0, "t")])
         assert particle.log_weight == NEG_INF
         assert particle.status == "active"  # survives until culling
 
@@ -157,8 +158,8 @@ class TestObserveTokens:
         # relative to a sibling forcing the likely token; rank order of
         # weights matches model log probabilities.
         likely, unlikely = Particle(), Particle()
-        execute_step(force_plan((0,)), [likely], table_721, [RandomStream(0, "t")])
-        execute_step(force_plan((2,)), [unlikely], table_721, [RandomStream(0, "t")])
+        execute_step(force_plan((0,)), [likely], table_721, [derive_key(0, "t")])
+        execute_step(force_plan((2,)), [unlikely], table_721, [derive_key(0, "t")])
         assert table_721.sequence_logprob((), (0,)) > table_721.sequence_logprob((), (2,))
         assert likely.log_weight > unlikely.log_weight
 
@@ -167,7 +168,7 @@ class TestProposalPriorStep:
     def test_identical_models_give_zero_update(self, uniform4):
         particle = Particle()
         execute_step(PRIOR_SCORED_PLAN, [particle], (uniform4, uniform4),
-                     [RandomStream(6, "t")])
+                     [derive_key(6, "t")])
         assert particle.log_weight == pytest.approx(0.0)
 
     def test_direct_ratio_for_token_zero(self):
@@ -179,9 +180,9 @@ class TestProposalPriorStep:
         })
         # find a stream whose first draw picks token 0 under the uniform
         for i in range(10):
-            stream = RandomStream(7, "ratio", i)
             particle = Particle()
-            update = execute_step(PRIOR_SCORED_PLAN, [particle], (proposal, prior), [stream])
+            update = execute_step(PRIOR_SCORED_PLAN, [particle], (proposal, prior),
+                                  [derive_key(7, "ratio", i)])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == pytest.approx(math.log(0.9 / 0.5))
                 return
@@ -197,7 +198,7 @@ class TestProposalPriorStep:
         for i in range(10):
             particle = Particle()
             update = execute_step(PRIOR_SCORED_PLAN, [particle], (proposal, prior),
-                                  [RandomStream(8, "zp", i)])
+                                  [derive_key(8, "zp", i)])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == NEG_INF
                 return
@@ -318,11 +319,11 @@ class TestExecuteStep:
     def test_single_force_clause_finishes(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "ab"}])
         particle = Particle()
-        update = execute_step(plan, [particle], table_721, [RandomStream(9, "t")])
+        update = execute_step(plan, [particle], table_721, [derive_key(9, "t")])
         assert update.appended_tokens == (0, 1)
         assert update.finished
         assert particle.status == "done"
-        assert particle.steps_taken == 1
+        assert particle.clause_index == 1
         assert update.log_score_update == pytest.approx(
             math.log(0.7) + math.log(0.6))
 
@@ -332,7 +333,7 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}},
         ])
         particle = Particle()
-        update = execute_step(plan, [particle], uniform4, [RandomStream(10, "t")])
+        update = execute_step(plan, [particle], uniform4, [derive_key(10, "t")])
         assert len(update.appended_tokens) == 3
 
     def test_sample_until_substring(self, uniform4):
@@ -341,7 +342,7 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}},
         ], max_tokens=64)
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [RandomStream(11, "t")])
+        execute_step(plan, [particle], uniform4, [derive_key(11, "t")])
         assert "c" in particle.text
         assert particle.text.count("c") == 1
 
@@ -355,7 +356,7 @@ class TestExecuteStep:
             {"kind": "force_string", "text": "a"},
         ])
         particle = Particle()
-        update = execute_step(plan, [particle], eos_certain, [RandomStream(12, "t")])
+        update = execute_step(plan, [particle], eos_certain, [derive_key(12, "t")])
         assert update.finished
         assert particle.status == "done"
         assert particle.tokens == [eos_certain.vocabulary.eos_id]
@@ -370,13 +371,13 @@ class TestExecuteStep:
                        "mask": {"kind": "explicit", "tokens": ["a", "b"]}}]},
         ], max_tokens=100)
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [RandomStream(13, "t")])
+        execute_step(plan, [particle], uniform4, [derive_key(13, "t")])
         assert_budget_failed(particle, clause_index=0)
 
     def test_force_beyond_max_tokens_raises(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "abab"}], max_tokens=3)
         particle = Particle()
-        execute_step(plan, [particle], table_721, [RandomStream(14, "t")])
+        execute_step(plan, [particle], table_721, [derive_key(14, "t")])
         assert_budget_failed(particle, clause_index=0)
 
     def test_sample_until_bounded_by_max_new_tokens(self, uniform4):
@@ -386,16 +387,16 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
         ], max_tokens=100)
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [RandomStream(15, "t")])
+        execute_step(plan, [particle], uniform4, [derive_key(15, "t")])
         assert_budget_failed(particle, clause_index=0)
 
     def test_budget_failure_does_not_stop_siblings(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "ab"}], max_tokens=3)
         full, fresh = Particle(tokens=[0, 0], text="aa"), Particle()
         update = execute_step(plan, [full, fresh], table_721,
-                              [RandomStream(19, "a"), RandomStream(19, "b")])
+                              [derive_key(19, "a"), derive_key(19, "b")])
         assert_budget_failed(full, clause_index=0)
-        assert full.tokens == [0, 0] and full.steps_taken == 0
+        assert full.tokens == [0, 0] and full.clause_index == 0
         assert fresh.status == "done" and fresh.tokens == [0, 1]
         assert update.appended_tokens == (0, 1)
         assert update.finished
@@ -404,12 +405,12 @@ class TestExecuteStep:
         plan = make_plan([{"kind": "force_string", "text": "a"},
                           {"kind": "force_string", "text": "b"}])
         behind, ahead, done = Particle(), Particle(), Particle(status="done")
-        execute_step(plan, [ahead], table_721, [RandomStream(20, "x")])
+        execute_step(plan, [ahead], table_721, [derive_key(20, "x")])
         update = execute_step(plan, [behind, ahead, done], table_721,
-                              [RandomStream(20, "y") for _ in range(3)])
+                              [derive_key(20, "y") for _ in range(3)])
         assert (behind.text, behind.status, behind.clause_index) == ("a", "active", 1)
         assert (ahead.text, ahead.status, ahead.clause_index) == ("ab", "done", 2)
-        assert done.steps_taken == 0
+        assert done.clause_index == 0
         assert update.appended_tokens == (0, 1)
         assert not update.finished
 
@@ -421,7 +422,7 @@ class TestExecuteStep:
         for _ in range(2):
             particle = Particle()
             updates.append(execute_step(plan, [particle], uniform4,
-                                        [RandomStream(16, "det")]))
+                                        [derive_key(16, "det")]))
         assert updates[0] == updates[1]
 
     def test_fixed_loop_runs_within_one_step(self, table_721):
@@ -430,9 +431,9 @@ class TestExecuteStep:
              "body": [{"kind": "force_string", "text": "a"}]},
         ])
         particle = Particle()
-        update = execute_step(plan, [particle], table_721, [RandomStream(17, "t")])
+        update = execute_step(plan, [particle], table_721, [derive_key(17, "t")])
         assert particle.text == "aaa"
-        assert particle.steps_taken == 1
+        assert particle.clause_index == 1
         assert update.finished  # single-clause plan exhausted
 
     def test_hint_clause_feeds_later_queries(self):
@@ -449,9 +450,9 @@ class TestExecuteStep:
             {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
         ])
         particle = Particle()
-        execute_step(plan, [particle], model, [RandomStream(18, "t")])
+        execute_step(plan, [particle], model, [derive_key(18, "t")])
         assert particle.hint_buffer == ["Note to self: b"]
-        execute_step(plan, [particle], model, [RandomStream(18, "t2")])
+        execute_step(plan, [particle], model, [derive_key(18, "t2")])
         assert particle.tokens == [1]  # hinted row forces token b
 
     def test_observe_then_sample_commutes_with_one_clause(self, table_721):
@@ -511,7 +512,7 @@ class TestPlanTermination:
             particle = Particle()
             for step in range(20):
                 execute_step(plan, [particle], uniform4,
-                             [RandomStream(4242, "exec", trial, step)])
+                             [derive_key(4242, "exec", trial, step)])
                 if particle.status != "active":
                     break
             if particle.status == "failed":
