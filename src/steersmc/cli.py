@@ -98,16 +98,8 @@ def _merge_config(args) -> dict:
             if key not in CONFIG_FIELDS:
                 raise SystemExit(f"error: unknown config field {key!r}")
             merged[key] = value
-    flag_values = {
-        "method": args.method,
-        "n_particles": args.n_particles,
-        "ess_threshold": args.ess_threshold,
-        "timeout": args.timeout,
-        "seed": args.seed,
-        "resample_scheme": args.resample_scheme,
-    }
-    for key, value in flag_values.items():
-        if value is not None:
+    for key in CONFIG_FIELDS:
+        if (value := getattr(args, key)) is not None:
             merged[key] = value
     return merged
 

@@ -9,11 +9,14 @@ on (seed, particle slot, particle step), so outcomes are bit-identical
 for a given seed, and importance sampling coincides exactly with SMC at
 a zero resample threshold.
 
-Error discipline: an empty token mask aborts the run (it is a plan bug
-every particle would hit); a particle exceeding a step budget fails
-alone and only escalates to a run error when no particle finishes; a
-run whose weights all vanish is AllParticlesDead; wall-clock expiry is
-Timeout with diagnostics populated up to the interruption point.
+Error discipline, shared with the oracle ``brute_force_target``: a dead
+end (a spent step budget, or a mask that allows no token or no mass)
+fails its particle alone, as it gives its path zero mass in the oracle;
+any other typed error ends the run. When every particle failed with one
+error type, the run reports the lowest slot's error, carrying its clause
+and step; otherwise a run whose weights all vanish is AllParticlesDead.
+Wall-clock expiry is Timeout with diagnostics populated up to the
+interruption point.
 """
 
 from __future__ import annotations
@@ -25,13 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllParticlesDead,
-    SteeringError,
-    StepBudgetExceeded,
-    Timeout,
-)
-from .rng import _GOLDEN, _MASK64, RandomStream, derive_key, mix64
+from .errors import AllParticlesDead, SteeringError, Timeout
+from .rng import RandomStream, derive_key, step_keys
 from .steering import (
     ACTIVE,
     DONE,
@@ -74,10 +72,20 @@ class InferenceConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must lie in [0, 2**64)")
         if self.resample_scheme not in RESAMPLE_SCHEMES:
             raise ValueError(f"unknown resample scheme {self.resample_scheme!r}")
+        for name in ("ess_threshold", "timeout"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if math.isnan(value):
+                raise ValueError(f"{name} must not be NaN")
+        if self.timeout is not None and self.timeout < 0:
+            raise ValueError("timeout must be >= 0")
         if self.ess_threshold is not None and not 0 <= self.ess_threshold <= self.n_particles:
             raise ValueError("ess_threshold must lie in [0, n_particles]")
 
@@ -223,12 +231,12 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             diag.steps_executed = t
             slots = [s for s, p in enumerate(particles) if p.status == ACTIVE]
             active = [particles[s] for s in slots]
-            # every active particle has taken t - 1 steps: slot s draws
-            # from the key _mix(slot_keys[s] + t * GOLDEN), in one pass
-            keys = mix64(slot_keys[slots] + np.uint64(t * _GOLDEN & _MASK64))
-            # A budget fault fails only its particle; any other typed error
-            # (MaskEmpty, Timeout, remote or schema trouble) ends the run.
-            execute_step(plan, active, models, keys, deadline=deadline)
+            # Every active particle has taken t - 1 steps, so step t's keys
+            # are its stream's. A dead end fails only its particle; any
+            # other typed error (Timeout, remote or schema trouble) ends
+            # the run.
+            execute_step(plan, active, models, step_keys(slot_keys[slots], t),
+                         deadline=deadline)
             for particle in active:
                 if particle.status == FAILED:
                     particle.error.step_index = t
@@ -240,7 +248,8 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             if weighted:
                 raw = np.array([p.log_weight for p in particles])
                 if float(np.max(raw)) == NEG_INF:
-                    raise _dead_population_error(particles, t)
+                    error = _dead_population_error(particles, t)
+                    break
                 norm = normalize_weights(raw)
                 ess = effective_sample_size(norm)
                 diag.ess_trace.append(ess)
@@ -261,13 +270,13 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
 
 
 def _dead_population_error(particles: list[Particle], step: int) -> SteeringError:
-    """Escalate a fully dead population to its most specific error."""
+    """Escalate a fully dead population to its most specific error: when
+    every particle failed, all with one error type, the lowest slot's own
+    error (it carries its clause and step); else AllParticlesDead."""
     if (all(p.status == FAILED for p in particles)
-            and all(isinstance(p.error, StepBudgetExceeded) for p in particles)):
-        err: SteeringError = StepBudgetExceeded(
-            "every particle exceeded its step budget")
-    else:
-        err = AllParticlesDead("no particle carries finite weight")
+            and len({type(p.error) for p in particles}) == 1):
+        return particles[0].error
+    err = AllParticlesDead("no particle carries finite weight")
     err.step_index = step
     return err
 

@@ -149,7 +149,7 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
             ids = at_clause(clause, clause.mask.build, vocab, text).tolist()
             z = float(sum(probs[i] for i in ids))
             if not ids or z <= 0.0:
-                return  # engine would abort; the path carries no mass
+                return  # a dead end: the path carries no mass, the particle dies
         else:
             ids = range(vocab.size)
             z = 1.0

@@ -181,8 +181,6 @@ class TokenModel:
     arrays; callers must not mutate them.
     """
 
-    kind = "abstract"
-
     def __init__(self, vocabulary: Vocabulary):
         self.vocabulary = vocabulary
 
@@ -246,8 +244,6 @@ class TokenModel:
 class UniformModel(TokenModel):
     """Every token equally likely in every context."""
 
-    kind = "uniform"
-
     def __init__(self, vocabulary: Vocabulary):
         super().__init__(vocabulary)
         self._vec = np.full(vocabulary.size, 1.0 / vocabulary.size)
@@ -263,8 +259,6 @@ class TableModel(TokenModel):
     Lookup falls back from the tagged row to the untagged row to the
     declared default ("uniform" or an explicit distribution).
     """
-
-    kind = "table"
 
     def __init__(self, vocabulary: Vocabulary,
                  rows: dict[tuple[str | None, tuple[int, ...]], np.ndarray],
@@ -291,8 +285,6 @@ class NgramModel(TokenModel):
     when smoothing is zero (with positive smoothing the formula already
     yields the smoothed-uniform answer).
     """
-
-    kind = "ngram"
 
     def __init__(self, vocabulary: Vocabulary, order: int, smoothing: float,
                  counts: dict[tuple[int, ...], np.ndarray]):
@@ -464,8 +456,6 @@ class RemoteModel(TokenModel):
     ``http_timeout`` seconds, and no longer than the time left before a
     query's deadline, which ends in Timeout.
     """
-
-    kind = "remote"
 
     def __init__(self, endpoint: str, vocabulary: Vocabulary,
                  http_timeout: float = 10.0):

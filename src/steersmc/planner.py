@@ -37,8 +37,6 @@ DEFAULT_PROMPT_TEMPLATE = (
 class ProgramSource:
     """Produces plan documents for tasks; see subclasses."""
 
-    kind = "abstract"
-
     def fetch(self, task: TaskSpec, feedback: str | None) -> dict:
         raise NotImplementedError
 
@@ -49,8 +47,6 @@ class FixtureLibrary(ProgramSource):
     Every stored plan is validated at load time. Feedback is accepted
     (and remembered for inspection) but does not change the answer.
     """
-
-    kind = "fixture_library"
 
     def __init__(self, plans: dict[str, dict]):
         for task_type, doc in plans.items():
@@ -95,8 +91,6 @@ class RemoteGenerator(ProgramSource):
     raw feedback and the plan version.
     """
 
-    kind = "remote_generator"
-
     def __init__(self, endpoint: str, template: str = DEFAULT_PROMPT_TEMPLATE,
                  http_timeout: float = 30.0):
         import requests  # only the remote adapters need it
@@ -140,8 +134,6 @@ class ScriptedSource(ProgramSource):
     A callable receives ``(attempt_index, task, feedback)`` (attempt
     indices start at 1) and returns a plan document.
     """
-
-    kind = "scripted"
 
     def __init__(self, script):
         self._script = script

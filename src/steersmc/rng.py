@@ -51,6 +51,14 @@ def mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def step_keys(slot_keys: np.ndarray, t: int) -> np.ndarray:
+    """Step ``t``'s stream keys for particles with these slot keys (a
+    uint64 array): ``_mix(slot_key + t * GOLDEN)`` element-wise, in one
+    pass. ``t * GOLDEN`` is reduced as a Python int, which a NumPy scalar
+    product would overflow."""
+    return mix64(slot_keys + np.uint64(t * _GOLDEN & _MASK64))
+
+
 def uniforms_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """The uniform each stream draws next, element-wise: the stream with
     key ``keys[i]`` that has made ``counters[i]`` draws (both uint64

@@ -15,7 +15,6 @@ replaces that correction with ``log p_prior(t) - log q_proposal(t)``.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -165,17 +164,23 @@ def _stop_satisfied(stop: StopSpec, particle: Particle, count: int,
 
 class _Pass:
     """One population step: the particles, their stream keys and draw
-    counters, the summed score delta and the lowest non-budget fault.
+    counters, and the summed score delta.
 
     Each clause runs on an ascending list of slots (particle indices)
-    and returns the slots still running: a slot leaves on EOS or on a
-    fault. A slot that ends a loop or a ``sample_until`` early waits for
+    and returns the slots still running: a slot leaves on EOS or when it
+    dies. A slot that ends a loop or a ``sample_until`` early waits for
     the others without drawing, so its draws are those of a walk over
     its particle alone.
+
+    Faults follow the rule of ``brute_force_target``, where a dead end
+    gives its path zero mass. A dead end (a spent step budget, or a mask
+    that allows no token or no probability mass) kills its particle
+    alone; any other typed error propagates from where it is raised and
+    ends the step.
     """
 
     __slots__ = ("plan", "models", "vocab", "particles", "keys", "counters",
-                 "deadline", "log_update", "limit", "error")
+                 "deadline", "log_update")
 
     def __init__(self, plan, models: ModelSet, particles, keys, deadline):
         self.plan = plan
@@ -186,31 +191,19 @@ class _Pass:
         self.counters = np.zeros(len(particles), dtype=np.uint64)
         self.deadline = deadline
         self.log_update = 0.0
-        self.limit = len(particles)  # slots from here on no longer run
-        self.error: SteeringError | None = None
 
-    def fault(self, slot: int, exc: SteeringError) -> None:
-        """A budget fault fails its particle alone. Any other fault ends
-        the step with the fault of the lowest faulting slot, so only the
-        slots below it keep running, as a slot-by-slot walk would."""
-        if isinstance(exc, StepBudgetExceeded):
-            particle = self.particles[slot]
-            exc.clause_index = particle.clause_index
-            particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
-        elif slot < self.limit:
-            self.limit, self.error = slot, exc
-
-    def cut(self, slots: list[int]) -> list[int]:
-        if slots and slots[-1] >= self.limit:
-            return slots[:bisect.bisect_left(slots, self.limit)]
-        return slots
+    def kill(self, slot: int, exc: SteeringError) -> None:
+        """Fail one particle at a dead end: its error, stamped with its
+        clause, and weight -inf."""
+        particle = self.particles[slot]
+        exc.clause_index = particle.clause_index
+        particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise Timeout("wall-clock budget exhausted mid-step")
 
     def run(self, clause: StepClause, slots: list[int]) -> list[int]:
-        slots = self.cut(slots)
         if not slots:
             return slots
         self.check_deadline()
@@ -222,8 +215,7 @@ class _Pass:
             return self.hint(clause, slots)
         if clause.kind == "loop":
             return self.loop(clause, slots)
-        self.fault(slots[0], SchemaViolation(f"unknown clause kind {clause.kind!r}"))
-        return []
+        raise SchemaViolation(f"unknown clause kind {clause.kind!r}")
 
     def sample_until(self, clause: StepClause, slots: list[int]) -> list[int]:
         stop, bound = clause.stop, clause.max_new_tokens
@@ -241,87 +233,70 @@ class _Pass:
                 if _stop_satisfied(stop, particle, drawn, self.vocab):
                     done.append(s)
                 elif bound is not None and drawn >= bound:
-                    self.fault(s, StepBudgetExceeded(
+                    self.kill(s, StepBudgetExceeded(
                         f"sample_until drew {drawn} tokens without satisfying its "
                         "stop predicate"))
                 elif len(particle.tokens) >= max_tokens:
-                    self.fault(s, StepBudgetExceeded(
+                    self.kill(s, StepBudgetExceeded(
                         f"clause needs more than max_tokens={max_tokens} tokens"))
                 else:
                     draw.append(s)
             slots = self.draw(clause, draw)
             drawn += 1
         done.sort()
-        return self.cut(done)
+        return done
 
     def draw(self, clause: StepClause, slots: list[int]) -> list[int]:
         """Draw one token for every slot from the (masked) proposal;
-        returns the slots that neither drew EOS nor faulted.
+        returns the slots that neither drew EOS nor died.
 
         Unscored, a mask adds its ``log Z`` importance correction (an
         unmasked draw has Z = 1). Scored with the prior, the delta is
         ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
         -inf; the prior is evaluated without hints, which condition the
         proposal side only. Slots sharing a (row, mask) pair share one
-        normalization and one cumulative sum.
+        normalization and one cumulative sum; when that mask allows no
+        token or no mass, every one of them dies.
         """
-        slots, rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
         if not slots:
             return slots
+        rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
         particles, vocab, mask = self.particles, self.vocab, clause.mask
-        static = None
-        if mask is not None and mask.kind != "max_remaining_chars":
-            try:
-                static = mask.build(vocab, "")
-            except SteeringError as exc:
-                self.fault(slots[0], exc)
-                return []
-        # one group per distinct (row, mask); positions in slot order
-        index: dict[tuple, int] = {}
-        firsts: list[int] = []
-        group: list[int] = []
-        for s, row in zip(slots, rows):
-            key = (id(row), len(particles[s].text)
-                   if mask is not None and static is None else 0)
-            g = index.get(key)
-            if g is None:
-                g = index[key] = len(firsts)
-                firsts.append(s)
-            group.append(g)
+        by_text = mask is not None and mask.kind == "max_remaining_chars"
+        groups: dict = {}  # one list of positions per distinct (row, mask)
+        for i, (s, row) in enumerate(zip(slots, rows)):
+            groups.setdefault((id(row), len(particles[s].text)) if by_text else id(row),
+                              []).append(i)
         at = np.array(slots, dtype=np.intp)
         u = uniforms_at(self.keys[at], self.counters[at])
         self.counters[at] += np.uint64(1)
-        group = np.array(group, dtype=np.intp)
-        order = np.argsort(group, kind="stable")
-        ends = np.cumsum(np.bincount(group)).tolist()
-        chosen = np.zeros(len(slots), dtype=np.intp)
-        log_z = [0.0] * len(firsts)
-        start = 0
-        for g, (first, end) in enumerate(zip(firsts, ends)):
-            members, start = order[start:end], end
+        tokens, deltas = [0] * len(slots), [0.0] * len(slots)
+        dead = False
+        for members in groups.values():
             row = sub = rows[members[0]]
-            ids = None
+            log_z = 0.0
             if mask is not None:
-                ids = static if static is not None else mask.build(
-                    vocab, particles[first].text)
-                if ids.size == 0:
-                    self.fault(first, MaskEmpty("mask allows no tokens"))
-                    continue
+                ids = mask.build(vocab, particles[slots[members[0]]].text)
                 sub = row[ids]
             total = float(sub.sum())
-            if ids is None:
-                chosen[members] = draw_indices(sub, total, u[members])
-            elif total <= 0.0:
-                self.fault(first, MaskEmpty("mask removed all probability mass (Z=0)"))
-            else:
-                chosen[members] = ids[draw_indices(sub, total, u[members])]
-                log_z[g] = math.log(total)
-        slots = self.cut(slots)
-        tokens = chosen.tolist()
-        deltas = [log_z[g] for g in group.tolist()]
-        if clause.score_with_prior:
-            slots, prior_rows = self.rows(self.models.prior, self.plan.prior_tag,
-                                          slots, False)
+            if mask is not None and (ids.size == 0 or total <= 0.0):
+                reason = ("mask allows no tokens" if ids.size == 0
+                          else "mask removed all probability mass (Z=0)")
+                for i in members:
+                    self.kill(slots[i], MaskEmpty(reason))
+                dead = True
+                continue
+            picks = draw_indices(sub, total, u.take(members))
+            if mask is not None:
+                picks, log_z = ids[picks], math.log(total)
+            for i, t in zip(members, picks.tolist()):
+                tokens[i], deltas[i] = t, log_z
+        if dead:
+            live = [i for i, s in enumerate(slots) if particles[s].status == ACTIVE]
+            slots, rows = [slots[i] for i in live], [rows[i] for i in live]
+            tokens, deltas = [tokens[i] for i in live], [deltas[i] for i in live]
+        if clause.score_with_prior and slots:
+            prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots, False)
             for i, prior_row in enumerate(prior_rows):
                 t = tokens[i]
                 p = float(prior_row[t])
@@ -341,13 +316,11 @@ class _Pass:
                 running.append(s)
         return running
 
-    def rows(self, model: TokenModel, tag: str, slots: list[int], hinted: bool):
+    def rows(self, model: TokenModel, tag: str, slots: list[int], hinted: bool) -> list:
         """One row per slot, from one query per distinct (context, hints).
 
         Queries are keyed by hash and first slot, and built QUERY_BATCH
-        at a time, so few context tuples are alive at once. A faulting
-        query stops its first slot and every slot above it; returns the
-        slots below that one with their rows.
+        at a time, so few context tuples are alive at once.
         """
         particles = self.particles
         by_hash: dict[int, int] = {}
@@ -365,18 +338,8 @@ class _Pass:
             which.append(j)
         distinct: list = []
         for lo in range(0, len(firsts), QUERY_BATCH):
-            batch = firsts[lo:lo + QUERY_BATCH]
-            try:
-                distinct += self.query(model, tag, batch, hinted)
-            except SteeringError:
-                for s in batch:  # one at a time, to find the first fault
-                    try:
-                        distinct += self.query(model, tag, [s], hinted)
-                    except SteeringError as exc:
-                        self.fault(s, exc)
-                        slots = slots[:slots.index(s)]
-                        return slots, [distinct[j] for j in which[:len(slots)]]
-        return slots, [distinct[j] for j in which]
+            distinct += self.query(model, tag, firsts[lo:lo + QUERY_BATCH], hinted)
+        return [distinct[j] for j in which]
 
     def query(self, model: TokenModel, tag: str, firsts: list[int], hinted: bool) -> list:
         """The model's rows for the queries of these slots, each checked
@@ -399,29 +362,23 @@ class _Pass:
         probability to its weight once, summed in token order as
         ``TokenModel.sequence_logprob`` sums it (-inf after a zero). A
         slot at -inf makes no further queries."""
-        try:
-            forced = forced_tokens(clause, self.vocab)
-        except SteeringError as exc:
-            self.fault(slots[0], exc)
-            return []
+        forced = forced_tokens(clause, self.vocab)
         if not forced:
             return slots
         particles, max_tokens = self.particles, self.plan.max_tokens
         for s in slots:
             if len(particles[s].tokens) + len(forced) > max_tokens:
-                self.fault(s, StepBudgetExceeded(
+                self.kill(s, StepBudgetExceeded(
                     f"force_string of {len(forced)} tokens exceeds "
                     f"max_tokens={max_tokens}"))
         slots = scoring = [s for s in slots if particles[s].status == ACTIVE]
         totals = dict.fromkeys(slots, 0.0)
         for t in forced:
             self.check_deadline()
-            scoring, rows = self.rows(self.models.proposal, self.plan.proposal_tag,
-                                      scoring, True)
+            rows = self.rows(self.models.proposal, self.plan.proposal_tag, scoring, True)
             for s, row in zip(scoring, rows):
                 totals[s] = totals[s] + math.log(row[t]) if row[t] > 0.0 else NEG_INF
             scoring = [s for s in scoring if totals[s] != NEG_INF]
-            slots = self.cut(slots)
             for s in slots:
                 particles[s].tokens.append(t)
         text = self.vocab.decode(forced)
@@ -439,14 +396,10 @@ class _Pass:
         return running
 
     def hint(self, clause: StepClause, slots: list[int]) -> list[int]:
-        for n, s in enumerate(slots):
+        for s in slots:
             particle = self.particles[s]
-            try:
-                inject_hint(particle, clause.template, hint_bindings_for(
-                    self.plan, particle.text, len(particle.tokens)))
-            except SteeringError as exc:
-                self.fault(s, exc)
-                return slots[:n]
+            inject_hint(particle, clause.template, hint_bindings_for(
+                self.plan, particle.text, len(particle.tokens)))
         return slots
 
     def loop(self, clause: StepClause, slots: list[int]) -> list[int]:
@@ -468,7 +421,7 @@ class _Pass:
                 if _stop_satisfied(stop, particle, len(particle.tokens), self.vocab):
                     done.append(s)
                 elif iterations >= clause.max_iterations:
-                    self.fault(s, StepBudgetExceeded(
+                    self.kill(s, StepBudgetExceeded(
                         f"loop ran {iterations} iterations without satisfying "
                         "its until predicate"))
                 else:
@@ -478,7 +431,7 @@ class _Pass:
             slots = going
             iterations += 1
         done.sort()
-        return self.cut(done)
+        return done
 
 
 def execute_step(plan: SteeringPlan, particles: list[Particle], models, keys,
@@ -488,12 +441,12 @@ def execute_step(plan: SteeringPlan, particles: list[Particle], models, keys,
     uint64), starting at counter 0.
 
     Advances each particle's program counter and marks it done when the
-    plan is exhausted or EOS was emitted. A particle that exceeds a step
-    budget is marked failed, with the StepBudgetExceeded (carrying its
-    clause index) as its error and weight -inf; its siblings go on. Any
-    other typed error ends the step: the error of the lowest faulting
-    slot is raised, after every slot below it has finished its clause.
-    Identical (plan, particle, key) give bit-identical results for that
+    plan is exhausted or EOS was emitted. A particle that reaches a dead
+    end (StepBudgetExceeded, or MaskEmpty when its mask allows no token
+    or no probability mass) is marked failed, with that error (carrying
+    its clause index) and weight -inf; its siblings go on. Any other
+    typed error ends the step at once and is raised with the index of
+    the clause that raised it. Identical (plan, particle, key) give bit-identical results for that
     particle, whatever population it steps in.
     """
     models = as_model_set(models)
@@ -511,7 +464,7 @@ def execute_step(plan: SteeringPlan, particles: list[Particle], models, keys,
                 exc.clause_index = index
                 raise
     appended: list[int] = []
-    for s in step.cut(stepped):
+    for s in stepped:
         p = particles[s]
         appended += p.tokens[starts[s]:]
         if p.status == FAILED:
@@ -520,9 +473,6 @@ def execute_step(plan: SteeringPlan, particles: list[Particle], models, keys,
             p.clause_index += 1
         if p.clause_index >= len(plan.steps):
             p.status = DONE
-    if step.error is not None:
-        step.error.clause_index = particles[step.limit].clause_index
-        raise step.error
     return StepUpdate(tuple(appended), step.log_update,
                       all(particles[s].status != ACTIVE for s in stepped))
 

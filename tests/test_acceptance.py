@@ -191,6 +191,39 @@ def fixture_force_ngram() -> ConvergenceFixture:
     return ConvergenceFixture("force-ngram", plan, model, 5)
 
 
+def fixture_partly_dead() -> ConvergenceFixture:
+    # Dead ends partway: after "a" the second mask keeps zero mass, and
+    # after "cc" the third mask's character budget is already overshot,
+    # so it allows no token. Those particles die alone; "ba" and "bb"
+    # finish with oracle mass 0.3 * 0.5 * 0.25 and 0.3 * 0.25 * 0.25.
+    # Every survivor carries the same weight, so at N = 50,000 about a
+    # third survive (q(b) = 1/3) and the estimate of P("ba") = 2/3 has a
+    # standard deviation near sqrt(2/9 / 16,667) = 0.004, well inside
+    # criteria 1-2's TV bound of 0.02.
+    model = load_table_model({
+        "vocab": ["a", "b", "cc", "<eos>"],
+        "rows": [
+            {"context": [], "dist": [0.4, 0.3, 0.2, 0.1]},
+            {"context": ["a"], "dist": [0.0, 0.0, 0.6, 0.4]},
+            {"context": ["b"], "dist": [0.5, 0.25, 0.15, 0.1]},
+        ],
+        "default": "uniform",
+    })
+    plan = _plan({
+        "max_tokens": 4,
+        "steps": [
+            {"kind": "masked_sample",
+             "mask": {"kind": "explicit", "tokens": ["a", "b", "cc"]}},
+            {"kind": "masked_sample",
+             "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+            {"kind": "masked_sample",
+             "mask": {"kind": "max_remaining_chars", "target_chars": 2}},
+        ],
+        "check": [],
+    })
+    return ConvergenceFixture("partly-dead", plan, model, 4)
+
+
 CONVERGENCE_FIXTURES = [
     fixture_uniform_check(),
     fixture_word_boundary(),
@@ -198,6 +231,7 @@ CONVERGENCE_FIXTURES = [
     fixture_prior_proposal(),
     fixture_masked_prior(),
     fixture_force_ngram(),
+    fixture_partly_dead(),
 ]
 
 

@@ -120,8 +120,17 @@ class TestCmdRun:
         ([], {"n_particles": "x"}, "n_particles must be an integer"),
         ([], {"n_particles": True}, "n_particles must be an integer"),
         ([], {"seed": 1.5}, "seed must be an integer"),
+        ([], {"timeout": "x"}, "timeout must be a number"),
+        ([], {"timeout": True}, "timeout must be a number"),
+        (["--timeout", "-1"], None, "timeout must be >= 0"),
+        (["--timeout", "nan"], None, "timeout must not be NaN"),
+        ([], {"ess_threshold": True}, "ess_threshold must be a number"),
+        ([], {"ess_threshold": "3"}, "ess_threshold must be a number"),
+        ([], {"ess_threshold": float("nan")}, "ess_threshold must not be NaN"),
     ], ids=["zero_particles", "zero_retries", "ess_above_n", "negative_seed",
-            "string_particles", "bool_particles", "float_seed"])
+            "string_particles", "bool_particles", "float_seed", "string_timeout",
+            "bool_timeout", "negative_timeout", "nan_timeout", "bool_ess",
+            "string_ess", "nan_ess"])
     def test_bad_settings_exit_before_any_task(self, tmp_path, capsys, flags, config,
                                                message):
         if config is not None:

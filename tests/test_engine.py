@@ -338,6 +338,30 @@ class TestErrorTaxonomy:
         assert out.selected is None
         assert out.diagnostics.wall_time >= 0.0
 
+    @pytest.mark.parametrize("method", ["importance", "smc", "rejection"])
+    def test_dead_end_fails_only_its_particle(self, method):
+        # After "a" the mask {b} keeps no mass: the oracle gives that path
+        # zero mass and {bb: 1.0} with Z = 0.25, and the engine kills only
+        # the particles that drew "a".
+        model = load_table_model({
+            "vocab": ["a", "b", "<eos>"],
+            "rows": [{"context": [], "dist": [0.5, 0.5, 0.0]},
+                     {"context": ["a"], "dist": [1.0, 0.0, 0.0]},
+                     {"context": ["b"], "dist": [0.5, 0.5, 0.0]}],
+        })
+        plan = make_plan([
+            {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
+            {"kind": "masked_sample", "mask": {"kind": "explicit", "tokens": ["b"]}}])
+        table = brute_force_target(plan, model, max_len=4)
+        assert table.probs == {(1, 1): 1.0}
+        assert table.z == pytest.approx(0.25)
+        out = run_inference(plan, model, InferenceConfig(
+            method=method, n_particles=16, seed=59))
+        assert out.error is None
+        assert out.selected_text == "bb"
+        dead = [c for c in out.candidates if c.tokens == (0,)]
+        assert dead and all(c.normalized_weight == 0.0 for c in dead)
+
     @pytest.mark.parametrize("bad", [
         {"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [7]}},
         {"kind": "force_string", "tokens": [9]},
@@ -426,12 +450,16 @@ class TestErrorTaxonomy:
         for c in dead:
             assert c.normalized_weight == 0.0
 
-    def test_lowest_faulting_slot_reports_its_error(self, vocab3):
-        # Slot 0 draws "a" and faults on its third draw; slot 1 draws "b"
-        # and faults one draw earlier, with another error. Stepping slot by
-        # slot, slot 0 raises first, so its error is the run's.
+    def test_first_fault_ends_the_step(self, vocab3):
+        # Slot 0 draws "a" and would fault on its third draw; slot 1 draws
+        # "b" and faults one draw earlier, with another error. A fault that
+        # is not a dead end ends the step where it is raised, so slot 1's
+        # error is the run's and the model is asked nothing after it.
+        seen = []
+
         class Faulting(TokenModel):
             def _distribution(self, context, prompt_tag):
+                seen.append(context)
                 if context[:1] == (1,):
                     raise RemoteUnavailable("slot drew b")
                 if len(context) >= 2:
@@ -449,11 +477,14 @@ class TestErrorTaxonomy:
         else:
             pytest.fail("no seed draws a for slot 0 and b for slot 1")
         plan = make_plan([{"kind": "loop", "iterations": 3, "body": [draw]}])
+        seen.clear()
         out = run_inference(plan, model, InferenceConfig(
             method="importance", n_particles=2, seed=seed))
-        assert isinstance(out.error, ProtocolError)
-        assert out.error.message == "slot drew a"
+        assert isinstance(out.error, RemoteUnavailable)
+        assert out.error.message == "slot drew b"
         assert (out.error.clause_index, out.error.step_index) == (0, 1)
+        assert seen[-1][:1] == (1,)  # no query after the faulting one
+        assert [c for c in seen if c[:1] == (1,)] == [seen[-1]]
 
     @pytest.mark.parametrize("method", ["importance", "smc", "rejection"])
     def test_plan_longer_than_a_thousand_clauses_finishes(self, uniform3, method):

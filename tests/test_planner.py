@@ -110,6 +110,19 @@ class TestScriptedRetries:
         assert "SchemaViolation" in source.feedback_seen[1]
         assert "clause=0(masked_sample)" in source.feedback_seen[1]
 
+    def test_all_dead_mask_is_retried_with_its_clause(self, model, task, config):
+        # every particle dies at the empty mask: the run reports the lowest
+        # slot's MaskEmpty, which names its clause and step
+        bad = {"plan_version": 1, "max_tokens": 8,
+               "steps": [{"kind": "force_string", "text": "a"},
+                         {"kind": "masked_sample",
+                          "mask": {"kind": "explicit", "tokens": ["z"]}}]}
+        source = ScriptedSource([bad, GOOD_PLAN])
+        result = steer(task, source, model, config, max_retries=3)
+        assert result.succeeded
+        assert [a.error_code for a in result.attempts] == ["MaskEmpty", None]
+        assert "clause=1(masked_sample); step=2" in source.feedback_seen[1]
+
     def test_feedback_only_from_second_attempt(self, model, task, config):
         source = ScriptedSource([BROKEN_PLAN, GOOD_PLAN])
         steer(task, source, model, config, max_retries=3)

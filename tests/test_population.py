@@ -7,7 +7,9 @@ per-particle clause walk it replaced, kept here as ``tests/test_rng.py``
 keeps the scalar ``choice`` walk, and stepped slot by slot as the engine
 used to, forcing strings through ``TokenModel.sequence_logprob``. Random
 plans over vocabularies of at most five tokens must give bit-identical
-particles and errors.
+particles. A dead end (a spent step budget or an empty mask) fails its
+particle alone in both; any other error ends our step at once, so it is
+raised exactly when the walk raises and is the error of some slot's walk.
 
 Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 ``steering._Pass.draw`` fails ``test_population_step_matches_the_walk``.
@@ -39,7 +41,7 @@ from steersmc import (
     parse_plan,
 )
 from steersmc.plans import forced_tokens
-from steersmc.rng import _GOLDEN, _MASK64, _mix, mix64, uniforms_at
+from steersmc.rng import _GOLDEN, _MASK64, _mix, mix64, step_keys, uniforms_at
 from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for
 
 NEG_INF = float("-inf")
@@ -216,18 +218,20 @@ def reference_step_one(plan, particle, models, rng):
 
 
 def reference_step(plan, particles, models, streams):
-    """Slot-order loop: a budget fault fails its particle; any other
-    error is raised at once. Returns (error, faulting slot)."""
-    for slot, (particle, stream) in enumerate(zip(particles, streams)):
+    """Slot-order loop: a dead end (budget or empty mask) fails its
+    particle. Returns the other errors, one for each slot whose walk
+    raises one."""
+    errors = []
+    for particle, stream in zip(particles, streams):
         if particle.status != ACTIVE:
             continue
         try:
             reference_step_one(plan, particle, models, stream)
-        except StepBudgetExceeded as exc:
+        except (StepBudgetExceeded, MaskEmpty) as exc:
             particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
         except SteeringError as exc:
-            return exc, slot
-    return None, len(particles)
+            errors.append(exc)
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +359,13 @@ def _remaining_chars_case():
     return plan, (model, model), 6, 1  # slot 0 draws "ab", slot 2 "a"
 
 
+def _error(exc) -> tuple:
+    return type(exc), getattr(exc, "message", None), getattr(exc, "clause_index", None)
+
+
 def _state(particle: Particle) -> tuple:
     return (particle.tokens, particle.text, particle.log_weight.hex(), particle.status,
-            type(particle.error), getattr(particle.error, "message", None),
-            getattr(particle.error, "clause_index", None),
-            particle.clause_index, particle.hint_buffer)
+            *_error(particle.error), particle.clause_index, particle.hint_buffer)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -372,20 +378,20 @@ def test_population_step_matches_the_walk(case):
     theirs = [Particle() for _ in range(n)]
     for step in range(len(plan.steps) + 1):
         theirs_streams = [RandomStream(seed, "slot", s, step) for s in range(n)]
-        want, limit = reference_step(plan, theirs, models, theirs_streams)
+        want = reference_step(plan, theirs, models, theirs_streams)
         try:
             execute_step(plan, ours, models,
                          [derive_key(seed, "slot", s, step) for s in range(n)])
             got = None
         except SteeringError as exc:
             got = exc
-        assert (type(got), getattr(got, "message", None),
-                getattr(got, "clause_index", None)) == (
-            type(want), getattr(want, "message", None),
-            getattr(want, "clause_index", None))
-        # past a fault the slot-by-slot walk stops, the population does not
-        assert [_state(p) for p in ours[:limit]] == [_state(p) for p in theirs[:limit]]
-        if want is not None or all(p.status != ACTIVE for p in theirs):
+        if want or got is not None:
+            # the first error ends our step, wherever its slot is
+            assert got is not None and want
+            assert _error(got) in [_error(exc) for exc in want]
+            break
+        assert [_state(p) for p in ours] == [_state(p) for p in theirs]
+        if all(p.status != ACTIVE for p in theirs):
             break
 
 
@@ -413,9 +419,9 @@ def test_vectorized_splitmix_equals_the_stream(pairs):
 @example(words=[0, 1, _MASK64, _MASK64 - _GOLDEN + 1], t=2 ** 20)
 def test_vectorized_key_derivation_equals_mix(words, t):
     """``mix64`` is ``_mix`` element by element, and the engine's step-t
-    keys ``mix64(slot_keys + G_t)`` are ``_mix(slot_key + t * GOLDEN)``,
+    keys ``step_keys(slot_keys, t)`` are ``_mix(slot_key + t * GOLDEN)``,
     the sum wrapping at 2**64."""
     z = np.array(words, dtype=np.uint64)
     assert mix64(z).tolist() == [_mix(w) for w in words]
-    got = mix64(z + np.uint64(t * _GOLDEN & _MASK64))
+    got = step_keys(z, t)
     assert got.tolist() == [_mix(w + t * _GOLDEN) for w in words]

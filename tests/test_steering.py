@@ -110,19 +110,28 @@ class TestSampleToken:
         assert abs(ones / n - p) <= 3 * sigma
 
     def test_empty_mask_raises(self, uniform4):
-        # no vocabulary token has the listed text, so the mask is empty
-        with pytest.raises(MaskEmpty):
-            execute_step(explicit_mask_plan(tokens=("z",)), [Particle()], uniform4,
-                         [derive_key(4, "t")])
+        # no vocabulary token has the listed text, so the mask is empty:
+        # a dead end, which fails the particle instead of the step
+        particle = Particle()
+        execute_step(explicit_mask_plan(tokens=("z",)), [particle], uniform4,
+                     [derive_key(4, "t")])
+        assert particle.status == "failed"
+        assert isinstance(particle.error, MaskEmpty)
+        assert particle.error.clause_index == 0
+        assert particle.log_weight == NEG_INF
 
     def test_zero_mass_mask_raises(self, table_721):
         zero_only = load_table_model({
             "vocab": ["a", "b", "<eos>"],
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
-        with pytest.raises(MaskEmpty):
-            execute_step(explicit_mask_plan(ids=(1, 2)), [Particle()], zero_only,
-                         [derive_key(5, "t")])
+        particle = Particle()
+        execute_step(explicit_mask_plan(ids=(1, 2)), [particle], zero_only,
+                     [derive_key(5, "t")])
+        assert particle.status == "failed"
+        assert isinstance(particle.error, MaskEmpty)
+        assert particle.error.clause_index == 0
+        assert particle.log_weight == NEG_INF
 
     def test_mask_correction_is_unbiased_by_enumeration(self, table_721):
         # For every allowed token: q(t) * exp(update) must equal p(t).
