@@ -64,7 +64,6 @@ from .models import (
     UniformModel,
     Vocabulary,
     load_table_model,
-    remote_model_adapter,
     train_ngram,
 )
 from .planner import (

@@ -23,14 +23,16 @@ from pathlib import Path
 
 from .constraints import TaskSpec, load_tasks, verify
 from .engine import InferenceConfig
-from .errors import SourceExhausted, SteeringError
-from .evaluation import coherency_proxy, weighted_pass_at_1
-from .models import (
-    Vocabulary,
-    load_table_model,
-    remote_model_adapter,
-    train_ngram,
+from .errors import (
+    SchemaViolation,
+    SourceExhausted,
+    SteeringError,
+    check_fields,
+    read_document,
+    read_json_lines,
 )
+from .evaluation import coherency_proxy, weighted_pass_at_1
+from .models import RemoteModel, Vocabulary, load_table_model, train_ngram
 from .planner import FixtureLibrary, RemoteGenerator, steer
 from .rng import derive_key
 from .steering import ModelSet
@@ -40,6 +42,11 @@ MODEL_ENDPOINT_ENV = "STEERSMC_MODEL_ENDPOINT"
 
 CONFIG_FIELDS = ("method", "n_particles", "ess_threshold", "timeout", "seed",
                  "resample_scheme")
+
+# The record fields ``eval`` reads, each with the types it may hold.
+RECORD_FIELDS = {"task_type": str, "method": str, "weighted_pass_at_1": (int, float),
+                 "coherency_proxy": (int, float, type(None)), "error": (str, type(None))}
+TRACE_FIELDS = ("run_id", "ess_trace", "resample_events", "steps")
 
 
 def _json_safe(value):
@@ -70,9 +77,9 @@ def build_model(spec: str, args) -> ModelSet:
     if kind == "remote":
         if not args.model_vocab:
             raise SystemExit("error: --model remote:... requires --model-vocab")
-        tokens = json.loads(Path(args.model_vocab).read_text(encoding="utf-8"))
-        vocab = Vocabulary.from_tokens(tokens)
-        return ModelSet(proposal=remote_model_adapter(rest, vocab))
+        vocab = Vocabulary.from_tokens(
+            read_document(Path(args.model_vocab), "model vocab"))
+        return ModelSet(proposal=RemoteModel(rest, vocab))
     raise SystemExit(f"error: unknown model kind {kind!r}")
 
 
@@ -90,14 +97,8 @@ def _merge_config(args) -> dict:
     """Flags > config file > defaults."""
     merged = {}
     if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"error: cannot read config file: {exc}")
-        for key, value in doc.items():
-            if key not in CONFIG_FIELDS:
-                raise SystemExit(f"error: unknown config field {key!r}")
-            merged[key] = value
+        merged.update(check_fields(read_document(Path(args.config), "config file"),
+                                   CONFIG_FIELDS, "config"))
     for key in CONFIG_FIELDS:
         if (value := getattr(args, key)) is not None:
             merged[key] = value
@@ -220,12 +221,15 @@ def cmd_run(args) -> int:
 
 def _load_records(path: str) -> list[dict]:
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if line.strip():
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SystemExit(f"error: {path}:{lineno}: invalid record: {exc.msg}")
+    for where, record in read_json_lines(path):
+        if not isinstance(record, dict):
+            raise SchemaViolation(f"{where}: record must be an object")
+        for key, types in RECORD_FIELDS.items():
+            if key not in record:
+                raise SchemaViolation(f"{where}.{key}: missing required field")
+            if not isinstance(record[key], types) or isinstance(record[key], bool):
+                raise SchemaViolation(f"{where}.{key}: wrong type")
+        records.append(record)
     return records
 
 
@@ -299,7 +303,8 @@ def cmd_trace(args) -> int:
     if not trace_path.exists():
         raise SystemExit(f"error: no trace stored for run {args.run_id!r} "
                          f"in {args.trace_dir}")
-    payload = json.loads(trace_path.read_text(encoding="utf-8"))
+    payload = check_fields(read_document(trace_path, "trace file"),
+                           TRACE_FIELDS, "trace")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -13,29 +13,28 @@ plan checks) so a plan and its verifier cannot disagree on boundaries:
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, SchemaViolation
+from .errors import SchemaViolation, check_fields, check_kind, is_count, read_json_lines
 from .rng import RandomStream
 
 WORD_PUNCTUATION = string.punctuation
 SENTENCE_TERMINATORS = ".!?"
 
-CONSTRAINT_KINDS = (
-    "char_count_exact",
-    "word_count_exact",
-    "word_count_min",
-    "positioned_words",
-    "contains_words",
-    "forbidden_words",
-    "max_word_length",
-    "sentence_count_exact",
-    "sentence_last_words",
-    "per_sentence_word_bounds",
-)
+# The fields each constraint kind may carry besides "kind"; any other
+# field is a SchemaViolation.
+_CONSTRAINT_FIELDS = {
+    **dict.fromkeys(("char_count_exact", "word_count_exact", "word_count_min",
+                     "max_word_length", "sentence_count_exact"), {"value"}),
+    **dict.fromkeys(("contains_words", "forbidden_words", "sentence_last_words"),
+                    {"words"}),
+    "positioned_words": {"positions"},
+    "per_sentence_word_bounds": {"min_value", "max_value"},
+}
+# A task's fields, each with the type it must hold.
+_TASK_FIELDS = {"prompt_text": str, "task_type": str, "constraints": list}
 
 
 def words(text: str) -> list[str]:
@@ -65,11 +64,6 @@ def sentences(text: str) -> list[str]:
     return out
 
 
-def _is_count(value) -> bool:
-    """A nonnegative integer; a JSON ``true`` (a Python bool) is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 @dataclass(frozen=True)
 class ConstraintSpec:
     """One machine-checkable constraint; fields used depend on ``kind``."""
@@ -82,20 +76,19 @@ class ConstraintSpec:
     max_value: int | None = None
 
     def __post_init__(self):
-        if self.kind not in CONSTRAINT_KINDS:
+        fields = _CONSTRAINT_FIELDS.get(self.kind)
+        if fields is None:
             raise SchemaViolation(f"unknown constraint kind {self.kind!r}")
-        if self.kind in ("char_count_exact", "word_count_exact", "word_count_min",
-                         "max_word_length", "sentence_count_exact"):
-            if not _is_count(self.value):
-                raise SchemaViolation(f"{self.kind}: value must be a nonnegative integer")
-        if self.kind in ("contains_words", "forbidden_words", "sentence_last_words"):
-            if not self.words or not all(isinstance(w, str) and w for w in self.words):
-                raise SchemaViolation(f"{self.kind}: words must be a nonempty list of strings")
+        if "value" in fields and not is_count(self.value):
+            raise SchemaViolation(f"{self.kind}: value must be a nonnegative integer")
+        if "words" in fields and not (
+                self.words and all(isinstance(w, str) and w for w in self.words)):
+            raise SchemaViolation(f"{self.kind}: words must be a nonempty list of strings")
         if self.kind == "positioned_words":
             if not self.positions:
                 raise SchemaViolation("positioned_words: positions must be nonempty")
             for pos, word in self.positions:
-                if not _is_count(pos) or pos < 1:
+                if not is_count(pos) or pos < 1:
                     raise SchemaViolation("positioned_words: positions are 1-based integers")
                 if not isinstance(word, str) or not word:
                     raise SchemaViolation("positioned_words: each position needs a word")
@@ -103,7 +96,7 @@ class ConstraintSpec:
             if self.min_value is None and self.max_value is None:
                 raise SchemaViolation("per_sentence_word_bounds: need min_value or max_value")
             for bound in (self.min_value, self.max_value):
-                if bound is not None and not _is_count(bound):
+                if bound is not None and not is_count(bound):
                     raise SchemaViolation("per_sentence_word_bounds: bounds are nonnegative integers")
             if (self.min_value is not None and self.max_value is not None
                     and self.min_value > self.max_value):
@@ -125,15 +118,7 @@ class ConstraintSpec:
 
 
 def constraint_from_dict(doc: dict, where: str = "constraint") -> ConstraintSpec:
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: must be an object")
-    known = {"kind", "value", "words", "positions", "min_value", "max_value"}
-    for key in doc:
-        if key not in known:
-            raise SchemaViolation(f"{where}.{key}: unknown field")
-    kind = doc.get("kind")
-    if not isinstance(kind, str):
-        raise SchemaViolation(f"{where}.kind: missing or not a string")
+    kind = check_kind(doc, _CONSTRAINT_FIELDS, "constraint", where)
     positions: tuple[tuple[int, str], ...] = ()
     if "positions" in doc:
         raw = doc["positions"]
@@ -145,11 +130,14 @@ def constraint_from_dict(doc: dict, where: str = "constraint") -> ConstraintSpec
             positions = tuple(sorted((int(k), v) for k, v in raw.items()))
         except (TypeError, ValueError):
             raise SchemaViolation(f"{where}.positions: keys must be integers") from None
+    word_list = doc.get("words", [])
+    if not isinstance(word_list, list):
+        raise SchemaViolation(f"{where}.words: must be a list of strings")
     try:
         return ConstraintSpec(
             kind=kind,
             value=doc.get("value"),
-            words=tuple(doc.get("words", ())),
+            words=tuple(word_list),
             positions=positions,
             min_value=doc.get("min_value"),
             max_value=doc.get("max_value"),
@@ -261,38 +249,19 @@ class TaskSpec:
 
 
 def task_from_dict(doc: dict, where: str = "task") -> TaskSpec:
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: must be an object")
-    known = {"prompt_text", "task_type", "constraints"}
-    for key in doc:
-        if key not in known:
-            raise SchemaViolation(f"{where}.{key}: unknown field")
-    prompt = doc.get("prompt_text")
-    task_type = doc.get("task_type")
-    constraints = doc.get("constraints")
-    if not isinstance(prompt, str):
-        raise SchemaViolation(f"{where}.prompt_text: missing or not a string")
-    if not isinstance(task_type, str):
-        raise SchemaViolation(f"{where}.task_type: missing or not a string")
-    if not isinstance(constraints, list):
-        raise SchemaViolation(f"{where}.constraints: must be a list")
+    check_fields(doc, _TASK_FIELDS, where)
+    for key, kind in _TASK_FIELDS.items():
+        if not isinstance(doc.get(key), kind):
+            raise SchemaViolation(f"{where}.{key}: missing or not a {kind.__name__}")
     specs = tuple(constraint_from_dict(c, f"{where}.constraints[{i}]")
-                  for i, c in enumerate(constraints))
-    return TaskSpec(prompt_text=prompt, constraints=specs, task_type=task_type)
+                  for i, c in enumerate(doc["constraints"]))
+    return TaskSpec(prompt_text=doc["prompt_text"], constraints=specs,
+                    task_type=doc["task_type"])
 
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
     """Read a task file: one JSON task object per line."""
-    tasks = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-        tasks.append(task_from_dict(doc, where=f"{path}:{lineno}"))
-    return tasks
+    return [task_from_dict(doc, where) for where, doc in read_json_lines(path)]
 
 
 # Small, fixed lexicon used by the instance generators.

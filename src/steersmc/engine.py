@@ -189,19 +189,15 @@ def resample(particles: list[Particle], normalized_weights, scheme: str,
     return out
 
 
-def select_answer(candidates: list[WeightedCandidate], rng: RandomStream,
-                  mode: str = "sample") -> tuple[int, ...]:
-    """Pick a final answer proportional to weight (or argmax)."""
+def select_answer(candidates: list[WeightedCandidate],
+                  rng: RandomStream) -> tuple[int, ...]:
+    """Pick a final answer with probability proportional to its weight."""
     if not candidates:
         raise AllParticlesDead("no candidates to select from")
     weights = np.array([c.normalized_weight for c in candidates])
     if float(weights.sum()) <= 0.0:
         raise AllParticlesDead("candidate weights are all zero")
-    if mode == "sample":
-        return candidates[rng.choice(weights)].tokens
-    if mode == "argmax":
-        return candidates[int(np.argmax(weights))].tokens
-    raise ValueError(f"unknown selection mode {mode!r}")
+    return candidates[rng.choice(weights)].tokens
 
 
 def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,

@@ -1,12 +1,21 @@
-"""Typed error hierarchy shared across the package.
+"""Typed error hierarchy shared across the package, and the one intake
+for outside documents.
 
 Every error that can surface in an inference outcome or a run record
 carries a stable ``code`` string, plus optional ``clause_index`` and
 ``step_index`` attributes so retry feedback can point at the failing
-part of a plan.
+part of a plan. Every JSON document read from outside (plans, table
+models, CLI config, vocab and trace files, and each line of a task or
+record file through ``read_json_lines``) goes through
+``read_document``, so malformed JSON ends in ``ParseError`` with line
+and column; ``check_fields`` and ``check_kind`` end a
+non-object or an unknown field in ``SchemaViolation`` naming it.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class SteeringError(Exception):
@@ -112,3 +121,57 @@ class SourceExhausted(SteeringError):
         super().__init__(message)
         self.result = result
 
+
+def read_document(source, what: str):
+    """Parse a ``Path``, ``str`` or ``bytes`` as JSON, or pass an already
+    parsed document through; malformed JSON raises ParseError naming
+    ``what``, with line and column. An unreadable file raises OSError."""
+    if not isinstance(source, (Path, str, bytes)):
+        return source
+    try:
+        if isinstance(source, Path):
+            source = source.read_text(encoding="utf-8")
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text: {exc.reason}") from exc
+
+
+def read_json_lines(path) -> list[tuple[str, object]]:
+    """Each nonblank line of a JSON-lines file, parsed by
+    ``read_document``, after its ``path:line`` location."""
+    lines = Path(path).read_bytes().splitlines()
+    return [(f"{path}:{n}", read_document(line, f"{path}:{n}"))
+            for n, line in enumerate(lines, 1) if line.strip()]
+
+
+def check_fields(doc, allowed, where: str) -> dict:
+    """``doc`` itself, once checked to be an object holding only
+    ``allowed`` keys."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation(f"{where}: must be an object")
+    for key in doc:
+        if key not in allowed:
+            raise SchemaViolation(f"{where}.{key}: unknown field")
+    return doc
+
+
+def check_kind(doc, fields: dict, what: str, where: str) -> str:
+    """The kind of object ``doc``, once checked to be a key of ``fields``
+    whose set names every other key ``doc`` may hold."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation(f"{where}: {what} must be an object")
+    kind = doc.get("kind")
+    if not isinstance(kind, str):
+        raise SchemaViolation(f"{where}.kind: missing or not a string")
+    if kind not in fields:
+        raise SchemaViolation(f"{where}.kind: unknown {what} kind {kind!r}")
+    check_fields(doc, {"kind", *fields[kind]}, where)
+    return kind
+
+
+def is_count(value) -> bool:
+    """A nonnegative integer; a JSON ``true`` (a Python bool) is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -16,7 +16,6 @@ delimiter ignore hints.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import threading
 import time
@@ -29,12 +28,13 @@ import numpy as np
 from .errors import (
     EmptyCorpus,
     InvalidContext,
-    ParseError,
     ProtocolError,
     RemoteUnavailable,
     RowNotNormalized,
     SchemaViolation,
     Timeout,
+    check_fields,
+    read_document,
 )
 
 NEG_INF = float("-inf")
@@ -86,8 +86,9 @@ class Vocabulary:
         The EOS entry may be written as any placeholder text (for file
         readability); it is stored as the empty string.
         """
-        if not tokens:
-            raise SchemaViolation("vocab list is empty")
+        if not (tokens and isinstance(tokens, (list, tuple))
+                and all(isinstance(t, str) for t in tokens)):
+            raise SchemaViolation("vocab must be a nonempty list of token strings")
         texts = tuple(tokens[:-1]) + ("",)
         delim_id = None
         if hint_delimiter is not None:
@@ -337,8 +338,8 @@ def train_ngram(corpus: str | list[str], order: int, smoothing: float,
     """
     if order < 1:
         raise SchemaViolation("ngram order must be >= 1")
-    if smoothing < 0:
-        raise SchemaViolation("smoothing must be nonnegative")
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise SchemaViolation("smoothing must be a finite nonnegative number")
     docs = [corpus] if isinstance(corpus, str) else list(corpus)
     token_docs = []
     for doc in docs:
@@ -385,33 +386,17 @@ def load_table_model(source: str | bytes | dict | Path) -> TableModel:
     Row distributions must sum to 1 within 1e-6 and are renormalized
     exactly on load.
     """
-    if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
-    if isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"table model is not valid JSON: line {exc.lineno} "
-                             f"column {exc.colno}: {exc.msg}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise SchemaViolation("table model document must be an object")
-    known = {"vocab", "rows", "default", "hint_delimiter"}
-    for key in doc:
-        if key not in known:
-            raise SchemaViolation(f"unknown table-model field {key!r}")
-    vocab_list = doc.get("vocab")
-    if not isinstance(vocab_list, list) or not all(isinstance(t, str) for t in vocab_list):
-        raise SchemaViolation("vocab must be a list of token strings")
-    vocab = Vocabulary.from_tokens(vocab_list, doc.get("hint_delimiter"))
+    doc = check_fields(read_document(source, "table model"),
+                       {"vocab", "rows", "default", "hint_delimiter"}, "model")
+    vocab = Vocabulary.from_tokens(doc.get("vocab"), doc.get("hint_delimiter"))
 
     def as_row(dist, where: str) -> np.ndarray:
-        if not isinstance(dist, list) or len(dist) != vocab.size:
+        if not isinstance(dist, list) or len(dist) != vocab.size or not all(
+                isinstance(p, (int, float)) and not isinstance(p, bool) for p in dist):
             raise SchemaViolation(f"{where}: dist must list {vocab.size} probabilities")
         row = np.asarray(dist, dtype=np.float64)
-        if np.any(row < 0):
-            raise SchemaViolation(f"{where}: negative probability")
+        if not np.all(np.isfinite(row) & (row >= 0)):
+            raise SchemaViolation(f"{where}: negative or non-finite probability")
         total = row.sum()
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise RowNotNormalized(f"{where}: row sums to {total:.9f}")
@@ -420,12 +405,14 @@ def load_table_model(source: str | bytes | dict | Path) -> TableModel:
         return row
 
     rows: dict[tuple[str | None, tuple[int, ...]], np.ndarray] = {}
-    for i, entry in enumerate(doc.get("rows", [])):
-        if not isinstance(entry, dict):
-            raise SchemaViolation(f"rows[{i}] must be an object")
+    row_docs = doc.get("rows", [])
+    if not isinstance(row_docs, list):
+        raise SchemaViolation("rows must be a list")
+    for i, entry in enumerate(row_docs):
+        check_fields(entry, {"context", "dist", "tag"}, f"rows[{i}]")
         ctx_texts = entry.get("context")
-        if not isinstance(ctx_texts, list):
-            raise SchemaViolation(f"rows[{i}].context must be a list")
+        if not isinstance(ctx_texts, list) or not all(isinstance(t, str) for t in ctx_texts):
+            raise SchemaViolation(f"rows[{i}].context must be a list of token strings")
         try:
             ctx = tuple(vocab.encode("".join(ctx_texts))) if ctx_texts else ()
         except SchemaViolation:
@@ -536,8 +523,3 @@ class RemoteModel(TokenModel):
                 self.evictions += 1
         return probs
 
-
-def remote_model_adapter(endpoint: str, vocabulary: Vocabulary,
-                         http_timeout: float = 10.0) -> RemoteModel:
-    """Connect to a remote next-logprobs backend (health-checked)."""
-    return RemoteModel(endpoint, vocabulary, http_timeout=http_timeout)

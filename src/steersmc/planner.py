@@ -11,18 +11,17 @@ verification are not retried; only typed errors are.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .constraints import TaskSpec
 from .engine import Diagnostics, InferenceConfig, InferenceOutcome, run_inference
 from .errors import (
-    ParseError,
     RemoteUnavailable,
     SchemaViolation,
     SourceExhausted,
     SteeringError,
+    read_document,
 )
 from .rng import derive_key
 from .plans import parse_plan
@@ -45,7 +44,7 @@ class FixtureLibrary(ProgramSource):
     """Stored plan documents keyed by task type.
 
     Every stored plan is validated at load time. Feedback is accepted
-    (and remembered for inspection) but does not change the answer.
+    but does not change the answer.
     """
 
     def __init__(self, plans: dict[str, dict]):
@@ -57,26 +56,17 @@ class FixtureLibrary(ProgramSource):
                     f"fixture plan for {task_type!r} is invalid: {exc.message}"
                 ) from exc
         self._plans = dict(plans)
-        self.feedback_log: list[str] = []
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "FixtureLibrary":
         """Load every ``<task_type>.plan.json`` file in a directory."""
-        plans = {}
-        for plan_path in sorted(Path(path).glob("*.plan.json")):
-            task_type = plan_path.name[:-len(".plan.json")]
-            try:
-                plans[task_type] = json.loads(plan_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{plan_path}: invalid JSON: {exc.msg}") from exc
-        return cls(plans)
+        return cls({p.name[:-len(".plan.json")]: read_document(p, str(p))
+                    for p in sorted(Path(path).glob("*.plan.json"))})
 
     def task_types(self) -> list[str]:
         return sorted(self._plans)
 
     def fetch(self, task: TaskSpec, feedback: str | None) -> dict:
-        if feedback is not None:
-            self.feedback_log.append(feedback)
         doc = self._plans.get(task.task_type)
         if doc is None:
             raise SchemaViolation(f"no fixture plan for task type {task.task_type!r}")

@@ -11,7 +11,6 @@ module builds.
 
 from __future__ import annotations
 
-import json
 import string as _string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import ConstraintSpec, constraint_from_dict
-from .errors import ParseError, SchemaViolation
+from .errors import SchemaViolation, check_fields, check_kind, is_count, read_document
 from .models import Vocabulary
 
 PLAN_VERSION = 1
@@ -180,6 +179,8 @@ _MASK_FIELDS = {
     "explicit": {"tokens", "ids"},
 }
 _STOP_FIELDS = {"token_count": {"value"}, "substring": {"value"}, "eos": set()}
+_PLAN_FIELDS = {"plan_version", "proposal_tag", "prior_tag", "max_tokens",
+                "steps", "check", "vars"}
 
 
 def _want(doc: dict, key: str, types, where: str, default=_MISSING):
@@ -194,25 +195,8 @@ def _want(doc: dict, key: str, types, where: str, default=_MISSING):
     return value
 
 
-def _is_id(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _kind(doc, fields: dict, what: str, where: str) -> str:
-    """The kind of an object whose fields must all belong to that kind."""
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: {what} must be an object")
-    kind = _want(doc, "kind", str, where)
-    if kind not in fields:
-        raise SchemaViolation(f"{where}.kind: unknown {what} kind {kind!r}")
-    for key in doc:
-        if key != "kind" and key not in fields[kind]:
-            raise SchemaViolation(f"{where}.{key}: unknown field")
-    return kind
-
-
 def _parse_stop(doc, where: str) -> StopSpec:
-    kind = _kind(doc, _STOP_FIELDS, "stop predicate", where)
+    kind = check_kind(doc, _STOP_FIELDS, "stop predicate", where)
     if kind == "token_count":
         value = _want(doc, "value", int, where)
         if value < 0:
@@ -227,7 +211,7 @@ def _parse_stop(doc, where: str) -> StopSpec:
 
 
 def _parse_mask(doc, where: str) -> MaskSpec:
-    kind = _kind(doc, _MASK_FIELDS, "mask", where)
+    kind = check_kind(doc, _MASK_FIELDS, "mask", where)
     if kind == "max_remaining_chars":
         target = _want(doc, "target_chars", int, where)
         if target < 0:
@@ -251,7 +235,7 @@ def _parse_mask(doc, where: str) -> MaskSpec:
         raise SchemaViolation(f"{where}: explicit mask needs tokens or ids")
     if not all(isinstance(t, str) for t in tokens):
         raise SchemaViolation(f"{where}.tokens: must be strings")
-    if not all(_is_id(i) for i in ids):
+    if not all(is_count(i) for i in ids):
         raise SchemaViolation(f"{where}.ids: must be nonnegative integers")
     return MaskSpec("explicit", tokens=tuple(tokens), ids=tuple(ids))
 
@@ -274,7 +258,7 @@ def _template_fields(template: str) -> set[str]:
 
 
 def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClause:
-    kind = _kind(doc, _CLAUSE_FIELDS, "clause", where)
+    kind = check_kind(doc, _CLAUSE_FIELDS, "clause", where)
     if depth > 8:
         raise SchemaViolation(f"{where}: loops nested deeper than 8")
     score_with_prior = _want(doc, "score_with_prior", bool, where, default=False)
@@ -283,7 +267,7 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
         stop = _parse_stop(_want(doc, "stop", dict, where), f"{where}.stop")
         mask = doc.get("mask")
         max_new = doc.get("max_new_tokens")
-        if max_new is not None and not (_is_id(max_new) and max_new >= 1):
+        if max_new is not None and not (is_count(max_new) and max_new >= 1):
             raise SchemaViolation(f"{where}.max_new_tokens: must be a positive integer")
         return StepClause(
             kind="sample_until", stop=stop,
@@ -310,7 +294,7 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
         if has_text:
             return StepClause(kind="force_string", text=_want(doc, "text", str, where))
         ids = _want(doc, "tokens", list, where)
-        if not all(_is_id(i) for i in ids):
+        if not all(is_count(i) for i in ids):
             raise SchemaViolation(f"{where}.tokens: must be nonnegative integers")
         return StepClause(kind="force_string", tokens=tuple(ids))
 
@@ -352,24 +336,8 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
 
 
 def parse_plan(source: str | bytes | dict | Path) -> SteeringPlan:
-    """Parse and validate a plan document (JSON text or dict)."""
-    if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
-    if isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"plan is not valid JSON: line {exc.lineno} "
-                             f"column {exc.colno}: {exc.msg}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise SchemaViolation("plan document must be an object")
-    known = {"plan_version", "proposal_tag", "prior_tag", "max_tokens",
-             "steps", "check", "vars"}
-    for key in doc:
-        if key not in known:
-            raise SchemaViolation(f"unknown plan field {key!r}")
+    """Parse and validate a plan document (JSON text, a file or a dict)."""
+    doc = check_fields(read_document(source, "plan"), _PLAN_FIELDS, "plan")
     version = _want(doc, "plan_version", int, "plan")
     if version != PLAN_VERSION:
         raise SchemaViolation(f"plan.plan_version: expected {PLAN_VERSION}, got {version}")

@@ -95,22 +95,20 @@ class TestCmdRun:
                 "--out", str(out2))
         assert all(r["method"] == "smc" for r in read_records(out2))
 
-    def test_config_file_rejects_jobs(self, tmp_path):
+    def test_config_file_rejects_jobs(self, tmp_path, capsys):
         # Particles step on one thread; --jobs sets task threads only.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"jobs": 4}))
-        with pytest.raises(SystemExit) as info:
-            run_cli("run", *CHAR_ARGS, "--config", str(cfg))
-        assert "unknown config field 'jobs'" in str(info.value.code)
+        assert run_cli("run", *CHAR_ARGS, "--config", str(cfg)) == 1
+        assert "config.jobs: unknown field" in capsys.readouterr().err
 
-    def test_config_file_rejects_max_steps(self, tmp_path):
+    def test_config_file_rejects_max_steps(self, tmp_path, capsys):
         # A run takes one engine step per top-level clause; there is no
         # step cap to configure.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_steps": 10}))
-        with pytest.raises(SystemExit) as info:
-            run_cli("run", *CHAR_ARGS, "--config", str(cfg))
-        assert "unknown config field 'max_steps'" in str(info.value.code)
+        assert run_cli("run", *CHAR_ARGS, "--config", str(cfg)) == 1
+        assert "config.max_steps: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, config, message", [
         (["-N", "0"], None, "n_particles must be >= 1"),
@@ -160,6 +158,77 @@ class TestCmdRun:
         ns = type("NS", (), {"plans": None, "planner_endpoint": None})
         source = build_source(ns)
         assert source.endpoint == "http://example:1"
+
+
+def _bad_document_argv(case: str, tmp: Path) -> list[str]:
+    """Arguments of a command whose outside document is malformed."""
+    bad = tmp / "bad.json"
+    out = ["--out", str(tmp / "out.jsonl")]
+    if case == "config_malformed":
+        bad.write_text('{"method": ')
+        return ["run", *CHAR_ARGS, "--config", str(bad), *out]
+    if case == "config_list":
+        bad.write_text('["smc"]')
+        return ["run", *CHAR_ARGS, "--config", str(bad), *out]
+    if case in ("vocab_malformed", "vocab_object"):
+        bad.write_text('["a", ' if case == "vocab_malformed" else '{"a": 1}')
+        return ["run", "--tasks", CHAR_ARGS[1], "--plans", CHAR_ARGS[3],
+                "--model", "remote:http://127.0.0.1:9", "--model-vocab", str(bad), *out]
+    if case == "trace_malformed":
+        (tmp / "traces").mkdir()
+        (tmp / "traces" / "r1.trace.json").write_text('{"steps": [')
+        return ["trace", "r1", "--trace-dir", str(tmp / "traces"),
+                "--out-dir", str(tmp / "rendered")]
+    if case == "record_without_method":
+        bad.write_text('{"task_type": "x"}\n')
+        return ["eval", str(bad), "--out", str(tmp / "out.tsv")]
+    if case == "record_not_utf8":
+        bad.write_bytes(b'{"task_type": "\xff"}\n')
+        return ["eval", str(bad), "--out", str(tmp / "out.tsv")]
+    if case == "tasks_not_utf8":
+        bad.write_bytes(b'{"prompt_text": "\xff"}\n')
+        return ["run", "--tasks", str(bad), *CHAR_ARGS[2:], *out]
+    if case == "nan_table_row":
+        bad.write_text('{"vocab": ["a", "<eos>"], '
+                       '"rows": [{"context": [], "dist": [NaN, 1.0]}]}')
+        return ["run", "--tasks", CHAR_ARGS[1], "--plans", CHAR_ARGS[3],
+                "--model", f"table:{bad}", *out]
+    assert case == "ngram_smoothing_nan"
+    corpus = tmp / "corpus.txt"
+    corpus.write_text("abc abc\n")
+    return ["run", "--tasks", CHAR_ARGS[1], "--plans", CHAR_ARGS[3],
+            "--model", f"ngram:{corpus}", "--ngram-smoothing", "nan", *out]
+
+
+BAD_DOCUMENTS = [
+    ("config_malformed", "ParseError", "config file is not valid JSON: line 1"),
+    ("config_list", "SchemaViolation", "config: must be an object"),
+    ("vocab_malformed", "ParseError", "model vocab is not valid JSON"),
+    ("vocab_object", "SchemaViolation",
+     "vocab must be a nonempty list of token strings"),
+    ("trace_malformed", "ParseError", "trace file is not valid JSON"),
+    ("record_without_method", "SchemaViolation",
+     "bad.json:1.method: missing required field"),
+    ("record_not_utf8", "ParseError", "bad.json:1 is not UTF-8 text"),
+    ("tasks_not_utf8", "ParseError", "bad.json:1 is not UTF-8 text"),
+    ("nan_table_row", "SchemaViolation", "non-finite probability"),
+    ("ngram_smoothing_nan", "SchemaViolation", "smoothing must be"),
+]
+
+
+class TestBadDocuments:
+    @pytest.mark.parametrize("case, code, detail", BAD_DOCUMENTS,
+                             ids=[case for case, _, _ in BAD_DOCUMENTS])
+    def test_bad_document_is_a_typed_error(self, tmp_path, capsys, case, code,
+                                           detail):
+        argv = _bad_document_argv(case, tmp_path)
+        assert run_cli(*argv) == 1  # returned, not raised: no traceback
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {code}: ")
+        assert detail in captured.err
+        assert captured.out == ""
+        written = {p.name for p in tmp_path.rglob("*") if p.is_file()}
+        assert not written & {"out.jsonl", "out.tsv", "r1.tsv", "r1.html"}
 
 
 class TestRemoteEndToEnd:
@@ -223,6 +292,18 @@ class TestCmdEval:
         rows = {line.split("\t")[0]: line.split("\t") for line in lines[1:]}
         assert rows["char_len"][2] == "2"
         assert float(rows["dead_end"][5]) == 1.0  # error rate
+
+    def test_line_separator_inside_a_record_is_not_a_line_break(self, tmp_path,
+                                                               capsys):
+        # records keep non-ASCII text raw, and U+2028 is a line break to
+        # str.splitlines but not to a JSON-lines file
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({
+            "task_type": "t", "method": "smc", "weighted_pass_at_1": 1.0,
+            "coherency_proxy": None, "error": None, "selected": "a\u2028b",
+        }, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert run_cli("eval", str(records)) == 0
+        assert "smc" in capsys.readouterr().out
 
     def test_eval_is_reproducible(self, tmp_path):
         records = tmp_path / "records.jsonl"

@@ -182,6 +182,24 @@ class TestTaskSpecs:
         with pytest.raises(SchemaViolation):
             constraint_from_dict(doc, "x")
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "word_count_min", "value": 1, "positions": {"1": "a"}},
+        {"kind": "char_count_exact", "value": 3, "words": ["a"]},
+        {"kind": "char_count_exact", "value": 3, "min_value": 1},
+        {"kind": "contains_words", "words": ["a"], "value": 2},
+        {"kind": "per_sentence_word_bounds", "min_value": 1, "positions": {"1": "a"}},
+    ], ids=["min-positions", "exact-words", "exact-min_value", "contains-value",
+            "bounds-positions"])
+    def test_field_of_another_kind_rejected(self, doc):
+        with pytest.raises(SchemaViolation) as info:
+            constraint_from_dict(doc, "x")
+        assert "unknown field" in info.value.message
+
+    @pytest.mark.parametrize("words", [5, "ab", None])
+    def test_words_must_be_a_list(self, words):
+        with pytest.raises(SchemaViolation):
+            constraint_from_dict({"kind": "contains_words", "words": words}, "x")
+
     def test_plan_check_rejects_bool_value(self):
         from steersmc import parse_plan
 

@@ -174,10 +174,6 @@ class TestSelectAnswer:
                                   text=str(i))
                 for i, w in enumerate(weights)]
 
-    def test_argmax_lowest_index_tie_break(self):
-        cands = self._candidates([0.4, 0.4, 0.2])
-        assert select_answer(cands, RandomStream(6, "s"), mode="argmax") == (0,)
-
     def test_sample_proportional(self):
         cands = self._candidates([0.8, 0.2])
         hits = sum(select_answer(cands, RandomStream(7, "s", i)) == (0,)

@@ -19,6 +19,7 @@ from steersmc import (
     InvalidContext,
     ModelQuery,
     ProtocolError,
+    RemoteModel,
     RemoteUnavailable,
     RowNotNormalized,
     SchemaViolation,
@@ -27,7 +28,6 @@ from steersmc import (
     Vocabulary,
     load_table_model,
     parse_plan,
-    remote_model_adapter,
     run_inference,
     train_ngram,
 )
@@ -66,6 +66,12 @@ class TestVocabulary:
     def test_eos_decodes_to_empty(self):
         v = Vocabulary.from_tokens(["a", "<eos>"])
         assert v.decode([0, 1]) == "a"
+
+    @pytest.mark.parametrize("tokens", [[1, 2, 3], {"a": 1}, "ab", []],
+                             ids=["ints", "object", "string", "empty"])
+    def test_from_tokens_needs_a_list_of_strings(self, tokens):
+        with pytest.raises(SchemaViolation):
+            Vocabulary.from_tokens(tokens)
 
 
 class TestUniformModel:
@@ -137,6 +143,20 @@ class TestTableModel:
         from steersmc import ParseError
         with pytest.raises(ParseError):
             load_table_model("{not json")
+
+    @pytest.mark.parametrize("change", [
+        {"rows": [{"context": [], "dist": [1.5, -0.5, 0.0]}]},
+        {"rows": [{"context": [], "dist": [float("nan"), 1.0, 0.0]}]},
+        {"rows": [{"context": [], "dist": [float("inf"), 0.0, 0.0]}]},
+        {"default": [float("nan"), 0.5, 0.5]},
+        {"rows": [{"context": [], "dist": ["1.0", 0.0, 0.0]}]},
+        {"rows": [{"context": [], "dist": [1.0, 0.0, 0.0], "weight": 2}]},
+        {"rows": [{"context": [0], "dist": [1.0, 0.0, 0.0]}]},
+    ], ids=["negative", "nan", "inf", "nan-default", "string", "unknown-field",
+            "int-context"])
+    def test_bad_row_rejected(self, change):
+        with pytest.raises(SchemaViolation):
+            load_table_model({"vocab": ["a", "b", "<eos>"], **change})
 
     def test_tagged_rows_select_by_prompt_tag(self):
         m = load_table_model({
@@ -236,6 +256,11 @@ class TestNgram:
         with pytest.raises(EmptyCorpus):
             train_ngram("", order=2, smoothing=1.0)
 
+    @pytest.mark.parametrize("smoothing", [-1.0, float("nan"), float("inf")])
+    def test_bad_smoothing_rejected(self, smoothing):
+        with pytest.raises(SchemaViolation):
+            train_ngram("ab", order=2, smoothing=smoothing)
+
     def test_chunking_insensitive_with_separator(self):
         split = train_ngram(["abba", "baab"], order=3, smoothing=0.5)
         joined = train_ngram("abba|baab", order=3, smoothing=0.5,
@@ -316,13 +341,13 @@ class TestRemoteAdapter:
     def test_distribution_renormalized_from_logprobs(self, local_endpoint, abc_vocab):
         ep = self._logprob_server(local_endpoint,
                                   {(): [math.log(0.5), math.log(0.3), math.log(0.2)]})
-        m = remote_model_adapter(ep.url, abc_vocab)
+        m = RemoteModel(ep.url, abc_vocab)
         np.testing.assert_allclose(
             m.next_distribution(ModelQuery(())), [0.5, 0.3, 0.2], atol=1e-12)
 
     def test_responses_cached_per_context_and_tag(self, local_endpoint, abc_vocab):
         ep = self._logprob_server(local_endpoint, {(): [0.0, 0.0, -1.0]})
-        m = remote_model_adapter(ep.url, abc_vocab)
+        m = RemoteModel(ep.url, abc_vocab)
         baseline = len(ep.calls)  # health check
         for _ in range(5):
             m.next_distribution(ModelQuery((0,), "proposal"))
@@ -333,7 +358,7 @@ class TestRemoteAdapter:
     def test_evicted_row_is_fetched_again(self, local_endpoint, abc_vocab, monkeypatch):
         monkeypatch.setattr(steersmc.models, "REMOTE_CACHE_ROWS", 2)
         ep = self._logprob_server(local_endpoint, {(): [0.0, 0.0, -1.0]})
-        m = remote_model_adapter(ep.url, abc_vocab)  # caches the health row
+        m = RemoteModel(ep.url, abc_vocab)  # caches the health row
         baseline = len(ep.calls)
         m.next_distribution(ModelQuery((0,)))
         m.next_distribution(ModelQuery((1,)))  # evicts the health row
@@ -354,7 +379,7 @@ class TestRemoteAdapter:
                 time.sleep(2.0)
             return 200, {"logprobs": [0.0, 0.0, 0.0]}
 
-        m = remote_model_adapter(local_endpoint(respond).url, abc_vocab)
+        m = RemoteModel(local_endpoint(respond).url, abc_vocab)
         plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [step]})
         start = time.monotonic()
         out = run_inference(plan, m, InferenceConfig(
@@ -364,34 +389,34 @@ class TestRemoteAdapter:
 
     def test_unreachable_endpoint(self, abc_vocab):
         with pytest.raises(RemoteUnavailable):
-            remote_model_adapter("http://127.0.0.1:9", abc_vocab, http_timeout=0.5)
+            RemoteModel("http://127.0.0.1:9", abc_vocab, http_timeout=0.5)
 
     def test_wrong_length_is_protocol_error(self, local_endpoint, abc_vocab):
         ep = local_endpoint(lambda path, body: (200, {"logprobs": [0.0, 0.0]}))
         with pytest.raises(ProtocolError):
-            remote_model_adapter(ep.url, abc_vocab)
+            RemoteModel(ep.url, abc_vocab)
 
     def test_missing_field_is_protocol_error(self, local_endpoint, abc_vocab):
         ep = local_endpoint(lambda path, body: (200, {"scores": [0, 0, 0]}))
         with pytest.raises(ProtocolError):
-            remote_model_adapter(ep.url, abc_vocab)
+            RemoteModel(ep.url, abc_vocab)
 
     def test_server_error_is_remote_unavailable(self, local_endpoint, abc_vocab):
         ep = local_endpoint(lambda path, body: (500, {}))
         with pytest.raises(RemoteUnavailable):
-            remote_model_adapter(ep.url, abc_vocab)
+            RemoteModel(ep.url, abc_vocab)
 
     def test_rejected_query_is_protocol_error(self, local_endpoint, abc_vocab):
         # e.g. a context longer than the backend's window
         ep = local_endpoint(lambda path, body: (400, {"error": "too long"}))
         with pytest.raises(ProtocolError):
-            remote_model_adapter(ep.url, abc_vocab)
+            RemoteModel(ep.url, abc_vocab)
 
     def test_concurrent_queries_are_safe_and_identical(self, local_endpoint,
                                                        abc_vocab):
         from concurrent.futures import ThreadPoolExecutor
         ep = local_endpoint(lambda path, body: (200, {"logprobs": [0.0, -1.0, -2.0]}))
-        m = remote_model_adapter(ep.url, abc_vocab)
+        m = RemoteModel(ep.url, abc_vocab)
 
         for ctx in range(3):
             m.next_distribution(ModelQuery((ctx,)))  # warm the cache

@@ -607,7 +607,8 @@ class TestParsePlan:
         {"steps": [{"kind": "sample_until", "stop": {"kind": "eos", "value": 3}}]},
         {"steps": [{"kind": "loop", "body": [{"kind": "force_string", "text": "a"}],
                     "until": {"kind": "substring", "value": "a", "limit": 2}}]},
-    ], ids=["mask", "stop", "until"])
+        {"check": [{"kind": "word_count_min", "value": 1, "positions": {"1": "a"}}]},
+    ], ids=["mask", "stop", "until", "check"])
     def test_unknown_field_of_nested_object_rejected(self, change):
         doc = {"plan_version": 1, "max_tokens": 4, "steps": [], **change}
         with pytest.raises(SchemaViolation) as info:
