@@ -28,8 +28,10 @@ from .errors import (
     SourceExhausted,
     SteeringError,
     check_fields,
+    check_types,
     read_document,
     read_json_lines,
+    read_text,
 )
 from .evaluation import coherency_proxy, weighted_pass_at_1
 from .models import RemoteModel, Vocabulary, load_table_model, train_ngram
@@ -46,7 +48,9 @@ CONFIG_FIELDS = ("method", "n_particles", "ess_threshold", "timeout", "seed",
 # The record fields ``eval`` reads, each with the types it may hold.
 RECORD_FIELDS = {"task_type": str, "method": str, "weighted_pass_at_1": (int, float),
                  "coherency_proxy": (int, float, type(None)), "error": (str, type(None))}
-TRACE_FIELDS = ("run_id", "ess_trace", "resample_events", "steps")
+# The fields of a trace payload and of each of its steps, with their types.
+TRACE_FIELDS = {"run_id": str, "ess_trace": list, "resample_events": list, "steps": list}
+TRACE_STEP_FIELDS = {"step": int, "weights": list, "texts": list}
 
 
 def _json_safe(value):
@@ -69,7 +73,7 @@ def build_model(spec: str, args) -> ModelSet:
     if kind == "table":
         return ModelSet(proposal=load_table_model(Path(rest)))
     if kind == "ngram":
-        corpus = Path(rest).read_text(encoding="utf-8")
+        corpus = read_text(rest, "ngram corpus")
         model = train_ngram(corpus, order=args.ngram_order,
                             smoothing=args.ngram_smoothing,
                             tokenizer=args.tokenizer)
@@ -181,6 +185,8 @@ def cmd_run(args) -> int:
         raise SystemExit(f"error: {exc}")
     if args.retries < 1:
         raise SystemExit("error: --retries must be >= 1")
+    if args.jobs < 1:
+        raise SystemExit("error: --jobs must be >= 1")
     tasks = load_tasks(args.tasks)
     source = build_source(args)
     model_spec = args.model or (
@@ -220,17 +226,8 @@ def cmd_run(args) -> int:
 
 
 def _load_records(path: str) -> list[dict]:
-    records = []
-    for where, record in read_json_lines(path):
-        if not isinstance(record, dict):
-            raise SchemaViolation(f"{where}: record must be an object")
-        for key, types in RECORD_FIELDS.items():
-            if key not in record:
-                raise SchemaViolation(f"{where}.{key}: missing required field")
-            if not isinstance(record[key], types) or isinstance(record[key], bool):
-                raise SchemaViolation(f"{where}.{key}: wrong type")
-        records.append(record)
-    return records
+    return [check_types(record, RECORD_FIELDS, where)
+            for where, record in read_json_lines(path)]
 
 
 def cmd_eval(args) -> int:
@@ -298,13 +295,29 @@ def _trace_svg(steps: list[dict]) -> str:
             f'height="{height}">{axis}{"".join(lines)}</svg>')
 
 
+def _load_trace(path: Path) -> dict:
+    """A trace payload, checked to hold what ``cmd_trace`` reads: steps
+    of numeric weights and string texts, one of each per particle."""
+    payload = read_document(path, "trace file")
+    check_types(check_fields(payload, TRACE_FIELDS, "trace"), TRACE_FIELDS, "trace")
+    for i, step in enumerate(payload["steps"]):
+        where = f"trace.steps[{i}]"
+        check_types(check_fields(step, TRACE_STEP_FIELDS, where), TRACE_STEP_FIELDS, where)
+        weights, texts = step["weights"], step["texts"]
+        if len(weights) != len(texts) or not all(
+                isinstance(w, (int, float)) and not isinstance(w, bool) and isinstance(t, str)
+                for w, t in zip(weights, texts)):
+            raise SchemaViolation(f"{where}: weights must be numbers and texts strings, "
+                                  "one of each per particle")
+    return payload
+
+
 def cmd_trace(args) -> int:
     trace_path = Path(args.trace_dir) / f"{args.run_id}.trace.json"
     if not trace_path.exists():
         raise SystemExit(f"error: no trace stored for run {args.run_id!r} "
                          f"in {args.trace_dir}")
-    payload = check_fields(read_document(trace_path, "trace file"),
-                           TRACE_FIELDS, "trace")
+    payload = _load_trace(trace_path)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

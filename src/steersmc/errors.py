@@ -7,9 +7,10 @@ carries a stable ``code`` string, plus optional ``clause_index`` and
 part of a plan. Every JSON document read from outside (plans, table
 models, CLI config, vocab and trace files, and each line of a task or
 record file through ``read_json_lines``) goes through
-``read_document``, so malformed JSON ends in ``ParseError`` with line
-and column; ``check_fields`` and ``check_kind`` end a
-non-object or an unknown field in ``SchemaViolation`` naming it.
+``read_document``, and outside text through ``read_text``, so
+malformed JSON or text that is not UTF-8 ends in ``ParseError``;
+``check_fields``, ``check_kind`` and ``check_types`` end a non-object,
+an unknown or missing field or a wrong type in ``SchemaViolation``.
 """
 
 from __future__ import annotations
@@ -122,15 +123,24 @@ class SourceExhausted(SteeringError):
         self.result = result
 
 
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; other bytes raise ParseError naming
+    ``what``. An unreadable file raises OSError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text: {exc.reason}") from exc
+
+
 def read_document(source, what: str):
     """Parse a ``Path``, ``str`` or ``bytes`` as JSON, or pass an already
     parsed document through; malformed JSON raises ParseError naming
     ``what``, with line and column. An unreadable file raises OSError."""
     if not isinstance(source, (Path, str, bytes)):
         return source
+    if isinstance(source, Path):
+        source = read_text(source, what)
     try:
-        if isinstance(source, Path):
-            source = source.read_text(encoding="utf-8")
         return json.loads(source)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} is not valid JSON: line {exc.lineno} "
@@ -172,6 +182,25 @@ def check_kind(doc, fields: dict, what: str, where: str) -> str:
     return kind
 
 
+def check_types(doc, types: dict, where: str) -> dict:
+    """``doc`` itself, once checked to be an object holding every key of
+    ``types`` with a value of the types given for it; a JSON ``true`` or
+    ``false`` is of none of them."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation(f"{where}: must be an object")
+    for key, kinds in types.items():
+        if key not in doc:
+            raise SchemaViolation(f"{where}.{key}: missing required field")
+        if not isinstance(doc[key], kinds) or isinstance(doc[key], bool):
+            raise SchemaViolation(f"{where}.{key}: wrong type")
+    return doc
+
+
+def is_integer(value) -> bool:
+    """An integer; a JSON ``true`` (a Python bool) is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_count(value) -> bool:
-    """A nonnegative integer; a JSON ``true`` (a Python bool) is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """A nonnegative integer."""
+    return is_integer(value) and value >= 0

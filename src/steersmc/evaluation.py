@@ -90,18 +90,6 @@ class TargetTable:
         return out
 
 
-def _unroll(steps) -> tuple:
-    """Expand fixed-iteration loops into a flat frame list."""
-    frames: list[tuple] = []
-    for clause in steps:
-        if clause.kind == "loop" and clause.iterations is not None:
-            body = _unroll(clause.body)
-            frames.extend(body * clause.iterations)
-        else:
-            frames.append(("clause", clause))
-    return tuple(frames)
-
-
 def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
     """Enumerate the plan's exact target distribution.
 
@@ -175,83 +163,57 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
                 continue_fn(new_tokens, new_text, new_log_qw)
 
     def rec(tokens, text, hints, frames, log_qw):
-        if log_qw == NEG_INF:
-            return
-        if not frames:
-            finish(tokens, text, log_qw)
-            return
-        frame, rest = frames[0], frames[1:]
-
-        if frame[0] == "clause":
-            clause: StepClause = frame[1]
-            if clause.kind == "sample_until":
-                rec(tokens, text, hints, (("sampling", clause, 0),) + rest, log_qw)
-            elif clause.kind == "force_string":
-                forced = at_clause(clause, forced_tokens, clause, vocab)
+        """Enumerate from ``frames``: clauses still to run, and for each
+        loop under way a ``(loop, iterations done)`` pair. Clauses that
+        do not branch run in this call, so the recursion deepens by one
+        call per drawn token only."""
+        while frames and log_qw != NEG_INF:
+            frame, frames = frames[0], frames[1:]
+            if isinstance(frame, tuple):
+                # A loop unrolls one iteration at a time, wherever it sits.
+                clause, done = frame
+                if clause.iterations is not None:
+                    if done >= clause.iterations:
+                        continue
+                elif _until(clause.stop, tokens, text, vocab):
+                    continue
+                elif clause.max_iterations is not None and done >= clause.max_iterations:
+                    return  # budget error path
+                frames = clause.body + ((clause, done + 1),) + frames
+            elif frame.kind == "draw":
+                if len(tokens) >= cap:
+                    return  # budget error path (cap <= max_tokens)
+                branch_token(frame, tokens, text, hints, log_qw,
+                             lambda tk, tx, lw, rest=frames: rec(tk, tx, hints, rest, lw))
+                return
+            elif frame.kind == "force_string":
+                forced = at_clause(frame, forced_tokens, frame, vocab)
                 if not forced:
-                    rec(tokens, text, hints, rest, log_qw)
-                    return
+                    continue
                 if len(tokens) + len(forced) > plan.max_tokens:
                     return  # budget error path
-                delta = models.proposal.sequence_logprob(
+                log_qw += models.proposal.sequence_logprob(
                     tokens, forced, plan.proposal_tag, hints=hints)
-                new_tokens = tokens + tuple(forced)
-                new_text = text + vocab.decode(forced)
+                tokens, text = tokens + tuple(forced), text + vocab.decode(forced)
                 if forced[-1] == vocab.eos_id:
-                    finish(new_tokens, new_text, log_qw + delta)
-                else:
-                    rec(new_tokens, new_text, hints, rest, log_qw + delta)
-            elif clause.kind == "hint":
+                    break
+            elif frame.kind == "hint":
                 bindings = hint_bindings_for(plan, text, len(tokens))
-                rendered = at_clause(clause, render_hint, clause.template, bindings)
-                rec(tokens, text, hints + (rendered,), rest, log_qw)
-            elif clause.kind == "loop":
-                rec(tokens, text, hints,
-                    (("loop_until", clause, 0),) + rest, log_qw)
+                hints += (at_clause(frame, render_hint, frame.template, bindings),)
+            elif frame.kind == "loop":
+                frames = ((frame, 0),) + frames
             else:
-                raise ValueError(f"unknown clause kind {clause.kind!r}")
-
-        elif frame[0] == "sampling":
-            clause, drawn = frame[1], frame[2]
-            if clause.stop.kind == "token_count" and drawn >= clause.stop.value:
-                rec(tokens, text, hints, rest, log_qw)
-                return
-            if clause.stop.kind == "substring" and clause.stop.value in text:
-                rec(tokens, text, hints, rest, log_qw)
-                return
-            if clause.max_new_tokens is not None and drawn >= clause.max_new_tokens:
-                return  # budget error path
-            if len(tokens) >= plan.max_tokens or len(tokens) >= cap:
-                return
-            branch_token(
-                clause, tokens, text, hints, log_qw,
-                lambda tk, tx, lw: rec(
-                    tk, tx, hints, (("sampling", clause, drawn + 1),) + rest, lw))
-
-        elif frame[0] == "loop_until":
-            clause, done = frame[1], frame[2]
-            if _until(clause.stop, tokens, text, vocab):
-                rec(tokens, text, hints, rest, log_qw)
-                return
-            if done >= clause.max_iterations:
-                return  # budget error path
-            body = tuple(("clause", sub) for sub in clause.body)
-            rec(tokens, text, hints,
-                body + (("loop_until", clause, done + 1),) + rest, log_qw)
-
-        else:
-            raise ValueError(f"unknown frame {frame[0]!r}")
+                raise ValueError(f"unknown clause kind {frame.kind!r}")
+        finish(tokens, text, log_qw)
 
     def _until(stop, tokens, text, vocab):
         if stop.kind == "token_count":
             return len(tokens) >= stop.value
         if stop.kind == "substring":
             return stop.value in text
-        if stop.kind == "eos":
-            return bool(tokens) and tokens[-1] == vocab.eos_id
-        return False
+        return bool(tokens) and tokens[-1] == vocab.eos_id
 
-    rec((), "", (), _unroll(plan.steps), 0.0)
+    rec((), "", (), plan.steps, 0.0)
     z = sum(raw.values())
     probs = {seq: mass / z for seq, mass in raw.items()} if z > 0 else {}
     return TargetTable(probs=probs, z=z, raw=dict(raw))

@@ -22,6 +22,7 @@ from .errors import (
     SourceExhausted,
     SteeringError,
     read_document,
+    read_text,
 )
 from .rng import derive_key
 from .plans import parse_plan
@@ -93,8 +94,7 @@ class RemoteGenerator(ProgramSource):
     @classmethod
     def from_template_file(cls, endpoint: str, path: str | Path,
                            http_timeout: float = 30.0) -> "RemoteGenerator":
-        return cls(endpoint, Path(path).read_text(encoding="utf-8"),
-                   http_timeout=http_timeout)
+        return cls(endpoint, read_text(path, "plan template"), http_timeout=http_timeout)
 
     def fetch(self, task: TaskSpec, feedback: str | None) -> dict:
         import requests

@@ -5,8 +5,10 @@ A plan is a declarative program over a token model: an ordered list of
 step clauses (sample with optional masks, force strings, inject hints,
 bounded loops) plus a final check. Every field a clause, mask or stop
 may carry is checked at parse time, so a malformed plan fails before
-any particle runs; the interpreter in ``steering`` runs what this
-module builds.
+any particle runs. Token repetition has one construct: the parser
+lowers ``sample_until`` and ``masked_sample`` to a ``loop`` over a
+one-token ``draw`` clause, so the interpreter in ``steering`` and the
+oracle in ``evaluation`` run only draw, force_string, hint and loop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import ConstraintSpec, constraint_from_dict
-from .errors import SchemaViolation, check_fields, check_kind, is_count, read_document
+from .errors import SchemaViolation, check_fields, check_kind, is_count, is_integer, read_document
 from .models import Vocabulary
 
 PLAN_VERSION = 1
@@ -118,19 +120,24 @@ class StopSpec:
 
 @dataclass(frozen=True)
 class StepClause:
-    """One clause of a steering plan; fields used depend on ``kind``."""
+    """One clause of a parsed plan; fields used depend on ``kind``.
+
+    Kinds: ``draw`` (one token from the proposal, under ``mask`` and
+    ``score_with_prior``; only the parser makes it), ``force_string``,
+    ``hint`` and ``loop`` (``iterations`` times, or until ``stop`` holds
+    within ``max_iterations``, None for no bound but ``max_tokens``).
+    """
 
     kind: str
     stop: StopSpec | None = None
     mask: MaskSpec | None = None
     score_with_prior: bool = False
-    max_new_tokens: int | None = None
     text: str | None = None
     tokens: tuple[int, ...] | None = None
     template: str | None = None
     body: tuple["StepClause", ...] = ()
     iterations: int | None = None
-    max_iterations: int = DEFAULT_LOOP_BOUND
+    max_iterations: int | None = DEFAULT_LOOP_BOUND
 
 
 @dataclass(frozen=True)
@@ -263,28 +270,31 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
         raise SchemaViolation(f"{where}: loops nested deeper than 8")
     score_with_prior = _want(doc, "score_with_prior", bool, where, default=False)
 
-    if kind == "sample_until":
-        stop = _parse_stop(_want(doc, "stop", dict, where), f"{where}.stop")
-        mask = doc.get("mask")
-        max_new = doc.get("max_new_tokens")
-        if max_new is not None and not (is_count(max_new) and max_new >= 1):
-            raise SchemaViolation(f"{where}.max_new_tokens: must be a positive integer")
-        return StepClause(
-            kind="sample_until", stop=stop,
-            mask=_parse_mask(mask, f"{where}.mask") if mask is not None else None,
-            score_with_prior=score_with_prior, max_new_tokens=max_new)
-
-    if kind == "masked_sample":
-        # Drawing ``count`` masked tokens is sample_until with a
-        # token-count stop of ``count``; the interpreter and the oracle
-        # only ever see the latter.
-        count = _want(doc, "count", int, where, default=1)
-        if count < 1:
-            raise SchemaViolation(f"{where}.count: must be a positive integer")
-        return StepClause(
-            kind="sample_until", stop=StopSpec("token_count", count),
-            mask=_parse_mask(_want(doc, "mask", dict, where), f"{where}.mask"),
-            score_with_prior=score_with_prior)
+    if kind in ("sample_until", "masked_sample"):
+        # Both are a loop over a one-token draw: as many times as the
+        # count (or token-count stop) says, or else until the stop holds
+        # within max_new_tokens iterations.
+        if kind == "masked_sample":
+            count = _want(doc, "count", int, where, default=1)
+            if count < 1:
+                raise SchemaViolation(f"{where}.count: must be a positive integer")
+            stop, max_new = StopSpec("token_count", count), None
+            mask = _want(doc, "mask", dict, where)
+        else:
+            stop = _parse_stop(_want(doc, "stop", dict, where), f"{where}.stop")
+            max_new = doc.get("max_new_tokens")
+            if max_new is not None and not (is_count(max_new) and max_new >= 1):
+                raise SchemaViolation(f"{where}.max_new_tokens: must be a positive integer")
+            mask = doc.get("mask")
+        draw = (StepClause(kind="draw", score_with_prior=score_with_prior,
+                           mask=None if mask is None else _parse_mask(mask, f"{where}.mask")),)
+        if stop.kind != "token_count":
+            return StepClause(kind="loop", body=draw, stop=stop, max_iterations=max_new)
+        if max_new is not None and max_new < stop.value:
+            raise SchemaViolation(
+                f"{where}.max_new_tokens: {max_new} is below the token_count "
+                f"stop of {stop.value}, so the clause can never reach its stop")
+        return StepClause(kind="loop", body=draw, iterations=stop.value)
 
     if kind == "force_string":
         has_text = "text" in doc
@@ -305,8 +315,7 @@ def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClaus
         if unknown:
             raise SchemaViolation(
                 f"{where}.template: undeclared variables {sorted(unknown)}")
-        if ("remaining_chars" in names
-                and not isinstance(variables.get("target_chars"), int)):
+        if "remaining_chars" in names and not is_integer(variables.get("target_chars")):
             raise SchemaViolation(
                 f"{where}.template: remaining_chars needs an integer "
                 "target_chars plan variable")

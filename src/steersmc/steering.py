@@ -5,7 +5,9 @@ multiplies a score update into its weight; the weighted law over
 finished sequences is the plan's target distribution, which the
 inference engine approximates. The interpreter steps a whole
 population at once: one query per distinct model context and one
-vectorized draw per distinct (row, mask) on each token tick.
+vectorized draw per distinct (row, mask) on each token tick. Tokens are
+drawn only by the one-token ``draw`` clause; every repetition is a
+``loop``.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -30,6 +32,7 @@ from .errors import (
     StepBudgetExceeded,
     Timeout,
     UnboundVariable,
+    is_integer,
 )
 from .models import ModelQuery, TokenModel, Vocabulary
 from .plans import (  # MaskSpec and parse_plan are re-exported
@@ -122,7 +125,7 @@ def hint_bindings_for(plan: SteeringPlan, text: str, n_tokens: int) -> dict:
     bindings["words_so_far"] = len(words(text))
     bindings["tokens_so_far"] = n_tokens
     target = plan.variables.get("target_chars")
-    if isinstance(target, int):
+    if is_integer(target):
         bindings["remaining_chars"] = target - len(text)
     return bindings
 
@@ -148,15 +151,11 @@ def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
     particle.hint_buffer.append(render_hint(template, bindings))
 
 
-def _stop_satisfied(stop: StopSpec, particle: Particle, count: int,
-                    vocab: Vocabulary) -> bool:
-    """Stop predicate of ``sample_until`` and ``loop until``.
-
-    ``count`` is what a ``token_count`` stop compares: the tokens drawn
-    in the clause for ``sample_until``, the sequence length for a loop.
-    """
+def _stop_satisfied(stop: StopSpec, particle: Particle, vocab: Vocabulary) -> bool:
+    """Stop predicate of ``loop until``; a ``token_count`` stop compares
+    the sequence length."""
     if stop.kind == "token_count":
-        return count >= stop.value
+        return len(particle.tokens) >= stop.value
     if stop.kind == "substring":
         return stop.value in particle.text
     return bool(particle.tokens) and particle.tokens[-1] == vocab.eos_id
@@ -168,9 +167,8 @@ class _Pass:
 
     Each clause runs on an ascending list of slots (particle indices)
     and returns the slots still running: a slot leaves on EOS or when it
-    dies. A slot that ends a loop or a ``sample_until`` early waits for
-    the others without drawing, so its draws are those of a walk over
-    its particle alone.
+    dies. A slot that ends a loop early waits for the others without
+    drawing, so its draws are those of a walk over its particle alone.
 
     Faults follow the rule of ``brute_force_target``, where a dead end
     gives its path zero mass. A dead end (a spent step budget, or a mask
@@ -207,8 +205,8 @@ class _Pass:
         if not slots:
             return slots
         self.check_deadline()
-        if clause.kind == "sample_until":
-            return self.sample_until(clause, slots)
+        if clause.kind == "draw":
+            return self.draw(clause, slots)
         if clause.kind == "force_string":
             return self.force(clause, slots)
         if clause.kind == "hint":
@@ -217,38 +215,10 @@ class _Pass:
             return self.loop(clause, slots)
         raise SchemaViolation(f"unknown clause kind {clause.kind!r}")
 
-    def sample_until(self, clause: StepClause, slots: list[int]) -> list[int]:
-        stop, bound = clause.stop, clause.max_new_tokens
-        particles, max_tokens = self.particles, self.plan.max_tokens
-        done: list[int] = []
-        drawn = 0
-        while slots:
-            self.check_deadline()
-            if stop.kind == "token_count" and drawn >= stop.value:
-                done += slots
-                break
-            draw = []
-            for s in slots:
-                particle = particles[s]
-                if _stop_satisfied(stop, particle, drawn, self.vocab):
-                    done.append(s)
-                elif bound is not None and drawn >= bound:
-                    self.kill(s, StepBudgetExceeded(
-                        f"sample_until drew {drawn} tokens without satisfying its "
-                        "stop predicate"))
-                elif len(particle.tokens) >= max_tokens:
-                    self.kill(s, StepBudgetExceeded(
-                        f"clause needs more than max_tokens={max_tokens} tokens"))
-                else:
-                    draw.append(s)
-            slots = self.draw(clause, draw)
-            drawn += 1
-        done.sort()
-        return done
-
     def draw(self, clause: StepClause, slots: list[int]) -> list[int]:
         """Draw one token for every slot from the (masked) proposal;
-        returns the slots that neither drew EOS nor died.
+        returns the slots that neither drew EOS nor died. A slot already
+        at ``max_tokens`` dies instead.
 
         Unscored, a mask adds its ``log Z`` importance correction (an
         unmasked draw has Z = 1). Scored with the prior, the delta is
@@ -258,10 +228,17 @@ class _Pass:
         normalization and one cumulative sum; when that mask allows no
         token or no mass, every one of them dies.
         """
+        particles, vocab, mask = self.particles, self.vocab, clause.mask
+        max_tokens = self.plan.max_tokens
+        full = [s for s in slots if len(particles[s].tokens) >= max_tokens]
+        for s in full:
+            self.kill(s, StepBudgetExceeded(
+                f"clause needs more than max_tokens={max_tokens} tokens"))
+        if full:
+            slots = [s for s in slots if particles[s].status == ACTIVE]
         if not slots:
             return slots
         rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
-        particles, vocab, mask = self.particles, self.vocab, clause.mask
         by_text = mask is not None and mask.kind == "max_remaining_chars"
         groups: dict = {}  # one list of positions per distinct (row, mask)
         for i, (s, row) in enumerate(zip(slots, rows)):
@@ -410,20 +387,18 @@ class _Pass:
                 if not slots:
                     break
             return slots
-        particles, stop = self.particles, clause.stop
+        particles, stop, bound = self.particles, clause.stop, clause.max_iterations
         done: list[int] = []
         iterations = 0
         while slots:
-            self.check_deadline()
             going = []
             for s in slots:
-                particle = particles[s]
-                if _stop_satisfied(stop, particle, len(particle.tokens), self.vocab):
+                if _stop_satisfied(stop, particles[s], self.vocab):
                     done.append(s)
-                elif iterations >= clause.max_iterations:
+                elif bound is not None and iterations >= bound:
                     self.kill(s, StepBudgetExceeded(
                         f"loop ran {iterations} iterations without satisfying "
-                        "its until predicate"))
+                        "its stop predicate"))
                 else:
                     going.append(s)
             for sub in clause.body:

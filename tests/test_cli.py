@@ -125,10 +125,12 @@ class TestCmdRun:
         ([], {"ess_threshold": True}, "ess_threshold must be a number"),
         ([], {"ess_threshold": "3"}, "ess_threshold must be a number"),
         ([], {"ess_threshold": float("nan")}, "ess_threshold must not be NaN"),
+        (["--jobs", "0"], None, "--jobs must be >= 1"),
+        (["--jobs", "-2"], None, "--jobs must be >= 1"),
     ], ids=["zero_particles", "zero_retries", "ess_above_n", "negative_seed",
             "string_particles", "bool_particles", "float_seed", "string_timeout",
             "bool_timeout", "negative_timeout", "nan_timeout", "bool_ess",
-            "string_ess", "nan_ess"])
+            "string_ess", "nan_ess", "zero_jobs", "negative_jobs"])
     def test_bad_settings_exit_before_any_task(self, tmp_path, capsys, flags, config,
                                                message):
         if config is not None:
@@ -174,9 +176,9 @@ def _bad_document_argv(case: str, tmp: Path) -> list[str]:
         bad.write_text('["a", ' if case == "vocab_malformed" else '{"a": 1}')
         return ["run", "--tasks", CHAR_ARGS[1], "--plans", CHAR_ARGS[3],
                 "--model", "remote:http://127.0.0.1:9", "--model-vocab", str(bad), *out]
-    if case == "trace_malformed":
+    if case.startswith("trace_"):
         (tmp / "traces").mkdir()
-        (tmp / "traces" / "r1.trace.json").write_text('{"steps": [')
+        (tmp / "traces" / "r1.trace.json").write_text(TRACE_PAYLOADS[case])
         return ["trace", "r1", "--trace-dir", str(tmp / "traces"),
                 "--out-dir", str(tmp / "rendered")]
     if case == "record_without_method":
@@ -193,11 +195,39 @@ def _bad_document_argv(case: str, tmp: Path) -> list[str]:
                        '"rows": [{"context": [], "dist": [NaN, 1.0]}]}')
         return ["run", "--tasks", CHAR_ARGS[1], "--plans", CHAR_ARGS[3],
                 "--model", f"table:{bad}", *out]
-    assert case == "ngram_smoothing_nan"
     corpus = tmp / "corpus.txt"
+    if case == "ngram_corpus_not_utf8":
+        corpus.write_bytes(b"\xff\xfeab")
+        return ["run", "--tasks", CHAR_ARGS[1], "--plans", CHAR_ARGS[3],
+                "--model", f"ngram:{corpus}", *out]
+    assert case == "ngram_smoothing_nan"
     corpus.write_text("abc abc\n")
     return ["run", "--tasks", CHAR_ARGS[1], "--plans", CHAR_ARGS[3],
             "--model", f"ngram:{corpus}", "--ngram-smoothing", "nan", *out]
+
+
+def _trace(**change) -> str:
+    payload = {"run_id": "r1", "ess_trace": [2.0], "resample_events": [],
+               "steps": [{"step": 1, "weights": [0.5, 0.5], "texts": ["a", "b"]}]}
+    return json.dumps({**payload, **change})
+
+
+TRACE_STEP_SHAPE = ("trace.steps[0]: weights must be numbers and texts strings, "
+                    "one of each per particle")
+TRACE_PAYLOADS = {
+    "trace_malformed": '{"steps": [',
+    "trace_steps_not_a_list": _trace(steps=5),
+    "trace_without_resample_events": json.dumps(
+        {"run_id": "r1", "ess_trace": [], "steps": []}),
+    "trace_step_not_an_object": _trace(steps=[3]),
+    "trace_step_without_weights": _trace(steps=[{"step": 1, "texts": ["a"]}]),
+    "trace_text_not_a_string": _trace(
+        steps=[{"step": 1, "weights": [1.0], "texts": [7]}]),
+    "trace_weight_not_a_number": _trace(
+        steps=[{"step": 1, "weights": ["1"], "texts": ["a"]}]),
+    "trace_unequal_lengths": _trace(
+        steps=[{"step": 1, "weights": [0.5, 0.5], "texts": ["a"]}]),
+}
 
 
 BAD_DOCUMENTS = [
@@ -207,12 +237,22 @@ BAD_DOCUMENTS = [
     ("vocab_object", "SchemaViolation",
      "vocab must be a nonempty list of token strings"),
     ("trace_malformed", "ParseError", "trace file is not valid JSON"),
+    ("trace_steps_not_a_list", "SchemaViolation", "trace.steps: wrong type"),
+    ("trace_without_resample_events", "SchemaViolation",
+     "trace.resample_events: missing required field"),
+    ("trace_step_not_an_object", "SchemaViolation", "trace.steps[0]: must be an object"),
+    ("trace_step_without_weights", "SchemaViolation",
+     "trace.steps[0].weights: missing required field"),
+    ("trace_text_not_a_string", "SchemaViolation", TRACE_STEP_SHAPE),
+    ("trace_weight_not_a_number", "SchemaViolation", TRACE_STEP_SHAPE),
+    ("trace_unequal_lengths", "SchemaViolation", TRACE_STEP_SHAPE),
     ("record_without_method", "SchemaViolation",
      "bad.json:1.method: missing required field"),
     ("record_not_utf8", "ParseError", "bad.json:1 is not UTF-8 text"),
     ("tasks_not_utf8", "ParseError", "bad.json:1 is not UTF-8 text"),
     ("nan_table_row", "SchemaViolation", "non-finite probability"),
     ("ngram_smoothing_nan", "SchemaViolation", "smoothing must be"),
+    ("ngram_corpus_not_utf8", "ParseError", "ngram corpus is not UTF-8 text"),
 ]
 
 

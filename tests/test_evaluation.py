@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from steersmc import (
     EnumerationTooLarge,
+    InferenceConfig,
     UniformModel,
     Vocabulary,
     brute_force_target,
     coherency_proxy,
     load_table_model,
     parse_plan,
+    run_inference,
     total_variation,
     train_ngram,
     weighted_pass_at_1,
@@ -161,6 +163,67 @@ class TestBruteForceTarget:
         ], max_tokens=2)
         table = brute_force_target(hinted, model, max_len=2)
         assert table.probs == {(1,): 1.0}
+
+    def test_fixed_loop_inside_an_until_loop(self):
+        # Each masked draw keeps 2/3 of the uniform mass, so every path
+        # of two draws carries (1/2 * 2/3)^2 = 1/9 and Z = 4/9.
+        vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+        model = UniformModel(vocab)
+        plan = make_plan([{
+            "kind": "loop", "until": {"kind": "token_count", "value": 2},
+            "max_iterations": 3,
+            "body": [{"kind": "loop", "iterations": 1, "body": [
+                {"kind": "masked_sample",
+                 "mask": {"kind": "explicit", "tokens": ["a", "b"]}}]}]}])
+        table = brute_force_target(plan, model, max_len=6)
+        assert table.text_probs(vocab) == {
+            "aa": pytest.approx(0.25), "ab": pytest.approx(0.25),
+            "ba": pytest.approx(0.25), "bb": pytest.approx(0.25)}
+        assert table.z == pytest.approx(4 / 9)
+        out = run_inference(plan, model, InferenceConfig(
+            method="importance", n_particles=4000, seed=5))
+        assert out.error is None
+        assert all(c.raw_log_weight == pytest.approx(math.log(4 / 9))
+                   for c in out.candidates)
+        law: dict = {}
+        for c in out.candidates:
+            law[c.tokens] = law.get(c.tokens, 0.0) + c.normalized_weight
+        # four cells of 1/4 at N=4000: E[TV] is about 0.011, sd about 0.005
+        assert total_variation(table.probs, law) <= 0.05
+
+    def test_max_new_tokens_bounds_an_until_stop(self):
+        # sample_until "b" within 2 draws: "aa" spends the bound and dies,
+        # leaving b, ab, <eos> and a<eos> with mass 1/3, 1/9, 1/3, 1/9.
+        vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+        model = UniformModel(vocab)
+        plan = make_plan([{"kind": "sample_until", "max_new_tokens": 2,
+                           "stop": {"kind": "substring", "value": "b"}}])
+        table = brute_force_target(plan, model, max_len=6)
+        a, b, eos = 0, 1, vocab.eos_id
+        assert table.probs == {(b,): pytest.approx(3 / 8), (a, b): pytest.approx(1 / 8),
+                               (eos,): pytest.approx(3 / 8), (a, eos): pytest.approx(1 / 8)}
+        assert table.z == pytest.approx(8 / 9)
+        out = run_inference(plan, model, InferenceConfig(
+            method="importance", n_particles=4000, seed=6))
+        assert out.error is None
+        law: dict = {}
+        for c in out.candidates:
+            law[c.tokens] = law.get(c.tokens, 0.0) + c.normalized_weight
+        # four cells of 3/8 or 1/8 among ~3,560 survivors: E[TV] is about 0.01
+        assert total_variation(table.probs, law) <= 0.05
+
+    def test_longest_loop_without_draws(self):
+        # The oracle recurses once per drawn token, not once per clause,
+        # so a loop at the iteration cap enumerates like a short one.
+        vocab = Vocabulary.from_tokens(["a", "<eos>"])
+        plan = make_plan([
+            {"kind": "loop", "iterations": 10_000,
+             "body": [{"kind": "hint", "template": "x"}]},
+            {"kind": "masked_sample", "mask": {"kind": "explicit", "tokens": ["a"]}}],
+            max_tokens=2)
+        table = brute_force_target(plan, UniformModel(vocab), max_len=2)
+        assert table.probs == {(0,): 1.0}
+        assert table.z == pytest.approx(0.5)
 
     def test_text_probs_merges_identical_texts(self, uniform3):
         plan = make_plan(

@@ -5,6 +5,7 @@ import pytest
 from steersmc import (
     FixtureLibrary,
     InferenceConfig,
+    ParseError,
     RandomStream,
     RemoteGenerator,
     SchemaViolation,
@@ -234,6 +235,13 @@ class TestRemoteGenerator:
         source = RemoteGenerator.from_template_file(ep.url, template_path)
         steer(task, source, model, config)
         assert ep.calls[0][1]["task"] == "solve: write ab // last error: none"
+
+    def test_template_file_not_utf8_is_parse_error(self, tmp_path):
+        template_path = tmp_path / "prompt.txt"
+        template_path.write_bytes(b"\xff\xfesolve: {task}")
+        with pytest.raises(ParseError) as info:
+            RemoteGenerator.from_template_file("http://127.0.0.1:9", template_path)
+        assert info.value.message.startswith("plan template is not UTF-8 text")
 
     def test_malformed_response_is_schema_violation(self, local_endpoint, task):
         ep = local_endpoint(lambda path, body: (200, {"nope": 1}))

@@ -10,6 +10,10 @@ plans over vocabularies of at most five tokens must give bit-identical
 particles. A dead end (a spent step budget or an empty mask) fails its
 particle alone in both; any other error ends our step at once, so it is
 raised exactly when the walk raises and is the error of some slot's walk.
+Both run parsed plans, where every token is drawn by a one-token
+``draw`` clause inside a ``loop``; a generated ``sample_until`` whose
+``max_new_tokens`` is below its token-count stop must be rejected by
+``parse_plan`` instead.
 
 Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 ``steering._Pass.draw`` fails ``test_population_step_matches_the_walk``.
@@ -21,6 +25,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +34,7 @@ from steersmc import (
     ModelQuery,
     Particle,
     RandomStream,
+    SchemaViolation,
     SteeringError,
     StepBudgetExceeded,
     TableModel,
@@ -74,9 +80,9 @@ class _StepState:
             raise Timeout("wall-clock budget exhausted mid-step")
 
 
-def _stop_satisfied(stop, particle, count, vocab) -> bool:
+def _stop_satisfied(stop, particle, vocab) -> bool:
     if stop.kind == "token_count":
-        return count >= stop.value
+        return len(particle.tokens) >= stop.value
     if stop.kind == "substring":
         return stop.value in particle.text
     return bool(particle.tokens) and particle.tokens[-1] == vocab.eos_id
@@ -139,22 +145,9 @@ def _exec_clause(clause, plan, particle, models, rng, state):
         return
     state.check_deadline()
     vocab = models.vocabulary
-    if clause.kind == "sample_until":
-        drawn = 0
-        bound = clause.max_new_tokens
-        while True:
-            state.check_deadline()
-            if _stop_satisfied(clause.stop, particle, drawn, vocab):
-                return
-            if bound is not None and drawn >= bound:
-                raise StepBudgetExceeded(
-                    f"sample_until drew {drawn} tokens without satisfying its "
-                    "stop predicate")
-            _budget_guard(plan, particle)
-            token = _take_token(clause, plan, particle, models, rng, state)
-            drawn += 1
-            if token == vocab.eos_id:
-                return
+    if clause.kind == "draw":
+        _budget_guard(plan, particle)
+        _take_token(clause, plan, particle, models, rng, state)
     elif clause.kind == "force_string":
         forced = forced_tokens(clause, vocab)
         if not forced:
@@ -188,12 +181,12 @@ def _exec_clause(clause, plan, particle, models, rng, state):
             done_iters = 0
             while True:
                 state.check_deadline()
-                if _stop_satisfied(clause.stop, particle, len(particle.tokens), vocab):
+                if _stop_satisfied(clause.stop, particle, vocab):
                     return
-                if done_iters >= clause.max_iterations:
+                if clause.max_iterations is not None and done_iters >= clause.max_iterations:
                     raise StepBudgetExceeded(
                         f"loop ran {done_iters} iterations without satisfying "
-                        "its until predicate")
+                        "its stop predicate")
                 for sub in clause.body:
                     _exec_clause(sub, plan, particle, models, rng, state)
                     if state.finished:
@@ -329,7 +322,19 @@ def cases(draw):
     doc = {"plan_version": 1, "max_tokens": draw(st.integers(1, 6)),
            "steps": [clauses(vocab, draw, 0) for _ in range(draw(st.integers(1, 3)))]}
     models = (draw(table_models(vocab)), draw(table_models(vocab)))
-    return parse_plan(doc), models, draw(st.sampled_from([1, 3, 6])), draw(st.integers(0, 2 ** 32))
+    return doc, models, draw(st.sampled_from([1, 3, 6])), draw(st.integers(0, 2 ** 32))
+
+
+def never_finishes(steps) -> bool:
+    """Whether some ``sample_until`` has a ``max_new_tokens`` below its
+    token-count stop."""
+    for doc in steps:
+        stop = doc.get("stop", {})
+        if (doc["kind"] == "loop" and never_finishes(doc["body"])
+                or doc["kind"] == "sample_until" and stop["kind"] == "token_count"
+                and doc.get("max_new_tokens", stop["value"]) < stop["value"]):
+            return True
+    return False
 
 
 def _mask_mass_case():
@@ -340,9 +345,9 @@ def _mask_mass_case():
     row = np.array([z, 1.0 - z, 0.0])
     row.setflags(write=False)
     model = TableModel(vocab, {}, row)
-    plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [
-        {"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [0]}}]})
-    return plan, (model, model), 2, 0
+    doc = {"plan_version": 1, "max_tokens": 2, "steps": [
+        {"kind": "masked_sample", "mask": {"kind": "explicit", "ids": [0]}}]}
+    return doc, (model, model), 2, 0
 
 
 def _remaining_chars_case():
@@ -352,11 +357,11 @@ def _remaining_chars_case():
     row = np.full(3, 1.0 / 3.0)
     row.setflags(write=False)
     model = TableModel(vocab, {}, row)
-    plan = parse_plan({"plan_version": 1, "max_tokens": 3, "steps": [
+    doc = {"plan_version": 1, "max_tokens": 3, "steps": [
         {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
         {"kind": "masked_sample", "count": 2,
-         "mask": {"kind": "max_remaining_chars", "target_chars": 2}}]})
-    return plan, (model, model), 6, 1  # slot 0 draws "ab", slot 2 "a"
+         "mask": {"kind": "max_remaining_chars", "target_chars": 2}}]}
+    return doc, (model, model), 6, 1  # slot 0 draws "ab", slot 2 "a"
 
 
 def _error(exc) -> tuple:
@@ -373,7 +378,12 @@ def _state(particle: Particle) -> tuple:
 @example(case=_mask_mass_case())
 @example(case=_remaining_chars_case())
 def test_population_step_matches_the_walk(case):
-    plan, models, n, seed = case
+    doc, models, n, seed = case
+    if never_finishes(doc["steps"]):
+        with pytest.raises(SchemaViolation, match="max_new_tokens"):
+            parse_plan(doc)
+        return
+    plan = parse_plan(doc)
     ours = [Particle() for _ in range(n)]
     theirs = [Particle() for _ in range(n)]
     for step in range(len(plan.steps) + 1):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from steersmc import (
     parse_plan,
     run_check,
 )
+from steersmc.steering import hint_bindings_for
 
 NEG_INF = float("-inf")
 
@@ -573,7 +575,8 @@ class TestParsePlan:
         }
         plan = parse_plan(doc)
         kinds = [c.kind for c in plan.steps]
-        assert kinds.count("sample_until") == 4
+        assert kinds.count("loop") == 4  # each sample_until is a loop over one draw
+        assert [c.iterations for c in plan.steps if c.kind == "loop"] == [3, 3, 2, 7]
         assert kinds.count("force_string") == 3
         assert plan.check[1].positions == ((4, "Glasgow"), (8, "in"), (11, "and"))
 
@@ -592,14 +595,37 @@ class TestParsePlan:
             make_plan([{"kind": "force_string", "text": "a", "speed": 9}])
         assert "speed" in info.value.message
 
-    def test_masked_sample_is_sample_until_with_token_count_stop(self):
+    def test_token_drawing_clauses_parse_to_a_loop_over_one_draw(self):
         mask = {"kind": "char_class", "classes": ["letter"]}
-        plan = make_plan([{"kind": "masked_sample", "count": 3, "mask": mask,
-                           "score_with_prior": True}])
-        assert plan.steps == (StepClause(
-            kind="sample_until", stop=StopSpec("token_count", 3),
-            mask=MaskSpec("char_class", classes=("letter",)),
-            score_with_prior=True),)
+        draw = StepClause(kind="draw", mask=MaskSpec("char_class", classes=("letter",)),
+                          score_with_prior=True)
+        fixed = StepClause(kind="loop", body=(draw,), iterations=3)
+        plan = make_plan([
+            {"kind": "masked_sample", "count": 3, "mask": mask, "score_with_prior": True},
+            {"kind": "sample_until", "stop": {"kind": "token_count", "value": 3},
+             "mask": mask, "score_with_prior": True, "max_new_tokens": 3},
+            {"kind": "sample_until", "stop": {"kind": "substring", "value": "."},
+             "mask": mask, "score_with_prior": True, "max_new_tokens": 5},
+            {"kind": "sample_until", "stop": {"kind": "eos"}},
+        ])
+        assert plan.steps == (
+            fixed, fixed,
+            StepClause(kind="loop", body=(draw,), stop=StopSpec("substring", "."),
+                       max_iterations=5),
+            StepClause(kind="loop", body=(StepClause(kind="draw"),),
+                       stop=StopSpec("eos"), max_iterations=None))
+
+    def test_max_new_tokens_below_the_count_stop_rejected(self):
+        # Such a clause could never finish: every particle would die.
+        with pytest.raises(SchemaViolation) as info:
+            make_plan([{"kind": "sample_until", "max_new_tokens": 2,
+                        "stop": {"kind": "token_count", "value": 3}}])
+        assert info.value.message.startswith("plan.steps[0].max_new_tokens: ")
+
+    def test_draw_is_not_a_document_clause(self):
+        with pytest.raises(SchemaViolation) as info:
+            make_plan([{"kind": "draw"}])
+        assert "unknown clause kind 'draw'" in info.value.message
 
     @pytest.mark.parametrize("change", [
         {"steps": [{"kind": "masked_sample", "mask": {
@@ -662,6 +688,18 @@ class TestParsePlan:
             make_plan([{"kind": "hint", "template": "{remaining_chars}"}])
         make_plan([{"kind": "hint", "template": "{remaining_chars}"}],
                   variables={"target_chars": 10})
+
+    def test_remaining_chars_needs_a_true_integer(self):
+        # a JSON true is not a character budget: True - len("abc") is -2
+        with pytest.raises(SchemaViolation) as info:
+            make_plan([{"kind": "hint", "template": "{remaining_chars}"}],
+                      variables={"target_chars": True})
+        assert "integer target_chars" in info.value.message
+        plan = make_plan([{"kind": "hint", "template": "{target_chars}"}],
+                         variables={"target_chars": True})
+        assert "remaining_chars" not in hint_bindings_for(plan, "abc", 3)
+        assert hint_bindings_for(replace(plan, variables={"target_chars": 5}),
+                                 "abc", 3)["remaining_chars"] == 2
 
     def test_loop_needs_exactly_one_of_iterations_until(self):
         body = [{"kind": "force_string", "text": "a"}]
