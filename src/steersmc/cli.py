@@ -297,7 +297,8 @@ def _trace_svg(steps: list[dict]) -> str:
 
 def _load_trace(path: Path) -> dict:
     """A trace payload, checked to hold what ``cmd_trace`` reads: steps
-    of numeric weights and string texts, one of each per particle."""
+    of numeric weights and string texts, one of each per particle, and
+    as many particles in every step as in the first."""
     payload = read_document(path, "trace file")
     check_types(check_fields(payload, TRACE_FIELDS, "trace"), TRACE_FIELDS, "trace")
     for i, step in enumerate(payload["steps"]):
@@ -309,6 +310,10 @@ def _load_trace(path: Path) -> dict:
                 for w, t in zip(weights, texts)):
             raise SchemaViolation(f"{where}: weights must be numbers and texts strings, "
                                   "one of each per particle")
+        first = len(payload["steps"][0]["weights"])
+        if len(weights) != first:
+            raise SchemaViolation(f"{where}: {len(weights)} particles, but the first "
+                                  f"step has {first}")
     return payload
 
 

@@ -1,10 +1,10 @@
 """Monte Carlo inference over steering plans.
 
-Three strategies share one lockstep driver: importance sampling (all
-particles advance independently to completion), sequential Monte Carlo
-(same loop plus ESS-triggered resampling after each step), and
-rejection sampling (no weight accounting; completions filtered by the
-plan check). All randomness flows through counter-based streams keyed
+Three strategies share one lockstep driver, whose step t runs the
+plan's top-level clause t - 1 on every active particle: importance
+sampling, sequential Monte Carlo (the same loop plus ESS-triggered
+resampling after each step), and rejection sampling (no weight
+accounting; completions filtered by the plan check). All randomness flows through counter-based streams keyed
 on (seed, particle slot, particle step), so outcomes are bit-identical
 for a given seed, and importance sampling coincides exactly with SMC at
 a zero resample threshold.
@@ -21,7 +21,6 @@ interruption point.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllParticlesDead, SteeringError, Timeout
-from .rng import RandomStream, derive_key, step_keys
+from .rng import RandomStream, derive_key, draw_indices, step_keys
 from .steering import (
     ACTIVE,
     DONE,
@@ -164,23 +163,21 @@ def resample(particles: list[Particle], normalized_weights, scheme: str,
 
     Multinomial draws ancestors i.i.d.; systematic uses one uniform
     offset on a stratified grid (under uniform weights every particle is
-    copied exactly once). Every survivor's log weight is reset to the
+    copied exactly once). Both pick by ``draw_indices``, so a particle
+    of weight zero is never copied. Every survivor's log weight is reset to the
     log-mean of the pre-resample unnormalized weights, which preserves
     the running normalizing-constant estimate.
     """
     n = len(particles)
     raw = np.array([p.log_weight for p in particles])
     log_mean = log_sum_exp(raw) - math.log(n)
-    cum = np.cumsum(np.asarray(normalized_weights, dtype=np.float64))
-    cum[-1] = max(cum[-1], 1.0)  # guard rounding at the top of the range
     if scheme == "multinomial":
         points = rng.uniforms(n)
     elif scheme == "systematic":
         points = (np.arange(n) + rng.uniform()) / n
     else:
         raise ValueError(f"unknown resample scheme {scheme!r}")
-    ancestors = np.searchsorted(cum, points, side="right")
-    np.clip(ancestors, 0, n - 1, out=ancestors)
+    ancestors = draw_indices(np.asarray(normalized_weights, dtype=np.float64), 1.0, points)
     out = []
     for a in ancestors:
         child = particles[int(a)].clone()
@@ -204,8 +201,9 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                   *, resample_enabled: bool, weighted: bool) -> tuple:
     """Lockstep loop of every method: returns (particles, diagnostics, error|None).
 
-    Each step moves every active particle on by one top-level clause or
-    ends it, so a run takes at most ``max(1, len(plan.steps))`` steps.
+    Step t runs top-level clause t - 1 on every active particle, so a
+    run takes at most ``max(1, len(plan.steps))`` steps; an empty plan
+    takes one, which ends every particle with no tokens.
     """
     start = time.monotonic()
     deadline = start + config.timeout if config.timeout is not None else None
@@ -221,17 +219,15 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
     error: SteeringError | None = None
 
     try:
-        for t in itertools.count(1):
+        for t in range(1, max(1, len(plan.steps)) + 1):
             if deadline is not None and time.monotonic() > deadline:
                 raise Timeout("wall-clock budget exhausted")
             diag.steps_executed = t
             slots = [s for s, p in enumerate(particles) if p.status == ACTIVE]
             active = [particles[s] for s in slots]
-            # Every active particle has taken t - 1 steps, so step t's keys
-            # are its stream's. A dead end fails only its particle; any
-            # other typed error (Timeout, remote or schema trouble) ends
-            # the run.
-            execute_step(plan, active, models, step_keys(slot_keys[slots], t),
+            # A dead end fails only its particle; any other typed error
+            # (Timeout, remote or schema trouble) ends the run.
+            execute_step(plan, t - 1, active, models, step_keys(slot_keys[slots], t),
                          deadline=deadline)
             for particle in active:
                 if particle.status == FAILED:

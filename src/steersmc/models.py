@@ -383,8 +383,9 @@ def load_table_model(source: str | bytes | dict | Path) -> TableModel:
     Document shape: ``{"vocab": [token strings, last is EOS],
     "rows": [{"context": [...], "dist": [...], "tag"?: str}],
     "default": "uniform" | [dist], "hint_delimiter"?: token string}``.
-    Row distributions must sum to 1 within 1e-6 and are renormalized
-    exactly on load.
+    A context lists token strings, each mapped to its id (the first on
+    duplicate texts). Row distributions must sum to 1 within 1e-6 and
+    are renormalized exactly on load.
     """
     doc = check_fields(read_document(source, "table model"),
                        {"vocab", "rows", "default", "hint_delimiter"}, "model")
@@ -404,6 +405,7 @@ def load_table_model(source: str | bytes | dict | Path) -> TableModel:
         row.setflags(write=False)
         return row
 
+    by_text = vocab._text_index()[0]
     rows: dict[tuple[str | None, tuple[int, ...]], np.ndarray] = {}
     row_docs = doc.get("rows", [])
     if not isinstance(row_docs, list):
@@ -413,9 +415,9 @@ def load_table_model(source: str | bytes | dict | Path) -> TableModel:
         ctx_texts = entry.get("context")
         if not isinstance(ctx_texts, list) or not all(isinstance(t, str) for t in ctx_texts):
             raise SchemaViolation(f"rows[{i}].context must be a list of token strings")
-        try:
-            ctx = tuple(vocab.encode("".join(ctx_texts))) if ctx_texts else ()
-        except SchemaViolation:
+        try:  # one id per listed token, never a re-tokenization of their text
+            ctx = tuple(by_text[t] for t in ctx_texts)
+        except KeyError:
             raise SchemaViolation(f"rows[{i}].context uses unknown tokens") from None
         tag = entry.get("tag")
         if tag is not None and not isinstance(tag, str):

@@ -4,10 +4,10 @@ Executing one clause on a particle extends its token sequence and
 multiplies a score update into its weight; the weighted law over
 finished sequences is the plan's target distribution, which the
 inference engine approximates. The interpreter steps a whole
-population at once: one query per distinct model context and one
-vectorized draw per distinct (row, mask) on each token tick. Tokens are
-drawn only by the one-token ``draw`` clause; every repetition is a
-``loop``.
+population through one top-level clause at once: one query per
+distinct model context and one vectorized draw per distinct (row, mask)
+on each token tick. Tokens are drawn only by the one-token ``draw``
+clause; every repetition is a ``loop``.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -68,7 +68,6 @@ class Particle:
     log_weight: float = 0.0
     status: str = ACTIVE
     hint_buffer: list[str] = field(default_factory=list)
-    clause_index: int = 0
     error: Exception | None = None
     passed_check: bool | None = None
 
@@ -76,20 +75,17 @@ class Particle:
         """Independent copy sharing no mutable state."""
         return Particle(tokens=list(self.tokens), text=self.text,
                         log_weight=self.log_weight, status=self.status,
-                        hint_buffer=list(self.hint_buffer),
-                        clause_index=self.clause_index, error=self.error,
+                        hint_buffer=list(self.hint_buffer), error=self.error,
                         passed_check=self.passed_check)
 
 
 @dataclass(frozen=True)
 class StepUpdate:
     """Result of one population step: every token appended in it, in slot
-    order; the sum of every score delta applied; and whether no stepped
-    particle is still active."""
+    order, and the sum of every score delta applied."""
 
     appended_tokens: tuple[int, ...]
     log_score_update: float
-    finished: bool
 
 
 @dataclass(frozen=True)
@@ -162,8 +158,9 @@ def _stop_satisfied(stop: StopSpec, particle: Particle, vocab: Vocabulary) -> bo
 
 
 class _Pass:
-    """One population step: the particles, their stream keys and draw
-    counters, and the summed score delta.
+    """One population step: the index of the top-level clause it runs,
+    the particles, their stream keys and draw counters, and the summed
+    score delta.
 
     Each clause runs on an ascending list of slots (particle indices)
     and returns the slots still running: a slot leaves on EOS or when it
@@ -177,11 +174,12 @@ class _Pass:
     ends the step.
     """
 
-    __slots__ = ("plan", "models", "vocab", "particles", "keys", "counters",
+    __slots__ = ("plan", "index", "models", "vocab", "particles", "keys", "counters",
                  "deadline", "log_update")
 
-    def __init__(self, plan, models: ModelSet, particles, keys, deadline):
+    def __init__(self, plan, index: int, models: ModelSet, particles, keys, deadline):
         self.plan = plan
+        self.index = index
         self.models = models
         self.vocab = models.vocabulary
         self.particles = particles
@@ -191,10 +189,10 @@ class _Pass:
         self.log_update = 0.0
 
     def kill(self, slot: int, exc: SteeringError) -> None:
-        """Fail one particle at a dead end: its error, stamped with its
-        clause, and weight -inf."""
+        """Fail one particle at a dead end: its error, stamped with the
+        step's clause, and weight -inf."""
         particle = self.particles[slot]
-        exc.clause_index = particle.clause_index
+        exc.clause_index = self.index
         particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
 
     def check_deadline(self) -> None:
@@ -409,47 +407,40 @@ class _Pass:
         return done
 
 
-def execute_step(plan: SteeringPlan, particles: list[Particle], models, keys,
-                 deadline: float | None = None) -> StepUpdate:
-    """Run every active particle's current clause to completion, all
+def execute_step(plan: SteeringPlan, index: int, particles: list[Particle], models,
+                 keys, deadline: float | None = None) -> StepUpdate:
+    """Run top-level clause ``index`` on every active particle, all
     together; particle i draws from the stream with key ``keys[i]`` (a
-    uint64), starting at counter 0.
+    uint64), starting at counter 0. Done and failed particles are left
+    untouched.
 
-    Advances each particle's program counter and marks it done when the
-    plan is exhausted or EOS was emitted. A particle that reaches a dead
-    end (StepBudgetExceeded, or MaskEmpty when its mask allows no token
-    or no probability mass) is marked failed, with that error (carrying
-    its clause index) and weight -inf; its siblings go on. Any other
-    typed error ends the step at once and is raised with the index of
-    the clause that raised it. Identical (plan, particle, key) give bit-identical results for that
+    A particle is done on EOS, or when it is still active after the
+    plan's last clause. A particle that reaches a dead end
+    (StepBudgetExceeded, or MaskEmpty when its mask allows no token or
+    no probability mass) is marked failed, with that error (carrying
+    ``index``) and weight -inf; its siblings go on. Any other typed
+    error ends the step at once and is raised with ``index``. Identical
+    (plan, index, particle, key) give bit-identical results for that
     particle, whatever population it steps in.
     """
     models = as_model_set(models)
-    step = _Pass(plan, models, particles, keys, deadline)
+    step = _Pass(plan, index, models, particles, keys, deadline)
     stepped = [s for s, p in enumerate(particles) if p.status == ACTIVE]
     starts = [len(p.tokens) for p in particles]
-    by_clause: dict[int, list[int]] = {}
-    for s in stepped:
-        by_clause.setdefault(particles[s].clause_index, []).append(s)
-    for index, slots in sorted(by_clause.items()):
-        if index < len(plan.steps):
-            try:
-                step.run(plan.steps[index], slots)
-            except SteeringError as exc:
-                exc.clause_index = index
-                raise
+    if index < len(plan.steps):
+        try:
+            step.run(plan.steps[index], stepped)
+        except SteeringError as exc:
+            exc.clause_index = index
+            raise
+    last = index + 1 >= len(plan.steps)
     appended: list[int] = []
     for s in stepped:
         p = particles[s]
         appended += p.tokens[starts[s]:]
-        if p.status == FAILED:
-            continue
-        if p.clause_index < len(plan.steps):
-            p.clause_index += 1
-        if p.clause_index >= len(plan.steps):
+        if last and p.status == ACTIVE:
             p.status = DONE
-    return StepUpdate(tuple(appended), step.log_update,
-                      all(particles[s].status != ACTIVE for s in stepped))
+    return StepUpdate(tuple(appended), step.log_update)
 
 
 def run_check(plan: SteeringPlan, tokens, vocabulary: Vocabulary) -> bool:

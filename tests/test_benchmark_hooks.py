@@ -1,0 +1,77 @@
+"""The benchmark's hooks into the program still hold.
+
+``perfbench/tracer.py`` wraps the functions it names in ``LAYERS`` from
+outside the program, and counts the tokens each ``execute_step`` call
+appends; that count is the numerator of ``tokens_per_s``. It is loaded
+here by path, as the benchmark loads it, so that a renamed layer, a
+changed ``StepUpdate`` or a step that bypasses ``execute_step`` fails
+here and not only in the benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import steersmc
+from steersmc import InferenceConfig, UniformModel, Vocabulary, parse_plan
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(layers) -> dict:
+    """Every place a layer's function is bound: its owner (module or
+    class) and each ``steersmc`` module namespace that also binds it."""
+    modules = {key: m for key, m in sys.modules.items()
+               if m is not None and (key == "steersmc" or key.startswith("steersmc."))}
+    out = {}
+    for _, module, path in layers:
+        owner = modules[module]
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        raw = owner.__dict__[attr]
+        out[(module, path)] = raw
+        if not cls_path:
+            for key, mod in modules.items():
+                if mod.__dict__.get(attr) is raw:
+                    out[(key, attr)] = raw
+    return out
+
+
+def test_tracer_hooks_count_every_appended_token_and_restore():
+    tracer_module = load_tracer()
+    assert len(tracer_module.LAYERS) == 21
+    import steersmc.cli  # noqa: F401  (the tracer wraps cli layers too)
+    before = bindings(tracer_module.LAYERS)
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    plan = parse_plan({"plan_version": 1, "max_tokens": 6, "steps": [
+        {"kind": "force_string", "text": "a"},
+        {"kind": "masked_sample", "count": 2,
+         "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1},
+         "mask": {"kind": "explicit", "tokens": ["a", "b"]}}]})
+    tracer = tracer_module.Tracer()
+    tracer.install()  # resolves every layer, or raises
+    try:
+        out = steersmc.run_inference(plan, UniformModel(vocab), InferenceConfig(
+            method="importance", n_particles=8, seed=3))
+    finally:
+        tracer.restore()
+    assert out.error is None
+    assert [len(c.tokens) for c in out.candidates] == [4] * 8  # every particle finished
+    assert tracer.counters["tokens"] == sum(len(c.tokens) for c in out.candidates)
+    assert tracer.counters["engine.particles_started"] == 8
+    calls = tracer_module.profile(tracer.arrays(), tracer_module.NAMES)["calls"]
+    assert calls["steering.execute_step"] == out.diagnostics.steps_executed == 3
+    after = bindings(tracer_module.LAYERS)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

@@ -227,6 +227,9 @@ TRACE_PAYLOADS = {
         steps=[{"step": 1, "weights": ["1"], "texts": ["a"]}]),
     "trace_unequal_lengths": _trace(
         steps=[{"step": 1, "weights": [0.5, 0.5], "texts": ["a"]}]),
+    "trace_ragged_steps": _trace(
+        steps=[{"step": 1, "weights": [0.5, 0.5], "texts": ["a", "b"]},
+               {"step": 2, "weights": [1.0], "texts": ["ab"]}]),
 }
 
 
@@ -246,6 +249,8 @@ BAD_DOCUMENTS = [
     ("trace_text_not_a_string", "SchemaViolation", TRACE_STEP_SHAPE),
     ("trace_weight_not_a_number", "SchemaViolation", TRACE_STEP_SHAPE),
     ("trace_unequal_lengths", "SchemaViolation", TRACE_STEP_SHAPE),
+    ("trace_ragged_steps", "SchemaViolation",
+     "trace.steps[1]: 1 particles, but the first step has 2"),
     ("record_without_method", "SchemaViolation",
      "bad.json:1.method: missing required field"),
     ("record_not_utf8", "ParseError", "bad.json:1 is not UTF-8 text"),

@@ -166,6 +166,23 @@ class TestResample:
         assert 99 not in out[1].tokens
         assert 99 not in particles[0].tokens and 99 not in particles[1].tokens
 
+    @pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+    def test_point_past_the_rounded_sum_never_copies_a_dead_slot(self, scheme):
+        # the weights sum to 1 - 2**-53, and every draw is the largest
+        # uniform a stream yields, which lies past that sum
+        class TopStream:
+            def uniform(self):
+                return 1.0 - 2.0 ** -53
+
+            def uniforms(self, n):
+                return np.full(n, self.uniform())
+
+        weights = [0.1] * 10 + [0.0]
+        assert np.cumsum(weights)[-1] < 1.0
+        out = resample(_weighted_particles(weights), weights, scheme, TopStream())
+        assert all(p.tokens != [10] for p in out)
+        assert out[-1].tokens == [9]
+
 
 class TestSelectAnswer:
     def _candidates(self, weights):
@@ -277,6 +294,15 @@ class TestRunSmc:
         # threshold of N forces a resample
         assert out.diagnostics.resample_events == [1]
         assert out.diagnostics.ess_trace[0] < 32.0
+
+
+@pytest.mark.parametrize("method", ["smc", "importance", "rejection"])
+def test_empty_plan_takes_one_step_and_ends_every_particle(uniform3, method):
+    out = run_inference(make_plan([]), uniform3,
+                        InferenceConfig(method=method, n_particles=4, seed=59))
+    assert out.error is None
+    assert out.diagnostics.steps_executed == 1
+    assert [c.tokens for c in out.candidates] == [()] * 4
 
 
 class TestRunRejection:

@@ -158,6 +158,24 @@ class TestTableModel:
         with pytest.raises(SchemaViolation):
             load_table_model({"vocab": ["a", "b", "<eos>"], **change})
 
+    def test_row_context_keeps_its_listed_tokens(self):
+        # greedy re-tokenization of "ab" would store the row under (2,)
+        m = load_table_model({
+            "vocab": ["a", "b", "ab", "a", "<eos>"],
+            "rows": [{"context": ["a", "b"], "dist": [0.0, 0.0, 0.0, 0.0, 1.0]},
+                     {"context": ["ab"], "dist": [0.0, 1.0, 0.0, 0.0, 0.0]}],
+        })
+        np.testing.assert_array_equal(m.next_distribution(ModelQuery((0, 1))),
+                                      [0.0, 0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(m.next_distribution(ModelQuery((2,))),
+                                      [0.0, 1.0, 0.0, 0.0, 0.0])
+        # the duplicate text "a" maps to its first id
+        np.testing.assert_array_equal(m.next_distribution(ModelQuery((3, 1))),
+                                      [0.2] * 5)
+        with pytest.raises(SchemaViolation, match=r"rows\[0\].context uses unknown"):
+            load_table_model({"vocab": ["a", "b", "<eos>"],
+                              "rows": [{"context": ["ab"], "dist": [1.0, 0.0, 0.0]}]})
+
     def test_tagged_rows_select_by_prompt_tag(self):
         m = load_table_model({
             "vocab": ["a", "b", "<eos>"],

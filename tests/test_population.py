@@ -194,32 +194,28 @@ def _exec_clause(clause, plan, particle, models, rng, state):
                 done_iters += 1
 
 
-def reference_step_one(plan, particle, models, rng):
+def reference_step_one(plan, index, particle, models, rng):
     models = as_model_set(models)
     state = _StepState(None)
-    if particle.clause_index >= len(plan.steps):
-        particle.status = DONE
-        return
     try:
-        _exec_clause(plan.steps[particle.clause_index], plan, particle, models, rng, state)
+        _exec_clause(plan.steps[index], plan, particle, models, rng, state)
     except SteeringError as exc:
-        exc.clause_index = particle.clause_index
+        exc.clause_index = index
         raise
-    particle.clause_index += 1
-    if particle.clause_index >= len(plan.steps) and not state.finished:
+    if index + 1 >= len(plan.steps) and not state.finished:
         particle.status = DONE
 
 
-def reference_step(plan, particles, models, streams):
-    """Slot-order loop: a dead end (budget or empty mask) fails its
-    particle. Returns the other errors, one for each slot whose walk
-    raises one."""
+def reference_step(plan, index, particles, models, streams):
+    """Slot-order loop over clause ``index``: a dead end (budget or empty
+    mask) fails its particle. Returns the other errors, one for each slot
+    whose walk raises one."""
     errors = []
     for particle, stream in zip(particles, streams):
         if particle.status != ACTIVE:
             continue
         try:
-            reference_step_one(plan, particle, models, stream)
+            reference_step_one(plan, index, particle, models, stream)
         except (StepBudgetExceeded, MaskEmpty) as exc:
             particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
         except SteeringError as exc:
@@ -370,7 +366,7 @@ def _error(exc) -> tuple:
 
 def _state(particle: Particle) -> tuple:
     return (particle.tokens, particle.text, particle.log_weight.hex(), particle.status,
-            *_error(particle.error), particle.clause_index, particle.hint_buffer)
+            *_error(particle.error), particle.hint_buffer)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -386,11 +382,11 @@ def test_population_step_matches_the_walk(case):
     plan = parse_plan(doc)
     ours = [Particle() for _ in range(n)]
     theirs = [Particle() for _ in range(n)]
-    for step in range(len(plan.steps) + 1):
+    for step in range(len(plan.steps)):
         theirs_streams = [RandomStream(seed, "slot", s, step) for s in range(n)]
-        want = reference_step(plan, theirs, models, theirs_streams)
+        want = reference_step(plan, step, theirs, models, theirs_streams)
         try:
-            execute_step(plan, ours, models,
+            execute_step(plan, step, ours, models,
                          [derive_key(seed, "slot", s, step) for s in range(n)])
             got = None
         except SteeringError as exc:

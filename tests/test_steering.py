@@ -83,7 +83,7 @@ def assert_budget_failed(particle: Particle, clause_index: int) -> None:
 class TestSampleToken:
     def test_mask_of_two_under_uniform_adds_log_half(self, uniform4):
         particle = Particle()
-        execute_step(explicit_mask_plan(ids=(0, 1)), [particle], uniform4,
+        execute_step(explicit_mask_plan(ids=(0, 1)), 0, [particle], uniform4,
                      [derive_key(1, "t")])
         assert particle.log_weight == pytest.approx(math.log(0.5))
         assert particle.tokens[0] in (0, 1)
@@ -92,7 +92,7 @@ class TestSampleToken:
         plan = make_plan([{"kind": "sample_until",
                            "stop": {"kind": "token_count", "value": 1}}])
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [derive_key(2, "t")])
+        execute_step(plan, 0, [particle], uniform4, [derive_key(2, "t")])
         assert particle.log_weight == 0.0
 
     def test_masked_table_update_and_frequency(self, table_721):
@@ -102,7 +102,7 @@ class TestSampleToken:
         n = 5000
         for i in range(n):
             particle = Particle()
-            update = execute_step(plan, [particle], table_721, [derive_key(3, "freq", i)])
+            update = execute_step(plan, 0, [particle], table_721, [derive_key(3, "freq", i)])
             (tok,) = update.appended_tokens
             assert particle.log_weight == pytest.approx(math.log(0.3))
             assert tok in (1, 2)
@@ -115,7 +115,7 @@ class TestSampleToken:
         # no vocabulary token has the listed text, so the mask is empty:
         # a dead end, which fails the particle instead of the step
         particle = Particle()
-        execute_step(explicit_mask_plan(tokens=("z",)), [particle], uniform4,
+        execute_step(explicit_mask_plan(tokens=("z",)), 0, [particle], uniform4,
                      [derive_key(4, "t")])
         assert particle.status == "failed"
         assert isinstance(particle.error, MaskEmpty)
@@ -128,7 +128,7 @@ class TestSampleToken:
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
         particle = Particle()
-        execute_step(explicit_mask_plan(ids=(1, 2)), [particle], zero_only,
+        execute_step(explicit_mask_plan(ids=(1, 2)), 0, [particle], zero_only,
                      [derive_key(5, "t")])
         assert particle.status == "failed"
         assert isinstance(particle.error, MaskEmpty)
@@ -149,7 +149,7 @@ class TestSampleToken:
 class TestObserveTokens:
     def test_forcing_accumulates_model_logprob(self, table_721):
         particle = Particle()
-        execute_step(force_plan((0, 1)), [particle], table_721, [derive_key(0, "t")])
+        execute_step(force_plan((0, 1)), 0, [particle], table_721, [derive_key(0, "t")])
         assert particle.log_weight == pytest.approx(math.log(0.7) + math.log(0.6))
         assert particle.tokens == [0, 1]
         assert particle.text == "ab"
@@ -160,7 +160,7 @@ class TestObserveTokens:
             "rows": [{"context": [], "dist": [1.0, 0.0, 0.0]}],
         })
         particle = Particle()
-        execute_step(force_plan((1,), SECOND_CLAUSE), [particle], m, [derive_key(0, "t")])
+        execute_step(force_plan((1,), SECOND_CLAUSE), 0, [particle], m, [derive_key(0, "t")])
         assert particle.log_weight == NEG_INF
         assert particle.status == "active"  # survives until culling
 
@@ -169,8 +169,8 @@ class TestObserveTokens:
         # relative to a sibling forcing the likely token; rank order of
         # weights matches model log probabilities.
         likely, unlikely = Particle(), Particle()
-        execute_step(force_plan((0,)), [likely], table_721, [derive_key(0, "t")])
-        execute_step(force_plan((2,)), [unlikely], table_721, [derive_key(0, "t")])
+        execute_step(force_plan((0,)), 0, [likely], table_721, [derive_key(0, "t")])
+        execute_step(force_plan((2,)), 0, [unlikely], table_721, [derive_key(0, "t")])
         assert table_721.sequence_logprob((), (0,)) > table_721.sequence_logprob((), (2,))
         assert likely.log_weight > unlikely.log_weight
 
@@ -178,7 +178,7 @@ class TestObserveTokens:
 class TestProposalPriorStep:
     def test_identical_models_give_zero_update(self, uniform4):
         particle = Particle()
-        execute_step(PRIOR_SCORED_PLAN, [particle], (uniform4, uniform4),
+        execute_step(PRIOR_SCORED_PLAN, 0, [particle], (uniform4, uniform4),
                      [derive_key(6, "t")])
         assert particle.log_weight == pytest.approx(0.0)
 
@@ -192,7 +192,7 @@ class TestProposalPriorStep:
         # find a stream whose first draw picks token 0 under the uniform
         for i in range(10):
             particle = Particle()
-            update = execute_step(PRIOR_SCORED_PLAN, [particle], (proposal, prior),
+            update = execute_step(PRIOR_SCORED_PLAN, 0, [particle], (proposal, prior),
                                   [derive_key(7, "ratio", i)])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == pytest.approx(math.log(0.9 / 0.5))
@@ -208,7 +208,7 @@ class TestProposalPriorStep:
         })
         for i in range(10):
             particle = Particle()
-            update = execute_step(PRIOR_SCORED_PLAN, [particle], (proposal, prior),
+            update = execute_step(PRIOR_SCORED_PLAN, 0, [particle], (proposal, prior),
                                   [derive_key(8, "zp", i)])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == NEG_INF
@@ -330,11 +330,9 @@ class TestExecuteStep:
     def test_single_force_clause_finishes(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "ab"}])
         particle = Particle()
-        update = execute_step(plan, [particle], table_721, [derive_key(9, "t")])
+        update = execute_step(plan, 0, [particle], table_721, [derive_key(9, "t")])
         assert update.appended_tokens == (0, 1)
-        assert update.finished
         assert particle.status == "done"
-        assert particle.clause_index == 1
         assert update.log_score_update == pytest.approx(
             math.log(0.7) + math.log(0.6))
 
@@ -344,7 +342,7 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}},
         ])
         particle = Particle()
-        update = execute_step(plan, [particle], uniform4, [derive_key(10, "t")])
+        update = execute_step(plan, 0, [particle], uniform4, [derive_key(10, "t")])
         assert len(update.appended_tokens) == 3
 
     def test_sample_until_substring(self, uniform4):
@@ -353,7 +351,7 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}},
         ], max_tokens=64)
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [derive_key(11, "t")])
+        execute_step(plan, 0, [particle], uniform4, [derive_key(11, "t")])
         assert "c" in particle.text
         assert particle.text.count("c") == 1
 
@@ -367,8 +365,7 @@ class TestExecuteStep:
             {"kind": "force_string", "text": "a"},
         ])
         particle = Particle()
-        update = execute_step(plan, [particle], eos_certain, [derive_key(12, "t")])
-        assert update.finished
+        execute_step(plan, 0, [particle], eos_certain, [derive_key(12, "t")])
         assert particle.status == "done"
         assert particle.tokens == [eos_certain.vocabulary.eos_id]
 
@@ -382,13 +379,13 @@ class TestExecuteStep:
                        "mask": {"kind": "explicit", "tokens": ["a", "b"]}}]},
         ], max_tokens=100)
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [derive_key(13, "t")])
+        execute_step(plan, 0, [particle], uniform4, [derive_key(13, "t")])
         assert_budget_failed(particle, clause_index=0)
 
     def test_force_beyond_max_tokens_raises(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "abab"}], max_tokens=3)
         particle = Particle()
-        execute_step(plan, [particle], table_721, [derive_key(14, "t")])
+        execute_step(plan, 0, [particle], table_721, [derive_key(14, "t")])
         assert_budget_failed(particle, clause_index=0)
 
     def test_sample_until_bounded_by_max_new_tokens(self, uniform4):
@@ -398,32 +395,37 @@ class TestExecuteStep:
              "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
         ], max_tokens=100)
         particle = Particle()
-        execute_step(plan, [particle], uniform4, [derive_key(15, "t")])
+        execute_step(plan, 0, [particle], uniform4, [derive_key(15, "t")])
         assert_budget_failed(particle, clause_index=0)
 
     def test_budget_failure_does_not_stop_siblings(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "ab"}], max_tokens=3)
         full, fresh = Particle(tokens=[0, 0], text="aa"), Particle()
-        update = execute_step(plan, [full, fresh], table_721,
+        update = execute_step(plan, 0, [full, fresh], table_721,
                               [derive_key(19, "a"), derive_key(19, "b")])
         assert_budget_failed(full, clause_index=0)
-        assert full.tokens == [0, 0] and full.clause_index == 0
+        assert full.tokens == [0, 0]
         assert fresh.status == "done" and fresh.tokens == [0, 1]
         assert update.appended_tokens == (0, 1)
-        assert update.finished
 
-    def test_particles_at_different_clauses_step_together(self, table_721):
+    def test_done_and_failed_particles_are_left_untouched(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "a"},
-                          {"kind": "force_string", "text": "b"}])
-        behind, ahead, done = Particle(), Particle(), Particle(status="done")
-        execute_step(plan, [ahead], table_721, [derive_key(20, "x")])
-        update = execute_step(plan, [behind, ahead, done], table_721,
+                          {"kind": "masked_sample",
+                           "mask": {"kind": "explicit", "tokens": ["b"]}}])
+        fault = StepBudgetExceeded("spent", clause_index=0)
+        done = Particle(tokens=[0], text="a", log_weight=-1.5, status="done")
+        failed = Particle(tokens=[1], text="b", log_weight=NEG_INF,
+                          status="failed", error=fault)
+        fresh = Particle()
+        before = [(p.tokens[:], p.text, p.log_weight, p.status, p.error)
+                  for p in (done, failed)]
+        update = execute_step(plan, 1, [done, fresh, failed], table_721,
                               [derive_key(20, "y") for _ in range(3)])
-        assert (behind.text, behind.status, behind.clause_index) == ("a", "active", 1)
-        assert (ahead.text, ahead.status, ahead.clause_index) == ("ab", "done", 2)
-        assert done.clause_index == 0
-        assert update.appended_tokens == (0, 1)
-        assert not update.finished
+        assert [(p.tokens, p.text, p.log_weight, p.status, p.error)
+                for p in (done, failed)] == before
+        assert (fresh.text, fresh.status) == ("b", "done")
+        assert update.appended_tokens == (1,)
+        assert update.log_score_update == pytest.approx(math.log(0.2))
 
     def test_deterministic_given_stream(self, uniform4):
         plan = make_plan([
@@ -432,7 +434,7 @@ class TestExecuteStep:
         updates = []
         for _ in range(2):
             particle = Particle()
-            updates.append(execute_step(plan, [particle], uniform4,
+            updates.append(execute_step(plan, 0, [particle], uniform4,
                                         [derive_key(16, "det")]))
         assert updates[0] == updates[1]
 
@@ -442,10 +444,9 @@ class TestExecuteStep:
              "body": [{"kind": "force_string", "text": "a"}]},
         ])
         particle = Particle()
-        update = execute_step(plan, [particle], table_721, [derive_key(17, "t")])
+        execute_step(plan, 0, [particle], table_721, [derive_key(17, "t")])
         assert particle.text == "aaa"
-        assert particle.clause_index == 1
-        assert update.finished  # single-clause plan exhausted
+        assert particle.status == "done"  # single-clause plan exhausted
 
     def test_hint_clause_feeds_later_queries(self):
         model = load_table_model({
@@ -461,9 +462,9 @@ class TestExecuteStep:
             {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
         ])
         particle = Particle()
-        execute_step(plan, [particle], model, [derive_key(18, "t")])
+        execute_step(plan, 0, [particle], model, [derive_key(18, "t")])
         assert particle.hint_buffer == ["Note to self: b"]
-        execute_step(plan, [particle], model, [derive_key(18, "t2")])
+        execute_step(plan, 1, [particle], model, [derive_key(18, "t2")])
         assert particle.tokens == [1]  # hinted row forces token b
 
     def test_observe_then_sample_commutes_with_one_clause(self, table_721):
@@ -521,8 +522,8 @@ class TestPlanTermination:
             stream = RandomStream(4242, "plans", trial)
             plan = parse_plan(self._random_plan(stream))
             particle = Particle()
-            for step in range(20):
-                execute_step(plan, [particle], uniform4,
+            for step in range(len(plan.steps)):
+                execute_step(plan, step, [particle], uniform4,
                              [derive_key(4242, "exec", trial, step)])
                 if particle.status != "active":
                     break
