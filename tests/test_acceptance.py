@@ -10,7 +10,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from steersmc import (
     Timeout,
     UniformModel,
     Vocabulary,
+    as_model_set,
     brute_force_target,
     effective_sample_size,
     load_table_model,
@@ -224,6 +225,64 @@ def fixture_partly_dead() -> ConvergenceFixture:
     return ConvergenceFixture("partly-dead", plan, model, 4)
 
 
+def _prior_scored_draws(count: int) -> list[dict]:
+    """``count`` top-level clauses, each one prior-scored draw masked to
+    a, b and c; no particle can draw EOS, so every particle stays active
+    until the last clause."""
+    return [{"kind": "masked_sample", "score_with_prior": True,
+             "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}}
+            for _ in range(count)]
+
+
+def fixture_prior_peaked() -> ConvergenceFixture:
+    # The prior puts 0.85 on one of the three masked tokens, which the
+    # proposal draws with probability 1/3: the step-1 weights 2.55, 0.15
+    # and 0.3 have a Kish fraction of 0.45, so SMC at ess_threshold N/2
+    # resamples after step 1, with every particle still active. The
+    # prior depends on the context, so the weights of later steps differ
+    # between the resampled paths.
+    vocab = ["a", "b", "c", "<eos>"]
+    proposal = UniformModel(Vocabulary.from_tokens(vocab))
+    prior = load_table_model({
+        "vocab": vocab,
+        "rows": [
+            {"context": [], "dist": [0.85, 0.05, 0.1, 0.0]},
+            {"context": ["a"], "dist": [0.1, 0.8, 0.1, 0.0]},
+            {"context": ["a", "b"], "dist": [0.05, 0.05, 0.9, 0.0]},
+        ],
+        "default": [0.4, 0.3, 0.3, 0.0],
+    })
+    plan = _plan({"max_tokens": 3, "steps": _prior_scored_draws(3), "check": []})
+    return ConvergenceFixture("prior-peaked", plan, (proposal, prior), 3)
+
+
+def fixture_prior_kills() -> ConvergenceFixture:
+    # As prior-peaked, but the prior gives zero mass to "aa", "bb" and
+    # "abb", so paths die partway (weight -inf) in steps 2 and 3, and a
+    # resample after step 1 copies active particles whose later fate
+    # differs.
+    vocab = ["a", "b", "c", "<eos>"]
+    proposal = load_table_model({
+        "vocab": vocab,
+        "rows": [{"context": [], "dist": [0.3, 0.3, 0.3, 0.1]}],
+        "default": "uniform",
+    })
+    prior = load_table_model({
+        "vocab": vocab,
+        "rows": [
+            {"context": [], "dist": [0.85, 0.1, 0.05, 0.0]},
+            {"context": ["a"], "dist": [0.0, 0.8, 0.2, 0.0]},
+            {"context": ["b"], "dist": [0.5, 0.0, 0.5, 0.0]},
+            {"context": ["a", "b"], "dist": [0.9, 0.0, 0.1, 0.0]},
+        ],
+        "default": [0.4, 0.3, 0.3, 0.0],
+    })
+    plan = _plan({"max_tokens": 3, "steps": _prior_scored_draws(3), "check": []})
+    return ConvergenceFixture("prior-kills", plan, (proposal, prior), 3)
+
+
+IN_FLIGHT_FIXTURES = [fixture_prior_peaked(), fixture_prior_kills()]
+
 CONVERGENCE_FIXTURES = [
     fixture_uniform_check(),
     fixture_word_boundary(),
@@ -232,6 +291,7 @@ CONVERGENCE_FIXTURES = [
     fixture_masked_prior(),
     fixture_force_ngram(),
     fixture_partly_dead(),
+    *IN_FLIGHT_FIXTURES,
 ]
 
 
@@ -274,6 +334,68 @@ class TestCriterion02SmcConvergence:
             elapsed = time.monotonic() - start
             assert tv <= 0.02, f"TV {tv:.4f} > 0.02"
             assert elapsed < 60.0, f"runtime {elapsed:.1f}s >= 60s"
+
+
+def step_kish_fractions(fx: ConvergenceFixture) -> list[float]:
+    """Expected Kish fraction ESS/N of each step's incremental weights,
+    for a population drawn from the previous step's intermediate target,
+    as after a resample.
+
+    Every clause of an in-flight fixture draws one masked token, so the
+    step-t target pi_t is the oracle of the plan cut after clause t, and
+    pi_t(x) = pi_{t-1}(x[:-1]) q_t(x[-1] | x[:-1]) w_t(x) / E[w_t] for
+    the masked proposal q_t. Then (E w_t)^2 / E[w_t^2] is
+    1 / sum_x pi_t(x)^2 / (pi_{t-1}(x[:-1]) q_t(x[-1] | x[:-1])).
+    """
+    models = as_model_set(fx.models)
+    fractions, previous = [], {(): 1.0}
+    for t in range(1, len(fx.plan.steps) + 1):
+        cut = replace(fx.plan, steps=fx.plan.steps[:t])
+        target = brute_force_target(cut, models, fx.max_len).probs
+        ids = fx.plan.steps[t - 1].body[0].mask.build(models.vocabulary, "")
+        second_moment = 0.0
+        for seq, p in target.items():
+            row = models.proposal.next_distribution(
+                ModelQuery(seq[:-1], fx.plan.proposal_tag))
+            q = row[seq[-1]] / row[ids].sum()
+            second_moment += p * p / (previous[seq[:-1]] * q)
+        fractions.append(1.0 / second_moment)
+        previous = target
+    return fractions
+
+
+class TestInFlightResampling:
+    """SMC resamples active particles that carry unequal weights, under
+    both schemes, and still samples the oracle's law.
+
+    The TV bound is fixed from the fixture before any run. Its expected
+    ESS is taken as E = N * min_t f_t / T for the step Kish fractions
+    f_t (``step_kish_fractions``) and T steps: each of at most T
+    reweight-and-resample rounds costs no more than the worst step's
+    factor. Each outcome's estimate then has a standard deviation near
+    sqrt(p (1 - p) / E), and the bound allows four of them per outcome:
+    TV <= 1/2 * sum_x 4 * sqrt(p_x (1 - p_x) / E).
+    """
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+    @pytest.mark.parametrize("fx", IN_FLIGHT_FIXTURES, ids=lambda f: f.name)
+    def test_resampling_in_flight_keeps_the_law(self, fx, scheme):
+        n, steps = 50_000, len(fx.plan.steps)
+        table = brute_force_target(fx.plan, fx.models, fx.max_len)
+        fractions = step_kish_fractions(fx)
+        assert fractions[0] < 0.5  # the first step alone triggers a resample
+        ess = n * min(fractions) / steps
+        bound = 0.5 * sum(4 * math.sqrt(p * (1 - p) / ess) for p in table.probs.values())
+        out = run_inference(fx.plan, fx.models, InferenceConfig(
+            method="smc", n_particles=n, seed=20_003, ess_threshold=n / 2,
+            resample_scheme=scheme))
+        assert out.error is None
+        # no particle draws EOS, so each drew a token at every step and
+        # was active after every step but the last
+        assert all(len(c.tokens) == steps for c in out.candidates)
+        assert any(t < steps for t in out.diagnostics.resample_events)
+        tv = total_variation(table.probs, candidate_law(out))
+        assert tv <= bound, f"TV {tv:.4f} > {bound:.4f}"
 
 
 class TestCriterion03NormalizingConstant:
