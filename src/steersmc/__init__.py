@@ -82,6 +82,7 @@ from .rng import RandomStream, derive_key
 from .steering import (
     ModelSet,
     Particle,
+    Population,
     StepUpdate,
     as_model_set,
     execute_step,

@@ -1,13 +1,15 @@
 """Monte Carlo inference over steering plans.
 
-Three strategies share one lockstep driver, whose step t runs the
-plan's top-level clause t - 1 on every active particle: importance
-sampling, sequential Monte Carlo (the same loop plus ESS-triggered
-resampling after each step), and rejection sampling (no weight
-accounting; completions filtered by the plan check). All randomness flows through counter-based streams keyed
-on (seed, particle slot, particle step), so outcomes are bit-identical
-for a given seed, and importance sampling coincides exactly with SMC at
-a zero resample threshold.
+Three strategies share one lockstep driver over one ``Population``,
+whose step t runs the plan's top-level clause t - 1 on every active
+particle: importance sampling, sequential Monte Carlo (the same loop
+plus ESS-triggered resampling after each step, one ``take`` of the
+population's arrays by ancestor index), and rejection sampling (no
+weight accounting; completions filtered by the plan check). All
+randomness flows through counter-based streams keyed on (seed, particle
+slot, particle step), so outcomes are bit-identical for a given seed,
+and importance sampling coincides exactly with SMC at a zero resample
+threshold.
 
 Error discipline, shared with the oracle ``brute_force_target``: a dead
 end (a spent step budget, or a mask that allows no token or no mass)
@@ -28,13 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllParticlesDead, SteeringError, Timeout
-from .rng import RandomStream, derive_key, draw_indices, step_keys
+from .rng import RandomStream, derive_keys, draw_indices, step_keys
 from .steering import (
     ACTIVE,
     DONE,
     FAILED,
     ModelSet,
-    Particle,
+    Population,
     SteeringPlan,
     as_model_set,
     execute_step,
@@ -94,12 +96,15 @@ class InferenceConfig:
 
 @dataclass
 class Diagnostics:
-    """Per-run instrumentation for debugging and trace emission."""
+    """Per-run instrumentation for debugging and trace emission; the
+    per-step weights and texts and each resample event's ancestor slots
+    are kept only under ``record_weights``."""
 
     ess_trace: list[float] = field(default_factory=list)
     resample_events: list[int] = field(default_factory=list)
     per_step_weights: list[list[float]] | None = None
     per_step_texts: list[list[str]] | None = None
+    ancestors: list[list[int]] | None = None
     steps_executed: int = 0
     wall_time: float = 0.0
 
@@ -157,9 +162,11 @@ def effective_sample_size(normalized_weights) -> float:
     return 1.0 / float(np.sum(w * w))
 
 
-def resample(particles: list[Particle], normalized_weights, scheme: str,
-             rng: RandomStream) -> list[Particle]:
-    """Draw an ancestor population proportional to the weights.
+def resample(population: Population, normalized_weights, scheme: str,
+             rng: RandomStream) -> Population:
+    """Draw an ancestor population proportional to the weights: one
+    ``take`` of every array by the ancestor slots, which the result
+    keeps as ``ancestors``.
 
     Multinomial draws ancestors i.i.d.; systematic uses one uniform
     offset on a stratified grid (under uniform weights every particle is
@@ -168,9 +175,8 @@ def resample(particles: list[Particle], normalized_weights, scheme: str,
     log-mean of the pre-resample unnormalized weights, which preserves
     the running normalizing-constant estimate.
     """
-    n = len(particles)
-    raw = np.array([p.log_weight for p in particles])
-    log_mean = log_sum_exp(raw) - math.log(n)
+    n = len(population)
+    log_mean = log_sum_exp(population.log_weights) - math.log(n)
     if scheme == "multinomial":
         points = rng.uniforms(n)
     elif scheme == "systematic":
@@ -178,11 +184,8 @@ def resample(particles: list[Particle], normalized_weights, scheme: str,
     else:
         raise ValueError(f"unknown resample scheme {scheme!r}")
     ancestors = draw_indices(np.asarray(normalized_weights, dtype=np.float64), 1.0, points)
-    out = []
-    for a in ancestors:
-        child = particles[int(a)].clone()
-        child.log_weight = log_mean
-        out.append(child)
+    out = population.take(ancestors)
+    out.log_weights[:] = log_mean
     return out
 
 
@@ -199,7 +202,7 @@ def select_answer(candidates: list[WeightedCandidate],
 
 def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                   *, resample_enabled: bool, weighted: bool) -> tuple:
-    """Lockstep loop of every method: returns (particles, diagnostics, error|None).
+    """Lockstep loop of every method: returns (population, diagnostics, error|None).
 
     Step t runs top-level clause t - 1 on every active particle, so a
     run takes at most ``max(1, len(plan.steps))`` steps; an empty plan
@@ -209,13 +212,11 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
     deadline = start + config.timeout if config.timeout is not None else None
     n = config.n_particles
     tau = config.resolved_ess_threshold()
-    particles = [Particle() for _ in range(n)]
-    slot_keys = np.array([derive_key(config.seed, "particle", slot) for slot in range(n)],
-                         dtype=np.uint64)
+    pop = Population(n)
+    slot_keys = derive_keys(config.seed, "particle", n)
     diag = Diagnostics()
     if config.record_weights:
-        diag.per_step_weights = []
-        diag.per_step_texts = []
+        diag.per_step_weights, diag.per_step_texts, diag.ancestors = [], [], []
     error: SteeringError | None = None
 
     try:
@@ -223,92 +224,81 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             if deadline is not None and time.monotonic() > deadline:
                 raise Timeout("wall-clock budget exhausted")
             diag.steps_executed = t
-            slots = [s for s, p in enumerate(particles) if p.status == ACTIVE]
-            active = [particles[s] for s in slots]
+            stepped = pop.status_is(ACTIVE)
             # A dead end fails only its particle; any other typed error
             # (Timeout, remote or schema trouble) ends the run.
-            execute_step(plan, t - 1, active, models, step_keys(slot_keys[slots], t),
+            execute_step(plan, t - 1, pop, models, step_keys(slot_keys, t),
                          deadline=deadline)
-            for particle in active:
-                if particle.status == FAILED:
-                    particle.error.step_index = t
-                elif particle.status == DONE:
-                    ok = run_check(plan, particle.tokens, models.vocabulary)
-                    particle.passed_check = ok
-                    if weighted and not ok:
-                        particle.log_weight = NEG_INF
+            for s in np.flatnonzero(stepped & pop.status_is(FAILED)).tolist():
+                pop.errors[s].step_index = t
+            for s in np.flatnonzero(stepped & pop.status_is(DONE)).tolist():
+                ok = pop.passed[s] = run_check(
+                    plan, pop.tokens[s, :pop.lengths[s]].tolist(), models.vocabulary)
+                if weighted and not ok:
+                    pop.log_weights[s] = NEG_INF
             if weighted:
-                raw = np.array([p.log_weight for p in particles])
-                if float(np.max(raw)) == NEG_INF:
-                    error = _dead_population_error(particles, t)
+                if float(np.max(pop.log_weights)) == NEG_INF:
+                    error = _dead_population_error(pop, t)
                     break
-                norm = normalize_weights(raw)
+                norm = normalize_weights(pop.log_weights)
                 ess = effective_sample_size(norm)
                 diag.ess_trace.append(ess)
                 if config.record_weights:
-                    diag.per_step_weights.append([float(w) for w in norm])
-                    diag.per_step_texts.append([p.text for p in particles])
+                    diag.per_step_weights.append(norm.tolist())
+                    diag.per_step_texts.append(list(pop.texts))
                 if resample_enabled and ess < tau:
                     stream = RandomStream(config.seed, "resample", t)
-                    particles = resample(particles, norm,
-                                         config.resample_scheme, stream)
+                    pop = resample(pop, norm, config.resample_scheme, stream)
                     diag.resample_events.append(t)
-            if all(p.status != ACTIVE for p in particles):
+                    if config.record_weights:
+                        diag.ancestors.append(pop.ancestors.tolist())
+            if not pop.status_is(ACTIVE).any():
                 break
     except SteeringError as exc:
         exc.step_index, error = t, exc
     diag.wall_time = time.monotonic() - start
-    return particles, diag, error
+    return pop, diag, error
 
 
-def _dead_population_error(particles: list[Particle], step: int) -> SteeringError:
+def _dead_population_error(pop: Population, step: int) -> SteeringError:
     """Escalate a fully dead population to its most specific error: when
     every particle failed, all with one error type, the lowest slot's own
     error (it carries its clause and step); else AllParticlesDead."""
-    if (all(p.status == FAILED for p in particles)
-            and len({type(p.error) for p in particles}) == 1):
-        return particles[0].error
+    if pop.status_is(FAILED).all() and len({type(e) for e in pop.errors}) == 1:
+        return pop.errors[0]
     err = AllParticlesDead("no particle carries finite weight")
     err.step_index = step
     return err
 
 
-def _weighted_candidates(particles: list[Particle]) -> list[WeightedCandidate]:
+def _candidates(pop: Population, weights, passed, raw) -> list[WeightedCandidate]:
+    """One candidate per slot, in slot order, with these normalized
+    weights, check results and raw log weights."""
+    return [WeightedCandidate(tokens=tuple(row[:n]), normalized_weight=w,
+                              passed_check=ok, raw_log_weight=r, text=text)
+            for row, n, w, ok, r, text in zip(pop.tokens.tolist(), pop.lengths.tolist(),
+                                              weights, passed, raw, pop.texts)]
+
+
+def _weighted_candidates(pop: Population) -> list[WeightedCandidate]:
     """Softmax-weighted candidates; empty when no weight is finite."""
-    raw = np.array([p.log_weight for p in particles])
+    raw = pop.log_weights
     if float(np.max(raw)) == NEG_INF:
         return []
-    norm = normalize_weights(raw)
-    return [
-        WeightedCandidate(
-            tokens=tuple(p.tokens),
-            normalized_weight=float(norm[i]),
-            passed_check=bool(p.passed_check),
-            raw_log_weight=float(raw[i]),
-            text=p.text,
-        )
-        for i, p in enumerate(particles)
-    ]
+    return _candidates(pop, normalize_weights(raw).tolist(),
+                       [bool(ok) for ok in pop.passed], raw.tolist())
 
 
-def _rejection_candidates(particles: list[Particle]) -> list[WeightedCandidate]:
+def _rejection_candidates(pop: Population) -> list[WeightedCandidate]:
     """Uniform weight over finished completions that pass the check;
     empty when no particle finished."""
-    if not any(p.status == DONE for p in particles):
+    finished = pop.status_is(DONE).tolist()
+    if not any(finished):
         return []
-    passers = sum(1 for p in particles if p.status == DONE and p.passed_check)
-    candidates = []
-    for p in particles:
-        finished = p.status == DONE
-        passed = finished and bool(p.passed_check)
-        candidates.append(WeightedCandidate(
-            tokens=tuple(p.tokens),
-            normalized_weight=(1.0 / passers) if passed else 0.0,
-            passed_check=passed,
-            raw_log_weight=0.0 if finished else NEG_INF,
-            text=p.text,
-        ))
-    return candidates
+    passed = [f and bool(ok) for f, ok in zip(finished, pop.passed)]
+    share = 1.0 / sum(passed) if any(passed) else 0.0
+    return _candidates(pop, [share if ok else 0.0 for ok in passed], passed,
+                       [0.0 if f else NEG_INF for f in finished])
 
 
 # method -> (resample, weighted, candidate builder). Importance sampling
@@ -325,14 +315,13 @@ def run_inference(plan: SteeringPlan, models, config: InferenceConfig) -> Infere
     """Run the method named by ``config.method`` and select an answer."""
     resample_enabled, weighted, build_candidates = _METHOD_TABLE[config.method]
     models = as_model_set(models)
-    particles, diag, error = _run_lockstep(plan, models, config,
-                                           resample_enabled=resample_enabled,
-                                           weighted=weighted)
+    pop, diag, error = _run_lockstep(plan, models, config,
+                                     resample_enabled=resample_enabled, weighted=weighted)
     candidates = []
     if error is None:
-        candidates = build_candidates(particles)
+        candidates = build_candidates(pop)
         if not candidates:
-            error = _dead_population_error(particles, diag.steps_executed)
+            error = _dead_population_error(pop, diag.steps_executed)
         elif not any(c.normalized_weight > 0.0 for c in candidates):
             error = AllParticlesDead("no completion passed the check")
             error.step_index = diag.steps_executed

@@ -22,6 +22,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,9 +165,9 @@ class Vocabulary:
         return memo(hint)
 
 
-@dataclass(frozen=True)
-class ModelQuery:
-    """A conditioning request: context ids, prompt variant, pending hints."""
+class ModelQuery(NamedTuple):
+    """A conditioning request: context ids, prompt variant, pending hints
+    (a named tuple, cheap to build once per distinct query)."""
 
     context: tuple[int, ...]
     prompt_tag: str = "proposal"

@@ -27,12 +27,8 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_key(seed: int, *path: int | str) -> int:
-    """Derive a 64-bit stream key from a seed and a path of labels.
-
-    Uses BLAKE2b over a canonical encoding, so distinct paths give
-    independent keys and the mapping is stable across platforms.
-    """
+def _hasher(seed: int, path) -> "hashlib.blake2b":
+    """BLAKE2b over the canonical encoding of a seed and a label path."""
     h = hashlib.blake2b(digest_size=8)
     h.update(int(seed).to_bytes(8, "little", signed=False))
     for part in path:
@@ -41,7 +37,28 @@ def derive_key(seed: int, *path: int | str) -> int:
             h.update(b"s" + len(raw).to_bytes(4, "little") + raw)
         else:
             h.update(b"i" + int(part).to_bytes(8, "little", signed=True))
-    return int.from_bytes(h.digest(), "little")
+    return h
+
+
+def derive_key(seed: int, *path: int | str) -> int:
+    """Derive a 64-bit stream key from a seed and a path of labels.
+
+    Uses BLAKE2b over a canonical encoding, so distinct paths give
+    independent keys and the mapping is stable across platforms.
+    """
+    return int.from_bytes(_hasher(seed, path).digest(), "little")
+
+
+def derive_keys(seed: int, label: str, n: int) -> np.ndarray:
+    """``derive_key(seed, label, i)`` for every i < n, as a uint64 array:
+    the prefix (seed, label) is hashed once and copied for each index."""
+    prefix = _hasher(seed, (label,))
+    digests = []
+    for i in range(n):
+        h = prefix.copy()
+        h.update(b"i" + i.to_bytes(8, "little", signed=True))
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
 
 
 def mix64(z: np.ndarray) -> np.ndarray:

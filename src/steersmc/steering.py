@@ -1,13 +1,17 @@
-"""Particles and the step interpreter for steering plans (``plans``).
+"""Populations of particles and the step interpreter for steering plans
+(``plans``).
 
 Executing one clause on a particle extends its token sequence and
 multiplies a score update into its weight; the weighted law over
 finished sequences is the plan's target distribution, which the
-inference engine approximates. The interpreter steps a whole
+inference engine approximates. A ``Population`` holds the particles of
+a run as arrays, one row or entry per slot, and resampling copies them
+with one ``take`` by ancestor index. The interpreter steps a whole
 population through one top-level clause at once: one query per
 distinct model context and one vectorized draw per distinct (row, mask)
 on each token tick. Tokens are drawn only by the one-token ``draw``
-clause; every repetition is a ``loop``.
+clause; every repetition is a ``loop``. ``Particle`` is the view of one
+slot that callers build and read.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -18,6 +22,7 @@ replaces that correction with ``log p_prior(t) - log q_proposal(t)``.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from dataclasses import dataclass, field
 
@@ -39,17 +44,19 @@ from .plans import (  # MaskSpec and parse_plan are re-exported
     MaskSpec,
     SteeringPlan,
     StepClause,
-    StopSpec,
     forced_tokens,
     parse_plan,
 )
-from .rng import draw_indices, uniforms_at
+from .rng import draw_indices, mix64, uniforms_at
 
 NEG_INF = float("-inf")
 
 ACTIVE = "active"
 DONE = "done"
 FAILED = "failed"
+# A population's status codes index STATUSES.
+STATUSES = (ACTIVE, DONE, FAILED)
+_ACTIVE, _DONE, _FAILED = range(3)
 
 HINT_PREFIX = "Note to self: "
 
@@ -58,10 +65,14 @@ HINT_PREFIX = "Note to self: "
 # worth would leave parked in CPython's tuple free lists.
 QUERY_BATCH = 16
 
+# Columns a token matrix starts with once it holds any token.
+MIN_WIDTH = 16
+
 
 @dataclass(slots=True)
 class Particle:
-    """One in-progress candidate generation with an accumulated weight."""
+    """One in-progress candidate generation with an accumulated weight:
+    a copy of one slot of a ``Population``."""
 
     tokens: list[int] = field(default_factory=list)
     text: str = ""
@@ -71,12 +82,131 @@ class Particle:
     error: Exception | None = None
     passed_check: bool | None = None
 
-    def clone(self) -> "Particle":
-        """Independent copy sharing no mutable state."""
-        return Particle(tokens=list(self.tokens), text=self.text,
-                        log_weight=self.log_weight, status=self.status,
-                        hint_buffer=list(self.hint_buffer), error=self.error,
-                        passed_check=self.passed_check)
+
+def fold_context(keys: np.ndarray, tokens) -> np.ndarray:
+    """The context keys of rows after appending ``tokens``, one token per
+    key (uint64): one SplitMix round (``rng.mix64``) over the key xor the
+    token plus one. The empty context has key 0. Equal keys only suggest
+    equal contexts; ``_Pass.rows`` confirms them."""
+    return mix64(keys ^ (np.asarray(tokens).astype(np.uint64) + np.uint64(1)))
+
+
+class Population:
+    """The particles of a run as arrays, slot i holding particle i.
+
+    ``tokens`` is an int32 matrix with one row per slot; its column
+    capacity doubles as rows grow, up to the plan's ``max_tokens``, and
+    cells at and after a row's length hold 0. Per slot there are also
+    ``lengths``, ``text_lengths``, ``log_weights``, ``status`` (codes
+    indexing ``STATUSES``), ``context_keys`` (the row folded token by
+    token with ``fold_context``) and ``hint_ids`` (indices into
+    ``hint_sets``, the interned tuples of rendered hints; 0 is none).
+    Python lists hold what is read as Python values: ``texts``
+    (immutable strings, shared between copies), ``errors`` and
+    ``passed`` (the check result of a finished particle). ``ancestors``
+    is the slot each slot was copied from by the last ``take``, else
+    None.
+    """
+
+    __slots__ = ("tokens", "lengths", "text_lengths", "log_weights", "status",
+                 "context_keys", "hint_ids", "texts", "errors", "passed",
+                 "hint_sets", "hint_index", "ancestors")
+    _ARRAYS = ("tokens", "lengths", "text_lengths", "log_weights", "status",
+               "context_keys", "hint_ids")
+
+    def __init__(self, n: int, width: int = 0):
+        """``n`` active particles with no tokens, text or weight."""
+        self.tokens = np.zeros((n, width), dtype=np.int32)
+        self.lengths = np.zeros(n, dtype=np.intp)
+        self.text_lengths = np.zeros(n, dtype=np.intp)
+        self.log_weights = np.zeros(n)
+        self.status = np.full(n, _ACTIVE, dtype=np.int8)
+        self.context_keys = np.zeros(n, dtype=np.uint64)
+        self.hint_ids = np.zeros(n, dtype=np.intp)
+        self.texts = [""] * n
+        self.errors: list = [None] * n
+        self.passed: list = [None] * n
+        self.hint_sets: list[tuple[str, ...]] = [()]
+        self.hint_index = {(): 0}
+        self.ancestors = None
+
+    @classmethod
+    def of(cls, particles) -> "Population":
+        """A population holding a copy of each particle, in order."""
+        pop = cls(len(particles), max((len(p.tokens) for p in particles), default=0))
+        for i, p in enumerate(particles):
+            pop.tokens[i, :len(p.tokens)] = p.tokens
+            pop.lengths[i], pop.text_lengths[i] = len(p.tokens), len(p.text)
+            pop.log_weights[i] = p.log_weight
+            pop.status[i] = STATUSES.index(p.status)
+            pop.hint_ids[i] = pop.intern(tuple(p.hint_buffer))
+            pop.texts[i], pop.errors[i], pop.passed[i] = p.text, p.error, p.passed_check
+        for column in range(pop.tokens.shape[1]):
+            rows = np.flatnonzero(pop.lengths > column)
+            pop.context_keys[rows] = fold_context(pop.context_keys[rows],
+                                                  pop.tokens[rows, column])
+        return pop
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, slot: int) -> Particle:
+        """A copy of one slot as a Particle."""
+        return Particle(tokens=self.tokens[slot, :self.lengths[slot]].tolist(),
+                        text=self.texts[slot], log_weight=float(self.log_weights[slot]),
+                        status=STATUSES[self.status[slot]],
+                        hint_buffer=list(self.hint_sets[self.hint_ids[slot]]),
+                        error=self.errors[slot], passed_check=self.passed[slot])
+
+    def __iter__(self):
+        return (self[slot] for slot in range(len(self)))
+
+    def status_is(self, status: str) -> np.ndarray:
+        """Which slots have this status, as a boolean array."""
+        return self.status == STATUSES.index(status)
+
+    def take(self, ancestors: np.ndarray) -> "Population":
+        """A population whose slot i copies slot ``ancestors[i]``. The
+        copies share only immutable values: texts, errors and hint
+        tuples."""
+        out = object.__new__(Population)
+        for name in self._ARRAYS:
+            setattr(out, name, getattr(self, name)[ancestors])
+        at = ancestors.tolist()
+        out.texts = [self.texts[a] for a in at]
+        out.errors = [self.errors[a] for a in at]
+        out.passed = [self.passed[a] for a in at]
+        out.hint_sets, out.hint_index = list(self.hint_sets), dict(self.hint_index)
+        out.ancestors = ancestors
+        return out
+
+    def intern(self, hints: tuple[str, ...]) -> int:
+        """The id of a hint tuple, added to ``hint_sets`` when new."""
+        hint_id = self.hint_index.get(hints)
+        if hint_id is None:
+            hint_id = self.hint_index[hints] = len(self.hint_sets)
+            self.hint_sets.append(hints)
+        return hint_id
+
+    def append(self, slots: np.ndarray, tokens: np.ndarray, vocab: Vocabulary,
+               limit: int) -> None:
+        """Append ``tokens[i]`` to slot ``slots[i]`` (distinct slots), the
+        token matrix growing to at most ``limit`` columns."""
+        lengths = self.lengths[slots]
+        width = self.tokens.shape[1]
+        if int(lengths.max()) >= width:
+            grown = np.zeros((len(self), max(int(lengths.max()) + 1,
+                                             min(max(2 * width, MIN_WIDTH), limit))),
+                             dtype=np.int32)
+            grown[:, :width] = self.tokens
+            self.tokens = grown
+        self.tokens[slots, lengths] = tokens
+        self.lengths[slots] = lengths + 1
+        self.text_lengths[slots] += vocab.token_lengths()[tokens]
+        self.context_keys[slots] = fold_context(self.context_keys[slots], tokens)
+        texts, pieces = self.texts, vocab.token_text
+        for s, t in zip(slots.tolist(), tokens.tolist()):
+            texts[s] += pieces[t]
 
 
 @dataclass(frozen=True)
@@ -147,25 +277,33 @@ def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
     particle.hint_buffer.append(render_hint(template, bindings))
 
 
-def _stop_satisfied(stop: StopSpec, particle: Particle, vocab: Vocabulary) -> bool:
-    """Stop predicate of ``loop until``; a ``token_count`` stop compares
-    the sequence length."""
-    if stop.kind == "token_count":
-        return len(particle.tokens) >= stop.value
-    if stop.kind == "substring":
-        return stop.value in particle.text
-    return bool(particle.tokens) and particle.tokens[-1] == vocab.eos_id
+def _first_equal(keys: np.ndarray) -> np.ndarray:
+    """For each key, the position of the first key equal to it."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    out = np.empty_like(order)
+    out[order] = np.repeat(np.minimum.reduceat(order, starts),
+                           np.diff(np.append(starts, len(keys))))
+    return out
+
+
+def _groups(labels: np.ndarray) -> list[np.ndarray]:
+    """The positions of each distinct label, ascending within a group."""
+    order = np.argsort(labels, kind="stable")
+    edges = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(labels)]
+    return [order[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
 class _Pass:
     """One population step: the index of the top-level clause it runs,
-    the particles, their stream keys and draw counters, and the summed
-    score delta.
+    the population, every slot's stream key and draw counter, and the
+    summed score delta.
 
-    Each clause runs on an ascending list of slots (particle indices)
-    and returns the slots still running: a slot leaves on EOS or when it
-    dies. A slot that ends a loop early waits for the others without
-    drawing, so its draws are those of a walk over its particle alone.
+    Each clause runs on an ascending array of slots and returns the
+    slots still running: a slot leaves on EOS or when it dies. A slot
+    that ends a loop early waits for the others without drawing, so its
+    draws are those of a walk over its particle alone.
 
     Faults follow the rule of ``brute_force_target``, where a dead end
     gives its path zero mass. A dead end (a spent step budget, or a mask
@@ -174,33 +312,40 @@ class _Pass:
     ends the step.
     """
 
-    __slots__ = ("plan", "index", "models", "vocab", "particles", "keys", "counters",
+    __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters",
                  "deadline", "log_update")
 
-    def __init__(self, plan, index: int, models: ModelSet, particles, keys, deadline):
+    def __init__(self, plan, index: int, models: ModelSet, pop: Population, keys,
+                 deadline):
         self.plan = plan
         self.index = index
         self.models = models
         self.vocab = models.vocabulary
-        self.particles = particles
+        self.pop = pop
         self.keys = np.asarray(keys, dtype=np.uint64)
-        self.counters = np.zeros(len(particles), dtype=np.uint64)
+        self.counters = np.zeros(len(pop), dtype=np.uint64)
         self.deadline = deadline
         self.log_update = 0.0
 
-    def kill(self, slot: int, exc: SteeringError) -> None:
-        """Fail one particle at a dead end: its error, stamped with the
-        step's clause, and weight -inf."""
-        particle = self.particles[slot]
-        exc.clause_index = self.index
-        particle.status, particle.error, particle.log_weight = FAILED, exc, NEG_INF
+    def kill(self, slots: np.ndarray, error: type, message: str) -> None:
+        """Fail these slots at a dead end: each gets its own ``error``,
+        stamped with the step's clause, and weight -inf."""
+        pop = self.pop
+        pop.status[slots] = _FAILED
+        pop.log_weights[slots] = NEG_INF
+        for s in slots.tolist():
+            pop.errors[s] = error(message, clause_index=self.index)
+
+    def score(self, slots: np.ndarray, deltas: np.ndarray) -> None:
+        self.pop.log_weights[slots] += deltas
+        self.log_update += float(deltas.sum())
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise Timeout("wall-clock budget exhausted mid-step")
 
-    def run(self, clause: StepClause, slots: list[int]) -> list[int]:
-        if not slots:
+    def run(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
+        if not slots.size:
             return slots
         self.check_deadline()
         if clause.kind == "draw":
@@ -213,7 +358,7 @@ class _Pass:
             return self.loop(clause, slots)
         raise SchemaViolation(f"unknown clause kind {clause.kind!r}")
 
-    def draw(self, clause: StepClause, slots: list[int]) -> list[int]:
+    def draw(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Draw one token for every slot from the (masked) proposal;
         returns the slots that neither drew EOS nor died. A slot already
         at ``max_tokens`` dies instead.
@@ -224,106 +369,115 @@ class _Pass:
         -inf; the prior is evaluated without hints, which condition the
         proposal side only. Slots sharing a (row, mask) pair share one
         normalization and one cumulative sum; when that mask allows no
-        token or no mass, every one of them dies.
+        token or no mass, every one of them dies. The picks and deltas
+        of every group are then applied in one scatter.
         """
-        particles, vocab, mask = self.particles, self.vocab, clause.mask
+        pop, vocab, mask = self.pop, self.vocab, clause.mask
         max_tokens = self.plan.max_tokens
-        full = [s for s in slots if len(particles[s].tokens) >= max_tokens]
-        for s in full:
-            self.kill(s, StepBudgetExceeded(
-                f"clause needs more than max_tokens={max_tokens} tokens"))
-        if full:
-            slots = [s for s in slots if particles[s].status == ACTIVE]
-        if not slots:
-            return slots
-        rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
-        by_text = mask is not None and mask.kind == "max_remaining_chars"
-        groups: dict = {}  # one list of positions per distinct (row, mask)
-        for i, (s, row) in enumerate(zip(slots, rows)):
-            groups.setdefault((id(row), len(particles[s].text)) if by_text else id(row),
-                              []).append(i)
-        at = np.array(slots, dtype=np.intp)
-        u = uniforms_at(self.keys[at], self.counters[at])
-        self.counters[at] += np.uint64(1)
-        tokens, deltas = [0] * len(slots), [0.0] * len(slots)
-        dead = False
-        for members in groups.values():
-            row = sub = rows[members[0]]
-            log_z = 0.0
+        full = pop.lengths[slots] >= max_tokens
+        if full.any():
+            self.kill(slots[full], StepBudgetExceeded,
+                      f"clause needs more than max_tokens={max_tokens} tokens")
+            slots = slots[~full]
+            if not slots.size:
+                return slots
+        rows, which = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
+        row_ids: dict[int, int] = {}  # one group per distinct row object
+        labels = np.array([row_ids.setdefault(id(r), len(row_ids)) for r in rows])[which]
+        if mask is not None and mask.kind == "max_remaining_chars":
+            text_lengths = pop.text_lengths[slots]
+            labels = labels * (int(text_lengths.max()) + 1) + text_lengths
+        u = uniforms_at(self.keys[slots], self.counters[slots])
+        self.counters[slots] += np.uint64(1)
+        picks = np.zeros(len(slots), dtype=np.intp)
+        deltas = np.zeros(len(slots))
+        live = np.ones(len(slots), dtype=bool)
+        for members in _groups(labels):
+            row = sub = rows[which[members[0]]]
             if mask is not None:
-                ids = mask.build(vocab, particles[slots[members[0]]].text)
+                ids = mask.build(vocab, pop.texts[slots[members[0]]])
                 sub = row[ids]
             total = float(sub.sum())
             if mask is not None and (ids.size == 0 or total <= 0.0):
-                reason = ("mask allows no tokens" if ids.size == 0
+                self.kill(slots[members], MaskEmpty,
+                          "mask allows no tokens" if ids.size == 0
                           else "mask removed all probability mass (Z=0)")
-                for i in members:
-                    self.kill(slots[i], MaskEmpty(reason))
-                dead = True
+                live[members] = False
                 continue
-            picks = draw_indices(sub, total, u.take(members))
+            drawn = draw_indices(sub, total, u[members])
             if mask is not None:
-                picks, log_z = ids[picks], math.log(total)
-            for i, t in zip(members, picks.tolist()):
-                tokens[i], deltas[i] = t, log_z
-        if dead:
-            live = [i for i, s in enumerate(slots) if particles[s].status == ACTIVE]
-            slots, rows = [slots[i] for i in live], [rows[i] for i in live]
-            tokens, deltas = [tokens[i] for i in live], [deltas[i] for i in live]
-        if clause.score_with_prior and slots:
-            prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots, False)
-            for i, prior_row in enumerate(prior_rows):
-                t = tokens[i]
-                p = float(prior_row[t])
-                log_q = math.log(rows[i][t]) - deltas[i]
-                deltas[i] = (math.log(p) - log_q) if p > 0.0 else NEG_INF
-        texts, eos = vocab.token_text, vocab.eos_id
-        running = []
-        for s, t, delta in zip(slots, tokens, deltas):
-            particle = particles[s]
-            particle.log_weight += delta
-            self.log_update += delta
-            particle.tokens.append(t)
-            particle.text += texts[t]
-            if t == eos:
-                particle.status = DONE
-            else:
-                running.append(s)
-        return running
+                drawn = ids[drawn]
+                deltas[members] = math.log(total)
+            picks[members] = drawn
+        if not live.all():
+            slots, picks, deltas, which = slots[live], picks[live], deltas[live], which[live]
+            if not slots.size:
+                return slots
+        if clause.score_with_prior and slots.size:
+            prior_rows, prior_which = self.rows(self.models.prior, self.plan.prior_tag,
+                                                slots, False)
+            scored = []
+            for t, delta, j, k in zip(picks.tolist(), deltas.tolist(), which.tolist(),
+                                      prior_which.tolist()):
+                p = float(prior_rows[k][t])
+                log_q = math.log(rows[j][t]) - delta
+                scored.append((math.log(p) - log_q) if p > 0.0 else NEG_INF)
+            deltas = np.array(scored)
+        self.score(slots, deltas)
+        pop.append(slots, picks, vocab, max_tokens)
+        ended = picks == vocab.eos_id
+        pop.status[slots[ended]] = _DONE
+        return slots[~ended]
 
-    def rows(self, model: TokenModel, tag: str, slots: list[int], hinted: bool) -> list:
-        """One row per slot, from one query per distinct (context, hints).
+    def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
+             hinted: bool) -> tuple[list, np.ndarray]:
+        """The model's rows for these slots: one row per distinct
+        (context, hints), in order of first slot, and the index of each
+        slot's row.
 
-        Queries are keyed by hash and first slot, and built QUERY_BATCH
-        at a time, so few context tuples are alive at once.
+        Slots are grouped by context key (and hint-set id when hinted),
+        and each group is confirmed by one vectorized comparison of its
+        members' rows with its first member's; members that differ (a
+        key collision) are grouped again among themselves. Queries are
+        built QUERY_BATCH at a time, so few context tuples are alive at
+        once.
         """
-        particles = self.particles
-        by_hash: dict[int, int] = {}
-        firsts: list[int] = []
-        which: list[int] = []
-        for s in slots:
-            p = particles[s]
-            hints = p.hint_buffer if hinted else ()
-            j = by_hash.get(h := hash((tuple(p.tokens), tuple(hints))))
-            if j is None or particles[firsts[j]].tokens != p.tokens or (
-                    hinted and particles[firsts[j]].hint_buffer != hints):
-                by_hash.setdefault(h, len(firsts))  # a collision keeps the first
-                j = len(firsts)
-                firsts.append(s)
-            which.append(j)
+        pop = self.pop
+        keys = pop.context_keys[slots]
+        if hinted:
+            keys = keys ^ pop.hint_ids[slots].astype(np.uint64)
+        positions = np.arange(len(slots))
+        lead = _first_equal(keys)  # the position of each slot's first equal
+        todo = np.flatnonzero(lead != positions)
+        while todo.size:
+            a, b = slots[todo], slots[lead[todo]]
+            same = pop.lengths[a] == pop.lengths[b]
+            if hinted:
+                same &= pop.hint_ids[a] == pop.hint_ids[b]
+            width = int(pop.lengths[a].max())
+            same &= (pop.tokens[a, :width] == pop.tokens[b, :width]).all(axis=1)
+            todo = todo[~same]  # key collisions: group them again
+            if todo.size:
+                lead[todo] = todo[_first_equal(keys[todo])]
+                todo = todo[lead[todo] != todo]
+        leads = lead == positions
+        firsts = slots[leads]
         distinct: list = []
         for lo in range(0, len(firsts), QUERY_BATCH):
             distinct += self.query(model, tag, firsts[lo:lo + QUERY_BATCH], hinted)
-        return [distinct[j] for j in which]
+        return distinct, (np.cumsum(leads) - 1)[lead]
 
-    def query(self, model: TokenModel, tag: str, firsts: list[int], hinted: bool) -> list:
+    def query(self, model: TokenModel, tag: str, firsts: np.ndarray, hinted: bool) -> list:
         """The model's rows for the queries of these slots, each checked
         once to be a vector over the vocabulary, so that every drawn id
         is a valid context id."""
-        particles = self.particles
-        queries = [ModelQuery(tuple(particles[s].tokens), tag,
-                              tuple(particles[s].hint_buffer) if hinted else ())
-                   for s in firsts]
+        pop = self.pop
+        tokens, row_bytes = pop.tokens, pop.tokens.strides[0]
+        # each context tuple is read straight from the row's int32 cells
+        queries = [ModelQuery(struct.unpack_from(f"={n}i", tokens, s * row_bytes), tag,
+                              pop.hint_sets[h] if hinted else ())
+                   for s, n, h in zip(firsts.tolist(), pop.lengths[firsts].tolist(),
+                                      pop.hint_ids[firsts].tolist())]
         rows = model.next_distributions(queries, deadline=self.deadline)
         size = self.vocab.size
         if len(rows) != len(queries) or not all(
@@ -332,7 +486,7 @@ class _Pass:
                                 f"{size}-entry vector per query")
         return rows
 
-    def force(self, clause: StepClause, slots: list[int]) -> list[int]:
+    def force(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Append the forced tokens to every slot and add their log
         probability to its weight once, summed in token order as
         ``TokenModel.sequence_logprob`` sums it (-inf after a zero). A
@@ -340,79 +494,87 @@ class _Pass:
         forced = forced_tokens(clause, self.vocab)
         if not forced:
             return slots
-        particles, max_tokens = self.particles, self.plan.max_tokens
-        for s in slots:
-            if len(particles[s].tokens) + len(forced) > max_tokens:
-                self.kill(s, StepBudgetExceeded(
-                    f"force_string of {len(forced)} tokens exceeds "
-                    f"max_tokens={max_tokens}"))
-        slots = scoring = [s for s in slots if particles[s].status == ACTIVE]
-        totals = dict.fromkeys(slots, 0.0)
+        pop, max_tokens = self.pop, self.plan.max_tokens
+        over = pop.lengths[slots] + len(forced) > max_tokens
+        if over.any():
+            self.kill(slots[over], StepBudgetExceeded,
+                      f"force_string of {len(forced)} tokens exceeds "
+                      f"max_tokens={max_tokens}")
+            slots = slots[~over]
+        totals = np.zeros(len(slots))
+        scoring = np.arange(len(slots))  # positions of the slots still finite
         for t in forced:
             self.check_deadline()
-            rows = self.rows(self.models.proposal, self.plan.proposal_tag, scoring, True)
-            for s, row in zip(scoring, rows):
-                totals[s] = totals[s] + math.log(row[t]) if row[t] > 0.0 else NEG_INF
-            scoring = [s for s in scoring if totals[s] != NEG_INF]
-            for s in slots:
-                particles[s].tokens.append(t)
-        text = self.vocab.decode(forced)
-        ends = forced[-1] == self.vocab.eos_id
-        running = []
-        for s in slots:
-            particle = particles[s]
-            particle.log_weight += totals[s]
-            self.log_update += totals[s]
-            particle.text += text
-            if ends:
-                particle.status = DONE
-            else:
-                running.append(s)
-        return running
+            if scoring.size:
+                rows, which = self.rows(self.models.proposal, self.plan.proposal_tag,
+                                        slots[scoring], True)
+                logs = np.array([math.log(r[t]) if r[t] > 0.0 else NEG_INF for r in rows])
+                totals[scoring] += logs[which]
+                scoring = scoring[totals[scoring] != NEG_INF]
+            if slots.size:
+                pop.append(slots, np.full(len(slots), t), self.vocab, max_tokens)
+        self.score(slots, totals)
+        if forced[-1] != self.vocab.eos_id:
+            return slots
+        pop.status[slots] = _DONE
+        return slots[:0]
 
-    def hint(self, clause: StepClause, slots: list[int]) -> list[int]:
-        for s in slots:
-            particle = self.particles[s]
-            inject_hint(particle, clause.template, hint_bindings_for(
-                self.plan, particle.text, len(particle.tokens)))
+    def hint(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
+        pop = self.pop
+        for s, n in zip(slots.tolist(), pop.lengths[slots].tolist()):
+            hint = render_hint(clause.template,
+                               hint_bindings_for(self.plan, pop.texts[s], n))
+            pop.hint_ids[s] = pop.intern(pop.hint_sets[pop.hint_ids[s]] + (hint,))
         return slots
 
-    def loop(self, clause: StepClause, slots: list[int]) -> list[int]:
+    def stopped(self, stop, slots: np.ndarray) -> np.ndarray:
+        """Which slots satisfy the stop predicate of ``loop until``; a
+        ``token_count`` stop compares the sequence length."""
+        pop = self.pop
+        if stop.kind == "token_count":
+            return pop.lengths[slots] >= stop.value
+        if stop.kind == "substring":
+            return np.array([stop.value in pop.texts[s] for s in slots.tolist()],
+                            dtype=bool)
+        lengths = pop.lengths[slots]
+        if not pop.tokens.shape[1]:
+            return lengths > 0
+        last = pop.tokens[slots, np.maximum(lengths - 1, 0)]
+        return (lengths > 0) & (last == self.vocab.eos_id)
+
+    def loop(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         if clause.iterations is not None:
             for _ in range(clause.iterations):
                 for sub in clause.body:
                     slots = self.run(sub, slots)
-                if not slots:
+                if not slots.size:
                     break
             return slots
-        particles, stop, bound = self.particles, clause.stop, clause.max_iterations
-        done: list[int] = []
+        stop, bound = clause.stop, clause.max_iterations
+        done = [slots[:0]]
         iterations = 0
-        while slots:
-            going = []
-            for s in slots:
-                if _stop_satisfied(stop, particles[s], self.vocab):
-                    done.append(s)
-                elif bound is not None and iterations >= bound:
-                    self.kill(s, StepBudgetExceeded(
-                        f"loop ran {iterations} iterations without satisfying "
-                        "its stop predicate"))
-                else:
-                    going.append(s)
+        while slots.size:
+            stopped = self.stopped(stop, slots)
+            done.append(slots[stopped])
+            going = slots[~stopped]
+            if bound is not None and iterations >= bound and going.size:
+                self.kill(going, StepBudgetExceeded,
+                          f"loop ran {iterations} iterations without satisfying "
+                          "its stop predicate")
+                going = going[:0]
             for sub in clause.body:
                 going = self.run(sub, going)
             slots = going
             iterations += 1
-        done.sort()
-        return done
+        return np.sort(np.concatenate(done))
 
 
-def execute_step(plan: SteeringPlan, index: int, particles: list[Particle], models,
+def execute_step(plan: SteeringPlan, index: int, population: Population, models,
                  keys, deadline: float | None = None) -> StepUpdate:
-    """Run top-level clause ``index`` on every active particle, all
-    together; particle i draws from the stream with key ``keys[i]`` (a
-    uint64), starting at counter 0. Done and failed particles are left
-    untouched.
+    """Run top-level clause ``index`` on every active particle of the
+    population, all together, in place; slot i draws from the stream
+    with key ``keys[i]`` (a uint64), starting at counter 0. Done and
+    failed slots are left untouched.
 
     A particle is done on EOS, or when it is still active after the
     plan's last clause. A particle that reaches a dead end
@@ -421,30 +583,27 @@ def execute_step(plan: SteeringPlan, index: int, particles: list[Particle], mode
     ``index``) and weight -inf; its siblings go on. Any other typed
     error ends the step at once and is raised with ``index``. Identical
     (plan, index, particle, key) give bit-identical results for that
-    particle, whatever population it steps in.
+    particle, whatever population it steps in. The update lists the
+    appended tokens slot by slot.
     """
     models = as_model_set(models)
-    step = _Pass(plan, index, models, particles, keys, deadline)
-    stepped = [s for s, p in enumerate(particles) if p.status == ACTIVE]
-    starts = [len(p.tokens) for p in particles]
+    pop = population
+    step = _Pass(plan, index, models, pop, keys, deadline)
+    stepped = np.flatnonzero(pop.status == _ACTIVE)
+    starts = pop.lengths[stepped]
     if index < len(plan.steps):
         try:
             step.run(plan.steps[index], stepped)
         except SteeringError as exc:
             exc.clause_index = index
             raise
-    last = index + 1 >= len(plan.steps)
-    appended: list[int] = []
-    for s in stepped:
-        p = particles[s]
-        appended += p.tokens[starts[s]:]
-        if last and p.status == ACTIVE:
-            p.status = DONE
-    return StepUpdate(tuple(appended), step.log_update)
+    if index + 1 >= len(plan.steps):
+        pop.status[stepped[pop.status[stepped] == _ACTIVE]] = _DONE
+    columns = np.arange(pop.tokens.shape[1])
+    new = (columns >= starts[:, None]) & (columns < pop.lengths[stepped][:, None])
+    return StepUpdate(tuple(pop.tokens[stepped][new].tolist()), step.log_update)
 
 
 def run_check(plan: SteeringPlan, tokens, vocabulary: Vocabulary) -> bool:
     """Evaluate the plan's check conjunction on a finished sequence."""
     return verify(plan.check, vocabulary.decode(tokens)).passed
-
-

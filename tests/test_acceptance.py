@@ -25,6 +25,7 @@ from steersmc import (
     MaskSpec,
     ModelQuery,
     Particle,
+    Population,
     RandomStream,
     ScriptedSource,
     SourceExhausted,
@@ -495,9 +496,10 @@ class TestCriterion06ResamplingPreservation:
                       for f in functions]
             trials = 10_000
             post = np.zeros((trials, len(functions)))
+            population = Population.of(particles)
             for t in range(trials):
-                out = resample(particles, norm, "multinomial",
-                               RandomStream(60_000, "trial", t))
+                out = list(resample(population, norm, "multinomial",
+                                    RandomStream(60_000, "trial", t)))
                 for j, f in enumerate(functions):
                     post[t, j] = sum(f(p) for p in out) / len(out)
             for j in range(len(functions)):
@@ -509,7 +511,7 @@ class TestCriterion06ResamplingPreservation:
             # systematic + uniform weights: every ancestor copied once
             uniform = [1 / 8] * 8
             for t in range(50):
-                out = resample(particles, uniform, "systematic",
+                out = resample(population, uniform, "systematic",
                                RandomStream(60_001, "sys", t))
                 assert sorted(p.tokens[0] for p in out) == list(range(8))
 

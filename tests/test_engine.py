@@ -10,6 +10,7 @@ from steersmc import (
     InferenceConfig,
     MaskEmpty,
     Particle,
+    Population,
     ProtocolError,
     RandomStream,
     RemoteUnavailable,
@@ -25,6 +26,7 @@ from steersmc import (
     WeightedCandidate,
     brute_force_target,
     effective_sample_size,
+    execute_step,
     load_table_model,
     normalize_weights,
     parse_plan,
@@ -33,6 +35,7 @@ from steersmc import (
     select_answer,
     total_variation,
 )
+from steersmc.steering import STATUSES
 
 NEG_INF = float("-inf")
 
@@ -118,7 +121,7 @@ def _weighted_particles(weights):
         p = Particle(tokens=[i], log_weight=math.log(w) if w > 0 else NEG_INF)
         p.text = str(i)
         out.append(p)
-    return out
+    return Population.of(out)
 
 
 class TestResample:
@@ -160,11 +163,22 @@ class TestResample:
             assert p.log_weight == pytest.approx(expected)
 
     def test_clones_share_no_state(self):
-        particles = _weighted_particles([1.0, 1.0])
-        out = resample(particles, [0.5, 0.5], "multinomial", RandomStream(5, "rs"))
-        out[0].tokens.append(99)
+        # both survivors copy slot 0; stepping survivor 0 alone changes
+        # neither survivor 1 nor the population resampled from
+        particles = _weighted_particles([1.0, 0.0])
+        out = resample(particles, [1.0, 0.0], "multinomial", RandomStream(5, "rs"))
+        assert out.ancestors.tolist() == [0, 0]
+        out.status[1] = STATUSES.index("done")
+        model = UniformModel(Vocabulary.from_tokens([str(i) for i in range(100)] + ["<eos>"]))
+        plan = make_plan([{"kind": "hint", "template": "x"},
+                          {"kind": "force_string", "tokens": [99]}], max_tokens=4)
+        for index in range(2):
+            execute_step(plan, index, out, model, [7, 7])
+        assert out[0].tokens == [0, 99] and out[0].hint_buffer == ["Note to self: x"]
         assert 99 not in out[1].tokens
         assert 99 not in particles[0].tokens and 99 not in particles[1].tokens
+        assert (out[1].text, out[1].hint_buffer) == ("0", [])
+        assert (particles[0].text, particles[0].hint_buffer) == ("0", [])
 
     @pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
     def test_point_past_the_rounded_sum_never_copies_a_dead_slot(self, scheme):
@@ -567,7 +581,7 @@ class TestConsistencyScaling:
 
 class TestResamplingPreservation:
     def test_weighted_mean_preserved_through_resampling(self):
-        particles = _weighted_particles([5.0, 3.0, 1.0, 0.5, 0.25, 2.0, 1.5, 0.75])
+        particles = list(_weighted_particles([5.0, 3.0, 1.0, 0.5, 0.25, 2.0, 1.5, 0.75]))
         raw = [p.log_weight for p in particles]
         norm = normalize_weights(raw)
 
@@ -578,7 +592,8 @@ class TestResamplingPreservation:
         trials = 4000
         post_means = []
         for t in range(trials):
-            out = resample(particles, norm, "multinomial", RandomStream(6, "rp", t))
+            out = resample(Population.of(particles), norm, "multinomial",
+                           RandomStream(6, "rp", t))
             post_means.append(sum(f(p) for p in out) / len(out))
         grand = float(np.mean(post_means))
         stderr = float(np.std(post_means, ddof=1)) / math.sqrt(trials)

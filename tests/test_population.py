@@ -42,13 +42,14 @@ from steersmc import (
     Vocabulary,
     as_model_set,
     derive_key,
-    execute_step,
     inject_hint,
     parse_plan,
 )
 from steersmc.plans import forced_tokens
 from steersmc.rng import _GOLDEN, _MASK64, _mix, mix64, step_keys, uniforms_at
 from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for
+
+from stepping import execute_particles
 
 NEG_INF = float("-inf")
 
@@ -386,7 +387,7 @@ def test_population_step_matches_the_walk(case):
         theirs_streams = [RandomStream(seed, "slot", s, step) for s in range(n)]
         want = reference_step(plan, step, theirs, models, theirs_streams)
         try:
-            execute_step(plan, step, ours, models,
+            execute_particles(plan, step, ours, models,
                          [derive_key(seed, "slot", s, step) for s in range(n)])
             got = None
         except SteeringError as exc:
