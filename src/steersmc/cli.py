@@ -29,6 +29,7 @@ from .errors import (
     SteeringError,
     check_fields,
     check_types,
+    is_count,
     read_document,
     read_json_lines,
     read_text,
@@ -49,7 +50,8 @@ CONFIG_FIELDS = ("method", "n_particles", "ess_threshold", "timeout", "seed",
 RECORD_FIELDS = {"task_type": str, "method": str, "weighted_pass_at_1": (int, float),
                  "coherency_proxy": (int, float, type(None)), "error": (str, type(None))}
 # The fields of a trace payload and of each of its steps, with their types.
-TRACE_FIELDS = {"run_id": str, "ess_trace": list, "resample_events": list, "steps": list}
+TRACE_FIELDS = {"run_id": str, "ess_trace": list, "resample_events": list,
+                "ancestors": list, "steps": list}
 TRACE_STEP_FIELDS = {"step": int, "weights": list, "texts": list}
 
 
@@ -169,6 +171,7 @@ def run_one_task(index: int, task: TaskSpec, source, models: ModelSet,
             "run_id": run_id,
             "ess_trace": diag.ess_trace,
             "resample_events": diag.resample_events,
+            "ancestors": diag.ancestors,
             "steps": [
                 {"step": t + 1, "weights": w, "texts": x}
                 for t, (w, x) in enumerate(zip(diag.per_step_weights,
@@ -297,8 +300,9 @@ def _trace_svg(steps: list[dict]) -> str:
 
 def _load_trace(path: Path) -> dict:
     """A trace payload, checked to hold what ``cmd_trace`` reads: steps
-    of numeric weights and string texts, one of each per particle, and
-    as many particles in every step as in the first."""
+    of numeric weights and string texts, one of each per particle, as
+    many particles in every step as in the first, and for each resample
+    event the ancestor slot of every particle."""
     payload = read_document(path, "trace file")
     check_types(check_fields(payload, TRACE_FIELDS, "trace"), TRACE_FIELDS, "trace")
     for i, step in enumerate(payload["steps"]):
@@ -314,6 +318,13 @@ def _load_trace(path: Path) -> dict:
         if len(weights) != first:
             raise SchemaViolation(f"{where}: {len(weights)} particles, but the first "
                                   f"step has {first}")
+    n = len(payload["steps"][0]["weights"]) if payload["steps"] else 0
+    if len(payload["ancestors"]) != len(payload["resample_events"]):
+        raise SchemaViolation("trace.ancestors: one list per resample event required")
+    for i, slots in enumerate(payload["ancestors"]):
+        if not (isinstance(slots, list) and len(slots) == n
+                and all(is_count(a) and a < n for a in slots)):
+            raise SchemaViolation(f"trace.ancestors[{i}]: {n} slots in [0, {n}) required")
     return payload
 
 
@@ -334,6 +345,9 @@ def cmd_trace(args) -> int:
                 safe = text.replace("\t", "\\t").replace("\n", "\\n")
                 fh.write(f"{step['step']}\t{i}\t{w!r}\t{safe}\n")
 
+    for t, slots in zip(payload["resample_events"], payload["ancestors"]):
+        print(f"resample after step {t}: {len(set(slots))} distinct ancestors "
+              f"of {len(slots)} particles")
     html_path = out_dir / f"{args.run_id}.html"
     resamples = ", ".join(str(t) for t in payload["resample_events"]) or "none"
     html = (

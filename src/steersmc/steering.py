@@ -5,13 +5,13 @@ Executing one clause on a particle extends its token sequence and
 multiplies a score update into its weight; the weighted law over
 finished sequences is the plan's target distribution, which the
 inference engine approximates. A ``Population`` holds the particles of
-a run as arrays, one row or entry per slot, and resampling copies them
-with one ``take`` by ancestor index. The interpreter steps a whole
-population through one top-level clause at once: one query per
-distinct model context and one vectorized draw per distinct (row, mask)
-on each token tick. Tokens are drawn only by the one-token ``draw``
-clause; every repetition is a ``loop``. ``Particle`` is the view of one
-slot that callers build and read.
+a run as arrays, and resampling copies them with one ``take`` by
+ancestor slot. The interpreter steps a whole population through one
+top-level clause at once: one query per distinct model context and one
+vectorized draw per distinct (row, mask) on each token tick. Tokens are
+drawn only by the one-token ``draw`` clause; every repetition is a
+``loop``. ``Particle`` is the view of one slot that callers build and
+read.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -54,8 +54,7 @@ NEG_INF = float("-inf")
 ACTIVE = "active"
 DONE = "done"
 FAILED = "failed"
-# A population's status codes index STATUSES.
-STATUSES = (ACTIVE, DONE, FAILED)
+STATUSES = (ACTIVE, DONE, FAILED)  # indexed by a population's status codes
 _ACTIVE, _DONE, _FAILED = range(3)
 
 HINT_PREFIX = "Note to self: "
@@ -65,14 +64,11 @@ HINT_PREFIX = "Note to self: "
 # worth would leave parked in CPython's tuple free lists.
 QUERY_BATCH = 16
 
-# Columns a token matrix starts with once it holds any token.
-MIN_WIDTH = 16
-
 
 @dataclass(slots=True)
 class Particle:
-    """One in-progress candidate generation with an accumulated weight:
-    a copy of one slot of a ``Population``."""
+    """One candidate generation with an accumulated weight: a copy of
+    one slot of a ``Population``."""
 
     tokens: list[int] = field(default_factory=list)
     text: str = ""
@@ -84,50 +80,42 @@ class Particle:
 
 
 def fold_context(keys: np.ndarray, tokens) -> np.ndarray:
-    """The context keys of rows after appending ``tokens``, one token per
-    key (uint64): one SplitMix round (``rng.mix64``) over the key xor the
-    token plus one. The empty context has key 0. Equal keys only suggest
-    equal contexts; ``_Pass.rows`` confirms them."""
+    """Context keys (uint64) after appending one token to each context:
+    a SplitMix round (``rng.mix64``) of the key xor the token plus one.
+    The empty context has key 0. Equal keys only suggest equal contexts;
+    ``_Pass.rows`` confirms them."""
     return mix64(keys ^ (np.asarray(tokens).astype(np.uint64) + np.uint64(1)))
 
 
 class Population:
     """The particles of a run as arrays, slot i holding particle i.
 
-    ``tokens`` is an int32 matrix with one row per slot; its column
-    capacity doubles as rows grow, up to the plan's ``max_tokens``, and
-    cells at and after a row's length hold 0. Per slot there are also
-    ``lengths``, ``text_lengths``, ``log_weights``, ``status`` (codes
-    indexing ``STATUSES``), ``context_keys`` (the row folded token by
-    token with ``fold_context``) and ``hint_ids`` (indices into
-    ``hint_sets``, the interned tuples of rendered hints; 0 is none).
-    Python lists hold what is read as Python values: ``texts``
-    (immutable strings, shared between copies), ``errors`` and
-    ``passed`` (the check result of a finished particle). ``ancestors``
-    is the slot each slot was copied from by the last ``take``, else
-    None.
+    ``tokens`` is an int32 matrix, one row per slot, whose column count
+    doubles as rows grow, up to the plan's ``max_tokens``; cells past a
+    row's length hold 0. Per slot there are ``lengths``,
+    ``text_lengths``, ``log_weights``, ``status`` (indices into
+    ``STATUSES``), ``context_keys`` (the row folded by ``fold_context``)
+    and ``hint_ids`` (indices into ``hint_sets``, the interned hint
+    tuples). Lists hold ``texts`` (immutable, so copies share them),
+    ``errors`` and ``passed`` (check results). ``ancestors`` holds the
+    slots the last ``take`` copied, if any.
     """
 
     __slots__ = ("tokens", "lengths", "text_lengths", "log_weights", "status",
                  "context_keys", "hint_ids", "texts", "errors", "passed",
                  "hint_sets", "hint_index", "ancestors")
-    _ARRAYS = ("tokens", "lengths", "text_lengths", "log_weights", "status",
-               "context_keys", "hint_ids")
+    _ARRAYS = __slots__[:7]  # the per-slot arrays
 
     def __init__(self, n: int, width: int = 0):
-        """``n`` active particles with no tokens, text or weight."""
+        """``n`` active particles with no tokens, text, hints or weight."""
         self.tokens = np.zeros((n, width), dtype=np.int32)
-        self.lengths = np.zeros(n, dtype=np.intp)
-        self.text_lengths = np.zeros(n, dtype=np.intp)
+        self.lengths, self.text_lengths, self.hint_ids = (np.zeros(n, dtype=np.intp)
+                                                          for _ in range(3))
         self.log_weights = np.zeros(n)
         self.status = np.full(n, _ACTIVE, dtype=np.int8)
         self.context_keys = np.zeros(n, dtype=np.uint64)
-        self.hint_ids = np.zeros(n, dtype=np.intp)
-        self.texts = [""] * n
-        self.errors: list = [None] * n
-        self.passed: list = [None] * n
-        self.hint_sets: list[tuple[str, ...]] = [()]
-        self.hint_index = {(): 0}
+        self.texts, self.errors, self.passed = [""] * n, [None] * n, [None] * n
+        self.hint_sets, self.hint_index = [()], {(): 0}
         self.ancestors = None
 
     @classmethod
@@ -137,8 +125,7 @@ class Population:
         for i, p in enumerate(particles):
             pop.tokens[i, :len(p.tokens)] = p.tokens
             pop.lengths[i], pop.text_lengths[i] = len(p.tokens), len(p.text)
-            pop.log_weights[i] = p.log_weight
-            pop.status[i] = STATUSES.index(p.status)
+            pop.log_weights[i], pop.status[i] = p.log_weight, STATUSES.index(p.status)
             pop.hint_ids[i] = pop.intern(tuple(p.hint_buffer))
             pop.texts[i], pop.errors[i], pop.passed[i] = p.text, p.error, p.passed_check
         for column in range(pop.tokens.shape[1]):
@@ -152,51 +139,43 @@ class Population:
 
     def __getitem__(self, slot: int) -> Particle:
         """A copy of one slot as a Particle."""
-        return Particle(tokens=self.tokens[slot, :self.lengths[slot]].tolist(),
-                        text=self.texts[slot], log_weight=float(self.log_weights[slot]),
-                        status=STATUSES[self.status[slot]],
-                        hint_buffer=list(self.hint_sets[self.hint_ids[slot]]),
-                        error=self.errors[slot], passed_check=self.passed[slot])
-
-    def __iter__(self):
-        return (self[slot] for slot in range(len(self)))
+        return Particle(self.tokens[slot, :self.lengths[slot]].tolist(), self.texts[slot],
+                        float(self.log_weights[slot]), STATUSES[self.status[slot]],
+                        list(self.hint_sets[self.hint_ids[slot]]), self.errors[slot],
+                        self.passed[slot])
 
     def status_is(self, status: str) -> np.ndarray:
         """Which slots have this status, as a boolean array."""
         return self.status == STATUSES.index(status)
 
     def take(self, ancestors: np.ndarray) -> "Population":
-        """A population whose slot i copies slot ``ancestors[i]``. The
-        copies share only immutable values: texts, errors and hint
-        tuples."""
+        """A population whose slot i copies slot ``ancestors[i]``; copies
+        share only immutable values (texts, errors, hint tuples)."""
         out = object.__new__(Population)
         for name in self._ARRAYS:
             setattr(out, name, getattr(self, name)[ancestors])
         at = ancestors.tolist()
-        out.texts = [self.texts[a] for a in at]
-        out.errors = [self.errors[a] for a in at]
-        out.passed = [self.passed[a] for a in at]
+        out.texts, out.errors, out.passed = ([values[a] for a in at] for values in (
+            self.texts, self.errors, self.passed))
         out.hint_sets, out.hint_index = list(self.hint_sets), dict(self.hint_index)
         out.ancestors = ancestors
         return out
 
     def intern(self, hints: tuple[str, ...]) -> int:
         """The id of a hint tuple, added to ``hint_sets`` when new."""
-        hint_id = self.hint_index.get(hints)
-        if hint_id is None:
-            hint_id = self.hint_index[hints] = len(self.hint_sets)
+        if hints not in self.hint_index:
+            self.hint_index[hints] = len(self.hint_sets)
             self.hint_sets.append(hints)
-        return hint_id
+        return self.hint_index[hints]
 
     def append(self, slots: np.ndarray, tokens: np.ndarray, vocab: Vocabulary,
                limit: int) -> None:
-        """Append ``tokens[i]`` to slot ``slots[i]`` (distinct slots), the
-        token matrix growing to at most ``limit`` columns."""
+        """Append ``tokens[i]`` to slot ``slots[i]`` (distinct slots); the
+        token matrix grows to at most ``limit`` columns."""
         lengths = self.lengths[slots]
-        width = self.tokens.shape[1]
-        if int(lengths.max()) >= width:
-            grown = np.zeros((len(self), max(int(lengths.max()) + 1,
-                                             min(max(2 * width, MIN_WIDTH), limit))),
+        need, width = int(lengths.max()) + 1, self.tokens.shape[1]
+        if need > width:
+            grown = np.zeros((len(self), max(need, min(max(2 * width, 16), limit))),
                              dtype=np.int32)
             grown[:, :width] = self.tokens
             self.tokens = grown
@@ -277,17 +256,6 @@ def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
     particle.hint_buffer.append(render_hint(template, bindings))
 
 
-def _first_equal(keys: np.ndarray) -> np.ndarray:
-    """For each key, the position of the first key equal to it."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    out = np.empty_like(order)
-    out[order] = np.repeat(np.minimum.reduceat(order, starts),
-                           np.diff(np.append(starts, len(keys))))
-    return out
-
-
 def _groups(labels: np.ndarray) -> list[np.ndarray]:
     """The positions of each distinct label, ascending within a group."""
     order = np.argsort(labels, kind="stable")
@@ -330,11 +298,9 @@ class _Pass:
     def kill(self, slots: np.ndarray, error: type, message: str) -> None:
         """Fail these slots at a dead end: each gets its own ``error``,
         stamped with the step's clause, and weight -inf."""
-        pop = self.pop
-        pop.status[slots] = _FAILED
-        pop.log_weights[slots] = NEG_INF
+        self.pop.status[slots], self.pop.log_weights[slots] = _FAILED, NEG_INF
         for s in slots.tolist():
-            pop.errors[s] = error(message, clause_index=self.index)
+            self.pop.errors[s] = error(message, clause_index=self.index)
 
     def score(self, slots: np.ndarray, deltas: np.ndarray) -> None:
         self.pop.log_weights[slots] += deltas
@@ -369,8 +335,8 @@ class _Pass:
         -inf; the prior is evaluated without hints, which condition the
         proposal side only. Slots sharing a (row, mask) pair share one
         normalization and one cumulative sum; when that mask allows no
-        token or no mass, every one of them dies. The picks and deltas
-        of every group are then applied in one scatter.
+        token or no mass, every one of them dies. Every pick and delta is
+        then applied in one scatter.
         """
         pop, vocab, mask = self.pop, self.vocab, clause.mask
         max_tokens = self.plan.max_tokens
@@ -389,8 +355,7 @@ class _Pass:
             labels = labels * (int(text_lengths.max()) + 1) + text_lengths
         u = uniforms_at(self.keys[slots], self.counters[slots])
         self.counters[slots] += np.uint64(1)
-        picks = np.zeros(len(slots), dtype=np.intp)
-        deltas = np.zeros(len(slots))
+        picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
         live = np.ones(len(slots), dtype=bool)
         for members in _groups(labels):
             row = sub = rows[which[members[0]]]
@@ -399,28 +364,24 @@ class _Pass:
                 sub = row[ids]
             total = float(sub.sum())
             if mask is not None and (ids.size == 0 or total <= 0.0):
-                self.kill(slots[members], MaskEmpty,
-                          "mask allows no tokens" if ids.size == 0
+                self.kill(slots[members], MaskEmpty, "mask allows no tokens" if ids.size == 0
                           else "mask removed all probability mass (Z=0)")
                 live[members] = False
                 continue
-            drawn = draw_indices(sub, total, u[members])
+            picks[members] = drawn = draw_indices(sub, total, u[members])
             if mask is not None:
-                drawn = ids[drawn]
-                deltas[members] = math.log(total)
-            picks[members] = drawn
+                picks[members], deltas[members] = ids[drawn], math.log(total)
         if not live.all():
             slots, picks, deltas, which = slots[live], picks[live], deltas[live], which[live]
             if not slots.size:
                 return slots
-        if clause.score_with_prior and slots.size:
+        if clause.score_with_prior:
             prior_rows, prior_which = self.rows(self.models.prior, self.plan.prior_tag,
                                                 slots, False)
             scored = []
             for t, delta, j, k in zip(picks.tolist(), deltas.tolist(), which.tolist(),
                                       prior_which.tolist()):
-                p = float(prior_rows[k][t])
-                log_q = math.log(rows[j][t]) - delta
+                p, log_q = float(prior_rows[k][t]), math.log(rows[j][t]) - delta
                 scored.append((math.log(p) - log_q) if p > 0.0 else NEG_INF)
             deltas = np.array(scored)
         self.score(slots, deltas)
@@ -431,23 +392,21 @@ class _Pass:
 
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
              hinted: bool) -> tuple[list, np.ndarray]:
-        """The model's rows for these slots: one row per distinct
-        (context, hints), in order of first slot, and the index of each
-        slot's row.
+        """The model's row for each slot: one row per distinct (context,
+        hints) in order of first slot, and each slot's index into them.
 
-        Slots are grouped by context key (and hint-set id when hinted),
-        and each group is confirmed by one vectorized comparison of its
-        members' rows with its first member's; members that differ (a
-        key collision) are grouped again among themselves. Queries are
-        built QUERY_BATCH at a time, so few context tuples are alive at
-        once.
+        Slots are grouped by context key, and by hint-set id when hinted;
+        one vectorized comparison of every member's row with its group's
+        first confirms the group, and members that differ (a key
+        collision) are grouped again among themselves.
         """
         pop = self.pop
         keys = pop.context_keys[slots]
         if hinted:
             keys = keys ^ pop.hint_ids[slots].astype(np.uint64)
         positions = np.arange(len(slots))
-        lead = _first_equal(keys)  # the position of each slot's first equal
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        lead = first[inverse]  # each slot's group's first position
         todo = np.flatnonzero(lead != positions)
         while todo.size:
             a, b = slots[todo], slots[lead[todo]]
@@ -456,9 +415,11 @@ class _Pass:
                 same &= pop.hint_ids[a] == pop.hint_ids[b]
             width = int(pop.lengths[a].max())
             same &= (pop.tokens[a, :width] == pop.tokens[b, :width]).all(axis=1)
-            todo = todo[~same]  # key collisions: group them again
+            todo = todo[~same]
             if todo.size:
-                lead[todo] = todo[_first_equal(keys[todo])]
+                _, first, inverse = np.unique(keys[todo], return_index=True,
+                                              return_inverse=True)
+                lead[todo] = todo[first[inverse]]
                 todo = todo[lead[todo] != todo]
         leads = lead == positions
         firsts = slots[leads]
@@ -470,10 +431,10 @@ class _Pass:
     def query(self, model: TokenModel, tag: str, firsts: np.ndarray, hinted: bool) -> list:
         """The model's rows for the queries of these slots, each checked
         once to be a vector over the vocabulary, so that every drawn id
-        is a valid context id."""
+        is a valid context id. Each context tuple is read straight from
+        its row's int32 cells."""
         pop = self.pop
         tokens, row_bytes = pop.tokens, pop.tokens.strides[0]
-        # each context tuple is read straight from the row's int32 cells
         queries = [ModelQuery(struct.unpack_from(f"={n}i", tokens, s * row_bytes), tag,
                               pop.hint_sets[h] if hinted else ())
                    for s, n, h in zip(firsts.tolist(), pop.lengths[firsts].tolist(),
@@ -497,10 +458,11 @@ class _Pass:
         pop, max_tokens = self.pop, self.plan.max_tokens
         over = pop.lengths[slots] + len(forced) > max_tokens
         if over.any():
-            self.kill(slots[over], StepBudgetExceeded,
-                      f"force_string of {len(forced)} tokens exceeds "
-                      f"max_tokens={max_tokens}")
+            self.kill(slots[over], StepBudgetExceeded, f"force_string of {len(forced)} "
+                      f"tokens exceeds max_tokens={max_tokens}")
             slots = slots[~over]
+            if not slots.size:
+                return slots
         totals = np.zeros(len(slots))
         scoring = np.arange(len(slots))  # positions of the slots still finite
         for t in forced:
@@ -511,8 +473,7 @@ class _Pass:
                 logs = np.array([math.log(r[t]) if r[t] > 0.0 else NEG_INF for r in rows])
                 totals[scoring] += logs[which]
                 scoring = scoring[totals[scoring] != NEG_INF]
-            if slots.size:
-                pop.append(slots, np.full(len(slots), t), self.vocab, max_tokens)
+            pop.append(slots, np.full(len(slots), t), self.vocab, max_tokens)
         self.score(slots, totals)
         if forced[-1] != self.vocab.eos_id:
             return slots
@@ -522,24 +483,19 @@ class _Pass:
     def hint(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         pop = self.pop
         for s, n in zip(slots.tolist(), pop.lengths[slots].tolist()):
-            hint = render_hint(clause.template,
-                               hint_bindings_for(self.plan, pop.texts[s], n))
+            hint = render_hint(clause.template, hint_bindings_for(self.plan, pop.texts[s], n))
             pop.hint_ids[s] = pop.intern(pop.hint_sets[pop.hint_ids[s]] + (hint,))
         return slots
 
     def stopped(self, stop, slots: np.ndarray) -> np.ndarray:
         """Which slots satisfy the stop predicate of ``loop until``; a
         ``token_count`` stop compares the sequence length."""
-        pop = self.pop
+        pop, lengths = self.pop, self.pop.lengths[slots]
         if stop.kind == "token_count":
-            return pop.lengths[slots] >= stop.value
+            return lengths >= stop.value
         if stop.kind == "substring":
-            return np.array([stop.value in pop.texts[s] for s in slots.tolist()],
-                            dtype=bool)
-        lengths = pop.lengths[slots]
-        if not pop.tokens.shape[1]:
-            return lengths > 0
-        last = pop.tokens[slots, np.maximum(lengths - 1, 0)]
+            return np.array([stop.value in pop.texts[s] for s in slots.tolist()], dtype=bool)
+        last = pop.tokens[slots, lengths - 1] if pop.tokens.shape[1] else lengths
         return (lengths > 0) & (last == self.vocab.eos_id)
 
     def loop(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
@@ -556,15 +512,13 @@ class _Pass:
         while slots.size:
             stopped = self.stopped(stop, slots)
             done.append(slots[stopped])
-            going = slots[~stopped]
-            if bound is not None and iterations >= bound and going.size:
-                self.kill(going, StepBudgetExceeded,
-                          f"loop ran {iterations} iterations without satisfying "
-                          "its stop predicate")
-                going = going[:0]
+            slots = slots[~stopped]
+            if bound is not None and iterations >= bound and slots.size:
+                self.kill(slots, StepBudgetExceeded, f"loop ran {iterations} iterations "
+                          "without satisfying its stop predicate")
+                slots = slots[:0]
             for sub in clause.body:
-                going = self.run(sub, going)
-            slots = going
+                slots = self.run(sub, slots)
             iterations += 1
         return np.sort(np.concatenate(done))
 
@@ -572,7 +526,7 @@ class _Pass:
 def execute_step(plan: SteeringPlan, index: int, population: Population, models,
                  keys, deadline: float | None = None) -> StepUpdate:
     """Run top-level clause ``index`` on every active particle of the
-    population, all together, in place; slot i draws from the stream
+    population, all together and in place; slot i draws from the stream
     with key ``keys[i]`` (a uint64), starting at counter 0. Done and
     failed slots are left untouched.
 
@@ -586,9 +540,8 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
     particle, whatever population it steps in. The update lists the
     appended tokens slot by slot.
     """
-    models = as_model_set(models)
     pop = population
-    step = _Pass(plan, index, models, pop, keys, deadline)
+    step = _Pass(plan, index, as_model_set(models), pop, keys, deadline)
     stepped = np.flatnonzero(pop.status == _ACTIVE)
     starts = pop.lengths[stepped]
     if index < len(plan.steps):

@@ -5,7 +5,10 @@ outside the program, and counts the tokens each ``execute_step`` call
 appends; that count is the numerator of ``tokens_per_s``. It is loaded
 here by path, as the benchmark loads it, so that a renamed layer, a
 changed ``StepUpdate`` or a step that bypasses ``execute_step`` fails
-here and not only in the benchmark run.
+here and not only in the benchmark run. Its ``engine.resample`` hook
+takes ``len()`` of what ``resample`` returns, and the benchmark installs
+the tracer for its warm-up even untraced, so a population without
+``len()`` would fail every benchmark operation.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import steersmc
 from steersmc import InferenceConfig, UniformModel, Vocabulary, parse_plan
@@ -75,3 +80,29 @@ def test_tracer_hooks_count_every_appended_token_and_restore():
     after = bindings(tracer_module.LAYERS)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_tracer_counts_every_resample_and_its_copies():
+    tracer_module = load_tracer()
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    prior = steersmc.TableModel(vocab, {}, np.array([0.9, 0.1, 0.0]))
+    # a prior-scored draw spreads the weights, so ess_threshold = N
+    # resamples after it
+    plan = parse_plan({"plan_version": 1, "max_tokens": 3, "steps": [
+        {"kind": "masked_sample", "score_with_prior": True,
+         "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+        {"kind": "force_string", "text": "a"}]})
+    n = 8
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        out = steersmc.run_inference(plan, (UniformModel(vocab), prior), InferenceConfig(
+            method="smc", n_particles=n, seed=5, ess_threshold=n))
+    finally:
+        tracer.restore()
+    assert out.error is None
+    events = len(out.diagnostics.resample_events)
+    assert events > 0
+    calls = tracer_module.profile(tracer.arrays(), tracer_module.NAMES)["calls"]
+    assert calls["engine.resample"] == events
+    assert tracer.counters["engine.resample.particles_cloned"] == n * events

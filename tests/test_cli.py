@@ -207,7 +207,7 @@ def _bad_document_argv(case: str, tmp: Path) -> list[str]:
 
 
 def _trace(**change) -> str:
-    payload = {"run_id": "r1", "ess_trace": [2.0], "resample_events": [],
+    payload = {"run_id": "r1", "ess_trace": [2.0], "resample_events": [], "ancestors": [],
                "steps": [{"step": 1, "weights": [0.5, 0.5], "texts": ["a", "b"]}]}
     return json.dumps({**payload, **change})
 
@@ -230,6 +230,11 @@ TRACE_PAYLOADS = {
     "trace_ragged_steps": _trace(
         steps=[{"step": 1, "weights": [0.5, 0.5], "texts": ["a", "b"]},
                {"step": 2, "weights": [1.0], "texts": ["ab"]}]),
+    "trace_without_ancestors": json.dumps(
+        {"run_id": "r1", "ess_trace": [], "resample_events": [], "steps": []}),
+    "trace_ancestors_per_event": _trace(resample_events=[1]),
+    "trace_ancestor_out_of_range": _trace(resample_events=[1], ancestors=[[0, 2]]),
+    "trace_ancestors_too_few": _trace(resample_events=[1], ancestors=[[1]]),
 }
 
 
@@ -251,6 +256,14 @@ BAD_DOCUMENTS = [
     ("trace_unequal_lengths", "SchemaViolation", TRACE_STEP_SHAPE),
     ("trace_ragged_steps", "SchemaViolation",
      "trace.steps[1]: 1 particles, but the first step has 2"),
+    ("trace_without_ancestors", "SchemaViolation",
+     "trace.ancestors: missing required field"),
+    ("trace_ancestors_per_event", "SchemaViolation",
+     "trace.ancestors: one list per resample event required"),
+    ("trace_ancestor_out_of_range", "SchemaViolation",
+     "trace.ancestors[0]: 2 slots in [0, 2) required"),
+    ("trace_ancestors_too_few", "SchemaViolation",
+     "trace.ancestors[0]: 2 slots in [0, 2) required"),
     ("record_without_method", "SchemaViolation",
      "bad.json:1.method: missing required field"),
     ("record_not_utf8", "ParseError", "bad.json:1 is not UTF-8 text"),
@@ -381,6 +394,22 @@ class TestCmdTrace:
         float(weight)  # parses
         html = (tmp_path / "rendered" / f"{run_id}.html").read_text()
         assert "<svg" in html and "polyline" in html
+
+    def test_trace_prints_distinct_ancestors_per_resample(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        run_cli("run", *CHAR_ARGS, "--method", "smc", "-N", "8", "--seed", "7",
+                "--ess-threshold", "8", "--trace", "--trace-dir", str(trace_dir),
+                "--out", str(tmp_path / "records.jsonl"))
+        payloads = [json.loads(p.read_text()) for p in sorted(trace_dir.iterdir())]
+        assert all(len(p["ancestors"]) == len(p["resample_events"]) for p in payloads)
+        payload = next(p for p in payloads if p["resample_events"])
+        capsys.readouterr()
+        assert run_cli("trace", payload["run_id"], "--trace-dir", str(trace_dir),
+                       "--out-dir", str(tmp_path / "rendered")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [
+            f"resample after step {t}: {len(set(slots))} distinct ancestors of 8 particles"
+            for t, slots in zip(payload["resample_events"], payload["ancestors"])]
 
     def test_unknown_run_id_fails(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -309,6 +309,28 @@ class TestRunSmc:
         assert out.diagnostics.resample_events == [1]
         assert out.diagnostics.ess_trace[0] < 32.0
 
+    def test_ancestors_are_recorded_with_the_weights(self):
+        # a zero prior kills every particle that draws "b"; survivors
+        # are copied from particles that drew "a" only
+        model = load_table_model({"vocab": ["a", "b", "<eos>"], "rows": [
+            {"context": [], "dist": [0.5, 0.5, 0.0]}]})
+        prior = load_table_model({"vocab": ["a", "b", "<eos>"], "rows": [
+            {"context": [], "dist": [1.0, 0.0, 0.0]}]})
+        plan = make_plan([
+            {"kind": "masked_sample", "score_with_prior": True,
+             "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+            {"kind": "force_string", "text": "b"}], max_tokens=2)
+        runs = [run_inference(plan, (model, prior), InferenceConfig(
+            method="smc", n_particles=16, seed=9, record_weights=record))
+            for record in (False, True)]
+        assert runs[0].diagnostics.ancestors is None
+        assert runs[0].candidates == runs[1].candidates
+        diag = runs[1].diagnostics
+        assert diag.resample_events == [1] and len(diag.ancestors) == 1
+        drew_a = {i for i, text in enumerate(diag.per_step_texts[0]) if text == "a"}
+        assert 0 < len(drew_a) < 16
+        assert len(diag.ancestors[0]) == 16 and set(diag.ancestors[0]) <= drew_a
+
 
 @pytest.mark.parametrize("method", ["smc", "importance", "rejection"])
 def test_empty_plan_takes_one_step_and_ends_every_particle(uniform3, method):

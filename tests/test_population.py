@@ -30,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steersmc import (
+    InferenceConfig,
     MaskEmpty,
     ModelQuery,
     Particle,
@@ -44,7 +45,9 @@ from steersmc import (
     derive_key,
     inject_hint,
     parse_plan,
+    run_inference,
 )
+from steersmc import steering
 from steersmc.plans import forced_tokens
 from steersmc.rng import _GOLDEN, _MASK64, _mix, mix64, step_keys, uniforms_at
 from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for
@@ -432,3 +435,50 @@ def test_vectorized_key_derivation_equals_mix(words, t):
     assert mix64(z).tolist() == [_mix(w) for w in words]
     got = step_keys(z, t)
     assert got.tolist() == [_mix(w + t * _GOLDEN) for w in words]
+
+
+class _Recording(TableModel):
+    """A table model that records every query it answers, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def next_distributions(self, queries, deadline=None):
+        self.seen += queries
+        return super().next_distributions(queries, deadline)
+
+
+def test_colliding_context_keys_change_nothing(monkeypatch):
+    """With every context key folded to 0, each group of slots splits by
+    its row comparison alone: the same queries go out in the same order,
+    and the run is bit for bit the same."""
+    vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
+    rng = np.random.default_rng(3)
+    rows = {}
+    for ctx in [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]:
+        for tag in ("proposal", "prior"):
+            row = rng.dirichlet(np.ones(4))
+            row.setflags(write=False)
+            rows[(tag, ctx)] = row
+    uniform = np.full(4, 0.25)
+    uniform.setflags(write=False)
+    plan = parse_plan({"plan_version": 1, "max_tokens": 8, "steps": [
+        {"kind": "masked_sample", "count": 2, "score_with_prior": True,
+         "mask": {"kind": "explicit", "tokens": ["a", "bb"]}},
+        {"kind": "hint", "template": "{chars_so_far}"},
+        {"kind": "masked_sample", "count": 2,
+         "mask": {"kind": "explicit", "tokens": ["a", "bb"], "ids": [3]}},
+        {"kind": "force_string", "text": "a"}]})
+    runs = []
+    for fold in (steering.fold_context, lambda keys, tokens: np.zeros_like(keys)):
+        monkeypatch.setattr(steering, "fold_context", fold)
+        proposal, prior = _Recording(vocab, rows, uniform), _Recording(vocab, rows, uniform)
+        out = run_inference(plan, (proposal, prior), InferenceConfig(
+            method="smc", n_particles=48, seed=11, ess_threshold=48))
+        runs.append((out.candidates, out.selected, out.diagnostics.ess_trace,
+                     out.diagnostics.resample_events, proposal.seen, prior.seen))
+    # five token ticks, and more distinct proposal queries than ticks
+    assert len(set(runs[0][4])) > 5
+    assert runs[0][3]  # a resample copies slots with equal contexts
+    assert runs[1] == runs[0]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steersmc import RandomStream
+from steersmc import RandomStream, derive_key
+from steersmc.rng import derive_keys
 
 # The largest value RandomStream.uniform can return.
 TOP_UNIFORM = 1.0 - 2.0 ** -53
@@ -104,3 +105,11 @@ def test_single_positive_entry_is_always_drawn():
 def test_all_zero_weights_raise(size):
     with pytest.raises(ValueError):
         RandomStream(1).choice(np.zeros(size))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_slot_keys_from_one_prefix_equal_derive_key(seed):
+    keys = derive_keys(seed, "particle", 300)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [derive_key(seed, "particle", i) for i in range(300)]
+    assert derive_keys(seed, "particle", 0).tolist() == []
