@@ -368,9 +368,10 @@ class _Pass:
                           else "mask removed all probability mass (Z=0)")
                 live[members] = False
                 continue
-            picks[members] = drawn = draw_indices(sub, total, u[members])
+            drawn = draw_indices(sub, total, u[members])
             if mask is not None:
-                picks[members], deltas[members] = ids[drawn], math.log(total)
+                drawn, deltas[members] = ids[drawn], math.log(total)
+            picks[members] = drawn
         if not live.all():
             slots, picks, deltas, which = slots[live], picks[live], deltas[live], which[live]
             if not slots.size:
@@ -405,22 +406,19 @@ class _Pass:
         if hinted:
             keys = keys ^ pop.hint_ids[slots].astype(np.uint64)
         positions = np.arange(len(slots))
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        lead = first[inverse]  # each slot's group's first position
-        todo = np.flatnonzero(lead != positions)
+        lead, todo = positions.copy(), positions  # each slot's group's first position
         while todo.size:
+            _, first, inverse = np.unique(keys[todo], return_index=True, return_inverse=True)
+            lead[todo] = todo[first[inverse]]
+            todo = todo[lead[todo] != todo]
+            if not todo.size:
+                break
             a, b = slots[todo], slots[lead[todo]]
             same = pop.lengths[a] == pop.lengths[b]
             if hinted:
                 same &= pop.hint_ids[a] == pop.hint_ids[b]
             width = int(pop.lengths[a].max())
-            same &= (pop.tokens[a, :width] == pop.tokens[b, :width]).all(axis=1)
-            todo = todo[~same]
-            if todo.size:
-                _, first, inverse = np.unique(keys[todo], return_index=True,
-                                              return_inverse=True)
-                lead[todo] = todo[first[inverse]]
-                todo = todo[lead[todo] != todo]
+            todo = todo[~(same & (pop.tokens[a, :width] == pop.tokens[b, :width]).all(axis=1))]
         leads = lead == positions
         firsts = slots[leads]
         distinct: list = []
