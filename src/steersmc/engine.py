@@ -276,8 +276,9 @@ def _candidates(pop: Population, weights, passed, raw) -> list[WeightedCandidate
     weights, check results and raw log weights."""
     return [WeightedCandidate(tokens=tuple(row[:n]), normalized_weight=w,
                               passed_check=ok, raw_log_weight=r, text=text)
-            for row, n, w, ok, r, text in zip(pop.tokens.tolist(), pop.lengths.tolist(),
-                                              weights, passed, raw, pop.texts)]
+            for row, n, w, ok, r, text in zip(
+                pop.tokens[:, :pop.lengths.max()].tolist(), pop.lengths.tolist(),
+                weights, passed, raw, pop.texts)]
 
 
 def _weighted_candidates(pop: Population) -> list[WeightedCandidate]:

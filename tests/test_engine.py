@@ -164,10 +164,14 @@ class TestResample:
 
     def test_clones_share_no_state(self):
         # both survivors copy slot 0; stepping survivor 0 alone changes
-        # neither survivor 1 nor the population resampled from
-        particles = _weighted_particles([1.0, 0.0])
+        # neither survivor 1 nor the population resampled from, whose
+        # token matrix has room for the forced token
+        particles = Population.of([Particle(tokens=[0], text="0"), Particle(
+            tokens=[1, 1, 1], text="111", log_weight=NEG_INF)])
         out = resample(particles, [1.0, 0.0], "multinomial", RandomStream(5, "rs"))
         assert out.ancestors.tolist() == [0, 0]
+        assert not any(np.shares_memory(getattr(out, name), getattr(particles, name))
+                       for name in Population._ARRAYS)
         out.status[1] = STATUSES.index("done")
         model = UniformModel(Vocabulary.from_tokens([str(i) for i in range(100)] + ["<eos>"]))
         plan = make_plan([{"kind": "hint", "template": "x"},
@@ -177,7 +181,7 @@ class TestResample:
         assert out[0].tokens == [0, 99] and out[0].hint_buffer == ["Note to self: x"]
         assert 99 not in out[1].tokens
         assert 99 not in particles[0].tokens and 99 not in particles[1].tokens
-        assert (out[1].text, out[1].hint_buffer) == ("0", [])
+        assert (out[1].tokens, out[1].text, out[1].hint_buffer) == ([0], "0", [])
         assert (particles[0].text, particles[0].hint_buffer) == ("0", [])
 
     @pytest.mark.parametrize("scheme", ["multinomial", "systematic"])

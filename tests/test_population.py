@@ -391,7 +391,7 @@ def test_population_step_matches_the_walk(case):
         want = reference_step(plan, step, theirs, models, theirs_streams)
         try:
             execute_particles(plan, step, ours, models,
-                         [derive_key(seed, "slot", s, step) for s in range(n)])
+                              [derive_key(seed, "slot", s, step) for s in range(n)])
             got = None
         except SteeringError as exc:
             got = exc

@@ -86,7 +86,7 @@ class TestSampleToken:
     def test_mask_of_two_under_uniform_adds_log_half(self, uniform4):
         particle = Particle()
         execute_particles(explicit_mask_plan(ids=(0, 1)), 0, [particle], uniform4,
-                     [derive_key(1, "t")])
+                          [derive_key(1, "t")])
         assert particle.log_weight == pytest.approx(math.log(0.5))
         assert particle.tokens[0] in (0, 1)
 
@@ -118,7 +118,7 @@ class TestSampleToken:
         # a dead end, which fails the particle instead of the step
         particle = Particle()
         execute_particles(explicit_mask_plan(tokens=("z",)), 0, [particle], uniform4,
-                     [derive_key(4, "t")])
+                          [derive_key(4, "t")])
         assert particle.status == "failed"
         assert isinstance(particle.error, MaskEmpty)
         assert particle.error.clause_index == 0
@@ -131,7 +131,7 @@ class TestSampleToken:
         })
         particle = Particle()
         execute_particles(explicit_mask_plan(ids=(1, 2)), 0, [particle], zero_only,
-                     [derive_key(5, "t")])
+                          [derive_key(5, "t")])
         assert particle.status == "failed"
         assert isinstance(particle.error, MaskEmpty)
         assert particle.error.clause_index == 0
@@ -181,7 +181,7 @@ class TestProposalPriorStep:
     def test_identical_models_give_zero_update(self, uniform4):
         particle = Particle()
         execute_particles(PRIOR_SCORED_PLAN, 0, [particle], (uniform4, uniform4),
-                     [derive_key(6, "t")])
+                          [derive_key(6, "t")])
         assert particle.log_weight == pytest.approx(0.0)
 
     def test_direct_ratio_for_token_zero(self):
@@ -195,7 +195,7 @@ class TestProposalPriorStep:
         for i in range(10):
             particle = Particle()
             update = execute_particles(PRIOR_SCORED_PLAN, 0, [particle], (proposal, prior),
-                                  [derive_key(7, "ratio", i)])
+                                       [derive_key(7, "ratio", i)])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == pytest.approx(math.log(0.9 / 0.5))
                 return
@@ -211,7 +211,7 @@ class TestProposalPriorStep:
         for i in range(10):
             particle = Particle()
             update = execute_particles(PRIOR_SCORED_PLAN, 0, [particle], (proposal, prior),
-                                  [derive_key(8, "zp", i)])
+                                       [derive_key(8, "zp", i)])
             if update.appended_tokens == (0,):
                 assert particle.log_weight == NEG_INF
                 return
@@ -404,7 +404,7 @@ class TestExecuteStep:
         plan = make_plan([{"kind": "force_string", "text": "ab"}], max_tokens=3)
         full, fresh = Particle(tokens=[0, 0], text="aa"), Particle()
         update = execute_particles(plan, 0, [full, fresh], table_721,
-                              [derive_key(19, "a"), derive_key(19, "b")])
+                                   [derive_key(19, "a"), derive_key(19, "b")])
         assert_budget_failed(full, clause_index=0)
         assert full.tokens == [0, 0]
         assert fresh.status == "done" and fresh.tokens == [0, 1]
@@ -422,7 +422,7 @@ class TestExecuteStep:
         before = [(p.tokens[:], p.text, p.log_weight, p.status, p.error)
                   for p in (done, failed)]
         update = execute_particles(plan, 1, [done, fresh, failed], table_721,
-                              [derive_key(20, "y") for _ in range(3)])
+                                   [derive_key(20, "y") for _ in range(3)])
         assert [(p.tokens, p.text, p.log_weight, p.status, p.error)
                 for p in (done, failed)] == before
         assert (fresh.text, fresh.status) == ("b", "done")
@@ -437,7 +437,7 @@ class TestExecuteStep:
         for _ in range(2):
             particle = Particle()
             updates.append(execute_particles(plan, 0, [particle], uniform4,
-                                        [derive_key(16, "det")]))
+                                             [derive_key(16, "det")]))
         assert updates[0] == updates[1]
 
     def test_fixed_loop_runs_within_one_step(self, table_721):
@@ -526,7 +526,7 @@ class TestPlanTermination:
             particle = Particle()
             for step in range(len(plan.steps)):
                 execute_particles(plan, step, [particle], uniform4,
-                             [derive_key(4242, "exec", trial, step)])
+                                  [derive_key(4242, "exec", trial, step)])
                 if particle.status != "active":
                     break
             if particle.status == "failed":
