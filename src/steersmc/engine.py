@@ -232,8 +232,7 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             for s in np.flatnonzero(stepped & pop.status_is(FAILED)).tolist():
                 pop.errors[s].step_index = t
             for s in np.flatnonzero(stepped & pop.status_is(DONE)).tolist():
-                ok = pop.passed[s] = run_check(
-                    plan, pop.tokens[s, :pop.lengths[s]].tolist(), models.vocabulary)
+                ok = pop.passed[s] = run_check(plan, pop.texts[s])
                 if weighted and not ok:
                     pop.log_weights[s] = NEG_INF
             if weighted:

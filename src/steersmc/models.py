@@ -154,7 +154,8 @@ class Vocabulary:
         lenient encoding of ``hint``.
 
         Memoized per vocabulary in an LRU of HINT_MEMO_SIZE hints, since
-        a particle's hints are re-serialized on every model query.
+        a particle's hints are serialized again for every distinct query
+        it joins and measured by ``TokenModel.context_reach``.
         """
         memo = getattr(self, "_hint_memo", None)
         if memo is None:
@@ -198,12 +199,14 @@ class TokenModel:
         """One probability vector per query, for queries whose context ids
         are already known to lie in the vocabulary.
 
-        The step interpreter calls this with the distinct queries of each
-        token tick, ``steering.QUERY_BATCH`` at a time; every id it
-        appends comes from a row, from a checked ``force_string`` or from
-        ``Vocabulary.encode``. Rows may be shared read-only arrays.
-        ``deadline`` (a ``time.monotonic`` instant) bounds models that
-        wait on I/O.
+        The step interpreter calls this with one query per distinct
+        window of each token tick, ``steering.QUERY_BATCH`` at a time: a
+        query's context holds only the last ``context_reach(hints)`` ids
+        of the particle's context (all of them when the reach is None).
+        Every id it holds comes from a row, from a checked
+        ``force_string`` or from ``Vocabulary.encode``. Rows may be
+        shared read-only arrays. ``deadline`` (a ``time.monotonic``
+        instant) bounds models that wait on I/O.
         """
         return [self._distribution(self._conditioning_context(q), q.prompt_tag)
                 for q in queries]
@@ -224,6 +227,16 @@ class TokenModel:
             total += math.log(p)
             ctx = ctx + (tok,)
         return total
+
+    def context_reach(self, hints: tuple[str, ...]) -> int | None:
+        """How many trailing context ids a row can depend on under these
+        hints, or None for the whole context.
+
+        For every context ``ctx`` with at least that many ids, the row
+        for the last ``reach`` of them must equal the row for ``ctx``.
+        None is always safe; too small a reach changes results.
+        """
+        return None
 
     def _conditioning_context(self, query: ModelQuery) -> tuple[int, ...]:
         """Serialize hints into the context behind the delimiter token.
@@ -250,6 +263,9 @@ class UniformModel(TokenModel):
         super().__init__(vocabulary)
         self._vec = np.full(vocabulary.size, 1.0 / vocabulary.size)
         self._vec.setflags(write=False)
+
+    def context_reach(self, hints):
+        return 0
 
     def _distribution(self, context, prompt_tag):
         return self._vec
@@ -306,6 +322,17 @@ class NgramModel(TokenModel):
         if smoothing > 0.0:
             self._unseen = np.full(size, smoothing) / (smoothing * size)
             self._unseen.setflags(write=False)
+
+    def context_reach(self, hints):
+        """The last ``order - 1`` ids of the serialized context, less the
+        ids the hints add after the context."""
+        reach, vocab = self.order - 1, self.vocabulary
+        if vocab.hint_delimiter_id is not None:
+            for hint in hints:
+                if reach <= 0:
+                    break
+                reach -= len(vocab.hint_ids(hint))
+        return max(0, reach)
 
     def _distribution(self, context, prompt_tag):
         window = tuple(context[-(self.order - 1):]) if self.order > 1 else ()

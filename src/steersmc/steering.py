@@ -7,8 +7,9 @@ finished sequences is the plan's target distribution, which the
 inference engine approximates. A ``Population`` holds the particles of
 a run as arrays, and resampling copies them with one ``take`` by
 ancestor slot. The interpreter steps a whole population through one
-top-level clause at once: one query per distinct model context and one
-vectorized draw per distinct (row, mask) on each token tick. Tokens are
+top-level clause at once: one query per distinct window of context the
+model reads (``TokenModel.context_reach``) and one vectorized draw per
+distinct (row, mask) on each token tick. Tokens are
 drawn only by the one-token ``draw`` clause; every repetition is a
 ``loop``. ``Particle`` is the view of one slot that callers build and
 read.
@@ -393,18 +394,34 @@ class _Pass:
 
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
              hinted: bool) -> tuple[list, np.ndarray]:
-        """The model's row for each slot: one row per distinct (context,
-        hints) in order of first slot, and each slot's index into them.
+        """The model's row for each slot: one row per distinct query in
+        order of first slot, and each slot's index into them.
 
-        Slots are grouped by context key, and by hint-set id when hinted;
-        one vectorized comparison of every member's row with its group's
-        first confirms the group, and members that differ (a key
-        collision) are grouped again among themselves.
+        A query holds the slot's hints (none unless hinted) and the
+        window of its context that the model reads under them, the last
+        ``model.context_reach(hints)`` ids (all of them for None), found
+        once per distinct hint set. Slots are grouped by a key of window
+        and hint-set id: the context key where the window is the whole
+        context, else a key folded over the window. One vectorized
+        comparison of every member's window with its group's first
+        confirms the group, and members that differ (a key collision)
+        are grouped again among themselves.
         """
-        pop = self.pop
+        pop, tokens = self.pop, self.pop.tokens
+        lengths = pop.lengths[slots]
+        hints = pop.hint_ids[slots] if hinted else np.zeros(len(slots), dtype=np.intp)
+        sets, at = np.unique(hints, return_inverse=True)
+        reach = [model.context_reach(pop.hint_sets[h]) for h in sets.tolist()]
+        widths = np.minimum(lengths, np.array(  # no context is longer than the matrix
+            [tokens.shape[1] if r is None else r for r in reach], dtype=np.intp)[at])
+        starts = lengths - widths
         keys = pop.context_keys[slots]
-        if hinted:
-            keys = keys ^ pop.hint_ids[slots].astype(np.uint64)
+        cut = starts > 0  # windows shorter than their context get a fresh key
+        keys[cut] = 0
+        for column in range(int(widths[cut].max(initial=0))):
+            fold = np.flatnonzero(cut & (widths > column))
+            keys[fold] = fold_context(keys[fold], tokens[slots[fold], starts[fold] + column])
+        keys ^= hints.astype(np.uint64)
         positions = np.arange(len(slots))
         lead, todo = positions.copy(), positions  # each slot's group's first position
         while todo.size:
@@ -413,30 +430,37 @@ class _Pass:
             todo = todo[lead[todo] != todo]
             if not todo.size:
                 break
-            a, b = slots[todo], slots[lead[todo]]
-            same = pop.lengths[a] == pop.lengths[b]
-            if hinted:
-                same &= pop.hint_ids[a] == pop.hint_ids[b]
-            width = int(pop.lengths[a].max())
-            todo = todo[~(same & (pop.tokens[a, :width] == pop.tokens[b, :width]).all(axis=1))]
+            other = lead[todo]
+            same = (widths[todo] == widths[other]) & (hints[todo] == hints[other])
+            # right-aligned windows; cells past a window's width are ignored
+            span = np.arange(int(widths[todo].max()))
+            last = tokens.shape[1] - 1
+            cells = [tokens[slots[p][:, None], np.minimum(starts[p][:, None] + span, last)]
+                     for p in (todo, other)]
+            same &= ((cells[0] == cells[1]) | (span >= widths[todo][:, None])).all(axis=1)
+            todo = todo[~same]
         leads = lead == positions
-        firsts = slots[leads]
+        firsts = np.flatnonzero(leads)
         distinct: list = []
         for lo in range(0, len(firsts), QUERY_BATCH):
-            distinct += self.query(model, tag, firsts[lo:lo + QUERY_BATCH], hinted)
+            batch = firsts[lo:lo + QUERY_BATCH]
+            distinct += self.query(model, tag, slots[batch], starts[batch], widths[batch],
+                                   hints[batch])
         return distinct, (np.cumsum(leads) - 1)[lead]
 
-    def query(self, model: TokenModel, tag: str, firsts: np.ndarray, hinted: bool) -> list:
+    def query(self, model: TokenModel, tag: str, slots: np.ndarray, starts: np.ndarray,
+              widths: np.ndarray, hints: np.ndarray) -> list:
         """The model's rows for the queries of these slots, each checked
         once to be a vector over the vocabulary, so that every drawn id
-        is a valid context id. Each context tuple is read straight from
-        its row's int32 cells."""
-        pop = self.pop
-        tokens, row_bytes = pop.tokens, pop.tokens.strides[0]
-        queries = [ModelQuery(struct.unpack_from(f"={n}i", tokens, s * row_bytes), tag,
-                              pop.hint_sets[h] if hinted else ())
-                   for s, n, h in zip(firsts.tolist(), pop.lengths[firsts].tolist(),
-                                      pop.hint_ids[firsts].tolist())]
+        is a valid context id. Each context tuple is the window of
+        ``widths`` ids from ``starts``, read straight from its row's
+        int32 cells."""
+        pop, tokens = self.pop, self.pop.tokens
+        row_bytes, cell = tokens.strides[0], tokens.itemsize
+        queries = [ModelQuery(struct.unpack_from(f"={w}i", tokens, s * row_bytes + o * cell),
+                              tag, pop.hint_sets[h])
+                   for s, o, w, h in zip(slots.tolist(), starts.tolist(), widths.tolist(),
+                                         hints.tolist())]
         rows = model.next_distributions(queries, deadline=self.deadline)
         size = self.vocab.size
         if len(rows) != len(queries) or not all(
@@ -555,6 +579,6 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
     return StepUpdate(tuple(pop.tokens[stepped][new].tolist()), step.log_update)
 
 
-def run_check(plan: SteeringPlan, tokens, vocabulary: Vocabulary) -> bool:
-    """Evaluate the plan's check conjunction on a finished sequence."""
-    return verify(plan.check, vocabulary.decode(tokens)).passed
+def run_check(plan: SteeringPlan, text: str) -> bool:
+    """Evaluate the plan's check conjunction on a finished sequence's text."""
+    return verify(plan.check, text).passed

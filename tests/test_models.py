@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -339,6 +340,40 @@ class TestProperties:
         split = (m.sequence_logprob(prefix, c1)
                  + m.sequence_logprob(prefix + c1, c2))
         assert whole == pytest.approx(split, abs=1e-9)
+
+
+@st.composite
+def reach_cases(draw):
+    """An n-gram of order 1-4 over a corpus holding "|", declared as the
+    hint delimiter or not, with a context and up to three hints."""
+    corpus = draw(st.text(alphabet="ab |", max_size=30)) + "|"
+    model = train_ngram(corpus, order=draw(st.integers(1, 4)),
+                        smoothing=draw(st.sampled_from([0.0, 0.1])))
+    vocab = model.vocabulary
+    if draw(st.booleans()):
+        model.vocabulary = dataclasses.replace(
+            vocab, hint_delimiter_id=vocab.token_text.index("|"))
+    context = tuple(draw(st.lists(st.integers(0, vocab.size - 1), max_size=8)))
+    hints = tuple(draw(st.lists(st.text(alphabet="ab|x", max_size=3), max_size=3)))
+    return model, context, hints
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=reach_cases())
+def test_row_of_the_reached_window_is_the_row_of_the_context(case):
+    """``context_reach`` contract: the row for the last ``reach`` ids of
+    a context is the very row object for the whole context, under the
+    same hints, since the interpreter sends only that window and groups
+    draws by row object. An n-gram reach of ``order - 2`` fails it."""
+    ngram, context, hints = case
+    for model in (ngram, UniformModel(ngram.vocabulary)):
+        reach = model.context_reach(hints)
+        assert isinstance(reach, int) and reach >= 0
+        if isinstance(model, UniformModel):
+            assert reach == 0
+        window = context[max(0, len(context) - reach):]
+        got = model.next_distribution(ModelQuery(window, "proposal", hints))
+        assert got is model.next_distribution(ModelQuery(context, "proposal", hints))
 
 
 class TestRemoteAdapter:

@@ -21,6 +21,7 @@ Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -33,6 +34,7 @@ from steersmc import (
     InferenceConfig,
     MaskEmpty,
     ModelQuery,
+    NgramModel,
     Particle,
     RandomStream,
     SchemaViolation,
@@ -437,22 +439,47 @@ def test_vectorized_key_derivation_equals_mix(words, t):
     assert got.tolist() == [_mix(w + t * _GOLDEN) for w in words]
 
 
-class _Recording(TableModel):
-    """A table model that records every query it answers, in order."""
+class _Recording:
+    """Mixed into a model class: records every query it answers, in
+    order, and each batch it is sent."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.seen = []
+        self.seen, self.batches = [], []
 
     def next_distributions(self, queries, deadline=None):
         self.seen += queries
+        self.batches.append(list(queries))
         return super().next_distributions(queries, deadline)
 
 
-def test_colliding_context_keys_change_nothing(monkeypatch):
+class _RecordingTable(_Recording, TableModel):
+    pass
+
+
+class _RecordingNgram(_Recording, NgramModel):
+    pass
+
+
+def _ngram(vocab, order, rng, eos=True):
+    """A recording n-gram over ``vocab`` with a random count row for
+    every window shorter than ``order``; no EOS mass unless ``eos``."""
+    counts = {}
+    for width in range(order):
+        for window in itertools.product(range(vocab.size), repeat=width):
+            row = rng.integers(1, 9, vocab.size).astype(np.float64)
+            row[vocab.eos_id] *= eos
+            counts[window] = row
+    return _RecordingNgram(vocab, order, 0.0, counts)
+
+
+@pytest.mark.parametrize("kind", ["table", "ngram"])
+def test_colliding_context_keys_change_nothing(monkeypatch, kind):
     """With every context key folded to 0, each group of slots splits by
-    its row comparison alone: the same queries go out in the same order,
-    and the run is bit for bit the same."""
+    its window comparison alone: the same queries go out in the same
+    order, and the run is bit for bit the same. The order-3 n-gram reads a
+    window of its context (two ids unhinted, one behind a one-id hint),
+    so its groups are keyed by a key folded over that window."""
     vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
     rng = np.random.default_rng(3)
     rows = {}
@@ -473,7 +500,13 @@ def test_colliding_context_keys_change_nothing(monkeypatch):
     runs = []
     for fold in (steering.fold_context, lambda keys, tokens: np.zeros_like(keys)):
         monkeypatch.setattr(steering, "fold_context", fold)
-        proposal, prior = _Recording(vocab, rows, uniform), _Recording(vocab, rows, uniform)
+        if kind == "table":
+            proposal, prior = (_RecordingTable(vocab, rows, uniform),
+                               _RecordingTable(vocab, rows, uniform))
+        else:
+            proposal, prior = _ngram(vocab, 3, np.random.default_rng(5)), _ngram(
+                vocab, 3, np.random.default_rng(6))
+            assert proposal.context_reach(()) == 2
         out = run_inference(plan, (proposal, prior), InferenceConfig(
             method="smc", n_particles=48, seed=11, ess_threshold=48))
         runs.append((out.candidates, out.selected, out.diagnostics.ess_trace,
@@ -482,3 +515,42 @@ def test_colliding_context_keys_change_nothing(monkeypatch):
     assert len(set(runs[0][4])) > 5
     assert runs[0][3]  # a resample copies slots with equal contexts
     assert runs[1] == runs[0]
+
+
+def test_one_query_per_window_the_model_reads():
+    """An order-3 n-gram reads the last two ids of its serialized
+    context. Behind one hint (the delimiter alone) that is one context
+    id, and behind two hints none: from then on the 64 slots share one
+    query, with an empty context, on every token tick. A table model
+    (reach None) still receives every slot's whole context."""
+    vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
+    plan = parse_plan({"plan_version": 1, "max_tokens": 12, "steps": [
+        {"kind": "loop", "iterations": 3, "body": [
+            {"kind": "hint", "template": ""},
+            {"kind": "sample_until", "stop": {"kind": "token_count", "value": 4}}]}]})
+    config = InferenceConfig(method="importance", n_particles=64, seed=2)
+    ngram = _ngram(vocab, 3, np.random.default_rng(7), eos=False)
+    run_inference(plan, ngram, config)
+    hint = steering.HINT_PREFIX
+    assert len(ngram.batches) == 12  # one call per token tick
+    # one hint: the empty context, then one query per last context id
+    assert ngram.batches[0] == [ModelQuery((), "proposal", (hint,))]
+    windows = [q for batch in ngram.batches[1:4] for q in batch]
+    assert all(len(q.context) == 1 and q.hints == (hint,) for q in windows)
+    assert len(windows) > 3 and all(len(batch) <= 3 for batch in ngram.batches[1:4])
+    # two hints and more: one query per tick, no context id sent
+    assert ngram.batches[4:] == [[ModelQuery((), "proposal", (hint,) * k)]
+                                 for k in (2, 2, 2, 2, 3, 3, 3, 3)]
+
+    no_eos, rng, rows = np.array([1 / 3, 1 / 3, 1 / 3, 0.0]), np.random.default_rng(7), {}
+    for width in range(3):
+        for ctx in itertools.product(range(3), repeat=width):
+            row = no_eos * rng.dirichlet(np.ones(4))
+            rows[("proposal", ctx)] = row / row.sum()
+    table = _RecordingTable(vocab, rows, no_eos)
+    assert table.context_reach((hint,) * 3) is None
+    out = run_inference(plan, table, config)
+    finished = {c.tokens for c in out.candidates}
+    assert {len(q.context) for q in table.seen} == set(range(12))
+    assert {q.context for q in table.seen if len(q.context) == 11} == {
+        t[:11] for t in finished}
