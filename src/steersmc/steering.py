@@ -8,11 +8,12 @@ inference engine approximates. A ``Population`` holds the particles of
 a run as arrays, and resampling copies them with one ``take`` by
 ancestor slot. The interpreter steps a whole population through one
 top-level clause at once: one query per distinct window of context the
-model reads (``TokenModel.context_reach``) and one vectorized draw per
-distinct (row, mask) on each token tick. Tokens are
-drawn only by the one-token ``draw`` clause; every repetition is a
-``loop``. ``Particle`` is the view of one slot that callers build and
-read.
+model reads (``TokenModel.context_reach``) and, on each token tick,
+one batched draw over the tick's distinct rows per mask part (one part
+unless a ``max_remaining_chars`` mask sees several text lengths).
+Tokens are drawn only by the one-token ``draw`` clause; every
+repetition is a ``loop``. ``Particle`` is the view of one slot that
+callers build and read.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -48,7 +49,7 @@ from .plans import (  # MaskSpec and parse_plan are re-exported
     forced_tokens,
     parse_plan,
 )
-from .rng import draw_indices, mix64, uniforms_at
+from .rng import draw_rows, mix64, uniforms_at
 
 NEG_INF = float("-inf")
 
@@ -334,10 +335,13 @@ class _Pass:
         unmasked draw has Z = 1). Scored with the prior, the delta is
         ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
         -inf; the prior is evaluated without hints, which condition the
-        proposal side only. Slots sharing a (row, mask) pair share one
-        normalization and one cumulative sum; when that mask allows no
-        token or no mass, every one of them dies. Every pick and delta is
-        then applied in one scatter.
+        proposal side only. The tick's distinct rows are stacked into one
+        table; each mask part (all slots, or under ``max_remaining_chars``
+        those of one text length) builds its mask once, gathers the
+        allowed columns in C order, so that each row sums as it would
+        alone, and draws with ``rng.draw_rows``. Slots whose mask allows
+        no token or leaves their row no mass die. Every pick and delta
+        is then applied in one scatter.
         """
         pop, vocab, mask = self.pop, self.vocab, clause.mask
         max_tokens = self.plan.max_tokens
@@ -349,30 +353,36 @@ class _Pass:
             if not slots.size:
                 return slots
         rows, which = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
-        row_ids: dict[int, int] = {}  # one group per distinct row object
-        labels = np.array([row_ids.setdefault(id(r), len(row_ids)) for r in rows])[which]
-        if mask is not None and mask.kind == "max_remaining_chars":
-            text_lengths = pop.text_lengths[slots]
-            labels = labels * (int(text_lengths.max()) + 1) + text_lengths
+        distinct = {id(r): r for r in rows}  # one table row per distinct row object
+        at = {key: i for i, key in enumerate(distinct)}
+        table = np.array(list(distinct.values()))
+        slot_rows = np.array([at[id(r)] for r in rows])[which]
         u = uniforms_at(self.keys[slots], self.counters[slots])
         self.counters[slots] += np.uint64(1)
         picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
         live = np.ones(len(slots), dtype=bool)
-        for members in _groups(labels):
-            row = sub = rows[which[members[0]]]
-            if mask is not None:
-                ids = mask.build(vocab, pop.texts[slots[members[0]]])
-                sub = row[ids]
-            total = float(sub.sum())
-            if mask is not None and (ids.size == 0 or total <= 0.0):
-                self.kill(slots[members], MaskEmpty, "mask allows no tokens" if ids.size == 0
-                          else "mask removed all probability mass (Z=0)")
-                live[members] = False
+        parts = [np.arange(len(slots))]
+        if mask is not None and mask.kind == "max_remaining_chars":
+            parts = _groups(pop.text_lengths[slots])  # all that this mask reads
+        for members in parts:
+            if mask is None:
+                picks[members] = draw_rows(table, table.sum(axis=1), slot_rows, u)
                 continue
-            drawn = draw_indices(sub, total, u[members])
-            if mask is not None:
-                drawn, deltas[members] = ids[drawn], math.log(total)
-            picks[members] = drawn
+            ids = mask.build(vocab, pop.texts[slots[members[0]]])
+            rows_used, used = np.unique(slot_rows[members], return_inverse=True)
+            weights = table[rows_used[:, None], ids]  # C-ordered, unlike table[:, ids]
+            totals = weights.sum(axis=1)
+            dead = totals[used] <= 0.0
+            if dead.any():
+                self.kill(slots[members[dead]], MaskEmpty, "mask allows no tokens"
+                          if ids.size == 0 else "mask removed all probability mass (Z=0)")
+                live[members[dead]] = False
+                members, used = members[~dead], used[~dead]
+                if not members.size:
+                    continue
+            logs = np.array([0.0 if t <= 0.0 else math.log(t) for t in totals.tolist()])
+            deltas[members] = logs[used]
+            picks[members] = ids[draw_rows(weights, totals, used, u[members])]
         if not live.all():
             slots, picks, deltas, which = slots[live], picks[live], deltas[live], which[live]
             if not slots.size:

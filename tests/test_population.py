@@ -2,14 +2,15 @@
 
 ``execute_step`` runs every particle's clause together: one query per
 distinct context, uniforms from one vectorized SplitMix pass and one
-cumulative sum per distinct (row, mask). The reference below is the
-per-particle clause walk it replaced, kept here as ``tests/test_rng.py``
-keeps the scalar ``choice`` walk, and stepped slot by slot as the engine
-used to, forcing strings through ``TokenModel.sequence_logprob``. Random
-plans over vocabularies of at most five tokens must give bit-identical
-particles. A dead end (a spent step budget or an empty mask) fails its
-particle alone in both; any other error ends our step at once, so it is
-raised exactly when the walk raises and is the error of some slot's walk.
+batched draw over the distinct rows of each mask part. The reference
+below is the per-particle clause walk it replaced, kept here as
+``tests/test_rng.py`` keeps the scalar ``choice`` walk, and stepped
+slot by slot as the engine used to, forcing strings through
+``TokenModel.sequence_logprob``. Random plans over vocabularies of at
+most five tokens must give bit-identical particles. A dead end (a spent
+step budget or an empty mask) fails its particle alone in both; any
+other error ends our step at once, so it is raised exactly when the
+walk raises and is the error of some slot's walk.
 Both run parsed plans, where every token is drawn by a one-token
 ``draw`` clause inside a ``loop``; a generated ``sample_until`` whose
 ``max_new_tokens`` is below its token-count stop must be rejected by
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,25 +35,30 @@ from hypothesis import strategies as st
 from steersmc import (
     InferenceConfig,
     MaskEmpty,
+    MaskSpec,
     ModelQuery,
     NgramModel,
     Particle,
+    Population,
     RandomStream,
     SchemaViolation,
     SteeringError,
     StepBudgetExceeded,
     TableModel,
     Timeout,
+    TokenModel,
     Vocabulary,
     as_model_set,
     derive_key,
+    execute_step,
     inject_hint,
     parse_plan,
     run_inference,
 )
 from steersmc import steering
 from steersmc.plans import forced_tokens
-from steersmc.rng import _GOLDEN, _MASK64, _mix, mix64, step_keys, uniforms_at
+from steersmc.rng import (_GOLDEN, _MASK64, _mix, derive_keys, draw_indices, mix64, step_keys,
+                          uniforms_at)
 from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for
 
 from stepping import execute_particles
@@ -554,3 +561,124 @@ def test_one_query_per_window_the_model_reads():
     assert {len(q.context) for q in table.seen} == set(range(12))
     assert {q.context for q in table.seen if len(q.context) == 11} == {
         t[:11] for t in finished}
+
+
+# ---------------------------------------------------------------------------
+# The batched draw: one pass over a tick's distinct rows.
+
+TOP_UNIFORM = 1.0 - 2.0 ** -53
+
+
+class _HintedRows(TokenModel):
+    """Answers a query with the row its particle's one hint names, the
+    same array object for every query naming it."""
+
+    def __init__(self, vocab, rows):
+        super().__init__(vocab)
+        self.rows = rows
+
+    def next_distributions(self, queries, deadline=None):
+        return [self.rows[int(q.hints[0])] for q in queries]
+
+
+@st.composite
+def batched_draws(draw):
+    """Up to 300 distinct rows over up to 100 tokens, with exact zeros,
+    all-zero rows, weights across many magnitudes and uniforms at the
+    top of [0, 1), drawn by up to 600 slots under one mask."""
+    size = draw(st.integers(2, 100))
+    n_rows, n_slots = draw(st.integers(1, 300)), draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    table = rng.random((n_rows, size))
+    if draw(st.booleans()):
+        table = table * 10.0 ** rng.integers(-300, 150, (n_rows, size))
+    table[rng.random((n_rows, size)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    table[rng.random(n_rows) < draw(st.sampled_from([0.0, 0.05]))] = 0.0
+    mask = draw(st.sampled_from(["none", "explicit", "max_remaining_chars"]))
+    if mask == "explicit":
+        mask = {"kind": "explicit",
+                "ids": sorted(set(rng.integers(0, size, rng.integers(1, size + 1)).tolist()))}
+    elif mask == "max_remaining_chars":
+        mask = {"kind": "max_remaining_chars", "target_chars": 3}
+    u = rng.random(n_slots)
+    if draw(st.booleans()):
+        u[rng.random(n_slots) < 0.5] = TOP_UNIFORM
+    return table, rng.integers(0, n_rows, n_slots), rng.integers(0, 5, n_slots), mask, u
+
+
+def _wide_case():
+    """600 slots over 300 distinct rows of 88 weights under one static
+    mask: more cells than one block of the comparison holds."""
+    rng = np.random.default_rng(1)
+    return (rng.random((300, 88)), np.arange(600) % 300, np.zeros(600, dtype=int),
+            {"kind": "explicit", "ids": list(range(0, 88, 2))}, rng.random(600))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=batched_draws())
+@example(case=_wide_case())
+@example(case=(np.array([[1e16] + [1.0] * 15 + [0.0], [0.0] * 16 + [1.0]]),
+               np.array([0, 1, 0]), np.zeros(3, dtype=int),
+               {"kind": "explicit", "ids": list(range(17))}, np.full(3, TOP_UNIFORM)))
+def test_batched_draw_matches_one_row_at_a_time(case):
+    """Each slot's pick is ``draw_indices`` over its own masked row, bit
+    for bit, and its ``log Z`` is ``math.log`` of the 1-D sum of that
+    row; a mask that leaves no token or no mass kills the slot, and an
+    unmasked all-zero row raises ValueError. Gathering the masked
+    columns in F order in ``_Pass.draw``, as ``table[rows_used][:, ids]``
+    or ``table[:, ids]`` return them, fails this test."""
+    table, slot_rows, text_lengths, mask, u = case
+    size = table.shape[1]
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["<eos>"])
+    rows = [row.copy() for row in table]
+    step = ({"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}
+            if mask == "none" else {"kind": "masked_sample", "mask": mask})
+    plan = parse_plan({"plan_version": 1, "max_tokens": 4, "steps": [step]})
+    pop = Population.of([Particle(text="x" * length, hint_buffer=[str(r)])
+                         for r, length in zip(slot_rows.tolist(), text_lengths.tolist())])
+    keys = np.zeros(len(pop), dtype=np.uint64)
+    with mock.patch.object(steering, "uniforms_at", lambda keys, counters: u.copy()):
+        if mask == "none" and not all(rows[r].any() for r in set(slot_rows.tolist())):
+            with pytest.raises(ValueError, match="all-zero"):
+                execute_step(plan, 0, pop, _HintedRows(vocab, rows), keys)
+            return
+        execute_step(plan, 0, pop, _HintedRows(vocab, rows), keys)
+    spec = plan.steps[0].body[0].mask
+    for slot, (r, length) in enumerate(zip(slot_rows.tolist(), text_lengths.tolist())):
+        particle = pop[slot]
+        ids = np.arange(size) if spec is None else spec.build(vocab, "x" * length)
+        weights = rows[r][ids]
+        total = weights.sum()
+        if ids.size == 0 or total <= 0.0:
+            assert particle.status == FAILED and isinstance(particle.error, MaskEmpty)
+            continue
+        pick = ids[draw_indices(weights, total, u[slot:slot + 1])[0]]
+        assert particle.tokens == [pick]
+        assert particle.log_weight == (0.0 if spec is None else math.log(total))
+
+
+@pytest.mark.parametrize("mask", [{"kind": "char_class", "classes": ["letter"]},
+                                  {"kind": "max_remaining_chars", "target_chars": 12}])
+def test_one_mask_build_per_tick_and_text_length(monkeypatch, mask):
+    """However many distinct rows a token tick draws from, a static mask
+    is built once per tick and a ``max_remaining_chars`` mask once per
+    distinct text length among the tick's slots."""
+    vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
+    ngram = _ngram(vocab, 3, np.random.default_rng(4), eos=False)
+    plan = parse_plan({"plan_version": 1, "max_tokens": 8,
+                       "steps": [{"kind": "masked_sample", "mask": mask}] * 4})
+    build, built = MaskSpec.build, []
+    monkeypatch.setattr(MaskSpec, "build", lambda self, vocabulary, text: (
+        built.append(len(text)) or build(self, vocabulary, text)))
+    pop, most_rows, most_lengths = Population(64), 0, 0
+    for index in range(4):
+        lengths = sorted(set(pop.text_lengths[pop.status_is(ACTIVE)].tolist()))
+        sent, built[:] = len(ngram.seen), []
+        execute_step(plan, index, pop, ngram, derive_keys(index, "slot", 64))
+        if mask["kind"] == "max_remaining_chars":
+            assert sorted(built) == lengths
+        else:
+            assert len(built) == 1
+        most_rows = max(most_rows, len(ngram.seen) - sent)
+        most_lengths = max(most_lengths, len(lengths))
+    assert most_rows > 2 and most_lengths > 2  # ticks draw from several rows
