@@ -8,7 +8,8 @@ inference engine approximates. A ``Population`` holds the particles of
 a run as arrays, and resampling copies them with one ``take`` by
 ancestor slot. The interpreter steps a whole population through one
 top-level clause at once: one query per distinct window of context the
-model reads (``TokenModel.context_reach``) and, on each token tick,
+model reads (``TokenModel.context_reach``), found by an exact grouping
+of the slots' windows and hint sets, and, on each token tick,
 one batched draw over the tick's distinct rows per mask part (one part
 unless a ``max_remaining_chars`` mask sees several text lengths).
 Tokens are drawn only by the one-token ``draw`` clause; every
@@ -49,7 +50,7 @@ from .plans import (  # MaskSpec and parse_plan are re-exported
     forced_tokens,
     parse_plan,
 )
-from .rng import draw_rows, mix64, uniforms_at
+from .rng import draw_rows, uniforms_at
 
 NEG_INF = float("-inf")
 
@@ -81,14 +82,6 @@ class Particle:
     passed_check: bool | None = None
 
 
-def fold_context(keys: np.ndarray, tokens) -> np.ndarray:
-    """Context keys (uint64) after appending one token to each context:
-    a SplitMix round (``rng.mix64``) of the key xor the token plus one.
-    The empty context has key 0. Equal keys only suggest equal contexts;
-    ``_Pass.rows`` confirms them."""
-    return mix64(keys ^ (np.asarray(tokens).astype(np.uint64) + np.uint64(1)))
-
-
 class Population:
     """The particles of a run as arrays, slot i holding particle i.
 
@@ -96,17 +89,16 @@ class Population:
     doubles as rows grow, up to the plan's ``max_tokens``; cells past a
     row's length hold 0. Per slot there are ``lengths``,
     ``text_lengths``, ``log_weights``, ``status`` (indices into
-    ``STATUSES``), ``context_keys`` (the row folded by ``fold_context``)
-    and ``hint_ids`` (indices into ``hint_sets``, the interned hint
-    tuples). Lists hold ``texts`` (immutable, so copies share them),
-    ``errors`` and ``passed`` (check results). ``ancestors`` holds the
-    slots the last ``take`` copied, if any.
+    ``STATUSES``) and ``hint_ids`` (indices into ``hint_sets``, the
+    interned hint tuples). Lists hold ``texts`` (immutable, so copies
+    share them), ``errors`` and ``passed`` (check results).
+    ``ancestors`` holds the slots the last ``take`` copied, if any.
     """
 
     __slots__ = ("tokens", "lengths", "text_lengths", "log_weights", "status",
-                 "context_keys", "hint_ids", "texts", "errors", "passed",
-                 "hint_sets", "hint_index", "ancestors")
-    _ARRAYS = __slots__[:7]  # the per-slot arrays
+                 "hint_ids", "texts", "errors", "passed", "hint_sets", "hint_index",
+                 "ancestors")
+    _ARRAYS = __slots__[:6]  # the per-slot arrays
 
     def __init__(self, n: int, width: int = 0):
         """``n`` active particles with no tokens, text, hints or weight."""
@@ -115,7 +107,6 @@ class Population:
                                                           for _ in range(3))
         self.log_weights = np.zeros(n)
         self.status = np.full(n, _ACTIVE, dtype=np.int8)
-        self.context_keys = np.zeros(n, dtype=np.uint64)
         self.texts, self.errors, self.passed = [""] * n, [None] * n, [None] * n
         self.hint_sets, self.hint_index = [()], {(): 0}
         self.ancestors = None
@@ -130,10 +121,6 @@ class Population:
             pop.log_weights[i], pop.status[i] = p.log_weight, STATUSES.index(p.status)
             pop.hint_ids[i] = pop.intern(tuple(p.hint_buffer))
             pop.texts[i], pop.errors[i], pop.passed[i] = p.text, p.error, p.passed_check
-        for column in range(pop.tokens.shape[1]):
-            rows = np.flatnonzero(pop.lengths > column)
-            pop.context_keys[rows] = fold_context(pop.context_keys[rows],
-                                                  pop.tokens[rows, column])
         return pop
 
     def __len__(self) -> int:
@@ -184,7 +171,6 @@ class Population:
         self.tokens[slots, lengths] = tokens
         self.lengths[slots] = lengths + 1
         self.text_lengths[slots] += vocab.token_lengths()[tokens]
-        self.context_keys[slots] = fold_context(self.context_keys[slots], tokens)
         texts, pieces = self.texts, vocab.token_text
         for s, t in zip(slots.tolist(), tokens.tolist()):
             texts[s] += pieces[t]
@@ -410,12 +396,11 @@ class _Pass:
         A query holds the slot's hints (none unless hinted) and the
         window of its context that the model reads under them, the last
         ``model.context_reach(hints)`` ids (all of them for None), found
-        once per distinct hint set. Slots are grouped by a key of window
-        and hint-set id: the context key where the window is the whole
-        context, else a key folded over the window. One vectorized
-        comparison of every member's window with its group's first
-        confirms the group, and members that differ (a key collision)
-        are grouped again among themselves.
+        once per distinct hint set. Slots are grouped exactly, by one
+        ``np.unique`` over the bytes of an int64 row per slot: its
+        hint-set id, then its window's ids newest first, then -1 (never
+        a token id) past the window's width. The stable sort makes each
+        group's index its first slot.
         """
         pop, tokens = self.pop, self.pop.tokens
         lengths = pop.lengths[slots]
@@ -425,38 +410,22 @@ class _Pass:
         widths = np.minimum(lengths, np.array(  # no context is longer than the matrix
             [tokens.shape[1] if r is None else r for r in reach], dtype=np.intp)[at])
         starts = lengths - widths
-        keys = pop.context_keys[slots]
-        cut = starts > 0  # windows shorter than their context get a fresh key
-        keys[cut] = 0
-        for column in range(int(widths[cut].max(initial=0))):
-            fold = np.flatnonzero(cut & (widths > column))
-            keys[fold] = fold_context(keys[fold], tokens[slots[fold], starts[fold] + column])
-        keys ^= hints.astype(np.uint64)
-        positions = np.arange(len(slots))
-        lead, todo = positions.copy(), positions  # each slot's group's first position
-        while todo.size:
-            _, first, inverse = np.unique(keys[todo], return_index=True, return_inverse=True)
-            lead[todo] = todo[first[inverse]]
-            todo = todo[lead[todo] != todo]
-            if not todo.size:
-                break
-            other = lead[todo]
-            same = (widths[todo] == widths[other]) & (hints[todo] == hints[other])
-            # right-aligned windows; cells past a window's width are ignored
-            span = np.arange(int(widths[todo].max()))
-            last = tokens.shape[1] - 1
-            cells = [tokens[slots[p][:, None], np.minimum(starts[p][:, None] + span, last)]
-                     for p in (todo, other)]
-            same &= ((cells[0] == cells[1]) | (span >= widths[todo][:, None])).all(axis=1)
-            todo = todo[~same]
-        leads = lead == positions
-        firsts = np.flatnonzero(leads)
+        span = np.arange(int(widths.max(initial=0)))
+        back = np.maximum(lengths[:, None] - 1 - span, 0)  # newest first
+        cells = np.empty((len(slots), 1 + span.size), dtype=np.int64)
+        cells[:, 0] = hints
+        # flat (row-major) indices gather faster than 2-D ones
+        cells[:, 1:] = np.take(tokens, back + (slots * tokens.shape[1])[:, None])
+        cells[:, 1:][span >= widths[:, None]] = -1
+        whole = cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).ravel()
+        _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
+        firsts = np.sort(first)
         distinct: list = []
         for lo in range(0, len(firsts), QUERY_BATCH):
             batch = firsts[lo:lo + QUERY_BATCH]
             distinct += self.query(model, tag, slots[batch], starts[batch], widths[batch],
                                    hints[batch])
-        return distinct, (np.cumsum(leads) - 1)[lead]
+        return distinct, np.searchsorted(firsts, first[inverse])
 
     def query(self, model: TokenModel, tag: str, slots: np.ndarray, starts: np.ndarray,
               widths: np.ndarray, hints: np.ndarray) -> list:

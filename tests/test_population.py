@@ -1,14 +1,17 @@
 """Population stepping against a slot-by-slot reference.
 
 ``execute_step`` runs every particle's clause together: one query per
-distinct context, uniforms from one vectorized SplitMix pass and one
-batched draw over the distinct rows of each mask part. The reference
+distinct window of context a model reads, uniforms from one vectorized
+SplitMix pass and one batched draw over the distinct rows of each mask
+part. The reference
 below is the per-particle clause walk it replaced, kept here as
 ``tests/test_rng.py`` keeps the scalar ``choice`` walk, and stepped
 slot by slot as the engine used to, forcing strings through
 ``TokenModel.sequence_logprob``. Random plans over vocabularies of at
-most five tokens must give bit-identical particles. A dead end (a spent
-step budget or an empty mask) fails its particle alone in both; any
+most five tokens, on table models (whole-context windows) and n-grams
+of order 1-3 (windows shorter than the context, cut by hints), must
+give bit-identical particles. A dead end (a spent step budget or an
+empty mask) fails its particle alone in both; any
 other error ends our step at once, so it is raised exactly when the
 walk raises and is the error of some slot's walk.
 Both run parsed plans, where every token is drawn by a one-token
@@ -18,6 +21,8 @@ Both run parsed plans, where every token is drawn by a one-token
 
 Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 ``steering._Pass.draw`` fails ``test_population_step_matches_the_walk``.
+Padding windows past their width with 0 rather than -1 in
+``steering._Pass.rows`` fails ``test_a_window_ends_where_its_context_starts``.
 """
 
 from __future__ import annotations
@@ -237,7 +242,7 @@ def reference_step(plan, index, particles, models, streams):
 
 
 # ---------------------------------------------------------------------------
-# Random plans and table models over at most five tokens.
+# Random plans, and table and n-gram models, over at most five tokens.
 
 TEXTS = ("a", "b", "ab", " ", "|")
 
@@ -260,6 +265,40 @@ def rows(draw, size):
     return row
 
 
+class _Recording:
+    """Mixed into a model class: records every query it answers, in
+    order, and each batch it is sent."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen, self.batches = [], []
+
+    def next_distributions(self, queries, deadline=None):
+        self.seen += queries
+        self.batches.append(list(queries))
+        return super().next_distributions(queries, deadline)
+
+
+class _RecordingTable(_Recording, TableModel):
+    pass
+
+
+class _RecordingNgram(_Recording, NgramModel):
+    pass
+
+
+def _ngram(vocab, order, rng, eos=True):
+    """A recording n-gram over ``vocab`` with a random count row for
+    every window shorter than ``order``; no EOS mass unless ``eos``."""
+    counts = {}
+    for width in range(order):
+        for window in itertools.product(range(vocab.size), repeat=width):
+            row = rng.integers(1, 9, vocab.size).astype(np.float64)
+            row[vocab.eos_id] *= eos
+            counts[window] = row
+    return _RecordingNgram(vocab, order, 0.0, counts)
+
+
 @st.composite
 def table_models(draw, vocab):
     ids = st.integers(0, vocab.size - 1)
@@ -267,6 +306,17 @@ def table_models(draw, vocab):
     table = {(draw(st.sampled_from([None, "proposal", "prior"])), ctx):
              draw(rows(vocab.size)) for ctx in contexts}
     return TableModel(vocab, table, draw(rows(vocab.size)))
+
+
+@st.composite
+def token_models(draw, vocab):
+    """A table model (reach None) or, as often, an n-gram of order 1-3,
+    whose window is shorter than the context and cut by hints behind a
+    delimiter."""
+    if draw(st.booleans()):
+        return draw(table_models(vocab))
+    return _ngram(vocab, draw(st.integers(1, 3)),
+                  np.random.default_rng(draw(st.integers(0, 2 ** 32))))
 
 
 def stops(vocab, draw):
@@ -330,7 +380,7 @@ def cases(draw):
     vocab = draw(vocabularies())
     doc = {"plan_version": 1, "max_tokens": draw(st.integers(1, 6)),
            "steps": [clauses(vocab, draw, 0) for _ in range(draw(st.integers(1, 3)))]}
-    models = (draw(table_models(vocab)), draw(table_models(vocab)))
+    models = (draw(token_models(vocab)), draw(token_models(vocab)))
     return doc, models, draw(st.sampled_from([1, 3, 6])), draw(st.integers(0, 2 ** 32))
 
 
@@ -446,47 +496,12 @@ def test_vectorized_key_derivation_equals_mix(words, t):
     assert got.tolist() == [_mix(w + t * _GOLDEN) for w in words]
 
 
-class _Recording:
-    """Mixed into a model class: records every query it answers, in
-    order, and each batch it is sent."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.seen, self.batches = [], []
-
-    def next_distributions(self, queries, deadline=None):
-        self.seen += queries
-        self.batches.append(list(queries))
-        return super().next_distributions(queries, deadline)
-
-
-class _RecordingTable(_Recording, TableModel):
-    pass
-
-
-class _RecordingNgram(_Recording, NgramModel):
-    pass
-
-
-def _ngram(vocab, order, rng, eos=True):
-    """A recording n-gram over ``vocab`` with a random count row for
-    every window shorter than ``order``; no EOS mass unless ``eos``."""
-    counts = {}
-    for width in range(order):
-        for window in itertools.product(range(vocab.size), repeat=width):
-            row = rng.integers(1, 9, vocab.size).astype(np.float64)
-            row[vocab.eos_id] *= eos
-            counts[window] = row
-    return _RecordingNgram(vocab, order, 0.0, counts)
-
-
 @pytest.mark.parametrize("kind", ["table", "ngram"])
-def test_colliding_context_keys_change_nothing(monkeypatch, kind):
-    """With every context key folded to 0, each group of slots splits by
-    its window comparison alone: the same queries go out in the same
-    order, and the run is bit for bit the same. The order-3 n-gram reads a
-    window of its context (two ids unhinted, one behind a one-id hint),
-    so its groups are keyed by a key folded over that window."""
+def test_no_call_repeats_a_query(kind):
+    """Slots are grouped by their exact window and hint set, so no
+    ``next_distributions`` call holds a query twice, even after a
+    resample copies slots with equal contexts. The order-3 n-gram reads
+    a window of its context: two ids unhinted, one behind a one-id hint."""
     vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
     rng = np.random.default_rng(3)
     rows = {}
@@ -504,24 +519,34 @@ def test_colliding_context_keys_change_nothing(monkeypatch, kind):
         {"kind": "masked_sample", "count": 2,
          "mask": {"kind": "explicit", "tokens": ["a", "bb"], "ids": [3]}},
         {"kind": "force_string", "text": "a"}]})
-    runs = []
-    for fold in (steering.fold_context, lambda keys, tokens: np.zeros_like(keys)):
-        monkeypatch.setattr(steering, "fold_context", fold)
-        if kind == "table":
-            proposal, prior = (_RecordingTable(vocab, rows, uniform),
-                               _RecordingTable(vocab, rows, uniform))
-        else:
-            proposal, prior = _ngram(vocab, 3, np.random.default_rng(5)), _ngram(
-                vocab, 3, np.random.default_rng(6))
-            assert proposal.context_reach(()) == 2
-        out = run_inference(plan, (proposal, prior), InferenceConfig(
-            method="smc", n_particles=48, seed=11, ess_threshold=48))
-        runs.append((out.candidates, out.selected, out.diagnostics.ess_trace,
-                     out.diagnostics.resample_events, proposal.seen, prior.seen))
+    if kind == "table":
+        proposal, prior = (_RecordingTable(vocab, rows, uniform),
+                           _RecordingTable(vocab, rows, uniform))
+    else:
+        proposal, prior = _ngram(vocab, 3, np.random.default_rng(5)), _ngram(
+            vocab, 3, np.random.default_rng(6))
+        assert proposal.context_reach(()) == 2
+    out = run_inference(plan, (proposal, prior), InferenceConfig(
+        method="smc", n_particles=48, seed=11, ess_threshold=48))
+    assert out.diagnostics.resample_events  # a resample copies slots with equal contexts
     # five token ticks, and more distinct proposal queries than ticks
-    assert len(set(runs[0][4])) > 5
-    assert runs[0][3]  # a resample copies slots with equal contexts
-    assert runs[1] == runs[0]
+    assert len(set(proposal.seen)) > 5
+    for batch in proposal.batches + prior.batches:
+        assert len(set(batch)) == len(batch)
+
+
+def test_a_window_ends_where_its_context_starts():
+    """A slot whose whole context is a suffix of another's reads a
+    different row: the context (1,) is not the context (0, 1)."""
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    rows = {(None, (1,)): np.array([1.0, 0.0, 0.0]), (None, (0, 1)): np.array([0.0, 1.0, 0.0])}
+    table = _RecordingTable(vocab, rows, np.full(3, 1.0 / 3.0))
+    plan = parse_plan({"plan_version": 1, "max_tokens": 4, "steps": [
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}]})
+    pop = Population.of([Particle(tokens=[1], text="b"), Particle(tokens=[0, 1], text="ab")])
+    execute_step(plan, 0, pop, table, derive_keys(0, "slot", 2))
+    assert table.batches[0] == [ModelQuery((1,), "proposal"), ModelQuery((0, 1), "proposal")]
+    assert (pop[0].tokens, pop[1].tokens) == ([1, 0], [0, 1, 1])
 
 
 def test_one_query_per_window_the_model_reads():
