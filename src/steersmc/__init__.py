@@ -12,6 +12,7 @@ from .constraints import (
     TaskSpec,
     VerificationReport,
     constraint_from_dict,
+    fails,
     generate_task_instances,
     load_tasks,
     sentences,
@@ -86,7 +87,6 @@ from .steering import (
     StepUpdate,
     as_model_set,
     execute_step,
-    inject_hint,
     run_check,
 )
 

@@ -154,74 +154,71 @@ class VerificationReport:
     per_constraint: tuple[tuple[ConstraintSpec, bool, str], ...]
 
 
-def _check_one(spec: ConstraintSpec, text: str) -> tuple[bool, str]:
-    ws = words(text)
-    if spec.kind == "char_count_exact":
+def fails(spec: ConstraintSpec, text: str) -> str | None:
+    """Why ``text`` fails ``spec``, or None on a pass. Each kind computes
+    only what it reads and builds its message only on failure."""
+    kind = spec.kind
+    if kind == "char_count_exact":
         n = len(text)
-        return n == spec.value, f"counted {n} characters, required {spec.value}"
-    if spec.kind == "word_count_exact":
-        n = len(ws)
-        return n == spec.value, f"counted {n} words, required {spec.value}"
-    if spec.kind == "word_count_min":
-        n = len(ws)
-        return n >= spec.value, f"counted {n} words, required at least {spec.value}"
-    if spec.kind == "positioned_words":
-        for pos, want in spec.positions:
-            if pos > len(ws):
-                return False, f"word {pos} missing (only {len(ws)} words)"
-            got = strip_word(ws[pos - 1])
-            if got != want:
-                return False, f"word {pos} is {got!r} (expected {want!r})"
-        return True, "all positioned words match"
-    if spec.kind == "contains_words":
-        present = {strip_word(w).lower() for w in ws}
-        missing = [w for w in spec.words if w.lower() not in present]
-        if missing:
-            return False, f"missing words: {', '.join(missing)}"
-        return True, "all required words present"
-    if spec.kind == "forbidden_words":
-        stripped = [strip_word(w) for w in ws]
-        hits = [w for w in spec.words if w in stripped]
-        if hits:
-            return False, f"forbidden words present: {', '.join(hits)}"
-        return True, "no forbidden words"
-    if spec.kind == "max_word_length":
-        for w in ws:
-            if len(strip_word(w)) > spec.value:
-                return False, f"word {strip_word(w)!r} longer than {spec.value} characters"
-        return True, f"all words at most {spec.value} characters"
-    if spec.kind == "sentence_count_exact":
+        return None if n == spec.value else f"counted {n} characters, required {spec.value}"
+    if kind == "sentence_count_exact":
         n = len(sentences(text))
-        return n == spec.value, f"counted {n} sentences, required {spec.value}"
-    if spec.kind == "sentence_last_words":
+        return None if n == spec.value else f"counted {n} sentences, required {spec.value}"
+    if kind == "sentence_last_words":
         sents = sentences(text)
         if len(sents) != len(spec.words):
-            return False, (f"counted {len(sents)} sentences, "
-                           f"expected {len(spec.words)} ending words")
+            return (f"counted {len(sents)} sentences, "
+                    f"expected {len(spec.words)} ending words")
         for i, (sent, want) in enumerate(zip(sents, spec.words), start=1):
             sent_words = words(sent)
             got = strip_word(sent_words[-1]) if sent_words else ""
             if got != want:
-                return False, f"sentence {i} ends with {got!r} (expected {want!r})"
-        return True, "all sentence endings match"
-    if spec.kind == "per_sentence_word_bounds":
+                return f"sentence {i} ends with {got!r} (expected {want!r})"
+        return None
+    if kind == "per_sentence_word_bounds":
         for i, sent in enumerate(sentences(text), start=1):
             n = len(words(sent))
             if spec.min_value is not None and n < spec.min_value:
-                return False, f"sentence {i} has {n} words, required at least {spec.min_value}"
+                return f"sentence {i} has {n} words, required at least {spec.min_value}"
             if spec.max_value is not None and n > spec.max_value:
-                return False, f"sentence {i} has {n} words, required at most {spec.max_value}"
-        return True, "all sentence lengths in bounds"
-    raise SchemaViolation(f"unknown constraint kind {spec.kind!r}")
+                return f"sentence {i} has {n} words, required at most {spec.max_value}"
+        return None
+    ws = words(text)  # every remaining kind reads the words
+    if kind == "word_count_exact":
+        n = len(ws)
+        return None if n == spec.value else f"counted {n} words, required {spec.value}"
+    if kind == "word_count_min":
+        n = len(ws)
+        return None if n >= spec.value else f"counted {n} words, required at least {spec.value}"
+    if kind == "positioned_words":
+        for pos, want in spec.positions:
+            if pos > len(ws):
+                return f"word {pos} missing (only {len(ws)} words)"
+            got = strip_word(ws[pos - 1])
+            if got != want:
+                return f"word {pos} is {got!r} (expected {want!r})"
+        return None
+    if kind == "contains_words":
+        present = {strip_word(w).lower() for w in ws}
+        missing = [w for w in spec.words if w.lower() not in present]
+        return f"missing words: {', '.join(missing)}" if missing else None
+    if kind == "forbidden_words":
+        stripped = [strip_word(w) for w in ws]
+        hits = [w for w in spec.words if w in stripped]
+        return f"forbidden words present: {', '.join(hits)}" if hits else None
+    if kind == "max_word_length":
+        for w in ws:
+            if len(strip_word(w)) > spec.value:
+                return f"word {strip_word(w)!r} longer than {spec.value} characters"
+    return None
 
 
 def verify(constraints, text: str) -> VerificationReport:
-    """Check ``text`` against every constraint; pure and total."""
-    results = tuple((spec, *_check_one(spec, text)) for spec in constraints)
-    return VerificationReport(
-        passed=all(ok for _, ok, _ in results),
-        per_constraint=results,
-    )
+    """Check ``text`` against every constraint; pure and total. A passing
+    entry's message is empty."""
+    results = tuple((spec, why is None, why or "")
+                    for spec, why in ((s, fails(s, text)) for s in constraints))
+    return VerificationReport(passed=all(ok for _, ok, _ in results), per_constraint=results)
 
 
 @dataclass(frozen=True)

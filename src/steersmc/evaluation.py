@@ -7,7 +7,8 @@ written as its own recursion over plan clauses, independent of the
 particle stepping code, so Monte Carlo output can be checked against
 it. Paths that would error (budget overruns, empty masks) or fail the
 plan check contribute zero mass, matching the weight semantics of the
-engine.
+engine. The check itself is the engine's: a finished path is kept only
+if ``steering.run_check`` passes its text.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import verify
 from .errors import EnumerationTooLarge, SteeringError
 from .models import ModelQuery, TokenModel
 from .plans import SteeringPlan, StepClause, forced_tokens
-from .steering import as_model_set, hint_bindings_for, render_hint
+from .steering import as_model_set, hint_bindings_for, render_hint, run_check
 
 NEG_INF = float("-inf")
 
@@ -107,7 +107,7 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
     def finish(tokens: tuple[int, ...], text: str, log_qw: float) -> None:
         if log_qw == NEG_INF:
             return
-        if plan.check and not verify(plan.check, text).passed:
+        if not run_check(plan, text):
             return
         raw[tokens] = raw.get(tokens, 0.0) + math.exp(log_qw)
 

@@ -539,6 +539,8 @@ class RemoteModel(TokenModel):
                 f"{self.vocabulary.size}")
         if np.any(np.isnan(vec)):
             raise ProtocolError("logprobs contain NaN")
+        if np.any(vec == np.inf):
+            raise ProtocolError("logprobs contain +inf")
         # Defensive renormalization in log space.
         m = np.max(vec)
         if m == NEG_INF:

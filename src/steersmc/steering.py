@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import verify, words
+from .constraints import fails, words
 from .errors import (
     MaskEmpty,
     ProtocolError,
@@ -237,11 +237,6 @@ def render_hint(template: str, bindings: dict) -> str:
     except (ValueError, TypeError) as exc:
         raise SchemaViolation(f"hint template {template!r} does not fit its "
                               f"values: {exc}") from exc
-
-
-def inject_hint(particle: Particle, template: str, bindings: dict) -> None:
-    """Render a hint and append it to the particle's hint buffer."""
-    particle.hint_buffer.append(render_hint(template, bindings))
 
 
 def _groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -559,5 +554,5 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
 
 
 def run_check(plan: SteeringPlan, text: str) -> bool:
-    """Evaluate the plan's check conjunction on a finished sequence's text."""
-    return verify(plan.check, text).passed
+    """Whether a finished text passes the plan's check; the engine and the oracle ask this."""
+    return not any(fails(spec, text) for spec in plan.check)

@@ -399,23 +399,42 @@ class TestInFlightResampling:
         assert tv <= bound, f"TV {tv:.4f} > {bound:.4f}"
 
 
+# Fixtures of several steps, where a resample can land between steps.
+MULTI_STEP_FIXTURES = [fx for fx in CONVERGENCE_FIXTURES
+                       if fx.name in ("prior-peaked", "prior-kills", "partly-dead",
+                                      "force-ngram")]
+
+
 class TestCriterion03NormalizingConstant:
+    N = 1000
+
+    def _assert_mean_weight_estimates_z(self, fx, **config):
+        z = brute_force_target(fx.plan, fx.models, fx.max_len).z
+        means = []
+        for r in range(200):
+            cfg = InferenceConfig(n_particles=self.N, seed=30_000 + r, **config)
+            out = run_inference(fx.plan, fx.models, cfg)
+            assert out.error is None
+            weights = np.exp([c.raw_log_weight for c in out.candidates])
+            means.append(float(np.mean(weights)))
+        grand = float(np.mean(means))
+        stderr = float(np.std(means, ddof=1)) / math.sqrt(len(means))
+        assert abs(grand - z) <= 3 * stderr, \
+            f"mean {grand:.5f} vs Z {z:.5f} (3se={3 * stderr:.5f})"
+
     @pytest.mark.parametrize("fx", CONVERGENCE_FIXTURES, ids=lambda f: f.name)
     def test_mean_unnormalized_weight_estimates_z(self, fx):
         with criterion(3, f"normalizing-constant unbiasedness [{fx.name}]"):
-            z = brute_force_target(fx.plan, fx.models, fx.max_len).z
-            means = []
-            for r in range(200):
-                cfg = InferenceConfig(method="importance", n_particles=1000,
-                                      seed=30_000 + r)
-                out = run_inference(fx.plan, fx.models, cfg)
-                assert out.error is None
-                weights = np.exp([c.raw_log_weight for c in out.candidates])
-                means.append(float(np.mean(weights)))
-            grand = float(np.mean(means))
-            stderr = float(np.std(means, ddof=1)) / math.sqrt(len(means))
-            assert abs(grand - z) <= 3 * stderr, \
-                f"mean {grand:.5f} vs Z {z:.5f} (3se={3 * stderr:.5f})"
+            self._assert_mean_weight_estimates_z(fx, method="importance")
+
+    @pytest.mark.parametrize("fx", MULTI_STEP_FIXTURES, ids=lambda f: f.name)
+    def test_fixed_schedule_smc_estimates_z(self, fx):
+        # At ess_threshold = N the engine resamples after every step whose
+        # weights differ, and a resample sets every weight to the mean it
+        # replaces, so the final mean weight stays an unbiased estimate of
+        # Z (Naesseth, Lindsten & Schon, arXiv 1903.04797).
+        with criterion(3, f"SMC normalizing-constant unbiasedness [{fx.name}]"):
+            self._assert_mean_weight_estimates_z(fx, method="smc", ess_threshold=self.N)
 
 
 class TestCriterion04MaskCorrection:

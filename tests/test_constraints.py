@@ -9,7 +9,10 @@ from steersmc import (
     RandomStream,
     SchemaViolation,
     constraint_from_dict,
+    fails,
     generate_task_instances,
+    parse_plan,
+    run_check,
     sentences,
     strip_word,
     task_from_dict,
@@ -135,19 +138,78 @@ def _spec_corpus():
     ]
 
 
+# One row per failure branch of ``fails``: its exact message.
+FAILURE_MESSAGES = [
+    (ConstraintSpec("char_count_exact", value=7), "abc de",
+     "counted 6 characters, required 7"),
+    (ConstraintSpec("word_count_exact", value=3), "a b", "counted 2 words, required 3"),
+    (ConstraintSpec("word_count_min", value=3), "a b",
+     "counted 2 words, required at least 3"),
+    (ConstraintSpec("positioned_words", positions=((1, "a"), (3, "c"))), "a b",
+     "word 3 missing (only 2 words)"),
+    (ConstraintSpec("positioned_words", positions=((2, "c"),)), "a 'b,' c",
+     "word 2 is 'b' (expected 'c')"),
+    (ConstraintSpec("contains_words", words=("Cd", "e", "f")), "cd. x",
+     "missing words: e, f"),
+    (ConstraintSpec("forbidden_words", words=("ab", "QRs", "x")), "ab, QRs.",
+     "forbidden words present: ab, QRs"),
+    (ConstraintSpec("max_word_length", value=3), "ab 'abcd,' abcde",
+     "word 'abcd' longer than 3 characters"),
+    (ConstraintSpec("sentence_count_exact", value=2), "One. Two. Three",
+     "counted 3 sentences, required 2"),
+    (ConstraintSpec("sentence_last_words", words=("cd",)), "One. Two.",
+     "counted 2 sentences, expected 1 ending words"),
+    (ConstraintSpec("sentence_last_words", words=("cd", "e")), "x cd. y f!",
+     "sentence 2 ends with 'f' (expected 'e')"),
+    (ConstraintSpec("sentence_last_words", words=("cd", "e")), "x cd. .",
+     "sentence 2 ends with '' (expected 'e')"),
+    (ConstraintSpec("per_sentence_word_bounds", min_value=2, max_value=3), "a b. c.",
+     "sentence 2 has 1 words, required at least 2"),
+    (ConstraintSpec("per_sentence_word_bounds", max_value=2), "a b c. d.",
+     "sentence 1 has 3 words, required at most 2"),
+]
+
+
+class TestFailureMessages:
+    @pytest.mark.parametrize("spec, text, message", FAILURE_MESSAGES,
+                             ids=[f"{spec.kind}-{i}" for i, (spec, _, _)
+                                  in enumerate(FAILURE_MESSAGES)])
+    def test_each_failure_branch_has_its_message(self, spec, text, message):
+        assert fails(spec, text) == message
+        assert verify([spec], text).per_constraint == ((spec, False, message),)
+
+    def test_passing_entry_has_empty_message(self):
+        spec = ConstraintSpec("char_count_exact", value=7)
+        assert fails(spec, "abc def") is None
+        assert verify([spec], "abc def").per_constraint == ((spec, True, ""),)
+
+
+def _check_plan(spec: ConstraintSpec):
+    return parse_plan({"plan_version": 1, "max_tokens": 1,
+                       "steps": [{"kind": "force_string", "text": "a"}],
+                       "check": [spec.to_dict()]})
+
+
 class TestNaiveAgreement:
     @pytest.mark.parametrize("spec", _spec_corpus(), ids=lambda s: s.kind)
     def test_agrees_with_naive_verifier_on_random_strings(self, spec):
         stream = RandomStream(20240, "verify", spec.kind)
+        plan = _check_plan(spec)
         for _ in range(300):
             text = _random_text(stream)
-            assert verify([spec], text).passed == naive_check(spec, text), repr(text)
+            expected = naive_check(spec, text)
+            assert verify([spec], text).passed == expected, repr(text)
+            assert run_check(plan, text) == expected, repr(text)
+            assert (fails(spec, text) is None) == expected, repr(text)
 
     @given(st.text(alphabet="ab .!?misfit'\t", max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_agreement_property(self, text):
         for spec in _spec_corpus():
-            assert verify([spec], text).passed == naive_check(spec, text)
+            expected = naive_check(spec, text)
+            assert verify([spec], text).passed == expected
+            assert run_check(_check_plan(spec), text) == expected
+            assert (fails(spec, text) is None) == expected
 
 
 class TestTaskSpecs:

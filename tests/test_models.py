@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,22 @@ class TestRemoteAdapter:
             method="importance", n_particles=2, seed=0, timeout=0.3))
         assert isinstance(out.error, Timeout)
         assert time.monotonic() - start < 1.5
+
+    def test_positive_infinity_is_protocol_error(self, local_endpoint, abc_vocab):
+        def respond(path, body):
+            if body["prompt_tag"] == "health":
+                return 200, {"logprobs": [0.0, 0.0, 0.0]}
+            return 200, {"logprobs": [math.inf, 0.0, 0.0]}  # sent as Infinity
+
+        m = RemoteModel(local_endpoint(respond).url, abc_vocab)
+        plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [
+            {"kind": "sample_until", "stop": {"kind": "eos"}}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = run_inference(plan, m, InferenceConfig(
+                method="importance", n_particles=2, seed=0))
+        assert isinstance(out.error, ProtocolError)
+        assert "+inf" in out.error.message
 
     def test_unreachable_endpoint(self, abc_vocab):
         with pytest.raises(RemoteUnavailable):

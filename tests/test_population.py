@@ -56,7 +56,6 @@ from steersmc import (
     as_model_set,
     derive_key,
     execute_step,
-    inject_hint,
     parse_plan,
     run_inference,
 )
@@ -64,7 +63,7 @@ from steersmc import steering
 from steersmc.plans import forced_tokens
 from steersmc.rng import (_GOLDEN, _MASK64, _mix, derive_keys, draw_indices, mix64, step_keys,
                           uniforms_at)
-from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for
+from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for, render_hint
 
 from stepping import execute_particles
 
@@ -186,8 +185,8 @@ def _exec_clause(clause, plan, particle, models, rng, state):
             state.finished = True
             particle.status = DONE
     elif clause.kind == "hint":
-        inject_hint(particle, clause.template,
-                    hint_bindings_for(plan, particle.text, len(particle.tokens)))
+        particle.hint_buffer.append(render_hint(
+            clause.template, hint_bindings_for(plan, particle.text, len(particle.tokens))))
     elif clause.kind == "loop":
         if clause.iterations is not None:
             for _ in range(clause.iterations):

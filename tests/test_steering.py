@@ -23,12 +23,11 @@ from steersmc import (
     brute_force_target,
     derive_key,
     execute_step,
-    inject_hint,
     load_table_model,
     parse_plan,
     run_check,
 )
-from steersmc.steering import hint_bindings_for
+from steersmc.steering import hint_bindings_for, render_hint
 
 from stepping import execute_particles
 
@@ -218,25 +217,25 @@ class TestProposalPriorStep:
         pytest.fail("no stream sampled token 0")
 
 
-class TestInjectHint:
+class TestRenderHint:
     def test_renders_note_to_self(self):
-        particle = Particle()
-        inject_hint(particle, "remaining chars: {k}", {"k": 12})
-        assert particle.hint_buffer == ["Note to self: remaining chars: 12"]
+        assert render_hint("remaining chars: {k}", {"k": 12}) == \
+            "Note to self: remaining chars: 12"
 
     def test_literal_append_without_variables(self):
-        particle = Particle()
-        inject_hint(particle, "stay short", {})
-        assert particle.hint_buffer == ["Note to self: stay short"]
+        assert render_hint("stay short", {}) == "Note to self: stay short"
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable):
-            inject_hint(Particle(), "count: {n}", {})
+            render_hint("count: {n}", {})
 
-    def test_hint_leaves_weight_unchanged(self):
+    def test_hint_leaves_weight_unchanged(self, uniform4):
         particle = Particle()
-        inject_hint(particle, "x", {})
+        update = execute_particles(make_plan([{"kind": "hint", "template": "x"}]), 0,
+                                   [particle], uniform4, [derive_key(0, "t")])
+        assert particle.hint_buffer == [render_hint("x", {})]
         assert particle.log_weight == 0.0
+        assert update.log_score_update == 0.0
 
 
 def _scan_mask(spec: MaskSpec, vocab: Vocabulary, text: str) -> list[int]:
