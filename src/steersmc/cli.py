@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .constraints import TaskSpec, load_tasks, verify
+from .constraints import TaskSpec, fails, load_tasks
 from .engine import InferenceConfig
 from .errors import (
     SchemaViolation,
@@ -124,10 +124,11 @@ def run_one_task(index: int, task: TaskSpec, source, models: ModelSet,
     run_id = f"{task.task_type}-{index:03d}-{config.method}-N{config.n_particles}-s{base.seed}"
 
     if outcome.error is None:
-        passed = verify(task.constraints, outcome.selected_text).passed
-        entries = [(c.raw_log_weight,
-                    verify(task.constraints, c.text).passed)
-                   for c in outcome.candidates]
+        def passes(text: str) -> bool:
+            return not any(fails(spec, text) for spec in task.constraints)
+
+        passed = passes(outcome.selected_text)
+        entries = [(c.raw_log_weight, passes(c.text)) for c in outcome.candidates]
         wp1 = weighted_pass_at_1(entries)
         final_doc = result.attempts[-1].plan_document or {}
         prior_tag = final_doc.get("prior_tag", "prior")

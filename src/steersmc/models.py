@@ -199,10 +199,10 @@ class TokenModel:
         """One probability vector per query, for queries whose context ids
         are already known to lie in the vocabulary.
 
-        The step interpreter calls this with one query per distinct
-        window of each token tick, ``steering.QUERY_BATCH`` at a time: a
-        query's context holds only the last ``context_reach(hints)`` ids
-        of the particle's context (all of them when the reach is None).
+        The step interpreter calls this once per token tick, with one
+        query per distinct window of the tick: a query's context holds
+        only the last ``context_reach(hints)`` ids of the particle's
+        context (all of them when the reach is None).
         Every id it holds comes from a row, from a checked
         ``force_string`` or from ``Vocabulary.encode``. Rows may be
         shared read-only arrays. ``deadline`` (a ``time.monotonic``

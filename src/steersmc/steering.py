@@ -7,11 +7,13 @@ finished sequences is the plan's target distribution, which the
 inference engine approximates. A ``Population`` holds the particles of
 a run as arrays, and resampling copies them with one ``take`` by
 ancestor slot. The interpreter steps a whole population through one
-top-level clause at once: one query per distinct window of context the
-model reads (``TokenModel.context_reach``), found by an exact grouping
-of the slots' windows and hint sets, and, on each token tick,
-one batched draw over the tick's distinct rows per mask part (one part
-unless a ``max_remaining_chars`` mask sees several text lengths).
+top-level clause at once. On each token tick it sends a model one call
+holding one query per distinct window of context the model reads
+(``TokenModel.context_reach``), found by an exact grouping of the
+slots' windows and hint sets; the rows come back as one table, which
+the draw, the prior's score and ``force_string`` read. The draw is one
+batched pass over that table per mask part (one part unless a
+``max_remaining_chars`` mask sees several text lengths).
 Tokens are drawn only by the one-token ``draw`` clause; every
 repetition is a ``loop``. ``Particle`` is the view of one slot that
 callers build and read.
@@ -61,11 +63,6 @@ STATUSES = (ACTIVE, DONE, FAILED)  # indexed by a population's status codes
 _ACTIVE, _DONE, _FAILED = range(3)
 
 HINT_PREFIX = "Note to self: "
-
-# Distinct model queries the interpreter sends per next_distributions
-# call; it bounds the context tuples alive at once, which a whole tick's
-# worth would leave parked in CPython's tuple free lists.
-QUERY_BATCH = 16
 
 
 @dataclass(slots=True)
@@ -333,15 +330,11 @@ class _Pass:
             slots = slots[~full]
             if not slots.size:
                 return slots
-        rows, which = self.rows(self.models.proposal, self.plan.proposal_tag, slots, True)
-        distinct = {id(r): r for r in rows}  # one table row per distinct row object
-        at = {key: i for i, key in enumerate(distinct)}
-        table = np.array(list(distinct.values()))
-        slot_rows = np.array([at[id(r)] for r in rows])[which]
+        table, slot_rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots,
+                                     True)
         u = uniforms_at(self.keys[slots], self.counters[slots])
         self.counters[slots] += np.uint64(1)
         picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
-        live = np.ones(len(slots), dtype=bool)
         parts = [np.arange(len(slots))]
         if mask is not None and mask.kind == "max_remaining_chars":
             parts = _groups(pop.text_lengths[slots])  # all that this mask reads
@@ -357,26 +350,25 @@ class _Pass:
             if dead.any():
                 self.kill(slots[members[dead]], MaskEmpty, "mask allows no tokens"
                           if ids.size == 0 else "mask removed all probability mass (Z=0)")
-                live[members[dead]] = False
                 members, used = members[~dead], used[~dead]
                 if not members.size:
                     continue
             logs = np.array([0.0 if t <= 0.0 else math.log(t) for t in totals.tolist()])
             deltas[members] = logs[used]
             picks[members] = ids[draw_rows(weights, totals, used, u[members])]
+        live = pop.status[slots] == _ACTIVE  # kill marks every death
         if not live.all():
-            slots, picks, deltas, which = slots[live], picks[live], deltas[live], which[live]
+            slots, picks, deltas, slot_rows = (slots[live], picks[live], deltas[live],
+                                               slot_rows[live])
             if not slots.size:
                 return slots
         if clause.score_with_prior:
-            prior_rows, prior_which = self.rows(self.models.prior, self.plan.prior_tag,
-                                                slots, False)
-            scored = []
-            for t, delta, j, k in zip(picks.tolist(), deltas.tolist(), which.tolist(),
-                                      prior_which.tolist()):
-                p, log_q = float(prior_rows[k][t]), math.log(rows[j][t]) - delta
-                scored.append((math.log(p) - log_q) if p > 0.0 else NEG_INF)
-            deltas = np.array(scored)
+            prior, prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots,
+                                          False)
+            deltas = np.array([
+                (math.log(p) - (math.log(q) - delta)) if p > 0.0 else NEG_INF
+                for p, q, delta in zip(prior[prior_rows, picks].tolist(),
+                                       table[slot_rows, picks].tolist(), deltas.tolist())])
         self.score(slots, deltas)
         pop.append(slots, picks, vocab, max_tokens)
         ended = picks == vocab.eos_id
@@ -384,9 +376,10 @@ class _Pass:
         return slots[~ended]
 
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
-             hinted: bool) -> tuple[list, np.ndarray]:
-        """The model's row for each slot: one row per distinct query in
-        order of first slot, and each slot's index into them.
+             hinted: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The model's rows for these slots as one table, one row per
+        distinct row object in order of first slot, and each slot's
+        index into it.
 
         A query holds the slot's hints (none unless hinted) and the
         window of its context that the model reads under them, the last
@@ -395,7 +388,11 @@ class _Pass:
         ``np.unique`` over the bytes of an int64 row per slot: its
         hint-set id, then its window's ids newest first, then -1 (never
         a token id) past the window's width. The stable sort makes each
-        group's index its first slot.
+        group's index its first slot. Every distinct query of the tick
+        goes to the model in one call, its context tuple read straight
+        from the slot's int32 cells, and each returned row is checked
+        once to be a vector over the vocabulary, so that every drawn id
+        is a valid context id.
         """
         pop, tokens = self.pop, self.pop.tokens
         lengths = pop.lengths[slots]
@@ -415,33 +412,22 @@ class _Pass:
         whole = cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).ravel()
         _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
         firsts = np.sort(first)
-        distinct: list = []
-        for lo in range(0, len(firsts), QUERY_BATCH):
-            batch = firsts[lo:lo + QUERY_BATCH]
-            distinct += self.query(model, tag, slots[batch], starts[batch], widths[batch],
-                                   hints[batch])
-        return distinct, np.searchsorted(firsts, first[inverse])
-
-    def query(self, model: TokenModel, tag: str, slots: np.ndarray, starts: np.ndarray,
-              widths: np.ndarray, hints: np.ndarray) -> list:
-        """The model's rows for the queries of these slots, each checked
-        once to be a vector over the vocabulary, so that every drawn id
-        is a valid context id. Each context tuple is the window of
-        ``widths`` ids from ``starts``, read straight from its row's
-        int32 cells."""
-        pop, tokens = self.pop, self.pop.tokens
         row_bytes, cell = tokens.strides[0], tokens.itemsize
         queries = [ModelQuery(struct.unpack_from(f"={w}i", tokens, s * row_bytes + o * cell),
                               tag, pop.hint_sets[h])
-                   for s, o, w, h in zip(slots.tolist(), starts.tolist(), widths.tolist(),
-                                         hints.tolist())]
+                   for s, o, w, h in zip(slots[firsts].tolist(), starts[firsts].tolist(),
+                                         widths[firsts].tolist(), hints[firsts].tolist())]
         rows = model.next_distributions(queries, deadline=self.deadline)
         size = self.vocab.size
         if len(rows) != len(queries) or not all(
                 isinstance(r, np.ndarray) and r.shape == (size,) for r in rows):
             raise ProtocolError(f"{type(model).__name__} did not return one "
                                 f"{size}-entry vector per query")
-        return rows
+        distinct = {id(r): r for r in rows}  # one table row per distinct row object
+        index = {key: i for i, key in enumerate(distinct)}
+        query_rows = np.array([index[id(r)] for r in rows])
+        return (np.array(list(distinct.values())),
+                query_rows[np.searchsorted(firsts, first[inverse])])
 
     def force(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Append the forced tokens to every slot and add their log
@@ -464,10 +450,11 @@ class _Pass:
         for t in forced:
             self.check_deadline()
             if scoring.size:
-                rows, which = self.rows(self.models.proposal, self.plan.proposal_tag,
-                                        slots[scoring], True)
-                logs = np.array([math.log(r[t]) if r[t] > 0.0 else NEG_INF for r in rows])
-                totals[scoring] += logs[which]
+                table, slot_rows = self.rows(self.models.proposal, self.plan.proposal_tag,
+                                             slots[scoring], True)
+                logs = np.array([math.log(p) if p > 0.0 else NEG_INF
+                                 for p in table[:, t].tolist()])
+                totals[scoring] += logs[slot_rows]
                 scoring = scoring[totals[scoring] != NEG_INF]
             pop.append(slots, np.full(len(slots), t), self.vocab, max_tokens)
         self.score(slots, totals)

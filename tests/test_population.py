@@ -534,6 +534,27 @@ def test_no_call_repeats_a_query(kind):
         assert len(set(batch)) == len(batch)
 
 
+def test_one_call_per_model_per_token_tick():
+    """Every distinct query of a token tick goes to the model in one
+    ``next_distributions`` call, however many there are: the proposal
+    once per tick (three drawn, two masked, one forced) and the prior
+    once per prior-scored tick. The order-3 n-gram reads two ids, so
+    the fourth tick sends 25 distinct windows."""
+    vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "e", "<eos>"])
+    proposal, prior = (_ngram(vocab, 3, np.random.default_rng(seed), eos=False)
+                       for seed in (8, 9))
+    plan = parse_plan({"plan_version": 1, "max_tokens": 8, "steps": [
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 3}},
+        {"kind": "masked_sample", "count": 2, "score_with_prior": True,
+         "mask": {"kind": "explicit", "tokens": ["a", "b", "c"]}},
+        {"kind": "force_string", "text": "a"}]})
+    out = run_inference(plan, (proposal, prior), InferenceConfig(
+        method="importance", n_particles=256, seed=1))
+    assert out.error is None
+    assert (len(proposal.batches), len(prior.batches)) == (6, 2)
+    assert max(len(batch) for batch in proposal.batches + prior.batches) == 25
+
+
 def test_a_window_ends_where_its_context_starts():
     """A slot whose whole context is a suffix of another's reads a
     different row: the context (1,) is not the context (0, 1)."""

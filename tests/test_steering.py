@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from steersmc import (
+    InferenceConfig,
     MaskEmpty,
     MaskSpec,
     ParseError,
     Particle,
+    ProtocolError,
     RandomStream,
     SchemaViolation,
     StepBudgetExceeded,
     StepClause,
     StopSpec,
+    TokenModel,
     UnboundVariable,
     UniformModel,
     Vocabulary,
@@ -26,6 +29,7 @@ from steersmc import (
     load_table_model,
     parse_plan,
     run_check,
+    run_inference,
 )
 from steersmc.steering import hint_bindings_for, render_hint
 
@@ -533,6 +537,37 @@ class TestPlanTermination:
             else:
                 assert particle.status == "done"
             assert len(particle.tokens) <= plan.max_tokens
+
+
+class _BadRows(TokenModel):
+    """Uniform rows spoiled one way: each one entry ``short``, each a
+    Python ``list``, or the last query's row ``missing``."""
+
+    def __init__(self, vocabulary, fault):
+        super().__init__(vocabulary)
+        self.fault = fault
+
+    def next_distributions(self, queries, deadline=None):
+        size = self.vocabulary.size
+        if self.fault == "short":
+            return [np.full(size - 1, 1.0 / (size - 1)) for _ in queries]
+        if self.fault == "list":
+            return [[1.0 / size] * size for _ in queries]
+        return [np.full(size, 1.0 / size) for _ in queries][:-1]
+
+
+@pytest.mark.parametrize("fault", ["short", "list", "missing"])
+@pytest.mark.parametrize("clause", [
+    {"kind": "sample_until", "stop": {"kind": "token_count", "value": 2}},
+    {"kind": "force_string", "text": "ab"}], ids=["draw", "force_string"])
+def test_rows_that_are_not_one_vector_per_query_are_a_protocol_error(vocab4, fault,
+                                                                     clause):
+    """The interpreter checks a model's rows before it reads any of them,
+    so no drawn or forced id comes from a malformed row."""
+    out = run_inference(make_plan([clause]), _BadRows(vocab4, fault),
+                        InferenceConfig(method="importance", n_particles=4, seed=0))
+    assert isinstance(out.error, ProtocolError)
+    assert out.error.message == "_BadRows did not return one 4-entry vector per query"
 
 
 class TestRunCheck:
