@@ -5,11 +5,13 @@ whose step t runs the plan's top-level clause t - 1 on every active
 particle: importance sampling, sequential Monte Carlo (the same loop
 plus ESS-triggered resampling after each step, one ``take`` of the
 population's arrays by ancestor index), and rejection sampling (no
-weight accounting; completions filtered by the plan check). All
-randomness flows through counter-based streams keyed on (seed, particle
-slot, particle step), so outcomes are bit-identical for a given seed,
-and importance sampling coincides exactly with SMC at a zero resample
-threshold.
+weight accounting; completions filtered by the plan check). The plan
+check reads the texts of the particles each step finished, decoded from
+their tokens in one gather; the candidates are built in one pass at the
+end, their texts decoded the same way. All randomness flows through
+counter-based streams keyed on (seed, particle slot, particle step), so
+outcomes are bit-identical for a given seed, and importance sampling
+coincides exactly with SMC at a zero resample threshold.
 
 Error discipline, shared with the oracle ``brute_force_target``: a dead
 end (a spent step budget, or a mask that allows no token or no mass)
@@ -26,6 +28,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import getitem
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +113,7 @@ class Diagnostics:
     wall_time: float = 0.0
 
 
-@dataclass(frozen=True)
-class WeightedCandidate:
+class WeightedCandidate(NamedTuple):
     """One finished (or failed) completion with its normalized weight."""
 
     tokens: tuple[int, ...]
@@ -212,7 +215,7 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
     deadline = start + config.timeout if config.timeout is not None else None
     n = config.n_particles
     tau = config.resolved_ess_threshold()
-    pop = Population(n)
+    pop = Population(n, models.vocabulary)
     slot_keys = derive_keys(config.seed, "particle", n)
     diag = Diagnostics()
     if config.record_weights:
@@ -231,11 +234,12 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                          deadline=deadline)
             for s in np.flatnonzero(stepped & pop.status_is(FAILED)).tolist():
                 pop.errors[s].step_index = t
-            for s in np.flatnonzero(stepped & pop.status_is(DONE)).tolist():
-                ok = pop.passed[s] = run_check(plan, pop.texts[s])
-                if weighted and not ok:
-                    pop.log_weights[s] = NEG_INF
+            finished = np.flatnonzero(stepped & pop.status_is(DONE))
+            passed = np.array([run_check(plan, text) for text in pop.texts(finished)],
+                              dtype=bool)
+            pop.passed[finished] = passed
             if weighted:
+                pop.log_weights[finished[~passed]] = NEG_INF
                 if float(np.max(pop.log_weights)) == NEG_INF:
                     error = _dead_population_error(pop, t)
                     break
@@ -244,7 +248,7 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                 diag.ess_trace.append(ess)
                 if config.record_weights:
                     diag.per_step_weights.append(norm.tolist())
-                    diag.per_step_texts.append(list(pop.texts))
+                    diag.per_step_texts.append(pop.texts(np.arange(n)))
                 if resample_enabled and ess < tau:
                     stream = RandomStream(config.seed, "resample", t)
                     pop = resample(pop, norm, config.resample_scheme, stream)
@@ -263,8 +267,9 @@ def _dead_population_error(pop: Population, step: int) -> SteeringError:
     """Escalate a fully dead population to its most specific error: when
     every particle failed, all with one error type, the lowest slot's own
     error (it carries its clause and step); else AllParticlesDead."""
-    if pop.status_is(FAILED).all() and len({type(e) for e in pop.errors}) == 1:
-        return pop.errors[0]
+    errors = pop.errors
+    if len(errors) == len(pop) and len({type(e) for e in errors.values()}) == 1:
+        return errors[0]
     err = AllParticlesDead("no particle carries finite weight")
     err.step_index = step
     return err
@@ -272,12 +277,13 @@ def _dead_population_error(pop: Population, step: int) -> SteeringError:
 
 def _candidates(pop: Population, weights, passed, raw) -> list[WeightedCandidate]:
     """One candidate per slot, in slot order, with these normalized
-    weights, check results and raw log weights."""
-    return [WeightedCandidate(tokens=tuple(row[:n]), normalized_weight=w,
-                              passed_check=ok, raw_log_weight=r, text=text)
-            for row, n, w, ok, r, text in zip(
-                pop.tokens[:, :pop.lengths.max()].tolist(), pop.lengths.tolist(),
-                weights, passed, raw, pop.texts)]
+    weights, check results and raw log weights (lists), built in one
+    pass."""
+    lengths = pop.lengths.tolist()
+    rows = pop.tokens[:, :max(lengths)].tolist()
+    tokens = map(tuple, map(getitem, rows, map(slice, lengths)))  # row[:length] each
+    return list(map(WeightedCandidate._make,
+                    zip(tokens, weights, passed, raw, pop.texts(np.arange(len(pop))))))
 
 
 def _weighted_candidates(pop: Population) -> list[WeightedCandidate]:
@@ -285,20 +291,20 @@ def _weighted_candidates(pop: Population) -> list[WeightedCandidate]:
     raw = pop.log_weights
     if float(np.max(raw)) == NEG_INF:
         return []
-    return _candidates(pop, normalize_weights(raw).tolist(),
-                       [bool(ok) for ok in pop.passed], raw.tolist())
+    return _candidates(pop, normalize_weights(raw).tolist(), (pop.passed > 0).tolist(),
+                       raw.tolist())
 
 
 def _rejection_candidates(pop: Population) -> list[WeightedCandidate]:
     """Uniform weight over finished completions that pass the check;
     empty when no particle finished."""
-    finished = pop.status_is(DONE).tolist()
-    if not any(finished):
+    finished = pop.status_is(DONE)
+    if not finished.any():
         return []
-    passed = [f and bool(ok) for f, ok in zip(finished, pop.passed)]
-    share = 1.0 / sum(passed) if any(passed) else 0.0
-    return _candidates(pop, [share if ok else 0.0 for ok in passed], passed,
-                       [0.0 if f else NEG_INF for f in finished])
+    passed = finished & (pop.passed > 0)
+    share = 1.0 / np.count_nonzero(passed) if passed.any() else 0.0
+    return _candidates(pop, np.where(passed, share, 0.0).tolist(), passed.tolist(),
+                       np.where(finished, 0.0, NEG_INF).tolist())
 
 
 # method -> (resample, weighted, candidate builder). Importance sampling

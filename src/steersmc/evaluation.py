@@ -134,7 +134,7 @@ def brute_force_target(plan: SteeringPlan, models, max_len: int) -> TargetTable:
         """Branch over every sampleable token at one stochastic point."""
         probs = proposal_dist(tokens, hints)
         if clause.mask is not None:
-            ids = at_clause(clause, clause.mask.build, vocab, text).tolist()
+            ids = at_clause(clause, clause.mask.build, vocab, len(text)).tolist()
             z = float(sum(probs[i] for i in ids))
             if not ids or z <= 0.0:
                 return  # a dead end: the path carries no mass, the particle dies

@@ -112,7 +112,7 @@ class Vocabulary:
         such characters are skipped instead (hints may carry text the
         vocabulary cannot spell).
         """
-        by_text, max_len, _ = self._text_index()
+        by_text, max_len = self._text_index()[:2]
         out: list[int] = []
         i = 0
         while i < len(text):
@@ -133,9 +133,14 @@ class Vocabulary:
         """Read-only character length of every token text."""
         return self._text_index()[2]
 
-    def _text_index(self) -> tuple[dict[str, int], int, np.ndarray]:
-        """Token id by text, the longest token text and every token
-        text's length; built once."""
+    def token_pieces(self) -> np.ndarray:
+        """Every token text in a read-only object array, which a matrix
+        of ids indexes to gather many rows' texts at once."""
+        return self._text_index()[3]
+
+    def _text_index(self) -> tuple[dict[str, int], int, np.ndarray, np.ndarray]:
+        """Token id by text, the longest token text, every token text's
+        length and every token text as an object array; built once."""
         cached = getattr(self, "_index_cache", None)
         if cached is None:
             # keep first id on duplicate texts; EOS ("") never matches
@@ -144,8 +149,10 @@ class Vocabulary:
                 if t and t not in by_text:
                     by_text[t] = i
             lengths = np.array([len(t) for t in self.token_text], dtype=np.intp)
+            pieces = np.array(self.token_text, dtype=object)
             lengths.setflags(write=False)
-            cached = (by_text, int(lengths.max()), lengths)
+            pieces.setflags(write=False)
+            cached = (by_text, int(lengths.max()), lengths, pieces)
             object.__setattr__(self, "_index_cache", cached)
         return cached
 

@@ -50,7 +50,8 @@ def _char_in_classes(ch: str, classes: tuple[str, ...]) -> bool:
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Declarative mask constructor, built against the live particle text.
+    """Declarative mask constructor, built against the length of the
+    live particle text.
 
     Kinds: ``max_remaining_chars`` (token text must fit in the remaining
     character budget), ``allowed_words`` (token text, whitespace-stripped,
@@ -70,16 +71,17 @@ class MaskSpec:
     tokens: tuple[str, ...] = ()
     ids: tuple[int, ...] = ()
 
-    def build(self, vocabulary: Vocabulary, current_text: str) -> np.ndarray:
+    def build(self, vocabulary: Vocabulary, chars_so_far: int) -> np.ndarray:
         """Ascending, de-duplicated, read-only ids of the tokens the mask
-        allows.
+        allows after a text of ``chars_so_far`` characters.
 
-        Every kind but ``max_remaining_chars`` depends on the vocabulary
-        alone, so its ids are scanned once and kept on the spec, tagged
-        with the vocabulary object they were built for.
+        ``max_remaining_chars`` reads only that count. Every other kind
+        depends on the vocabulary alone, so its ids are scanned once and
+        kept on the spec, tagged with the vocabulary object they were
+        built for.
         """
         if self.kind == "max_remaining_chars":
-            remaining = self.target_chars - len(current_text)
+            remaining = self.target_chars - chars_so_far
             allowed = np.flatnonzero(vocabulary.token_lengths() <= remaining)
             allowed.setflags(write=False)
             return allowed

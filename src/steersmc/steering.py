@@ -6,8 +6,11 @@ multiplies a score update into its weight; the weighted law over
 finished sequences is the plan's target distribution, which the
 inference engine approximates. A ``Population`` holds the particles of
 a run as arrays, and resampling copies them with one ``take`` by
-ancestor slot. The interpreter steps a whole population through one
-top-level clause at once. On each token tick it sends a model one call
+ancestor slot. A particle's text is a function of its tokens, so it is
+not stored: a hint, a substring stop, the plan check and the records
+each decode the texts they read, in one gather over their slots. The
+interpreter steps a whole population through one top-level clause at
+once. On each token tick it sends a model one call
 holding one query per distinct window of context the model reads
 (``TokenModel.context_reach``), found by an exact grouping of the
 slots' windows and hint sets; the rows come back as one table, which
@@ -64,11 +67,18 @@ _ACTIVE, _DONE, _FAILED = range(3)
 
 HINT_PREFIX = "Note to self: "
 
+# Token cells ``Population.texts`` gathers at once. Decoding the 4,096
+# candidates of a 12-token run in one gather peaked 0.3 MB higher
+# (tracemalloc) than keeping every text did; in blocks of this size it
+# peaked 0.06 MB lower.
+DECODE_CELLS = 8192
+
 
 @dataclass(slots=True)
 class Particle:
     """One candidate generation with an accumulated weight: a copy of
-    one slot of a ``Population``."""
+    one slot of a ``Population``, whose ``text`` is decoded from its
+    tokens (``Population.of`` reads the tokens, not ``text``)."""
 
     tokens: list[int] = field(default_factory=list)
     text: str = ""
@@ -86,63 +96,98 @@ class Population:
     doubles as rows grow, up to the plan's ``max_tokens``; cells past a
     row's length hold 0. Per slot there are ``lengths``,
     ``text_lengths``, ``log_weights``, ``status`` (indices into
-    ``STATUSES``) and ``hint_ids`` (indices into ``hint_sets``, the
-    interned hint tuples). Lists hold ``texts`` (immutable, so copies
-    share them), ``errors`` and ``passed`` (check results).
-    ``ancestors`` holds the slots the last ``take`` copied, if any.
+    ``STATUSES``), ``hint_ids`` (indices into ``hint_sets``, the
+    interned hint tuples) and ``passed`` (the check result: -1 for none,
+    0 for a fail, 1 for a pass). ``errors`` maps each failed slot to its
+    error. Texts are not stored: a slot's text is the concatenation of
+    its tokens' texts in ``vocabulary``, and ``texts`` decodes it where
+    it is read. ``ancestors`` holds the slots the last ``take`` copied,
+    if any.
     """
 
     __slots__ = ("tokens", "lengths", "text_lengths", "log_weights", "status",
-                 "hint_ids", "texts", "errors", "passed", "hint_sets", "hint_index",
+                 "hint_ids", "passed", "vocabulary", "errors", "hint_sets", "hint_index",
                  "ancestors")
-    _ARRAYS = __slots__[:6]  # the per-slot arrays
+    _ARRAYS = __slots__[:7]  # the per-slot arrays
 
-    def __init__(self, n: int, width: int = 0):
-        """``n`` active particles with no tokens, text, hints or weight."""
+    def __init__(self, n: int, vocabulary: Vocabulary, width: int = 0):
+        """``n`` active, unchecked particles with no tokens, hints or weight."""
         self.tokens = np.zeros((n, width), dtype=np.int32)
         self.lengths, self.text_lengths, self.hint_ids = (np.zeros(n, dtype=np.intp)
                                                           for _ in range(3))
         self.log_weights = np.zeros(n)
         self.status = np.full(n, _ACTIVE, dtype=np.int8)
-        self.texts, self.errors, self.passed = [""] * n, [None] * n, [None] * n
+        self.passed = np.full(n, -1, dtype=np.int8)
+        self.vocabulary, self.errors = vocabulary, {}
         self.hint_sets, self.hint_index = [()], {(): 0}
         self.ancestors = None
 
     @classmethod
-    def of(cls, particles) -> "Population":
-        """A population holding a copy of each particle, in order."""
-        pop = cls(len(particles), max((len(p.tokens) for p in particles), default=0))
+    def of(cls, particles, vocabulary: Vocabulary) -> "Population":
+        """A population holding a copy of each particle, in order; a
+        particle's text is read from its tokens, not from ``text``."""
+        pop = cls(len(particles), vocabulary,
+                  max((len(p.tokens) for p in particles), default=0))
+        chars = vocabulary.token_lengths()
         for i, p in enumerate(particles):
             pop.tokens[i, :len(p.tokens)] = p.tokens
-            pop.lengths[i], pop.text_lengths[i] = len(p.tokens), len(p.text)
+            pop.lengths[i], pop.text_lengths[i] = len(p.tokens), chars[p.tokens].sum()
             pop.log_weights[i], pop.status[i] = p.log_weight, STATUSES.index(p.status)
             pop.hint_ids[i] = pop.intern(tuple(p.hint_buffer))
-            pop.texts[i], pop.errors[i], pop.passed[i] = p.text, p.error, p.passed_check
+            pop.passed[i] = -1 if p.passed_check is None else p.passed_check
+            if p.error is not None:
+                pop.errors[i] = p.error
         return pop
 
     def __len__(self) -> int:
-        return len(self.texts)
+        return len(self.lengths)
 
     def __getitem__(self, slot: int) -> Particle:
         """A copy of one slot as a Particle."""
-        return Particle(self.tokens[slot, :self.lengths[slot]].tolist(), self.texts[slot],
-                        float(self.log_weights[slot]), STATUSES[self.status[slot]],
-                        list(self.hint_sets[self.hint_ids[slot]]), self.errors[slot],
-                        self.passed[slot])
+        tokens = self.tokens[slot, :self.lengths[slot]].tolist()
+        passed = int(self.passed[slot])
+        return Particle(tokens, self.vocabulary.decode(tokens), float(self.log_weights[slot]),
+                        STATUSES[self.status[slot]], list(self.hint_sets[self.hint_ids[slot]]),
+                        self.errors.get(slot), None if passed < 0 else bool(passed))
 
     def status_is(self, status: str) -> np.ndarray:
         """Which slots have this status, as a boolean array."""
         return self.status == STATUSES.index(status)
 
+    def texts(self, slots: np.ndarray, starts: np.ndarray | None = None) -> list[str]:
+        """The text of each of these slots (an array), or of its tokens
+        from column ``starts[i]`` on: a gather of token texts over the
+        slots' id cells, with EOS's empty text outside each range,
+        ``DECODE_CELLS`` cells at a time, then one join per slot (none
+        when every range holds one token)."""
+        lengths, pieces = self.lengths[slots], self.vocabulary.token_pieces()
+        if starts is not None and (lengths - starts == 1).all():
+            # one token each, as after a pass of a sample_until loop: no join
+            return pieces[self.tokens[slots, starts]].tolist()
+        lo = 0 if starts is None else int(starts.min(initial=self.tokens.shape[1]))
+        columns = np.arange(lo, int(lengths.max(initial=0)))
+        ids = self.tokens[slots, lo:lo + columns.size]
+        outside = columns >= lengths[:, None]
+        if starts is not None:
+            outside |= columns < starts[:, None]
+        ids[outside] = self.vocabulary.eos_id
+        out, step = [], max(1, DECODE_CELLS // max(1, columns.size))
+        for at in range(0, len(ids), step):
+            out += map("".join, pieces[ids[at:at + step]].tolist())
+        return out
+
     def take(self, ancestors: np.ndarray) -> "Population":
         """A population whose slot i copies slot ``ancestors[i]``; copies
-        share only immutable values (texts, errors, hint tuples)."""
+        share only immutable values (errors, hint tuples, the
+        vocabulary)."""
         out = object.__new__(Population)
         for name in self._ARRAYS:
             setattr(out, name, getattr(self, name)[ancestors])
-        at = ancestors.tolist()
-        out.texts, out.errors, out.passed = ([values[a] for a in at] for values in (
-            self.texts, self.errors, self.passed))
+        failed = np.flatnonzero(out.status == _FAILED)
+        errors = self.errors
+        out.errors = {i: errors[a] for i, a in zip(failed.tolist(), ancestors[failed].tolist())
+                      if a in errors}
+        out.vocabulary = self.vocabulary
         out.hint_sets, out.hint_index = list(self.hint_sets), dict(self.hint_index)
         out.ancestors = ancestors
         return out
@@ -154,8 +199,7 @@ class Population:
             self.hint_sets.append(hints)
         return self.hint_index[hints]
 
-    def append(self, slots: np.ndarray, tokens: np.ndarray, vocab: Vocabulary,
-               limit: int) -> None:
+    def append(self, slots: np.ndarray, tokens: np.ndarray, limit: int) -> None:
         """Append ``tokens[i]`` to slot ``slots[i]`` (distinct slots); the
         token matrix grows to at most ``limit`` columns."""
         lengths = self.lengths[slots]
@@ -167,10 +211,7 @@ class Population:
             self.tokens = grown
         self.tokens[slots, lengths] = tokens
         self.lengths[slots] = lengths + 1
-        self.text_lengths[slots] += vocab.token_lengths()[tokens]
-        texts, pieces = self.texts, vocab.token_text
-        for s, t in zip(slots.tolist(), tokens.tolist()):
-            texts[s] += pieces[t]
+        self.text_lengths[slots] += self.vocabulary.token_lengths()[tokens]
 
 
 @dataclass(frozen=True)
@@ -342,7 +383,7 @@ class _Pass:
             if mask is None:
                 picks[members] = draw_rows(table, table.sum(axis=1), slot_rows, u)
                 continue
-            ids = mask.build(vocab, pop.texts[slots[members[0]]])
+            ids = mask.build(vocab, int(pop.text_lengths[slots[members[0]]]))
             rows_used, used = np.unique(slot_rows[members], return_inverse=True)
             weights = table[rows_used[:, None], ids]  # C-ordered, unlike table[:, ids]
             totals = weights.sum(axis=1)
@@ -370,7 +411,7 @@ class _Pass:
                 for p, q, delta in zip(prior[prior_rows, picks].tolist(),
                                        table[slot_rows, picks].tolist(), deltas.tolist())])
         self.score(slots, deltas)
-        pop.append(slots, picks, vocab, max_tokens)
+        pop.append(slots, picks, max_tokens)
         ended = picks == vocab.eos_id
         pop.status[slots[ended]] = _DONE
         return slots[~ended]
@@ -456,7 +497,7 @@ class _Pass:
                                  for p in table[:, t].tolist()])
                 totals[scoring] += logs[slot_rows]
                 scoring = scoring[totals[scoring] != NEG_INF]
-            pop.append(slots, np.full(len(slots), t), self.vocab, max_tokens)
+            pop.append(slots, np.full(len(slots), t), max_tokens)
         self.score(slots, totals)
         if forced[-1] != self.vocab.eos_id:
             return slots
@@ -465,19 +506,20 @@ class _Pass:
 
     def hint(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         pop = self.pop
-        for s, n in zip(slots.tolist(), pop.lengths[slots].tolist()):
-            hint = render_hint(clause.template, hint_bindings_for(self.plan, pop.texts[s], n))
+        for s, n, text in zip(slots.tolist(), pop.lengths[slots].tolist(), pop.texts(slots)):
+            hint = render_hint(clause.template, hint_bindings_for(self.plan, text, n))
             pop.hint_ids[s] = pop.intern(pop.hint_sets[pop.hint_ids[s]] + (hint,))
         return slots
 
-    def stopped(self, stop, slots: np.ndarray) -> np.ndarray:
+    def stopped(self, stop, slots: np.ndarray, texts: list[str] | None) -> np.ndarray:
         """Which slots satisfy the stop predicate of ``loop until``; a
-        ``token_count`` stop compares the sequence length."""
+        ``token_count`` stop compares the sequence length, a
+        ``substring`` stop searches the loop's texts by slot."""
         pop, lengths = self.pop, self.pop.lengths[slots]
         if stop.kind == "token_count":
             return lengths >= stop.value
         if stop.kind == "substring":
-            return np.array([stop.value in pop.texts[s] for s in slots.tolist()], dtype=bool)
+            return np.array([stop.value in texts[s] for s in slots.tolist()], dtype=bool)
         last = pop.tokens[slots, lengths - 1] if pop.tokens.shape[1] else lengths
         return (lengths > 0) & (last == self.vocab.eos_id)
 
@@ -489,11 +531,20 @@ class _Pass:
                 if not slots.size:
                     break
             return slots
-        stop, bound = clause.stop, clause.max_iterations
+        pop, stop, bound = self.pop, clause.stop, clause.max_iterations
         done = [slots[:0]]
         iterations = 0
+        texts = decoded = None
+        if stop.kind == "substring":
+            # each slot's text by slot, decoded in full on entry and then
+            # extended by the tokens each pass appends; it lives only here
+            texts, decoded = [""] * len(pop), np.zeros_like(pop.lengths)
         while slots.size:
-            stopped = self.stopped(stop, slots)
+            if texts is not None:
+                for s, piece in zip(slots.tolist(), pop.texts(slots, decoded[slots])):
+                    texts[s] += piece
+                decoded = pop.lengths.copy()
+            stopped = self.stopped(stop, slots, texts)
             done.append(slots[stopped])
             slots = slots[~stopped]
             if bound is not None and iterations >= bound and slots.size:

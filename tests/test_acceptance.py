@@ -353,7 +353,7 @@ def step_kish_fractions(fx: ConvergenceFixture) -> list[float]:
     for t in range(1, len(fx.plan.steps) + 1):
         cut = replace(fx.plan, steps=fx.plan.steps[:t])
         target = brute_force_target(cut, models, fx.max_len).probs
-        ids = fx.plan.steps[t - 1].body[0].mask.build(models.vocabulary, "")
+        ids = fx.plan.steps[t - 1].body[0].mask.build(models.vocabulary, 0)
         second_moment = 0.0
         for seq, p in target.items():
             row = models.proposal.next_distribution(
@@ -473,7 +473,7 @@ class TestCriterion04MaskCorrection:
                     text = vocab.decode(ctx)
                     probs = model.next_distribution(ModelQuery(ctx))
                     for mask_spec in masks:
-                        ids = mask_spec.build(vocab, text).tolist()
+                        ids = mask_spec.build(vocab, len(text)).tolist()
                         z = float(sum(probs[t] for t in ids))
                         if z <= 0.0:
                             continue
@@ -501,9 +501,7 @@ class TestCriterion06ResamplingPreservation:
             particles = []
             weights = [5.0, 3.0, 1.0, 0.5, 0.25, 2.0, 1.5, 0.75]
             for i, w in enumerate(weights):
-                p = Particle(tokens=[i, i % 3], log_weight=math.log(w))
-                p.text = f"t{i}"
-                particles.append(p)
+                particles.append(Particle(tokens=[i, i % 3], log_weight=math.log(w)))
             norm = normalize_weights([p.log_weight for p in particles])
 
             functions = [
@@ -515,7 +513,8 @@ class TestCriterion06ResamplingPreservation:
                       for f in functions]
             trials = 10_000
             post = np.zeros((trials, len(functions)))
-            population = Population.of(particles)
+            vocab = Vocabulary.from_tokens([f"t{i}" for i in range(len(weights))] + ["<eos>"])
+            population = Population.of(particles, vocab)
             for t in range(trials):
                 out = list(resample(population, norm, "multinomial",
                                     RandomStream(60_000, "trial", t)))

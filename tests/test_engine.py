@@ -116,12 +116,10 @@ class TestNormalizeWeights:
 
 
 def _weighted_particles(weights):
-    out = []
-    for i, w in enumerate(weights):
-        p = Particle(tokens=[i], log_weight=math.log(w) if w > 0 else NEG_INF)
-        p.text = str(i)
-        out.append(p)
-    return Population.of(out)
+    out = [Particle(tokens=[i], log_weight=math.log(w) if w > 0 else NEG_INF)
+           for i, w in enumerate(weights)]
+    return Population.of(out, Vocabulary.from_tokens([str(i) for i in range(len(weights))]
+                                                     + ["<eos>"]))
 
 
 class TestResample:
@@ -165,15 +163,22 @@ class TestResample:
     def test_clones_share_no_state(self):
         # both survivors copy slot 0; stepping survivor 0 alone changes
         # neither survivor 1 nor the population resampled from, whose
-        # token matrix has room for the forced token
-        particles = Population.of([Particle(tokens=[0], text="0"), Particle(
-            tokens=[1, 1, 1], text="111", log_weight=NEG_INF)])
+        # token matrix has room for the forced token. A copy holds the
+        # errors of its failed ancestors only, in a dict of its own.
+        model = UniformModel(Vocabulary.from_tokens([str(i) for i in range(100)] + ["<eos>"]))
+        dead = StepBudgetExceeded("full")
+        particles = Population.of([Particle(tokens=[0]), Particle(
+            tokens=[1, 1, 1], log_weight=NEG_INF, status="failed", error=dead)],
+            model.vocabulary)
         out = resample(particles, [1.0, 0.0], "multinomial", RandomStream(5, "rs"))
         assert out.ancestors.tolist() == [0, 0]
+        assert "passed" in Population._ARRAYS
         assert not any(np.shares_memory(getattr(out, name), getattr(particles, name))
                        for name in Population._ARRAYS)
+        assert out.errors == {} and out.errors is not particles.errors
+        assert particles.take(np.array([1, 0, 1])).errors == {0: dead, 2: dead}
+        assert particles.errors == {1: dead}
         out.status[1] = STATUSES.index("done")
-        model = UniformModel(Vocabulary.from_tokens([str(i) for i in range(100)] + ["<eos>"]))
         plan = make_plan([{"kind": "hint", "template": "x"},
                           {"kind": "force_string", "tokens": [99]}], max_tokens=4)
         for index in range(2):
@@ -607,7 +612,8 @@ class TestConsistencyScaling:
 
 class TestResamplingPreservation:
     def test_weighted_mean_preserved_through_resampling(self):
-        particles = list(_weighted_particles([5.0, 3.0, 1.0, 0.5, 0.25, 2.0, 1.5, 0.75]))
+        population = _weighted_particles([5.0, 3.0, 1.0, 0.5, 0.25, 2.0, 1.5, 0.75])
+        particles = list(population)
         raw = [p.log_weight for p in particles]
         norm = normalize_weights(raw)
 
@@ -618,8 +624,8 @@ class TestResamplingPreservation:
         trials = 4000
         post_means = []
         for t in range(trials):
-            out = resample(Population.of(particles), norm, "multinomial",
-                           RandomStream(6, "rp", t))
+            out = resample(Population.of(particles, population.vocabulary), norm,
+                           "multinomial", RandomStream(6, "rp", t))
             post_means.append(sum(f(p) for p in out) / len(out))
         grand = float(np.mean(post_means))
         stderr = float(np.std(post_means, ddof=1)) / math.sqrt(trials)

@@ -139,7 +139,7 @@ def _append(particle, token, vocab):
 
 def _take_token(clause, plan, particle, models, rng, state):
     vocab = models.vocabulary
-    mask = clause.mask.build(vocab, particle.text) if clause.mask is not None else None
+    mask = clause.mask.build(vocab, len(particle.text)) if clause.mask is not None else None
     token, delta = _draw(particle, models, mask, rng, plan, clause.score_with_prior)
     particle.log_weight += delta
     state.log_update += delta
@@ -320,9 +320,11 @@ def token_models(draw, vocab):
 
 def stops(vocab, draw):
     texts = [t for t in vocab.token_text if t]
+    pairs = [a + b for a in texts for b in texts]  # may straddle a token boundary
     return draw(st.one_of(
         st.builds(lambda v: {"kind": "token_count", "value": v}, st.integers(0, 3)),
-        st.builds(lambda v: {"kind": "substring", "value": v}, st.sampled_from(texts + ["zz"])),
+        st.builds(lambda v: {"kind": "substring", "value": v},
+                  st.sampled_from(texts + pairs + ["zz"])),
         st.just({"kind": "eos"})))
 
 
@@ -563,10 +565,66 @@ def test_a_window_ends_where_its_context_starts():
     table = _RecordingTable(vocab, rows, np.full(3, 1.0 / 3.0))
     plan = parse_plan({"plan_version": 1, "max_tokens": 4, "steps": [
         {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}]})
-    pop = Population.of([Particle(tokens=[1], text="b"), Particle(tokens=[0, 1], text="ab")])
+    pop = Population.of([Particle(tokens=[1]), Particle(tokens=[0, 1])], vocab)
     execute_step(plan, 0, pop, table, derive_keys(0, "slot", 2))
     assert table.batches[0] == [ModelQuery((1,), "proposal"), ModelQuery((0, 1), "proposal")]
     assert (pop[0].tokens, pop[1].tokens) == ([1, 0], [0, 1, 1])
+
+
+@pytest.mark.parametrize("forced", ["xa", "xab"])
+def test_substring_stops_read_the_decoded_text(forced):
+    """A loop until "ab" over the tokens "xa" and "b": after "xa" the
+    stop holds only once a drawn "b" completes it across the token
+    boundary; after "xab" it already holds when the loop starts, so the
+    loop ends at iteration 0 without a query or a draw. Both steps
+    match the walk."""
+    vocab = Vocabulary.from_tokens(["xa", "b", "<eos>"])
+    row = np.array([0.5, 0.5, 0.0])
+    row.setflags(write=False)
+    model = _RecordingTable(vocab, {}, row)
+    plan = parse_plan({"plan_version": 1, "max_tokens": 40, "steps": [
+        {"kind": "force_string", "text": forced},
+        {"kind": "sample_until", "stop": {"kind": "substring", "value": "ab"}}]})
+    ours, theirs = [Particle() for _ in range(16)], [Particle() for _ in range(16)]
+    for step in range(2):
+        reference_step(plan, step, theirs, model,
+                       [RandomStream(5, "slot", s, step) for s in range(16)])
+        sent = len(model.batches)
+        update = execute_particles(plan, step, ours, model,
+                                   [derive_key(5, "slot", s, step) for s in range(16)])
+        assert [_state(p) for p in ours] == [_state(p) for p in theirs]
+    if forced == "xab":
+        assert update.appended_tokens == () and len(model.batches) == sent
+        assert all(p.text == "xab" for p in ours)
+    else:
+        assert all(p.text.endswith("xab") and p.text.count("ab") == 1 for p in ours)
+        assert len({p.text for p in ours}) > 1
+
+
+def test_substring_loop_over_uneven_texts_and_multi_token_passes():
+    """Slots enter a loop until "aa" with texts of different lengths, and
+    each pass appends two tokens (a draw, then a forced "a"): each slot's
+    text gains only its own new tokens, so every stop and every text
+    matches the walk."""
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    row = np.array([0.5, 0.5, 0.0])
+    row.setflags(write=False)
+    model = _RecordingTable(vocab, {}, row)
+    plan = parse_plan({"plan_version": 1, "max_tokens": 60, "steps": [
+        {"kind": "sample_until", "stop": {"kind": "substring", "value": "b"}},
+        {"kind": "loop", "until": {"kind": "substring", "value": "aa"}, "body": [
+            {"kind": "masked_sample", "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+            {"kind": "force_string", "text": "a"}]}]})
+    ours, theirs = [Particle() for _ in range(16)], [Particle() for _ in range(16)]
+    for step in range(2):
+        reference_step(plan, step, theirs, model,
+                       [RandomStream(6, "slot", s, step) for s in range(16)])
+        execute_particles(plan, step, ours, model,
+                          [derive_key(6, "slot", s, step) for s in range(16)])
+        assert [_state(p) for p in ours] == [_state(p) for p in theirs]
+        if step == 0:
+            assert len({len(p.tokens) for p in ours}) > 2
+    assert all("aa" in p.text for p in ours)
 
 
 def test_one_query_per_window_the_model_reads():
@@ -674,13 +732,15 @@ def test_batched_draw_matches_one_row_at_a_time(case):
     or ``table[:, ids]`` return them, fails this test."""
     table, slot_rows, text_lengths, mask, u = case
     size = table.shape[1]
-    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["<eos>"])
+    # token 0 is "x", so a slot holding ``length`` of them has that many characters
+    vocab = Vocabulary.from_tokens(["x"] + [f"t{i}" for i in range(1, size - 1)] + ["<eos>"])
     rows = [row.copy() for row in table]
     step = ({"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}
             if mask == "none" else {"kind": "masked_sample", "mask": mask})
-    plan = parse_plan({"plan_version": 1, "max_tokens": 4, "steps": [step]})
-    pop = Population.of([Particle(text="x" * length, hint_buffer=[str(r)])
-                         for r, length in zip(slot_rows.tolist(), text_lengths.tolist())])
+    plan = parse_plan({"plan_version": 1, "max_tokens": 5, "steps": [step]})
+    pop = Population.of([Particle(tokens=[0] * length, hint_buffer=[str(r)])
+                         for r, length in zip(slot_rows.tolist(), text_lengths.tolist())],
+                        vocab)
     keys = np.zeros(len(pop), dtype=np.uint64)
     with mock.patch.object(steering, "uniforms_at", lambda keys, counters: u.copy()):
         if mask == "none" and not all(rows[r].any() for r in set(slot_rows.tolist())):
@@ -691,14 +751,14 @@ def test_batched_draw_matches_one_row_at_a_time(case):
     spec = plan.steps[0].body[0].mask
     for slot, (r, length) in enumerate(zip(slot_rows.tolist(), text_lengths.tolist())):
         particle = pop[slot]
-        ids = np.arange(size) if spec is None else spec.build(vocab, "x" * length)
+        ids = np.arange(size) if spec is None else spec.build(vocab, length)
         weights = rows[r][ids]
         total = weights.sum()
         if ids.size == 0 or total <= 0.0:
             assert particle.status == FAILED and isinstance(particle.error, MaskEmpty)
             continue
         pick = ids[draw_indices(weights, total, u[slot:slot + 1])[0]]
-        assert particle.tokens == [pick]
+        assert particle.tokens == [0] * length + [pick]
         assert particle.log_weight == (0.0 if spec is None else math.log(total))
 
 
@@ -713,9 +773,9 @@ def test_one_mask_build_per_tick_and_text_length(monkeypatch, mask):
     plan = parse_plan({"plan_version": 1, "max_tokens": 8,
                        "steps": [{"kind": "masked_sample", "mask": mask}] * 4})
     build, built = MaskSpec.build, []
-    monkeypatch.setattr(MaskSpec, "build", lambda self, vocabulary, text: (
-        built.append(len(text)) or build(self, vocabulary, text)))
-    pop, most_rows, most_lengths = Population(64), 0, 0
+    monkeypatch.setattr(MaskSpec, "build", lambda self, vocabulary, chars: (
+        built.append(chars) or build(self, vocabulary, chars)))
+    pop, most_rows, most_lengths = Population(64, vocab), 0, 0
     for index in range(4):
         lengths = sorted(set(pop.text_lengths[pop.status_is(ACTIVE)].tolist()))
         sent, built[:] = len(ngram.seen), []

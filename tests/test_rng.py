@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steersmc import RandomStream, derive_key
-from steersmc.rng import derive_keys
+from steersmc.rng import derive_keys, draw_indices
 
 # The largest value RandomStream.uniform can return.
 TOP_UNIFORM = 1.0 - 2.0 ** -53
@@ -67,6 +67,45 @@ def test_choice_matches_the_scalar_walk(values, u, normalize):
     got = _Pinned(u).choice(probs)
     assert got == want
     assert probs[got] > 0.0
+
+
+def unsorted_draw_indices(probs, total, u):
+    """``draw_indices`` searching its targets in the order given."""
+    picks = probs.cumsum().searchsorted(u * total, "right")
+    over = picks >= probs.size
+    if over.any():
+        positive = np.flatnonzero(probs > 0.0)
+        if positive.size == 0:
+            raise ValueError("choice over all-zero weights")
+        picks[over] = positive[-1]
+    return picks
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=weights, us=st.lists(uniforms, min_size=1, max_size=200),
+       normalize=st.booleans())
+@example(values=[0.0, 0.0, 2.5, 0.0], us=[TOP_UNIFORM, 0.0, 0.7, TOP_UNIFORM, 0.1],
+         normalize=False)
+@example(values=[1e16] + [1.0] * 15 + [0.0], us=[0.3, TOP_UNIFORM, 0.0, TOP_UNIFORM],
+         normalize=False)
+@example(values=[0.0, 0.0], us=[0.5, 0.2], normalize=False)
+def test_draw_indices_equals_the_unsorted_search(values, us, normalize):
+    """Searching the targets sorted and scattering the picks back gives
+    every pick of the search in the order given, zero weights, top of
+    range and all-zero errors included."""
+    probs, u = np.array(values), np.array(us)
+    if normalize and probs.sum() > 0.0:
+        probs = probs / probs.sum()
+    total = float(probs.sum())
+    try:
+        want = unsorted_draw_indices(probs, total, u)
+    except ValueError:
+        with pytest.raises(ValueError, match="all-zero"):
+            draw_indices(probs, total, u)
+        return
+    got = draw_indices(probs, total, u)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert (probs[got] > 0.0).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -270,29 +270,29 @@ class TestMaskSpecs:
     def test_max_remaining_chars(self):
         vocab = Vocabulary.from_tokens(["a", "bb", "ccc", "<eos>"])
         spec = MaskSpec("max_remaining_chars", target_chars=5)
-        mask = spec.build(vocab, "aaa")  # remaining = 2
+        mask = spec.build(vocab, 3)  # remaining = 2
         assert mask.tolist() == [0, 1, 3]
 
     def test_char_class_no_punctuation(self):
         vocab = Vocabulary.from_tokens(["a", ".", " ", "<eos>"])
         spec = MaskSpec("char_class", classes=("letter", "whitespace"))
-        assert spec.build(vocab, "").tolist() == [0, 2, 3]
+        assert spec.build(vocab, 0).tolist() == [0, 2, 3]
 
     def test_char_class_negated(self):
         vocab = Vocabulary.from_tokens(["a", ".", "<eos>"])
         spec = MaskSpec("char_class", classes=("punctuation",), negate=True)
-        assert spec.build(vocab, "").tolist() == [0, 2]
+        assert spec.build(vocab, 0).tolist() == [0, 2]
 
     def test_allowed_words_matches_stripped_token_text(self):
         vocab = Vocabulary.from_tokens(["Glasgow ", "home ", "and ", "<eos>"])
         spec = MaskSpec("allowed_words", words=("Glasgow", "and"))
         # equality test: EOS's empty text matches no word
-        assert spec.build(vocab, "").tolist() == [0, 2]
+        assert spec.build(vocab, 0).tolist() == [0, 2]
 
     def test_explicit_ids_and_tokens(self):
         vocab = Vocabulary.from_tokens(["a", "b", "c", "<eos>"])
         spec = MaskSpec("explicit", tokens=("b",), ids=(2, 0, 2))
-        assert spec.build(vocab, "").tolist() == [0, 1, 2]
+        assert spec.build(vocab, 0).tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("spec", [
         MaskSpec("max_remaining_chars", target_chars=4),
@@ -305,7 +305,7 @@ class TestMaskSpecs:
     def test_build_equals_a_fresh_scan_and_is_read_only(self, spec):
         vocab = Vocabulary.from_tokens(["ab", "c ", "7", ".", "xyz", "<eos>"])
         for text in ("", "a", "abc", "abcdef", "", "a"):
-            ids = spec.build(vocab, text)
+            ids = spec.build(vocab, len(text))
             assert ids.dtype == np.intp
             assert ids.tolist() == _scan_mask(spec, vocab, text)
             assert not ids.flags.writeable
@@ -316,19 +316,19 @@ class TestMaskSpecs:
         second = Vocabulary.from_tokens(["1", "2", "b", "<eos>"])
         spec = MaskSpec("char_class", classes=("letter",))
         for _ in range(2):
-            assert spec.build(first, "").tolist() == [0, 1, 3]
-            assert spec.build(second, "").tolist() == [2, 3]
+            assert spec.build(first, 0).tolist() == [0, 1, 3]
+            assert spec.build(second, 0).tolist() == [2, 3]
 
     def test_out_of_range_explicit_id_raises_on_every_build(self):
         vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
         spec = MaskSpec("explicit", ids=(0, 5))
         for _ in range(3):
             with pytest.raises(SchemaViolation):
-                spec.build(vocab, "")
+                spec.build(vocab, 0)
         wide = Vocabulary.from_tokens(["a", "b", "c", "d", "e", "f", "<eos>"])
-        assert spec.build(wide, "").tolist() == [0, 5]
+        assert spec.build(wide, 0).tolist() == [0, 5]
         with pytest.raises(SchemaViolation):
-            spec.build(vocab, "")
+            spec.build(vocab, 0)
 
 
 class TestExecuteStep:
