@@ -268,7 +268,8 @@ def _dead_population_error(pop: Population, step: int) -> SteeringError:
     every particle failed, all with one error type, the lowest slot's own
     error (it carries its clause and step); else AllParticlesDead."""
     errors = pop.errors
-    if len(errors) == len(pop) and len({type(e) for e in errors.values()}) == 1:
+    if (pop.status_is(FAILED).all() and len(errors) == len(pop)
+            and len({type(e) for e in errors.values()}) == 1):
         return errors[0]
     err = AllParticlesDead("no particle carries finite weight")
     err.step_index = step

@@ -67,13 +67,6 @@ _ACTIVE, _DONE, _FAILED = range(3)
 
 HINT_PREFIX = "Note to self: "
 
-# Token cells ``Population.texts`` gathers at once. Decoding the 4,096
-# candidates of a 12-token run in one gather peaked 0.3 MB higher
-# (tracemalloc) than keeping every text did; in blocks of this size it
-# peaked 0.06 MB lower.
-DECODE_CELLS = 8192
-
-
 @dataclass(slots=True)
 class Particle:
     """One candidate generation with an accumulated weight: a copy of
@@ -157,13 +150,9 @@ class Population:
     def texts(self, slots: np.ndarray, starts: np.ndarray | None = None) -> list[str]:
         """The text of each of these slots (an array), or of its tokens
         from column ``starts[i]`` on: a gather of token texts over the
-        slots' id cells, with EOS's empty text outside each range,
-        ``DECODE_CELLS`` cells at a time, then one join per slot (none
-        when every range holds one token)."""
-        lengths, pieces = self.lengths[slots], self.vocabulary.token_pieces()
-        if starts is not None and (lengths - starts == 1).all():
-            # one token each, as after a pass of a sample_until loop: no join
-            return pieces[self.tokens[slots, starts]].tolist()
+        slots' id cells, with EOS's empty text outside each range, then
+        one join per slot."""
+        lengths = self.lengths[slots]
         lo = 0 if starts is None else int(starts.min(initial=self.tokens.shape[1]))
         columns = np.arange(lo, int(lengths.max(initial=0)))
         ids = self.tokens[slots, lo:lo + columns.size]
@@ -171,10 +160,7 @@ class Population:
         if starts is not None:
             outside |= columns < starts[:, None]
         ids[outside] = self.vocabulary.eos_id
-        out, step = [], max(1, DECODE_CELLS // max(1, columns.size))
-        for at in range(0, len(ids), step):
-            out += map("".join, pieces[ids[at:at + step]].tolist())
-        return out
+        return list(map("".join, self.vocabulary.token_pieces()[ids].tolist()))
 
     def take(self, ancestors: np.ndarray) -> "Population":
         """A population whose slot i copies slot ``ancestors[i]``; copies

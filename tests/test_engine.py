@@ -35,6 +35,7 @@ from steersmc import (
     select_answer,
     total_variation,
 )
+from steersmc.engine import _dead_population_error
 from steersmc.steering import STATUSES
 
 NEG_INF = float("-inf")
@@ -501,6 +502,19 @@ class TestErrorTaxonomy:
         cfg = InferenceConfig(method="importance", n_particles=4, seed=73)
         out = run_inference(plan, uniform3, cfg)
         assert isinstance(out.error, AllParticlesDead)
+
+    @pytest.mark.parametrize("second", ["failed", "done"])
+    def test_dead_population_escalates_only_when_every_slot_failed(self, vocab3, second):
+        # Every slot carries a MaskEmpty; the slot's own error is raised
+        # only when every slot failed, whatever the errors say.
+        errors = [MaskEmpty("x", clause_index=0), MaskEmpty("y", clause_index=1)]
+        pop = Population.of([Particle(status="failed", error=errors[0]),
+                             Particle(status=second, error=errors[1])], vocab3)
+        err = _dead_population_error(pop, step=4)
+        if second == "failed":
+            assert err is errors[0]
+        else:
+            assert isinstance(err, AllParticlesDead) and err.step_index == 4
 
     def test_partial_budget_death_leaves_survivors(self, uniform3):
         # EOS-stopped sampling under max_tokens=3: particles that never
