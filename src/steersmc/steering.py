@@ -13,10 +13,13 @@ interpreter steps a whole population through one top-level clause at
 once. On each token tick it sends a model one call
 holding one query per distinct window of context the model reads
 (``TokenModel.context_reach``), found by an exact grouping of the
-slots' windows and hint sets; the rows come back as one table, which
-the draw, the prior's score and ``force_string`` read. The draw is one
-batched pass over that table per mask part (one part unless a
-``max_remaining_chars`` mask sees several text lengths).
+slots' windows and hint sets: one stable ``np.lexsort`` over a few
+int64 words per slot into which its hint-set id and window ids are
+packed without loss. The rows come back as one table, which the draw,
+the prior's score and ``force_string`` read. The draw is one batched
+pass over that table per mask part (one part unless a
+``max_remaining_chars`` mask sees several text lengths), which gathers
+the mask's columns of the whole table.
 Tokens are drawn only by the one-token ``draw`` clause; every
 repetition is a ``loop``. ``Particle`` is the view of one slot that
 callers build and read.
@@ -343,8 +346,9 @@ class _Pass:
         proposal side only. The tick's distinct rows are stacked into one
         table; each mask part (all slots, or under ``max_remaining_chars``
         those of one text length) builds its mask once, gathers the
-        allowed columns in C order, so that each row sums as it would
-        alone, and draws with ``rng.draw_rows``. Slots whose mask allows
+        allowed columns of the whole table in C order, so that each row
+        sums as it would alone, and draws with ``rng.draw_rows``, each
+        slot reading its own row of that gather. Slots whose mask allows
         no token or leaves their row no mass die. Every pick and delta
         is then applied in one scatter.
         """
@@ -370,8 +374,8 @@ class _Pass:
                 picks[members] = draw_rows(table, table.sum(axis=1), slot_rows, u)
                 continue
             ids = mask.build(vocab, int(pop.text_lengths[slots[members[0]]]))
-            rows_used, used = np.unique(slot_rows[members], return_inverse=True)
-            weights = table[rows_used[:, None], ids]  # C-ordered, unlike table[:, ids]
+            used = slot_rows[members]
+            weights = table.take(ids, axis=1)  # C-ordered, unlike table[:, ids]
             totals = weights.sum(axis=1)
             dead = totals[used] <= 0.0
             if dead.any():
@@ -411,37 +415,58 @@ class _Pass:
         A query holds the slot's hints (none unless hinted) and the
         window of its context that the model reads under them, the last
         ``model.context_reach(hints)`` ids (all of them for None), found
-        once per distinct hint set. Slots are grouped exactly, by one
-        ``np.unique`` over the bytes of an int64 row per slot: its
-        hint-set id, then its window's ids newest first, then -1 (never
-        a token id) past the window's width. The stable sort makes each
-        group's index its first slot. Every distinct query of the tick
+        once per hint set present (``np.bincount``). Slots are grouped
+        exactly, with no hash, by a packed key: a slot's digits are its
+        hint-set id, then each window id plus one, newest first, then 0
+        past the window's width, all below ``radix = max(V + 1,
+        len(hint_sets))``. As many digits go to an int64 word as keep it
+        under 2**62, spread evenly over as few words as hold them, so
+        the packing is injective and a long whole context takes about
+        1/digits as many words as cells. One stable ``np.lexsort`` over
+        the words, most significant first, and one row-inequality pass
+        give the groups, each led by its lowest slot, so the queries go
+        out in order of first slot. Every distinct query of the tick
         goes to the model in one call, its context tuple read straight
         from the slot's int32 cells, and each returned row is checked
         once to be a vector over the vocabulary, so that every drawn id
         is a valid context id.
         """
-        pop, tokens = self.pop, self.pop.tokens
-        lengths = pop.lengths[slots]
-        hints = pop.hint_ids[slots] if hinted else np.zeros(len(slots), dtype=np.intp)
-        sets, at = np.unique(hints, return_inverse=True)
-        reach = [model.context_reach(pop.hint_sets[h]) for h in sets.tolist()]
-        widths = np.minimum(lengths, np.array(  # no context is longer than the matrix
-            [tokens.shape[1] if r is None else r for r in reach], dtype=np.intp)[at])
+        pop, tokens, hint_sets = self.pop, self.pop.tokens, self.pop.hint_sets
+        n, lengths = len(slots), pop.lengths[slots]
+        hints = pop.hint_ids[slots] if hinted else np.zeros(n, dtype=np.intp)
+        reach = np.zeros(int(hints.max(initial=0)) + 1, dtype=np.int64)
+        for h in np.flatnonzero(np.bincount(hints)).tolist():
+            r = model.context_reach(hint_sets[h])
+            reach[h] = tokens.shape[1] if r is None else r  # no context outgrows the matrix
+        widths = np.minimum(lengths, reach[hints])
         starts = lengths - widths
-        span = np.arange(int(widths.max(initial=0)))
-        back = np.maximum(lengths[:, None] - 1 - span, 0)  # newest first
-        cells = np.empty((len(slots), 1 + span.size), dtype=np.int64)
-        cells[:, 0] = hints
-        # flat (row-major) indices gather faster than 2-D ones
-        cells[:, 1:] = np.take(tokens, back + (slots * tokens.shape[1])[:, None])
-        cells[:, 1:][span >= widths[:, None]] = -1
-        whole = cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).ravel()
-        _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
-        firsts = np.sort(first)
+        span = np.arange(int(widths.max(initial=0)), dtype=np.int64)
+        radix, per = max(self.vocab.size + 1, len(hint_sets)), 1
+        while radix ** (per + 1) < 2 ** 62:
+            per += 1
+        n_words = -(-(1 + span.size) // per)
+        per = -(-(1 + span.size) // n_words)
+        digits = np.zeros((n, n_words * per), dtype=np.int64)
+        digits[:, 0] = hints
+        window = digits[:, 1:1 + span.size]
+        # flat (row-major) indices, newest first, gather faster than 2-D
+        # ones; a cell before its row's start is past the window's width
+        back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
+        np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1, out=window)
+        window[span >= widths[:, None]] = 0
+        keys = digits.reshape(n, n_words, per) @ radix ** np.arange(per - 1, -1, -1,
+                                                                    dtype=np.int64)
+        order = np.lexsort(keys.T[::-1])  # stable, so a group lists its slots ascending
+        ranked = keys[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        first = np.empty(n, dtype=np.intp)
+        first[order] = order[new][np.cumsum(new) - 1]  # each slot's group's lowest slot
+        leads = first == np.arange(n)
+        firsts = np.flatnonzero(leads)
         row_bytes, cell = tokens.strides[0], tokens.itemsize
         queries = [ModelQuery(struct.unpack_from(f"={w}i", tokens, s * row_bytes + o * cell),
-                              tag, pop.hint_sets[h])
+                              tag, hint_sets[h])
                    for s, o, w, h in zip(slots[firsts].tolist(), starts[firsts].tolist(),
                                          widths[firsts].tolist(), hints[firsts].tolist())]
         rows = model.next_distributions(queries, deadline=self.deadline)
@@ -453,8 +478,7 @@ class _Pass:
         distinct = {id(r): r for r in rows}  # one table row per distinct row object
         index = {key: i for i, key in enumerate(distinct)}
         query_rows = np.array([index[id(r)] for r in rows])
-        return (np.array(list(distinct.values())),
-                query_rows[np.searchsorted(firsts, first[inverse])])
+        return np.array(list(distinct.values())), query_rows[(np.cumsum(leads) - 1)[first]]
 
     def force(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Append the forced tokens to every slot and add their log

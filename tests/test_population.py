@@ -21,15 +21,21 @@ Both run parsed plans, where every token is drawn by a one-token
 
 Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 ``steering._Pass.draw`` fails ``test_population_step_matches_the_walk``.
-Padding windows past their width with 0 rather than -1 in
-``steering._Pass.rows`` fails ``test_a_window_ends_where_its_context_starts``.
+Dropping the ``+ 1`` on window ids in ``steering._Pass.rows``, so that
+token 0 reads as padding, fails ``test_a_window_ends_where_its_context_starts``
+and ``test_rows_group_slots_by_hint_set_and_window``. A ``lexsort`` by
+the first key word alone fails the latter and
+``test_context_reach_changes_queries_not_outcomes``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+import string
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -59,6 +65,7 @@ from steersmc import (
     parse_plan,
     run_inference,
 )
+from steersmc import models as models_module
 from steersmc import steering
 from steersmc.plans import forced_tokens
 from steersmc.rng import (_GOLDEN, _MASK64, _mix, derive_keys, draw_indices, mix64, step_keys,
@@ -569,6 +576,159 @@ def test_a_window_ends_where_its_context_starts():
     execute_step(plan, 0, pop, table, derive_keys(0, "slot", 2))
     assert table.batches[0] == [ModelQuery((1,), "proposal"), ModelQuery((0, 1), "proposal")]
     assert (pop[0].tokens, pop[1].tokens) == ([1, 0], [0, 1, 1])
+
+
+# ---------------------------------------------------------------------------
+# The grouping of a token tick: ``_Pass.rows`` against a dict of windows.
+
+
+class _Windows(TokenModel):
+    """A model over ``size`` tokens whose reach is looked up by hint
+    tuple. It answers each query with a one-byte-per-token broadcast row
+    (so that a vocabulary of 2**20 tokens stays small), one row object
+    per distinct query, or per hint tuple and newest context id when
+    ``coarse``, as an n-gram's backoff shares rows."""
+
+    def __init__(self, size, reaches, coarse):
+        super().__init__(SimpleNamespace(size=size))  # ``rows`` reads only the size
+        self.reaches, self.coarse, self.answers, self.batches = reaches, coarse, {}, []
+
+    def context_reach(self, hints):
+        return self.reaches[hints]
+
+    def next_distributions(self, queries, deadline=None):
+        self.batches.append(list(queries))
+        return [self.row(q) for q in queries]
+
+    def row(self, query):
+        key = (query.hints, query.context[-1:]) if self.coarse else query
+        if key not in self.answers:
+            self.answers[key] = np.broadcast_to(np.int8(0), (self.vocabulary.size,))
+        return self.answers[key]
+
+
+@st.composite
+def ticks(draw):
+    """A vocabulary of 2 to 2**20 tokens, up to 6 hint sets (more than
+    V + 1 for small V), a reach of None, 0, a few ids or more than a
+    word holds per hint set, and up to 12 slots whose contexts (0-13
+    ids, from a few ids near 0 and V - 1) repeat and share suffixes."""
+    size = draw(st.one_of(st.integers(2, 9), st.integers(10, 2 ** 20)))
+    alphabet = draw(st.lists(st.one_of(st.integers(0, min(2, size - 1)),
+                                       st.integers(max(0, size - 3), size - 1),
+                                       st.integers(0, size - 1)),
+                             min_size=1, max_size=3, unique=True))
+    bases = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=13),
+                          min_size=1, max_size=4))
+    contexts = draw(st.lists(st.sampled_from(bases), min_size=1, max_size=12))
+    n_sets = draw(st.integers(1, 6))
+    reaches = draw(st.lists(st.one_of(st.none(), st.integers(0, 3), st.integers(4, 14)),
+                            min_size=n_sets, max_size=n_sets))
+    hints = draw(st.lists(st.integers(0, n_sets - 1), min_size=len(contexts),
+                          max_size=len(contexts)))
+    slots = draw(st.lists(st.booleans(), min_size=len(contexts), max_size=len(contexts)))
+    return (size, [tuple(c) for c in contexts], reaches, hints,
+            [s for s, keep in enumerate(slots) if keep] or [0], draw(st.booleans()),
+            draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tick=ticks())
+@example(tick=(3, [(0,), ()], [2], [0, 0], [0, 1], True, False))  # token 0 is not padding
+@example(tick=(2 ** 20, [(5, 1, 1, 1), (6, 1, 1, 1), (5, 1, 1, 1)], [None], [0, 0, 0],
+               [0, 1, 2], False, False))  # two words per key, equal first words
+def test_rows_group_slots_by_hint_set_and_window(tick):
+    """``_Pass.rows`` sends one query per distinct (hint set, window) in
+    order of first slot, and gives each slot the table row of its own
+    query's row object. Its packed keys are checked against a dict keyed
+    on (hint id, window tuple). Dropping the ``+ 1`` on window ids makes
+    token 0 read as padding, and a lexsort by the first word alone
+    splits a group whose keys differ only in a later word: both fail
+    this test."""
+    size, contexts, reaches, hint_of, slots, hinted, coarse = tick
+    hint_sets = [()] + [(f"h{i}",) for i in range(1, len(reaches))]
+    model = _Windows(size, dict(zip(hint_sets, reaches)), coarse)
+    pop = Population(len(contexts), model.vocabulary, max(map(len, contexts)) + 2)
+    for s, ctx in enumerate(contexts):
+        pop.tokens[s, :len(ctx)], pop.lengths[s] = ctx, len(ctx)
+    pop.hint_ids[:] = hint_of
+    pop.hint_sets, pop.hint_index = hint_sets, {h: i for i, h in enumerate(hint_sets)}
+    step = steering._Pass(None, 0, as_model_set(model), pop, np.zeros(len(pop)), None)
+    table, slot_rows = step.rows(model, "proposal", np.array(slots), hinted)
+
+    queries, query_of = {}, []
+    for s in slots:
+        h = hint_of[s] if hinted else 0
+        reach, ctx = reaches[h], contexts[s]
+        window = ctx if reach is None else ctx[len(ctx) - min(reach, len(ctx)):]
+        query = queries.setdefault((h, window), ModelQuery(window, "proposal", hint_sets[h]))
+        query_of.append(query)
+    assert model.batches == [list(queries.values())]
+    index = {}  # a table row per distinct row object, in order of first query
+    for query in queries.values():
+        index.setdefault(id(model.row(query)), len(index))
+    assert len(table) == len(index)
+    assert slot_rows.tolist() == [index[id(model.row(query))] for query in query_of]
+
+
+class _WholeNgram(_Recording, NgramModel):
+    """A recording n-gram that reports reading the whole context."""
+
+    def context_reach(self, hints):
+        return None
+
+
+def _char_corpus() -> str:
+    """A text over 87 distinct characters (V = 88 with EOS), mostly
+    lower-case letters and spaces."""
+    chars = string.ascii_letters + string.digits + string.punctuation[:24] + " "
+    r = random.Random(0)
+    common = string.ascii_lowercase[:12] + " " * 3
+    return chars + "".join(r.choice(common) if r.random() < 0.9 else r.choice(chars)
+                           for _ in range(6000))
+
+
+@pytest.mark.parametrize("method", ["smc", "importance"])
+def test_context_reach_changes_queries_not_outcomes(monkeypatch, method):
+    """A char 3-gram (V = 88) reports a reach of two ids; the same model
+    reporting None is sent every slot's whole context, 40 ids and more,
+    whose packed keys take several int64 words. Both runs give the same
+    candidates (tokens and raw weights) and the same selection, with
+    SMC resampling after every step."""
+    corpus = _char_corpus()
+    trained = {}
+    for cls in (_RecordingNgram, _WholeNgram):
+        with mock.patch.object(models_module, "NgramModel", cls):
+            trained[cls] = models_module.train_ngram(corpus, order=3, smoothing=0.0)
+    own, whole = trained[_RecordingNgram], trained[_WholeNgram]
+    assert own.vocabulary.size == 88 and own.context_reach(()) == 2
+    plan = parse_plan({"plan_version": 1, "max_tokens": 52, "steps": [
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 16}},
+        {"kind": "masked_sample", "count": 8,
+         "mask": {"kind": "char_class", "classes": ["letter"]}},
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 20}},
+        {"kind": "force_string", "text": "ab"},
+        {"kind": "masked_sample", "count": 3,
+         "mask": {"kind": "explicit", "tokens": ["a", "b", "c", " "]}}]})
+    config = InferenceConfig(method=method, n_particles=64, seed=4, ess_threshold=64.0)
+    lexsort, words = np.lexsort, {}
+    outcomes = {}
+    for model in (own, whole):
+        words[model] = []
+        monkeypatch.setattr(np, "lexsort", lambda keys: words[model].append(len(keys))
+                            or lexsort(keys))
+        outcomes[model] = run_inference(plan, model, config)
+    a, b = outcomes[own], outcomes[whole]
+    assert a.error is None and b.error is None
+    assert [(c.tokens, c.raw_log_weight) for c in a.candidates] == [
+        (c.tokens, c.raw_log_weight) for c in b.candidates]
+    assert a.selected == b.selected
+    if method == "smc":
+        assert a.diagnostics.resample_events == b.diagnostics.resample_events != []
+    assert max(len(q.context) for q in own.seen) == 2
+    assert max(len(q.context) for q in whole.seen) >= 40
+    assert len(set(whole.seen)) > len(set(own.seen))
+    assert max(words[own]) == 1 and max(words[whole]) >= 5
 
 
 @pytest.mark.parametrize("forced", ["xa", "xab"])
