@@ -82,7 +82,6 @@ from .plans import MaskSpec, SteeringPlan, StepClause, StopSpec, parse_plan
 from .rng import RandomStream, derive_key
 from .steering import (
     ModelSet,
-    Particle,
     Population,
     StepUpdate,
     as_model_set,

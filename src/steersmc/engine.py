@@ -5,10 +5,12 @@ whose step t runs the plan's top-level clause t - 1 on every active
 particle: importance sampling, sequential Monte Carlo (the same loop
 plus ESS-triggered resampling after each step, one ``take`` of the
 population's arrays by ancestor index), and rejection sampling (no
-weight accounting; completions filtered by the plan check). The plan
-check reads the texts of the particles each step finished, decoded from
-their tokens in one gather; the candidates are built in one pass at the
-end, their texts decoded the same way. All randomness flows through
+weight accounting; completions filtered by the plan check). A step
+checks the particles it finishes and sets each slot's one status code
+(``steering.execute_step``): a rejected or failed particle already has
+weight -inf when the engine reads the weights. The candidates are built
+in one pass at the end, their texts decoded from their tokens in one
+gather. All randomness flows through
 counter-based streams keyed on (seed, particle slot, particle step), so
 outcomes are bit-identical for a given seed, and importance sampling
 coincides exactly with SMC at a zero resample threshold.
@@ -39,12 +41,12 @@ from .steering import (
     ACTIVE,
     DONE,
     FAILED,
+    REJECTED,
     ModelSet,
     Population,
     SteeringPlan,
     as_model_set,
     execute_step,
-    run_check,
 )
 
 NEG_INF = float("-inf")
@@ -227,19 +229,14 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             if deadline is not None and time.monotonic() > deadline:
                 raise Timeout("wall-clock budget exhausted")
             diag.steps_executed = t
-            stepped = pop.status_is(ACTIVE)
+            stepped = pop.status == ACTIVE
             # A dead end fails only its particle; any other typed error
             # (Timeout, remote or schema trouble) ends the run.
             execute_step(plan, t - 1, pop, models, step_keys(slot_keys, t),
                          deadline=deadline)
-            for s in np.flatnonzero(stepped & pop.status_is(FAILED)).tolist():
+            for s in np.flatnonzero(stepped & (pop.status == FAILED)).tolist():
                 pop.errors[s].step_index = t
-            finished = np.flatnonzero(stepped & pop.status_is(DONE))
-            passed = np.array([run_check(plan, text) for text in pop.texts(finished)],
-                              dtype=bool)
-            pop.passed[finished] = passed
             if weighted:
-                pop.log_weights[finished[~passed]] = NEG_INF
                 if float(np.max(pop.log_weights)) == NEG_INF:
                     error = _dead_population_error(pop, t)
                     break
@@ -255,7 +252,7 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
                     diag.resample_events.append(t)
                     if config.record_weights:
                         diag.ancestors.append(pop.ancestors.tolist())
-            if not pop.status_is(ACTIVE).any():
+            if not (pop.status == ACTIVE).any():
                 break
     except SteeringError as exc:
         exc.step_index, error = t, exc
@@ -268,7 +265,7 @@ def _dead_population_error(pop: Population, step: int) -> SteeringError:
     every particle failed, all with one error type, the lowest slot's own
     error (it carries its clause and step); else AllParticlesDead."""
     errors = pop.errors
-    if (pop.status_is(FAILED).all() and len(errors) == len(pop)
+    if ((pop.status == FAILED).all() and len(errors) == len(pop)
             and len({type(e) for e in errors.values()}) == 1):
         return errors[0]
     err = AllParticlesDead("no particle carries finite weight")
@@ -292,17 +289,17 @@ def _weighted_candidates(pop: Population) -> list[WeightedCandidate]:
     raw = pop.log_weights
     if float(np.max(raw)) == NEG_INF:
         return []
-    return _candidates(pop, normalize_weights(raw).tolist(), (pop.passed > 0).tolist(),
+    return _candidates(pop, normalize_weights(raw).tolist(), (pop.status == DONE).tolist(),
                        raw.tolist())
 
 
 def _rejection_candidates(pop: Population) -> list[WeightedCandidate]:
     """Uniform weight over finished completions that pass the check;
     empty when no particle finished."""
-    finished = pop.status_is(DONE)
+    passed = pop.status == DONE
+    finished = passed | (pop.status == REJECTED)
     if not finished.any():
         return []
-    passed = finished & (pop.passed > 0)
     share = 1.0 / np.count_nonzero(passed) if passed.any() else 0.0
     return _candidates(pop, np.where(passed, share, 0.0).tolist(), passed.tolist(),
                        np.where(finished, 0.0, NEG_INF).tolist())

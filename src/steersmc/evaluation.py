@@ -7,8 +7,8 @@ written as its own recursion over plan clauses, independent of the
 particle stepping code, so Monte Carlo output can be checked against
 it. Paths that would error (budget overruns, empty masks) or fail the
 plan check contribute zero mass, matching the weight semantics of the
-engine. The check itself is the engine's: a finished path is kept only
-if ``steering.run_check`` passes its text.
+engine. The check itself is the one ``execute_step`` runs: a finished
+path is kept only if ``steering.run_check`` passes its text.
 """
 
 from __future__ import annotations

@@ -21,8 +21,11 @@ pass over that table per mask part (one part unless a
 ``max_remaining_chars`` mask sees several text lengths), which gathers
 the mask's columns of the whole table.
 Tokens are drawn only by the one-token ``draw`` clause; every
-repetition is a ``loop``. ``Particle`` is the view of one slot that
-callers build and read.
+repetition is a ``loop``. A slot's fate is one status code, set by the
+step that decides it: ``ACTIVE``, ``DONE`` (finished and passed the
+plan check), ``REJECTED`` (finished and failed it, weight -inf) or
+``FAILED`` (a dead end, weight -inf); the step checks the slots it
+finishes.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,27 +65,9 @@ from .rng import draw_rows, uniforms_at
 
 NEG_INF = float("-inf")
 
-ACTIVE = "active"
-DONE = "done"
-FAILED = "failed"
-STATUSES = (ACTIVE, DONE, FAILED)  # indexed by a population's status codes
-_ACTIVE, _DONE, _FAILED = range(3)
+ACTIVE, DONE, REJECTED, FAILED = range(4)  # a slot's status codes
 
 HINT_PREFIX = "Note to self: "
-
-@dataclass(slots=True)
-class Particle:
-    """One candidate generation with an accumulated weight: a copy of
-    one slot of a ``Population``, whose ``text`` is decoded from its
-    tokens (``Population.of`` reads the tokens, not ``text``)."""
-
-    tokens: list[int] = field(default_factory=list)
-    text: str = ""
-    log_weight: float = 0.0
-    status: str = ACTIVE
-    hint_buffer: list[str] = field(default_factory=list)
-    error: Exception | None = None
-    passed_check: bool | None = None
 
 
 class Population:
@@ -91,64 +76,32 @@ class Population:
     ``tokens`` is an int32 matrix, one row per slot, whose column count
     doubles as rows grow, up to the plan's ``max_tokens``; cells past a
     row's length hold 0. Per slot there are ``lengths``,
-    ``text_lengths``, ``log_weights``, ``status`` (indices into
-    ``STATUSES``), ``hint_ids`` (indices into ``hint_sets``, the
-    interned hint tuples) and ``passed`` (the check result: -1 for none,
-    0 for a fail, 1 for a pass). ``errors`` maps each failed slot to its
-    error. Texts are not stored: a slot's text is the concatenation of
-    its tokens' texts in ``vocabulary``, and ``texts`` decodes it where
-    it is read. ``ancestors`` holds the slots the last ``take`` copied,
+    ``text_lengths``, ``log_weights``, ``status`` (``ACTIVE``,
+    ``DONE``, ``REJECTED`` or ``FAILED``) and ``hint_ids`` (indices into
+    ``hint_sets``, the interned hint tuples). ``errors`` maps each failed
+    slot to its error. Texts are not stored: a slot's text is the
+    concatenation of its tokens' texts in ``vocabulary``, and ``texts``
+    decodes it where it is read. ``ancestors`` holds the slots the last ``take`` copied,
     if any.
     """
 
     __slots__ = ("tokens", "lengths", "text_lengths", "log_weights", "status",
-                 "hint_ids", "passed", "vocabulary", "errors", "hint_sets", "hint_index",
-                 "ancestors")
-    _ARRAYS = __slots__[:7]  # the per-slot arrays
+                 "hint_ids", "vocabulary", "errors", "hint_sets", "hint_index", "ancestors")
+    _ARRAYS = __slots__[:6]  # the per-slot arrays
 
     def __init__(self, n: int, vocabulary: Vocabulary, width: int = 0):
-        """``n`` active, unchecked particles with no tokens, hints or weight."""
+        """``n`` active particles with no tokens, hints or weight."""
         self.tokens = np.zeros((n, width), dtype=np.int32)
         self.lengths, self.text_lengths, self.hint_ids = (np.zeros(n, dtype=np.intp)
                                                           for _ in range(3))
         self.log_weights = np.zeros(n)
-        self.status = np.full(n, _ACTIVE, dtype=np.int8)
-        self.passed = np.full(n, -1, dtype=np.int8)
+        self.status = np.full(n, ACTIVE, dtype=np.int8)
         self.vocabulary, self.errors = vocabulary, {}
         self.hint_sets, self.hint_index = [()], {(): 0}
         self.ancestors = None
 
-    @classmethod
-    def of(cls, particles, vocabulary: Vocabulary) -> "Population":
-        """A population holding a copy of each particle, in order; a
-        particle's text is read from its tokens, not from ``text``."""
-        pop = cls(len(particles), vocabulary,
-                  max((len(p.tokens) for p in particles), default=0))
-        chars = vocabulary.token_lengths()
-        for i, p in enumerate(particles):
-            pop.tokens[i, :len(p.tokens)] = p.tokens
-            pop.lengths[i], pop.text_lengths[i] = len(p.tokens), chars[p.tokens].sum()
-            pop.log_weights[i], pop.status[i] = p.log_weight, STATUSES.index(p.status)
-            pop.hint_ids[i] = pop.intern(tuple(p.hint_buffer))
-            pop.passed[i] = -1 if p.passed_check is None else p.passed_check
-            if p.error is not None:
-                pop.errors[i] = p.error
-        return pop
-
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def __getitem__(self, slot: int) -> Particle:
-        """A copy of one slot as a Particle."""
-        tokens = self.tokens[slot, :self.lengths[slot]].tolist()
-        passed = int(self.passed[slot])
-        return Particle(tokens, self.vocabulary.decode(tokens), float(self.log_weights[slot]),
-                        STATUSES[self.status[slot]], list(self.hint_sets[self.hint_ids[slot]]),
-                        self.errors.get(slot), None if passed < 0 else bool(passed))
-
-    def status_is(self, status: str) -> np.ndarray:
-        """Which slots have this status, as a boolean array."""
-        return self.status == STATUSES.index(status)
 
     def texts(self, slots: np.ndarray, starts: np.ndarray | None = None) -> list[str]:
         """The text of each of these slots (an array), or of its tokens
@@ -172,7 +125,7 @@ class Population:
         out = object.__new__(Population)
         for name in self._ARRAYS:
             setattr(out, name, getattr(self, name)[ancestors])
-        failed = np.flatnonzero(out.status == _FAILED)
+        failed = np.flatnonzero(out.status == FAILED)
         errors = self.errors
         out.errors = {i: errors[a] for i, a in zip(failed.tolist(), ancestors[failed].tolist())
                       if a in errors}
@@ -308,7 +261,7 @@ class _Pass:
     def kill(self, slots: np.ndarray, error: type, message: str) -> None:
         """Fail these slots at a dead end: each gets its own ``error``,
         stamped with the step's clause, and weight -inf."""
-        self.pop.status[slots], self.pop.log_weights[slots] = _FAILED, NEG_INF
+        self.pop.status[slots], self.pop.log_weights[slots] = FAILED, NEG_INF
         for s in slots.tolist():
             self.pop.errors[s] = error(message, clause_index=self.index)
 
@@ -387,7 +340,7 @@ class _Pass:
             logs = np.array([0.0 if t <= 0.0 else math.log(t) for t in totals.tolist()])
             deltas[members] = logs[used]
             picks[members] = ids[draw_rows(weights, totals, used, u[members])]
-        live = pop.status[slots] == _ACTIVE  # kill marks every death
+        live = pop.status[slots] == ACTIVE  # kill marks every death
         if not live.all():
             slots, picks, deltas, slot_rows = (slots[live], picks[live], deltas[live],
                                                slot_rows[live])
@@ -403,7 +356,7 @@ class _Pass:
         self.score(slots, deltas)
         pop.append(slots, picks, max_tokens)
         ended = picks == vocab.eos_id
-        pop.status[slots[ended]] = _DONE
+        pop.status[slots[ended]] = DONE
         return slots[~ended]
 
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
@@ -511,7 +464,7 @@ class _Pass:
         self.score(slots, totals)
         if forced[-1] != self.vocab.eos_id:
             return slots
-        pop.status[slots] = _DONE
+        pop.status[slots] = DONE
         return slots[:0]
 
     def hint(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
@@ -571,22 +524,26 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
                  keys, deadline: float | None = None) -> StepUpdate:
     """Run top-level clause ``index`` on every active particle of the
     population, all together and in place; slot i draws from the stream
-    with key ``keys[i]`` (a uint64), starting at counter 0. Done and
+    with key ``keys[i]`` (a uint64), starting at counter 0. Finished and
     failed slots are left untouched.
 
-    A particle is done on EOS, or when it is still active after the
-    plan's last clause. A particle that reaches a dead end
-    (StepBudgetExceeded, or MaskEmpty when its mask allows no token or
-    no probability mass) is marked failed, with that error (carrying
-    ``index``) and weight -inf; its siblings go on. Any other typed
-    error ends the step at once and is raised with ``index``. Identical
-    (plan, index, particle, key) give bit-identical results for that
-    particle, whatever population it steps in. The update lists the
-    appended tokens slot by slot.
+    A particle finishes on EOS, or when it is still active after the
+    plan's last clause; the texts of the particles this step finished
+    are then decoded in one gather and checked by ``run_check``, one
+    call each, and a particle is ``DONE`` if its text passes and
+    ``REJECTED``, with weight -inf, if it fails. A particle that reaches
+    a dead end (StepBudgetExceeded, or MaskEmpty when its mask allows no
+    token or no probability mass) is ``FAILED``, with that error
+    (carrying ``index``) and weight -inf; its siblings go on. Any other
+    typed error ends the step at once and is raised with ``index``;
+    nothing is checked then. Neither a failed check nor a dead end
+    enters ``log_score_update``. Identical (plan, index, particle, key)
+    give bit-identical results for that particle, whatever population it
+    steps in. The update lists the appended tokens slot by slot.
     """
     pop = population
     step = _Pass(plan, index, as_model_set(models), pop, keys, deadline)
-    stepped = np.flatnonzero(pop.status == _ACTIVE)
+    stepped = np.flatnonzero(pop.status == ACTIVE)
     starts = pop.lengths[stepped]
     if index < len(plan.steps):
         try:
@@ -595,12 +552,17 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
             exc.clause_index = index
             raise
     if index + 1 >= len(plan.steps):
-        pop.status[stepped[pop.status[stepped] == _ACTIVE]] = _DONE
+        pop.status[stepped[pop.status[stepped] == ACTIVE]] = DONE
+    finished = stepped[pop.status[stepped] == DONE]
+    failed_check = [not run_check(plan, text) for text in pop.texts(finished)]
+    rejected = finished[np.array(failed_check, dtype=bool)]
+    pop.status[rejected], pop.log_weights[rejected] = REJECTED, NEG_INF
     columns = np.arange(pop.tokens.shape[1])
     new = (columns >= starts[:, None]) & (columns < pop.lengths[stepped][:, None])
     return StepUpdate(tuple(pop.tokens[stepped][new].tolist()), step.log_update)
 
 
 def run_check(plan: SteeringPlan, text: str) -> bool:
-    """Whether a finished text passes the plan's check; the engine and the oracle ask this."""
+    """Whether a finished text passes the plan's check; ``execute_step``
+    and the oracle ask this."""
     return not any(fails(spec, text) for spec in plan.check)

@@ -24,8 +24,6 @@ from steersmc import (
     MaskEmpty,
     MaskSpec,
     ModelQuery,
-    Particle,
-    Population,
     RandomStream,
     ScriptedSource,
     SourceExhausted,
@@ -51,6 +49,7 @@ from steersmc import (
 from steersmc.cli import main as cli_main
 
 from naive_verifier import naive_check
+from stepping import Particle, particles_of, population_of
 
 NEG_INF = float("-inf")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -514,10 +513,10 @@ class TestCriterion06ResamplingPreservation:
             trials = 10_000
             post = np.zeros((trials, len(functions)))
             vocab = Vocabulary.from_tokens([f"t{i}" for i in range(len(weights))] + ["<eos>"])
-            population = Population.of(particles, vocab)
+            population = population_of(particles, vocab)
             for t in range(trials):
-                out = list(resample(population, norm, "multinomial",
-                                    RandomStream(60_000, "trial", t)))
+                out = particles_of(resample(population, norm, "multinomial",
+                                            RandomStream(60_000, "trial", t)))
                 for j, f in enumerate(functions):
                     post[t, j] = sum(f(p) for p in out) / len(out)
             for j in range(len(functions)):
@@ -531,7 +530,7 @@ class TestCriterion06ResamplingPreservation:
             for t in range(50):
                 out = resample(population, uniform, "systematic",
                                RandomStream(60_001, "sys", t))
-                assert sorted(p.tokens[0] for p in out) == list(range(8))
+                assert sorted(p.tokens[0] for p in particles_of(out)) == list(range(8))
 
 
 class TestCriterion07WeightedPassAt1:

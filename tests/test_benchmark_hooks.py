@@ -8,7 +8,10 @@ changed ``StepUpdate`` or a step that bypasses ``execute_step`` fails
 here and not only in the benchmark run. Its ``engine.resample`` hook
 takes ``len()`` of what ``resample`` returns, and the benchmark installs
 the tracer for its warm-up even untraced, so a population without
-``len()`` would fail every benchmark operation.
+``len()`` would fail every benchmark operation. Its ``steering.run_check``
+hook counts one check per finished particle and one
+``engine.deaths.check`` per rejected one, so a check that is skipped or
+run twice fails here too.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import steersmc
 from steersmc import InferenceConfig, UniformModel, Vocabulary, parse_plan
@@ -106,3 +110,28 @@ def test_tracer_counts_every_resample_and_its_copies():
     calls = tracer_module.profile(tracer.arrays(), tracer_module.NAMES)["calls"]
     assert calls["engine.resample"] == events
     assert tracer.counters["engine.resample.particles_cloned"] == n * events
+
+
+@pytest.mark.parametrize("method", ["importance", "rejection"])
+def test_tracer_counts_one_check_per_finished_particle(method):
+    tracer_module = load_tracer()
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    # every particle finishes at the plan's one clause; the check rejects "a"
+    plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [
+        {"kind": "masked_sample", "mask": {"kind": "explicit", "tokens": ["a", "b"]}}],
+        "check": [{"kind": "forbidden_words", "words": ["a"]}]})
+    n = 16
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        out = steersmc.run_inference(plan, UniformModel(vocab), InferenceConfig(
+            method=method, n_particles=n, seed=7))
+    finally:
+        tracer.restore()
+    assert out.error is None
+    rejected = [c for c in out.candidates if not c.passed_check]
+    assert len(out.candidates) == n and 0 < len(rejected) < n
+    assert all(c.text == "a" for c in rejected)
+    calls = tracer_module.profile(tracer.arrays(), tracer_module.NAMES)["calls"]
+    assert calls["steering.run_check"] == n
+    assert tracer.counters["engine.deaths.check"] == len(rejected)

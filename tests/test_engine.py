@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from steersmc import (
     AllParticlesDead,
     InferenceConfig,
     MaskEmpty,
-    Particle,
     Population,
     ProtocolError,
     RandomStream,
@@ -35,8 +35,11 @@ from steersmc import (
     select_answer,
     total_variation,
 )
+from steersmc import engine
 from steersmc.engine import _dead_population_error
-from steersmc.steering import STATUSES
+from steersmc.steering import DONE, FAILED
+
+from stepping import Particle, particles_of, population_of
 
 NEG_INF = float("-inf")
 
@@ -119,7 +122,7 @@ class TestNormalizeWeights:
 def _weighted_particles(weights):
     out = [Particle(tokens=[i], log_weight=math.log(w) if w > 0 else NEG_INF)
            for i, w in enumerate(weights)]
-    return Population.of(out, Vocabulary.from_tokens([str(i) for i in range(len(weights))]
+    return population_of(out, Vocabulary.from_tokens([str(i) for i in range(len(weights))]
                                                      + ["<eos>"]))
 
 
@@ -128,13 +131,13 @@ class TestResample:
         particles = _weighted_particles([1.0, 0.0, 0.0, 0.0])
         out = resample(particles, [1.0, 0.0, 0.0, 0.0], "multinomial",
                        RandomStream(1, "rs"))
-        assert [p.tokens for p in out] == [[0]] * 4
+        assert [p.tokens for p in particles_of(out)] == [[0]] * 4
 
     def test_systematic_uniform_copies_each_once(self):
         n = 8
         particles = _weighted_particles([1.0] * n)
         out = resample(particles, [1 / n] * n, "systematic", RandomStream(2, "rs"))
-        assert sorted(p.tokens[0] for p in out) == list(range(n))
+        assert sorted(p.tokens[0] for p in particles_of(out)) == list(range(n))
 
     def test_multinomial_counts_match_weights(self):
         n = 16
@@ -146,7 +149,7 @@ class TestResample:
         for t in range(trials):
             out = resample(particles, weights, "multinomial",
                            RandomStream(3, "mc", t))
-            for p in out:
+            for p in particles_of(out):
                 counts[p.tokens[0]] += 1
         for i in range(4):  # the heavy ancestors have meaningful statistics
             expect = trials * n * weights[i]
@@ -155,10 +158,10 @@ class TestResample:
 
     def test_post_resample_weight_is_log_mean(self):
         particles = _weighted_particles([4.0, 2.0, 1.0, 1.0])
-        norm = normalize_weights([p.log_weight for p in particles])
+        norm = normalize_weights(particles.log_weights)
         out = resample(particles, norm, "multinomial", RandomStream(4, "rs"))
         expected = math.log((4 + 2 + 1 + 1) / 4)
-        for p in out:
+        for p in particles_of(out):
             assert p.log_weight == pytest.approx(expected)
 
     def test_clones_share_no_state(self):
@@ -168,27 +171,30 @@ class TestResample:
         # errors of its failed ancestors only, in a dict of its own.
         model = UniformModel(Vocabulary.from_tokens([str(i) for i in range(100)] + ["<eos>"]))
         dead = StepBudgetExceeded("full")
-        particles = Population.of([Particle(tokens=[0]), Particle(
-            tokens=[1, 1, 1], log_weight=NEG_INF, status="failed", error=dead)],
+        particles = population_of([Particle(tokens=[0]), Particle(
+            tokens=[1, 1, 1], log_weight=NEG_INF, status=FAILED, error=dead)],
             model.vocabulary)
         out = resample(particles, [1.0, 0.0], "multinomial", RandomStream(5, "rs"))
         assert out.ancestors.tolist() == [0, 0]
-        assert "passed" in Population._ARRAYS
+        assert Population._ARRAYS == ("tokens", "lengths", "text_lengths", "log_weights",
+                                      "status", "hint_ids")
         assert not any(np.shares_memory(getattr(out, name), getattr(particles, name))
                        for name in Population._ARRAYS)
         assert out.errors == {} and out.errors is not particles.errors
         assert particles.take(np.array([1, 0, 1])).errors == {0: dead, 2: dead}
         assert particles.errors == {1: dead}
-        out.status[1] = STATUSES.index("done")
+        out.status[1] = DONE
         plan = make_plan([{"kind": "hint", "template": "x"},
                           {"kind": "force_string", "tokens": [99]}], max_tokens=4)
         for index in range(2):
             execute_step(plan, index, out, model, [7, 7])
-        assert out[0].tokens == [0, 99] and out[0].hint_buffer == ["Note to self: x"]
-        assert 99 not in out[1].tokens
-        assert 99 not in particles[0].tokens and 99 not in particles[1].tokens
-        assert (out[1].tokens, out[1].text, out[1].hint_buffer) == ([0], "0", [])
-        assert (particles[0].text, particles[0].hint_buffer) == ("0", [])
+        stepped, waiting = particles_of(out)
+        assert stepped.tokens == [0, 99] and stepped.hint_buffer == ["Note to self: x"]
+        assert 99 not in waiting.tokens
+        source = particles_of(particles)
+        assert 99 not in source[0].tokens and 99 not in source[1].tokens
+        assert (waiting.tokens, waiting.text, waiting.hint_buffer) == ([0], "0", [])
+        assert (source[0].text, source[0].hint_buffer) == ("0", [])
 
     @pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
     def test_point_past_the_rounded_sum_never_copies_a_dead_slot(self, scheme):
@@ -204,8 +210,8 @@ class TestResample:
         weights = [0.1] * 10 + [0.0]
         assert np.cumsum(weights)[-1] < 1.0
         out = resample(_weighted_particles(weights), weights, scheme, TopStream())
-        assert all(p.tokens != [10] for p in out)
-        assert out[-1].tokens == [9]
+        assert all(p.tokens != [10] for p in particles_of(out))
+        assert particles_of(out)[-1].tokens == [9]
 
 
 class TestSelectAnswer:
@@ -503,18 +509,88 @@ class TestErrorTaxonomy:
         out = run_inference(plan, uniform3, cfg)
         assert isinstance(out.error, AllParticlesDead)
 
-    @pytest.mark.parametrize("second", ["failed", "done"])
+    @pytest.mark.parametrize("second", [FAILED, DONE], ids=["failed", "done"])
     def test_dead_population_escalates_only_when_every_slot_failed(self, vocab3, second):
         # Every slot carries a MaskEmpty; the slot's own error is raised
         # only when every slot failed, whatever the errors say.
         errors = [MaskEmpty("x", clause_index=0), MaskEmpty("y", clause_index=1)]
-        pop = Population.of([Particle(status="failed", error=errors[0]),
+        pop = population_of([Particle(status=FAILED, error=errors[0]),
                              Particle(status=second, error=errors[1])], vocab3)
         err = _dead_population_error(pop, step=4)
-        if second == "failed":
+        if second == FAILED:
             assert err is errors[0]
         else:
             assert isinstance(err, AllParticlesDead) and err.step_index == 4
+
+    @pytest.fixture
+    def dead_populations(self, monkeypatch):
+        """The populations ``_dead_population_error`` is asked about."""
+        seen = []
+
+        def spy(pop, step):
+            seen.append(pop)
+            return _dead_population_error(pop, step)
+
+        monkeypatch.setattr(engine, "_dead_population_error", spy)
+        return seen
+
+    def test_rejection_with_no_finisher_reports_the_lowest_slots_error(
+            self, uniform3, dead_populations):
+        # every slot dies at the empty mask of clause 1, in step 2
+        plan = make_plan([{"kind": "force_string", "text": "a"},
+                          {"kind": "masked_sample",
+                           "mask": {"kind": "explicit", "tokens": ["z"]}}])
+        out = run_inference(plan, uniform3, InferenceConfig(
+            method="rejection", n_particles=4, seed=89))
+        assert (out.candidates, out.selected) == ([], None)
+        (pop,) = dead_populations
+        assert out.error is pop.errors[0]
+        assert isinstance(out.error, MaskEmpty)
+        assert (out.error.clause_index, out.error.step_index) == (1, 2)
+
+    def test_rejection_with_mixed_deaths_is_all_dead(self, dead_populations):
+        # After "a" only EOS has mass, so the masked loop of clause 1
+        # kills it in step 2; "b" stops that loop at once and dies in
+        # step 3, where forcing two more tokens overruns max_tokens.
+        model = load_table_model({
+            "vocab": ["a", "b", "<eos>"],
+            "rows": [{"context": [], "dist": [0.5, 0.5, 0.0]},
+                     {"context": ["a"], "dist": [0.0, 0.0, 1.0]}],
+            "default": "uniform",
+        })
+        plan = make_plan([
+            {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
+            {"kind": "sample_until", "stop": {"kind": "substring", "value": "b"},
+             "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+            {"kind": "force_string", "text": "ab"}], max_tokens=2)
+        out = run_inference(plan, model, InferenceConfig(
+            method="rejection", n_particles=8, seed=97))
+        assert (out.candidates, out.selected) == ([], None)
+        (pop,) = dead_populations
+        assert {type(e) for e in pop.errors.values()} == {MaskEmpty, StepBudgetExceeded}
+        assert isinstance(out.error, AllParticlesDead)
+        assert out.error.step_index == 3 == out.diagnostics.steps_executed
+
+    def test_deadline_passing_inside_a_step_is_timeout(self, vocab3):
+        # The first of two draws outlasts the timeout: the step's own
+        # deadline check stops the second, before any further query.
+        calls = []
+
+        class Slow(TokenModel):
+            def next_distributions(self, queries, deadline=None):
+                calls.append(len(queries))
+                time.sleep(0.3)
+                return [np.array([0.5, 0.5, 0.0])] * len(queries)
+
+        plan = make_plan([{"kind": "sample_until",
+                           "stop": {"kind": "token_count", "value": 2}}])
+        out = run_inference(plan, Slow(vocab3), InferenceConfig(
+            method="importance", n_particles=2, seed=101, timeout=0.1))
+        assert isinstance(out.error, Timeout)
+        assert out.error.message == "wall-clock budget exhausted mid-step"
+        assert (out.error.clause_index, out.error.step_index) == (0, 1)
+        assert out.diagnostics.steps_executed == 1
+        assert len(calls) == 1
 
     def test_partial_budget_death_leaves_survivors(self, uniform3):
         # EOS-stopped sampling under max_tokens=3: particles that never
@@ -582,6 +658,65 @@ class TestErrorTaxonomy:
         assert out.diagnostics.steps_executed == 1001
 
 
+class TestForcedPathsAgainstTheOracle:
+    """The ``force_string`` paths of ``brute_force_target`` that end a
+    path: a forced EOS before more clauses, and a force past
+    ``max_tokens``. The engine's candidate law matches the oracle's, and
+    where the oracle has no mass the engine ends in the matching typed
+    error."""
+
+    # Draw one token, force EOS, then a clause that never runs; a text
+    # of one character passes the check, so a drawn EOS is rejected.
+    FORCED_EOS = [
+        {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}},
+        {"kind": "force_string", "tokens": [2]},
+        {"kind": "force_string", "text": "b"}]
+
+    @pytest.mark.parametrize("method", ["importance", "smc"])
+    def test_forced_eos_ends_the_path_before_later_clauses(self, table_721, method):
+        plan = make_plan(self.FORCED_EOS, check=[{"kind": "char_count_exact", "value": 1}])
+        table = brute_force_target(plan, table_721, max_len=4)
+        z = 0.7 * 0.3 + 0.2 / 3  # after "a" EOS has 0.3; after "b" the uniform 1/3
+        assert table.z == pytest.approx(z)
+        assert table.probs == pytest.approx({(0, 2): 0.21 / z, (1, 2): 0.2 / 3 / z})
+        out = run_inference(plan, table_721, InferenceConfig(
+            method=method, n_particles=4000, seed=103))
+        assert out.error is None
+        assert total_variation(table.probs, candidate_law(out)) <= 0.05
+
+    @pytest.mark.parametrize("method", ["importance", "smc"])
+    def test_force_past_max_tokens_on_some_paths(self, uniform3, method):
+        # "a" repeats until a "b"; forcing "a<eos>" after it fits
+        # max_tokens=4 only after "b" and "ab", so every longer path dies
+        plan = make_plan([
+            {"kind": "sample_until", "stop": {"kind": "substring", "value": "b"},
+             "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+            {"kind": "force_string", "tokens": [0, 2]}], max_tokens=4)
+        table = brute_force_target(plan, uniform3, max_len=4)
+        assert table.probs == pytest.approx({(1, 0, 2): 0.75, (0, 1, 0, 2): 0.25})
+        out = run_inference(plan, uniform3, InferenceConfig(
+            method=method, n_particles=4000, seed=107))
+        assert out.error is None
+        assert any(c.raw_log_weight == NEG_INF and len(c.tokens) == 3
+                   for c in out.candidates)  # "aab" could not take the force
+        assert total_variation(table.probs, candidate_law(out)) <= 0.05
+
+    @pytest.mark.parametrize("method", ["importance", "smc", "rejection"])
+    def test_no_oracle_mass_is_the_engines_typed_error(self, table_721, uniform3, method):
+        rejected = make_plan(self.FORCED_EOS, check=[{"kind": "char_count_exact", "value": 5}])
+        overrun = make_plan([
+            {"kind": "masked_sample", "mask": {"kind": "explicit", "tokens": ["a", "b"]}},
+            {"kind": "force_string", "text": "ab"}], max_tokens=2)
+        for plan, model in ((rejected, table_721), (overrun, uniform3)):
+            assert brute_force_target(plan, model, max_len=4).z == 0.0
+        config = InferenceConfig(method=method, n_particles=16, seed=109)
+        out = run_inference(rejected, table_721, config)
+        assert isinstance(out.error, AllParticlesDead) and out.error.step_index == 2
+        out = run_inference(overrun, uniform3, config)
+        assert isinstance(out.error, StepBudgetExceeded)
+        assert (out.error.clause_index, out.error.step_index) == (1, 2)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("method", ["importance", "smc", "rejection"])
     def test_slot_draws_do_not_depend_on_population_size(self, table_721, method):
@@ -627,7 +762,7 @@ class TestConsistencyScaling:
 class TestResamplingPreservation:
     def test_weighted_mean_preserved_through_resampling(self):
         population = _weighted_particles([5.0, 3.0, 1.0, 0.5, 0.25, 2.0, 1.5, 0.75])
-        particles = list(population)
+        particles = particles_of(population)
         raw = [p.log_weight for p in particles]
         norm = normalize_weights(raw)
 
@@ -638,9 +773,9 @@ class TestResamplingPreservation:
         trials = 4000
         post_means = []
         for t in range(trials):
-            out = resample(Population.of(particles, population.vocabulary), norm,
+            out = resample(population_of(particles, population.vocabulary), norm,
                            "multinomial", RandomStream(6, "rp", t))
-            post_means.append(sum(f(p) for p in out) / len(out))
+            post_means.append(sum(f(p) for p in particles_of(out)) / len(out))
         grand = float(np.mean(post_means))
         stderr = float(np.std(post_means, ddof=1)) / math.sqrt(trials)
         assert abs(grand - before) <= 3 * stderr

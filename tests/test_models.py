@@ -441,11 +441,17 @@ class TestRemoteAdapter:
         assert isinstance(out.error, Timeout)
         assert time.monotonic() - start < 1.5
 
-    def test_positive_infinity_is_protocol_error(self, local_endpoint, abc_vocab):
+    @pytest.mark.parametrize("logprobs, problem", [
+        ([math.inf, 0.0, 0.0], "+inf"),  # sent as Infinity
+        ([math.nan, 0.0, 0.0], "NaN"),
+        ([-math.inf] * 3, "all -inf"),
+    ], ids=["positive-infinity", "nan", "all-negative-infinity"])
+    def test_non_finite_logprobs_are_protocol_errors(self, local_endpoint, abc_vocab,
+                                                     logprobs, problem):
         def respond(path, body):
             if body["prompt_tag"] == "health":
                 return 200, {"logprobs": [0.0, 0.0, 0.0]}
-            return 200, {"logprobs": [math.inf, 0.0, 0.0]}  # sent as Infinity
+            return 200, {"logprobs": logprobs}
 
         m = RemoteModel(local_endpoint(respond).url, abc_vocab)
         plan = parse_plan({"plan_version": 1, "max_tokens": 2, "steps": [
@@ -455,7 +461,15 @@ class TestRemoteAdapter:
             out = run_inference(plan, m, InferenceConfig(
                 method="importance", n_particles=2, seed=0))
         assert isinstance(out.error, ProtocolError)
-        assert "+inf" in out.error.message
+        assert problem in out.error.message
+
+    def test_past_deadline_sends_no_request(self, local_endpoint, abc_vocab):
+        ep = local_endpoint(lambda path, body: (200, {"logprobs": [0.0, 0.0, 0.0]}))
+        m = RemoteModel(ep.url, abc_vocab)
+        calls = len(ep.calls)
+        with pytest.raises(Timeout, match="before a model query"):
+            m.next_distributions([ModelQuery((0,))], deadline=time.monotonic() - 1.0)
+        assert len(ep.calls) == calls
 
     def test_unreachable_endpoint(self, abc_vocab):
         with pytest.raises(RemoteUnavailable):

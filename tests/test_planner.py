@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import steersmc
 from steersmc import (
     FixtureLibrary,
     InferenceConfig,
@@ -11,6 +12,7 @@ from steersmc import (
     SchemaViolation,
     ScriptedSource,
     SourceExhausted,
+    SteeringError,
     StepBudgetExceeded,
     TaskSpec,
     UniformModel,
@@ -198,6 +200,13 @@ class TestFormatFeedback:
     def test_byte_stable(self):
         err = StepBudgetExceeded("x", clause_index=2)
         assert format_feedback(err, GOOD_PLAN) == format_feedback(err, GOOD_PLAN)
+
+
+def test_every_exported_error_code_is_its_class_name():
+    errors = [value for value in vars(steersmc).values()
+              if isinstance(value, type) and issubclass(value, SteeringError)]
+    assert len(errors) == 15
+    assert all(error.code == error.__name__ for error in errors)
 
 
 class TestRemoteGenerator:

@@ -49,7 +49,6 @@ from steersmc import (
     MaskSpec,
     ModelQuery,
     NgramModel,
-    Particle,
     Population,
     RandomStream,
     SchemaViolation,
@@ -72,7 +71,7 @@ from steersmc.rng import (_GOLDEN, _MASK64, _mix, derive_keys, draw_indices, mix
                           uniforms_at)
 from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for, render_hint
 
-from stepping import execute_particles
+from stepping import Particle, execute_particles, particles_of, population_of
 
 NEG_INF = float("-inf")
 
@@ -572,10 +571,10 @@ def test_a_window_ends_where_its_context_starts():
     table = _RecordingTable(vocab, rows, np.full(3, 1.0 / 3.0))
     plan = parse_plan({"plan_version": 1, "max_tokens": 4, "steps": [
         {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}]})
-    pop = Population.of([Particle(tokens=[1]), Particle(tokens=[0, 1])], vocab)
+    pop = population_of([Particle(tokens=[1]), Particle(tokens=[0, 1])], vocab)
     execute_step(plan, 0, pop, table, derive_keys(0, "slot", 2))
     assert table.batches[0] == [ModelQuery((1,), "proposal"), ModelQuery((0, 1), "proposal")]
-    assert (pop[0].tokens, pop[1].tokens) == ([1, 0], [0, 1, 1])
+    assert [p.tokens for p in particles_of(pop)] == [[1, 0], [0, 1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +897,7 @@ def test_batched_draw_matches_one_row_at_a_time(case):
     step = ({"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}
             if mask == "none" else {"kind": "masked_sample", "mask": mask})
     plan = parse_plan({"plan_version": 1, "max_tokens": 5, "steps": [step]})
-    pop = Population.of([Particle(tokens=[0] * length, hint_buffer=[str(r)])
+    pop = population_of([Particle(tokens=[0] * length, hint_buffer=[str(r)])
                          for r, length in zip(slot_rows.tolist(), text_lengths.tolist())],
                         vocab)
     keys = np.zeros(len(pop), dtype=np.uint64)
@@ -909,8 +908,8 @@ def test_batched_draw_matches_one_row_at_a_time(case):
             return
         execute_step(plan, 0, pop, _HintedRows(vocab, rows), keys)
     spec = plan.steps[0].body[0].mask
-    for slot, (r, length) in enumerate(zip(slot_rows.tolist(), text_lengths.tolist())):
-        particle = pop[slot]
+    for slot, (particle, r, length) in enumerate(zip(particles_of(pop), slot_rows.tolist(),
+                                                     text_lengths.tolist())):
         ids = np.arange(size) if spec is None else spec.build(vocab, length)
         weights = rows[r][ids]
         total = weights.sum()
@@ -937,7 +936,7 @@ def test_one_mask_build_per_tick_and_text_length(monkeypatch, mask):
         built.append(chars) or build(self, vocabulary, chars)))
     pop, most_rows, most_lengths = Population(64, vocab), 0, 0
     for index in range(4):
-        lengths = sorted(set(pop.text_lengths[pop.status_is(ACTIVE)].tolist()))
+        lengths = sorted(set(pop.text_lengths[pop.status == ACTIVE].tolist()))
         sent, built[:] = len(ngram.seen), []
         execute_step(plan, index, pop, ngram, derive_keys(index, "slot", 64))
         if mask["kind"] == "max_remaining_chars":

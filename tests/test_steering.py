@@ -12,7 +12,6 @@ from steersmc import (
     MaskEmpty,
     MaskSpec,
     ParseError,
-    Particle,
     ProtocolError,
     RandomStream,
     SchemaViolation,
@@ -31,9 +30,9 @@ from steersmc import (
     run_check,
     run_inference,
 )
-from steersmc.steering import hint_bindings_for, render_hint
+from steersmc.steering import ACTIVE, DONE, FAILED, REJECTED, hint_bindings_for, render_hint
 
-from stepping import execute_particles
+from stepping import Particle, execute_particles
 
 NEG_INF = float("-inf")
 
@@ -79,7 +78,7 @@ SECOND_CLAUSE = {"kind": "hint", "template": "then"}
 
 def assert_budget_failed(particle: Particle, clause_index: int) -> None:
     """A budget fault fails the particle instead of raising."""
-    assert particle.status == "failed"
+    assert particle.status == FAILED
     assert isinstance(particle.error, StepBudgetExceeded)
     assert particle.error.clause_index == clause_index
     assert particle.log_weight == NEG_INF
@@ -122,7 +121,7 @@ class TestSampleToken:
         particle = Particle()
         execute_particles(explicit_mask_plan(tokens=("z",)), 0, [particle], uniform4,
                           [derive_key(4, "t")])
-        assert particle.status == "failed"
+        assert particle.status == FAILED
         assert isinstance(particle.error, MaskEmpty)
         assert particle.error.clause_index == 0
         assert particle.log_weight == NEG_INF
@@ -135,7 +134,7 @@ class TestSampleToken:
         particle = Particle()
         execute_particles(explicit_mask_plan(ids=(1, 2)), 0, [particle], zero_only,
                           [derive_key(5, "t")])
-        assert particle.status == "failed"
+        assert particle.status == FAILED
         assert isinstance(particle.error, MaskEmpty)
         assert particle.error.clause_index == 0
         assert particle.log_weight == NEG_INF
@@ -167,7 +166,7 @@ class TestObserveTokens:
         particle = Particle()
         execute_particles(force_plan((1,), SECOND_CLAUSE), 0, [particle], m, [derive_key(0, "t")])
         assert particle.log_weight == NEG_INF
-        assert particle.status == "active"  # survives until culling
+        assert particle.status == ACTIVE  # survives until culling
 
     def test_low_probability_forcing_ranks_below_high(self, table_721):
         # Forcing an unlikely token drops that particle's weight sharply
@@ -337,7 +336,7 @@ class TestExecuteStep:
         particle = Particle()
         update = execute_particles(plan, 0, [particle], table_721, [derive_key(9, "t")])
         assert update.appended_tokens == (0, 1)
-        assert particle.status == "done"
+        assert particle.status == DONE
         assert update.log_score_update == pytest.approx(
             math.log(0.7) + math.log(0.6))
 
@@ -371,7 +370,7 @@ class TestExecuteStep:
         ])
         particle = Particle()
         execute_particles(plan, 0, [particle], eos_certain, [derive_key(12, "t")])
-        assert particle.status == "done"
+        assert particle.status == DONE
         assert particle.tokens == [eos_certain.vocabulary.eos_id]
 
     def test_hopeless_loop_raises_step_budget(self, uniform4):
@@ -410,17 +409,35 @@ class TestExecuteStep:
                                    [derive_key(19, "a"), derive_key(19, "b")])
         assert_budget_failed(full, clause_index=0)
         assert full.tokens == [0, 0]
-        assert fresh.status == "done" and fresh.tokens == [0, 1]
+        assert fresh.status == DONE and fresh.tokens == [0, 1]
         assert update.appended_tokens == (0, 1)
+
+    def test_the_step_checks_the_particles_it_finishes(self, table_721):
+        # "a" passes a one-character check and "ba" fails it: REJECTED,
+        # with weight -inf, which the update's score leaves out. The first
+        # clause of a two-clause plan finishes neither, so neither is checked.
+        check = [{"kind": "char_count_exact", "value": 1}]
+        force_a = {"kind": "force_string", "text": "a"}
+        keys = [derive_key(21, "c"), derive_key(21, "d")]
+        unfinished = [Particle(), Particle(tokens=[1])]
+        execute_particles(make_plan([force_a, SECOND_CLAUSE], check=check), 0,
+                          unfinished, table_721, keys)
+        assert [p.status for p in unfinished] == [ACTIVE, ACTIVE]
+        fresh, longer = Particle(), Particle(tokens=[1])
+        update = execute_particles(make_plan([force_a], check=check), 0, [fresh, longer],
+                                   table_721, keys)
+        assert (fresh.status, fresh.log_weight) == (DONE, pytest.approx(math.log(0.7)))
+        assert (longer.status, longer.text, longer.log_weight) == (REJECTED, "ba", NEG_INF)
+        assert update.log_score_update == pytest.approx(math.log(0.7) + math.log(1 / 3))
 
     def test_done_and_failed_particles_are_left_untouched(self, table_721):
         plan = make_plan([{"kind": "force_string", "text": "a"},
                           {"kind": "masked_sample",
                            "mask": {"kind": "explicit", "tokens": ["b"]}}])
         fault = StepBudgetExceeded("spent", clause_index=0)
-        done = Particle(tokens=[0], text="a", log_weight=-1.5, status="done")
+        done = Particle(tokens=[0], text="a", log_weight=-1.5, status=DONE)
         failed = Particle(tokens=[1], text="b", log_weight=NEG_INF,
-                          status="failed", error=fault)
+                          status=FAILED, error=fault)
         fresh = Particle()
         before = [(p.tokens[:], p.text, p.log_weight, p.status, p.error)
                   for p in (done, failed)]
@@ -428,7 +445,7 @@ class TestExecuteStep:
                                    [derive_key(20, "y") for _ in range(3)])
         assert [(p.tokens, p.text, p.log_weight, p.status, p.error)
                 for p in (done, failed)] == before
-        assert (fresh.text, fresh.status) == ("b", "done")
+        assert (fresh.text, fresh.status) == ("b", DONE)
         assert update.appended_tokens == (1,)
         assert update.log_score_update == pytest.approx(math.log(0.2))
 
@@ -451,7 +468,7 @@ class TestExecuteStep:
         particle = Particle()
         execute_particles(plan, 0, [particle], table_721, [derive_key(17, "t")])
         assert particle.text == "aaa"
-        assert particle.status == "done"  # single-clause plan exhausted
+        assert particle.status == DONE  # single-clause plan exhausted
 
     def test_hint_clause_feeds_later_queries(self):
         model = load_table_model({
@@ -530,12 +547,12 @@ class TestPlanTermination:
             for step in range(len(plan.steps)):
                 execute_particles(plan, step, [particle], uniform4,
                                   [derive_key(4242, "exec", trial, step)])
-                if particle.status != "active":
+                if particle.status != ACTIVE:
                     break
-            if particle.status == "failed":
+            if particle.status == FAILED:
                 assert isinstance(particle.error, StepBudgetExceeded)
             else:
-                assert particle.status == "done"
+                assert particle.status == DONE
             assert len(particle.tokens) <= plan.max_tokens
 
 
