@@ -6,6 +6,15 @@ Toy implementations (uniform, explicit table, n-gram) are exact and
 enumerable so inference algorithms can be checked against brute force;
 a remote adapter delegates to an HTTP backend with the same contract.
 
+The step interpreter asks for many contexts at once, once per token
+tick, with one ``TokenModel.next_table`` call: every slot's window of
+context in one matrix, answered by one table of distinct rows and each
+slot's index into it. The default groups the slots exactly and sends
+one ``next_distributions`` query per distinct window, so that table,
+uniform and remote models answer through it; ``NgramModel`` overrides
+it with one vectorized walk of a trie over its seen windows, whose
+rows it stores once, in one read-only matrix.
+
 Models may condition on a ``prompt_tag`` (named conditioning variant,
 e.g. "proposal" vs "prior") and on hint strings carried by a query.
 Hints enter the conditioning context as extra tokens behind a reserved
@@ -202,18 +211,77 @@ class TokenModel:
                 raise InvalidContext(f"token id {t} out of range [0, {size})")
         return self.next_distributions((query,))[0]
 
+    def next_table(self, windows: np.ndarray, widths: np.ndarray, hint_ids: np.ndarray,
+                   hint_sets, tag: str, deadline: float | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of many slots as one table, and each slot's index into it.
+
+        Slot i reads, under prompt tag ``tag`` and the hints
+        ``hint_sets[hint_ids[i]]``, the window of its context whose ids,
+        newest first, are ``windows[i, :widths[i]] - 1``: ``windows`` is
+        an int64 matrix of each id plus one, then 0 past the slot's
+        width. The step interpreter calls this once per token tick, each
+        window being the last ``context_reach(hints)`` ids of a slot's
+        context (all of them when the reach is None); every id comes
+        from a row, from a checked ``force_string`` or from
+        ``Vocabulary.encode``. ``deadline`` (a ``time.monotonic``
+        instant) bounds models that wait on I/O.
+
+        This default groups the slots exactly, with no hash, by a packed
+        key: a slot's digits are its hint-set id, then its window
+        digits, all below ``radix = max(V + 1, len(hint_sets))``. As
+        many digits go to an int64 word as keep it under 2**62, spread
+        evenly over as few words as hold them, so the packing is
+        injective and a long window takes about 1/digits as many words
+        as cells. One stable ``np.lexsort`` over the words, most
+        significant first, and one row-inequality pass give the groups,
+        each led by its lowest slot. One ``next_distributions`` call
+        gets a row per group, in order of first slot; the rows are
+        checked once to be vectors over the vocabulary, and the table
+        holds one row per distinct row object, in order of first slot.
+        """
+        n, span = windows.shape
+        radix, per = max(self.vocabulary.size + 1, len(hint_sets)), 1
+        while radix ** (per + 1) < 2 ** 62:
+            per += 1
+        n_words = -(-(1 + span) // per)
+        per = -(-(1 + span) // n_words)
+        digits = np.zeros((n, n_words * per), dtype=np.int64)
+        digits[:, 0] = hint_ids
+        digits[:, 1:1 + span] = windows
+        keys = digits.reshape(n, n_words, per) @ radix ** np.arange(per - 1, -1, -1,
+                                                                    dtype=np.int64)
+        order = np.lexsort(keys.T[::-1])  # stable, so a group lists its slots ascending
+        ranked = keys[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        first = np.empty(n, dtype=np.intp)
+        first[order] = order[new][np.cumsum(new) - 1]  # each slot's group's lowest slot
+        leads = first == np.arange(n)
+        firsts = np.flatnonzero(leads)
+        contexts = (windows[firsts, ::-1] - 1).tolist()  # oldest first, -1 before the window
+        queries = [ModelQuery(tuple(c[span - w:]), tag, hint_sets[h])
+                   for c, w, h in zip(contexts, widths[firsts].tolist(),
+                                      hint_ids[firsts].tolist())]
+        rows = self.next_distributions(queries, deadline)
+        size = self.vocabulary.size
+        if len(rows) != len(queries) or not all(
+                isinstance(r, np.ndarray) and r.shape == (size,) for r in rows):
+            raise ProtocolError(f"{type(self).__name__} did not return one "
+                                f"{size}-entry vector per query")
+        distinct = {id(r): r for r in rows}  # one table row per distinct row object
+        index = {key: i for i, key in enumerate(distinct)}
+        query_rows = np.array([index[id(r)] for r in rows])
+        return np.array(list(distinct.values())), query_rows[(np.cumsum(leads) - 1)[first]]
+
     def next_distributions(self, queries, deadline: float | None = None) -> list:
         """One probability vector per query, for queries whose context ids
         are already known to lie in the vocabulary.
 
-        The step interpreter calls this once per token tick, with one
-        query per distinct window of the tick: a query's context holds
-        only the last ``context_reach(hints)`` ids of the particle's
-        context (all of them when the reach is None).
-        Every id it holds comes from a row, from a checked
-        ``force_string`` or from ``Vocabulary.encode``. Rows may be
-        shared read-only arrays. ``deadline`` (a ``time.monotonic``
-        instant) bounds models that wait on I/O.
+        The default ``next_table`` calls this once per token tick, with
+        one query per distinct window of the tick. Rows may be shared
+        read-only arrays. ``deadline`` (a ``time.monotonic`` instant)
+        bounds models that wait on I/O.
         """
         return [self._distribution(self._conditioning_context(q), q.prompt_tag)
                 for q in queries]
@@ -309,45 +377,118 @@ class NgramModel(TokenModel):
     window never seen in training backs off to its longest seen suffix
     when smoothing is zero (with positive smoothing the formula already
     yields the smoothed-uniform answer).
+
+    The seen windows form an exact trie of shared suffixes, read newest
+    id first. ``counts`` holds one row of counts per seen window, row 0
+    for the empty window, and with positive smoothing one more, all-zero
+    row that every unseen window reads. The sorted int64 ``keys`` link
+    the windows: ``keys[i] = parent * (V + 1) + id + 1`` says that
+    window row ``i + 1`` is window row ``parent`` extended one id
+    further back by ``id``. The seen windows must be closed under
+    suffixes, as every window of a training stream is. The model takes
+    ``counts`` over and makes each row its smoothed distribution in
+    place, so the rows are stored once, in one read-only matrix.
     """
 
     def __init__(self, vocabulary: Vocabulary, order: int, smoothing: float,
-                 counts: dict[tuple[int, ...], np.ndarray]):
+                 counts: np.ndarray, keys: np.ndarray):
         super().__init__(vocabulary)
         self.order = order
         self.smoothing = smoothing
-        # Each row of ``counts`` (which the model takes over) becomes its
-        # smoothed distribution in place: one array per seen window.
         size = vocabulary.size
-        for row in counts.values():
-            denom = row.sum() + smoothing * size
-            row += smoothing
-            row /= denom
-            row.setflags(write=False)
-        self._rows = counts
-        self._unseen = None  # the shared row of unseen windows, smoothing > 0
-        if smoothing > 0.0:
-            self._unseen = np.full(size, smoothing) / (smoothing * size)
-            self._unseen.setflags(write=False)
+        denom = counts.sum(axis=1) + smoothing * size
+        counts += smoothing
+        counts /= denom[:, None]
+        counts.setflags(write=False)
+        self._matrix = counts
+        self._views: dict[int, np.ndarray] = {}  # the row object of each row read alone
+        # ``_keys[node]`` is the link that reaches a node: -1 for the root,
+        # then ``keys``, then a last key no link reaches, so that a search
+        # finds a link's node at the index it returns and never runs off
+        # the end
+        self._keys = np.concatenate(([-1], keys, [np.iinfo(np.int64).max]))
+        self._unseen = len(keys) + 1 if smoothing > 0.0 else None
+        self._starts = functools.lru_cache(maxsize=HINT_MEMO_SIZE)(self._start)
+        self._starts_vocabulary = vocabulary
 
     def context_reach(self, hints):
         """The last ``order - 1`` ids of the serialized context, less the
         ids the hints add after the context."""
-        reach, vocab = self.order - 1, self.vocabulary
-        if vocab.hint_delimiter_id is not None:
+        return self._hinted(hints)[2]
+
+    def next_table(self, windows, widths, hint_ids, hint_sets, tag, deadline=None):
+        """Every slot's row from one vectorized walk of the trie.
+
+        Each slot starts at the node its hint set leads to (``_start``)
+        and descends one level per window column, newest id first, with
+        one ``np.searchsorted`` of every slot's link per level; it
+        stops at its first unseen link, at its width, or at the ids its
+        hints leave for the context. The deepest node reached is the
+        longest seen suffix of the serialized window. With positive
+        smoothing only a walk that matched the whole window keeps its
+        node; any other slot reads the unseen row. The table holds each
+        row reached once, in row order: one ``np.bincount`` and one
+        ``np.cumsum`` give every slot its index.
+        """
+        present = np.flatnonzero(np.bincount(hint_ids)).tolist()
+        starts = np.zeros((3, present[-1] + 1), dtype=np.int64)
+        for h in present:
+            starts[:, h] = self._hinted(hint_sets[h])
+        nodes, walking, left = starts[:, hint_ids]
+        walking = walking.astype(bool)
+        limit = np.minimum(widths, left)
+        keys, radix = self._keys, self._matrix.shape[1] + 1
+        for level, digits in enumerate(windows.T[:self.order - 1]):
+            links = nodes * radix + digits
+            at = keys.searchsorted(links)
+            found = keys[at] == links
+            walking &= level < limit
+            nodes = np.where(walking, np.where(found, at, nodes if self._unseen is None
+                                               else self._unseen), nodes)
+            walking &= found
+        reached = np.bincount(nodes) > 0
+        return self._matrix[np.flatnonzero(reached)], (np.cumsum(reached) - 1)[nodes]
+
+    def _hinted(self, hints: tuple[str, ...]) -> tuple[int, bool, int]:
+        """``_start`` of these hints, memoized in an LRU of HINT_MEMO_SIZE
+        hint sets that empties when the vocabulary is replaced, as it
+        may be after training to declare a delimiter."""
+        if self._starts_vocabulary is not self.vocabulary:
+            self._starts.cache_clear()
+            self._starts_vocabulary = self.vocabulary
+        return self._starts(hints)
+
+    def _start(self, hints: tuple[str, ...]) -> tuple[int, bool, int]:
+        """Where the ids these hints add behind the delimiter lead from the
+        root, newest first: the node, whether every id read matched, and
+        how many context ids the window has left (the reach)."""
+        vocabulary, ids = self.vocabulary, ()
+        if vocabulary.hint_delimiter_id is not None:
             for hint in hints:
-                if reach <= 0:
-                    break
-                reach -= len(vocab.hint_ids(hint))
-        return max(0, reach)
+                ids += vocabulary.hint_ids(hint)
+        read = ids[max(0, len(ids) - (self.order - 1)):]
+        node, depth = self._descend(read)
+        return node, depth == len(read), self.order - 1 - len(read)
+
+    def _descend(self, ids) -> tuple[int, int]:
+        """The deepest node that ``ids`` (oldest first) lead to from the
+        root, newest id first, and how many ids matched; with positive
+        smoothing a partial match reads the unseen row."""
+        keys, radix, node = self._keys, self._matrix.shape[1] + 1, 0
+        for depth, t in enumerate(reversed(ids)):
+            link = node * radix + t + 1
+            at = int(keys.searchsorted(link))
+            if keys[at] != link:
+                return (node if self._unseen is None else self._unseen), depth
+            node = at
+        return node, len(ids)
 
     def _distribution(self, context, prompt_tag):
-        window = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
-        while window not in self._rows:
-            if self._unseen is not None:
-                return self._unseen
-            window = window[1:]  # () is always present for nonempty corpora
-        return self._rows[window]
+        node = self._descend(context[max(0, len(context) - (self.order - 1)):])[0]
+        view = self._views.get(node)
+        if view is None:
+            view = self._views.setdefault(node, self._matrix[node])
+        return view
 
 
 def tokenize_corpus(corpus: str, tokenizer: str = "char") -> list[str]:
@@ -397,19 +538,27 @@ def train_ngram(corpus: str | list[str], order: int, smoothing: float,
     by_text = {t: i for i, t in enumerate(texts)}
     eos = vocab.eos_id
 
-    counts: dict[tuple[int, ...], np.ndarray] = {}
-    for doc in token_docs:
-        ids = [eos if t == eos_text else by_text[t] for t in doc]
-        for pos in range(len(ids)):
-            for width in range(0, order):
-                if pos - width < 0:
-                    break
-                window = tuple(ids[pos - width:pos])
-                vec = counts.get(window)
-                if vec is None:
-                    vec = counts[window] = np.zeros(vocab.size)
-                vec[ids[pos]] += 1.0
-    return NgramModel(vocab, order, float(smoothing), counts)
+    size = vocab.size
+    ids = np.array([eos if t == eos_text else by_text[t] for doc in token_docs for t in doc],
+                   dtype=np.int64)
+    back = np.concatenate([np.arange(len(doc)) for doc in token_docs])  # ids before, in its doc
+    # Level by level, the window of each width ending before each position
+    # is its parent window (one id narrower) extended one id back; the
+    # distinct links of a level, sorted, number its windows after those
+    # of the narrower levels. ``cells`` indexes every (window, next id).
+    positions, nodes, n_nodes = np.arange(len(ids)), np.zeros(len(ids), dtype=np.int64), 1
+    cells, keys = [ids], [np.zeros(0, dtype=np.int64)]
+    for width in range(1, order):
+        keep = back[positions] >= width
+        positions, nodes = positions[keep], nodes[keep]
+        links, inverse = np.unique(nodes * (size + 1) + ids[positions - width] + 1,
+                                   return_inverse=True)
+        nodes, n_nodes = n_nodes + inverse, n_nodes + len(links)
+        keys.append(links)
+        cells.append(nodes * size + ids[positions])
+    counts = np.zeros((n_nodes + (smoothing > 0), size))
+    np.add.at(counts.reshape(-1), np.concatenate(cells), 1.0)
+    return NgramModel(vocab, order, float(smoothing), counts, np.concatenate(keys))
 
 
 def load_table_model(source: str | bytes | dict | Path) -> TableModel:

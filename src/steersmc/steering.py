@@ -10,13 +10,14 @@ ancestor slot. A particle's text is a function of its tokens, so it is
 not stored: a hint, a substring stop, the plan check and the records
 each decode the texts they read, in one gather over their slots. The
 interpreter steps a whole population through one top-level clause at
-once. On each token tick it sends a model one call
-holding one query per distinct window of context the model reads
-(``TokenModel.context_reach``), found by an exact grouping of the
-slots' windows and hint sets: one stable ``np.lexsort`` over a few
-int64 words per slot into which its hint-set id and window ids are
-packed without loss. The rows come back as one table, which the draw,
-the prior's score and ``force_string`` read. The draw is one batched
+once. On each token tick it gathers every slot's window of the context
+the model reads (``TokenModel.context_reach``) into one matrix and
+makes one ``TokenModel.next_table`` call, which answers with one table
+of distinct rows and each slot's index into it: the default groups the
+slots exactly by window and hint set and sends one query per group,
+and ``NgramModel`` walks its trie of seen windows for all slots at
+once. The draw, the prior's score and ``force_string`` read that
+table. The draw is one batched
 pass over that table per mask part (one part unless a
 ``max_remaining_chars`` mask sees several text lengths), which gathers
 the mask's columns of the whole table.
@@ -36,7 +37,6 @@ replaces that correction with ``log p_prior(t) - log q_proposal(t)``.
 from __future__ import annotations
 
 import math
-import struct
 import time
 from dataclasses import dataclass
 
@@ -53,7 +53,7 @@ from .errors import (
     UnboundVariable,
     is_integer,
 )
-from .models import ModelQuery, TokenModel, Vocabulary
+from .models import TokenModel, Vocabulary
 from .plans import (  # MaskSpec and parse_plan are re-exported
     MaskSpec,
     SteeringPlan,
@@ -361,28 +361,18 @@ class _Pass:
 
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
              hinted: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The model's rows for these slots as one table, one row per
-        distinct row object in order of first slot, and each slot's
-        index into it.
+        """The model's rows for these slots as one table, and each slot's
+        index into it, from one ``model.next_table`` call.
 
-        A query holds the slot's hints (none unless hinted) and the
-        window of its context that the model reads under them, the last
-        ``model.context_reach(hints)`` ids (all of them for None), found
-        once per hint set present (``np.bincount``). Slots are grouped
-        exactly, with no hash, by a packed key: a slot's digits are its
-        hint-set id, then each window id plus one, newest first, then 0
-        past the window's width, all below ``radix = max(V + 1,
-        len(hint_sets))``. As many digits go to an int64 word as keep it
-        under 2**62, spread evenly over as few words as hold them, so
-        the packing is injective and a long whole context takes about
-        1/digits as many words as cells. One stable ``np.lexsort`` over
-        the words, most significant first, and one row-inequality pass
-        give the groups, each led by its lowest slot, so the queries go
-        out in order of first slot. Every distinct query of the tick
-        goes to the model in one call, its context tuple read straight
-        from the slot's int32 cells, and each returned row is checked
-        once to be a vector over the vocabulary, so that every drawn id
-        is a valid context id.
+        A slot reads its hints (none unless hinted) and the window of
+        its context that the model reads under them, the last
+        ``model.context_reach(hints)`` ids (all of them for None), asked
+        once per hint set present (``np.bincount``). The windows are
+        gathered into one int64 matrix straight from the slots' token
+        cells: each id plus one, newest first, then 0 past the window's
+        width, so token 0 never reads as padding. The returned table is
+        checked once to hold rows over the vocabulary, one index per
+        slot, so that every drawn id is a valid context id.
         """
         pop, tokens, hint_sets = self.pop, self.pop.tokens, self.pop.hint_sets
         n, lengths = len(slots), pop.lengths[slots]
@@ -392,46 +382,20 @@ class _Pass:
             r = model.context_reach(hint_sets[h])
             reach[h] = tokens.shape[1] if r is None else r  # no context outgrows the matrix
         widths = np.minimum(lengths, reach[hints])
-        starts = lengths - widths
         span = np.arange(int(widths.max(initial=0)), dtype=np.int64)
-        radix, per = max(self.vocab.size + 1, len(hint_sets)), 1
-        while radix ** (per + 1) < 2 ** 62:
-            per += 1
-        n_words = -(-(1 + span.size) // per)
-        per = -(-(1 + span.size) // n_words)
-        digits = np.zeros((n, n_words * per), dtype=np.int64)
-        digits[:, 0] = hints
-        window = digits[:, 1:1 + span.size]
         # flat (row-major) indices, newest first, gather faster than 2-D
         # ones; a cell before its row's start is past the window's width
         back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
-        np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1, out=window)
-        window[span >= widths[:, None]] = 0
-        keys = digits.reshape(n, n_words, per) @ radix ** np.arange(per - 1, -1, -1,
-                                                                    dtype=np.int64)
-        order = np.lexsort(keys.T[::-1])  # stable, so a group lists its slots ascending
-        ranked = keys[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        first = np.empty(n, dtype=np.intp)
-        first[order] = order[new][np.cumsum(new) - 1]  # each slot's group's lowest slot
-        leads = first == np.arange(n)
-        firsts = np.flatnonzero(leads)
-        row_bytes, cell = tokens.strides[0], tokens.itemsize
-        queries = [ModelQuery(struct.unpack_from(f"={w}i", tokens, s * row_bytes + o * cell),
-                              tag, hint_sets[h])
-                   for s, o, w, h in zip(slots[firsts].tolist(), starts[firsts].tolist(),
-                                         widths[firsts].tolist(), hints[firsts].tolist())]
-        rows = model.next_distributions(queries, deadline=self.deadline)
+        windows = np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1, dtype=np.int64)
+        windows[span >= widths[:, None]] = 0
+        table, slot_rows = model.next_table(windows, widths, hints, hint_sets, tag,
+                                            self.deadline)
         size = self.vocab.size
-        if len(rows) != len(queries) or not all(
-                isinstance(r, np.ndarray) and r.shape == (size,) for r in rows):
-            raise ProtocolError(f"{type(model).__name__} did not return one "
-                                f"{size}-entry vector per query")
-        distinct = {id(r): r for r in rows}  # one table row per distinct row object
-        index = {key: i for i, key in enumerate(distinct)}
-        query_rows = np.array([index[id(r)] for r in rows])
-        return np.array(list(distinct.values())), query_rows[(np.cumsum(leads) - 1)[first]]
+        if not (isinstance(table, np.ndarray) and table.ndim == 2 and table.shape[1] == size
+                and np.shape(slot_rows) == (n,)):
+            raise ProtocolError(f"{type(model).__name__} did not return a table of "
+                                f"{size}-entry rows with one index per slot")
+        return table, slot_rows
 
     def force(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Append the forced tokens to every slot and add their log

@@ -377,6 +377,110 @@ def test_row_of_the_reached_window_is_the_row_of_the_context(case):
         assert got is model.next_distribution(ModelQuery(context, "proposal", hints))
 
 
+@st.composite
+def table_cases(draw):
+    """An n-gram of order 1-5 over "ab |", or of order 16 over 19
+    letters and "|", whose (V + 1) ** (order - 1) is above 2**63, with
+    smoothing 0 or 0.1 and "|" declared the hint delimiter after
+    training or not; up to 12 slots, each a context (random ids or a
+    stretch of the corpus, so that deep windows are seen) and up to two
+    hints; and a reach of the model's own or None."""
+    order = draw(st.one_of(st.integers(1, 5), st.just(16)))
+    alphabet = "ab |" if order < 16 else "abcdefghijklmnopqrs|"
+    corpus = draw(st.text(alphabet=alphabet, min_size=1, max_size=40))
+    corpus = corpus * 2 + "|" + alphabet
+    model = train_ngram(corpus, order=order, smoothing=draw(st.sampled_from([0.0, 0.1])))
+    vocab = model.vocabulary
+    if draw(st.booleans()):
+        model.vocabulary = dataclasses.replace(
+            vocab, hint_delimiter_id=vocab.token_text.index("|"))
+    stretch = vocab.encode(corpus)
+    slots = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            context = draw(st.lists(st.integers(0, vocab.size - 1), max_size=order + 2))
+        else:
+            end = draw(st.integers(0, len(stretch)))
+            context = stretch[max(0, end - draw(st.integers(0, order + 2))):end]
+        hints = draw(st.lists(st.sampled_from(["", "a", "b|", "x ab"]), max_size=2))
+        slots.append((tuple(context), tuple(hints)))
+    return model, slots, draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=table_cases())
+def test_ngram_table_rows_are_the_rows_of_the_whole_contexts(case):
+    """Each slot's row in ``NgramModel.next_table`` is, bit for bit, the
+    row ``next_distribution`` gives its whole context under its hints,
+    and two slots share a table index exactly when that row is the same
+    object: back-off to the longest seen suffix with smoothing 0, the
+    unseen row for any window not seen whole above 0. The default
+    grouping of ``TokenModel.next_table`` gives every slot the same row."""
+    model, slots, own_reach = case
+    hint_sets = list(dict.fromkeys(hints for _, hints in slots))
+    hint_ids = np.array([hint_sets.index(hints) for _, hints in slots])
+    widths = np.array([len(context) if not own_reach else
+                       min(len(context), model.context_reach(hints))
+                       for context, hints in slots])
+    windows = np.zeros((len(slots), int(widths.max())), dtype=np.int64)
+    for i, ((context, _), width) in enumerate(zip(slots, widths.tolist())):
+        windows[i, :width] = np.array(context[len(context) - width:][::-1]) + 1
+    table, slot_rows = model.next_table(windows, widths, hint_ids, hint_sets, "proposal")
+    rows = [model.next_distribution(ModelQuery(context, "proposal", hints))
+            for context, hints in slots]
+    for s, row in enumerate(rows):
+        assert table[slot_rows[s]].tobytes() == row.tobytes()
+        for t, other in enumerate(rows):
+            assert (slot_rows[s] == slot_rows[t]) == (row is other)
+    assert sorted(set(slot_rows.tolist())) == list(range(len(table)))
+    base, base_rows = steersmc.TokenModel.next_table(model, windows, widths, hint_ids,
+                                                     hint_sets, "proposal")
+    assert base[base_rows].tobytes() == table[slot_rows].tobytes()
+
+
+def test_hint_memo_stays_bounded():
+    """The start node of each hint set is memoized in an LRU of
+    ``HINT_MEMO_SIZE`` entries: ten times as many distinct hints leave
+    it at the bound, and every answer is still the row of the context.
+    Replacing the vocabulary empties it, so that hints then read as the
+    new vocabulary encodes them."""
+    model = train_ngram("ab|ab|ba", order=3, smoothing=0.0)
+    plain = model.vocabulary
+    model.vocabulary = dataclasses.replace(plain, hint_delimiter_id=plain.token_text.index("|"))
+    bound = steersmc.models.HINT_MEMO_SIZE
+    windows, widths = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.intp)
+
+    def row_is_the_context_row(hints):
+        table, _ = model.next_table(windows, widths, np.zeros(1, dtype=np.intp), [hints],
+                                    "proposal")
+        return table[0].tobytes() == model.next_distribution(
+            ModelQuery((), "proposal", hints)).tobytes()
+
+    for i in range(10 * bound):
+        assert row_is_the_context_row(("ab"[i % 2] + str(i),))
+        assert model._starts.cache_info().currsize <= bound
+    assert model._starts.cache_info().currsize == bound
+    delimited = model.next_distribution(ModelQuery((), "proposal", ("b",)))
+    model.vocabulary = plain
+    assert row_is_the_context_row(("b",))
+    assert model._starts.cache_info().currsize == 1
+    assert model.next_distribution(ModelQuery((), "proposal", ("b",))) is not delimited
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.5])
+def test_ngram_rows_share_the_one_matrix(smoothing):
+    """An n-gram stores its rows once: every row ``next_distribution``
+    returns, for a seen, a backed-off or an unseen window, is a
+    read-only view of its one read-only matrix."""
+    model = train_ngram("abba|baab", order=3, smoothing=smoothing)
+    matrix = model._matrix
+    contexts = [(), (0,), (1, 0), (0, 0), (2, 2), (1, 1, 0)]
+    for context in contexts:
+        row = model.next_distribution(ModelQuery(context))
+        assert np.shares_memory(row, matrix) and not row.flags.writeable
+    assert not matrix.flags.writeable
+
+
 class TestRemoteAdapter:
     def test_package_import_does_not_load_requests(self):
         src = Path(steersmc.__file__).resolve().parent.parent

@@ -24,8 +24,8 @@ Replacing ``math.log`` by ``np.log`` for the mask's ``log Z`` in
 Dropping the ``+ 1`` on window ids in ``steering._Pass.rows``, so that
 token 0 reads as padding, fails ``test_a_window_ends_where_its_context_starts``
 and ``test_rows_group_slots_by_hint_set_and_window``. A ``lexsort`` by
-the first key word alone fails the latter and
-``test_context_reach_changes_queries_not_outcomes``.
+the first key word alone in ``TokenModel.next_table`` fails the latter
+and ``test_context_reach_changes_queries_not_outcomes``.
 """
 
 from __future__ import annotations
@@ -271,17 +271,44 @@ def rows(draw, size):
 
 
 class _Recording:
-    """Mixed into a model class: records every query it answers, in
+    """Mixed into a model class: records every ``next_table`` call, as
+    the query each slot stands for, with the table and slot rows it
+    returned, and every query that ``next_distributions`` answers, in
     order, and each batch it is sent."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.seen, self.batches = [], []
+        self.seen, self.batches, self.tables = [], [], []
+
+    def next_table(self, windows, widths, hint_ids, hint_sets, tag, deadline=None):
+        table, slot_rows = super().next_table(windows, widths, hint_ids, hint_sets, tag,
+                                              deadline)
+        queries = [ModelQuery(tuple((w[:k][::-1] - 1).tolist()), tag, hint_sets[h])
+                   for w, k, h in zip(windows, widths.tolist(), hint_ids.tolist())]
+        self.tables.append((queries, table, slot_rows))
+        return table, slot_rows
 
     def next_distributions(self, queries, deadline=None):
         self.seen += queries
         self.batches.append(list(queries))
         return super().next_distributions(queries, deadline)
+
+    def windows(self) -> list[list[ModelQuery]]:
+        """The distinct queries of each ``next_table`` call, in order of
+        first slot."""
+        return [list(dict.fromkeys(queries)) for queries, _, _ in self.tables]
+
+    def check_tables(self) -> None:
+        """Every ``next_table`` call gave each slot a table row equal, bit
+        for bit, to the row the model answers for its query alone, and
+        held one table row per distinct row object: no row repeated."""
+        for queries, table, slot_rows in self.tables:
+            index = {}
+            for query, r in zip(queries, slot_rows.tolist()):
+                row = self._distribution(self._conditioning_context(query), query.prompt_tag)
+                assert index.setdefault(id(row), r) == r
+                assert table[r].tobytes() == row.tobytes()
+            assert sorted(index.values()) == list(range(len(table)))
 
 
 class _RecordingTable(_Recording, TableModel):
@@ -294,14 +321,21 @@ class _RecordingNgram(_Recording, NgramModel):
 
 def _ngram(vocab, order, rng, eos=True):
     """A recording n-gram over ``vocab`` with a random count row for
-    every window shorter than ``order``; no EOS mass unless ``eos``."""
-    counts = {}
+    every window shorter than ``order``; no EOS mass unless ``eos``.
+    Its trie numbers the windows level by level, each level in order of
+    link, as ``NgramModel`` lays it out."""
+    counts, node, keys = {}, {(): 0}, []
     for width in range(order):
         for window in itertools.product(range(vocab.size), repeat=width):
             row = rng.integers(1, 9, vocab.size).astype(np.float64)
             row[vocab.eos_id] *= eos
             counts[window] = row
-    return _RecordingNgram(vocab, order, 0.0, counts)
+        for link, window in sorted((node[w[1:]] * (vocab.size + 1) + w[0] + 1, w)
+                                   for w in counts if len(w) == width and w):
+            node[window] = len(node)
+            keys.append(link)
+    return _RecordingNgram(vocab, order, 0.0, np.array([counts[w] for w in node]),
+                           np.array(keys, dtype=np.int64))
 
 
 @st.composite
@@ -506,9 +540,11 @@ def test_vectorized_key_derivation_equals_mix(words, t):
 @pytest.mark.parametrize("kind", ["table", "ngram"])
 def test_no_call_repeats_a_query(kind):
     """Slots are grouped by their exact window and hint set, so no
-    ``next_distributions`` call holds a query twice, even after a
-    resample copies slots with equal contexts. The order-3 n-gram reads
-    a window of its context: two ids unhinted, one behind a one-id hint."""
+    ``next_table`` call's table holds a row twice, and no
+    ``next_distributions`` call a query twice, even after a resample
+    copies slots with equal contexts. The order-3 n-gram reads a window
+    of its context: two ids unhinted, one behind a one-id hint; it walks
+    its trie and sends no ``next_distributions`` call."""
     vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
     rng = np.random.default_rng(3)
     rows = {}
@@ -537,17 +573,22 @@ def test_no_call_repeats_a_query(kind):
         method="smc", n_particles=48, seed=11, ess_threshold=48))
     assert out.diagnostics.resample_events  # a resample copies slots with equal contexts
     # five token ticks, and more distinct proposal queries than ticks
-    assert len(set(proposal.seen)) > 5
+    assert len({q for call in proposal.windows() for q in call}) > 5
+    for model in (proposal, prior):
+        assert model.tables
+        model.check_tables()
+        assert [len(batch) for batch in model.batches] == (
+            [len(call) for call in model.windows()] if kind == "table" else [])
     for batch in proposal.batches + prior.batches:
         assert len(set(batch)) == len(batch)
 
 
 def test_one_call_per_model_per_token_tick():
-    """Every distinct query of a token tick goes to the model in one
-    ``next_distributions`` call, however many there are: the proposal
-    once per tick (three drawn, two masked, one forced) and the prior
-    once per prior-scored tick. The order-3 n-gram reads two ids, so
-    the fourth tick sends 25 distinct windows."""
+    """Every slot of a token tick goes to the model in one ``next_table``
+    call, however many distinct windows there are: the proposal once
+    per tick (three drawn, two masked, one forced) and the prior once
+    per prior-scored tick. The order-3 n-gram reads two ids, so the
+    fourth tick sends 25 distinct windows, each row once."""
     vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "e", "<eos>"])
     proposal, prior = (_ngram(vocab, 3, np.random.default_rng(seed), eos=False)
                        for seed in (8, 9))
@@ -559,8 +600,10 @@ def test_one_call_per_model_per_token_tick():
     out = run_inference(plan, (proposal, prior), InferenceConfig(
         method="importance", n_particles=256, seed=1))
     assert out.error is None
-    assert (len(proposal.batches), len(prior.batches)) == (6, 2)
-    assert max(len(batch) for batch in proposal.batches + prior.batches) == 25
+    assert (len(proposal.tables), len(prior.tables)) == (6, 2)
+    assert max(len(call) for call in proposal.windows() + prior.windows()) == 25
+    proposal.check_tables()
+    prior.check_tables()
 
 
 def test_a_window_ends_where_its_context_starts():
@@ -671,10 +714,15 @@ def test_rows_group_slots_by_hint_set_and_window(tick):
 
 
 class _WholeNgram(_Recording, NgramModel):
-    """A recording n-gram that reports reading the whole context."""
+    """A recording n-gram that reports reading the whole context and is
+    sent it through the default grouping of ``TokenModel.next_table``,
+    one ``next_distributions`` query per distinct context."""
 
     def context_reach(self, hints):
         return None
+
+    def next_table(self, *args):
+        return TokenModel.next_table(self, *args)
 
 
 def _char_corpus() -> str:
@@ -689,8 +737,9 @@ def _char_corpus() -> str:
 
 @pytest.mark.parametrize("method", ["smc", "importance"])
 def test_context_reach_changes_queries_not_outcomes(monkeypatch, method):
-    """A char 3-gram (V = 88) reports a reach of two ids; the same model
-    reporting None is sent every slot's whole context, 40 ids and more,
+    """A char 3-gram (V = 88) reports a reach of two ids and walks its
+    trie with no sort; the same model reporting None is sent every
+    slot's whole context, 40 ids and more, through the default grouping,
     whose packed keys take several int64 words. Both runs give the same
     candidates (tokens and raw weights) and the same selection, with
     SMC resampling after every step."""
@@ -724,10 +773,12 @@ def test_context_reach_changes_queries_not_outcomes(monkeypatch, method):
     assert a.selected == b.selected
     if method == "smc":
         assert a.diagnostics.resample_events == b.diagnostics.resample_events != []
-    assert max(len(q.context) for q in own.seen) == 2
+    own_seen = [q for call in own.windows() for q in call]
+    assert max(len(q.context) for q in own_seen) == 2
     assert max(len(q.context) for q in whole.seen) >= 40
-    assert len(set(whole.seen)) > len(set(own.seen))
-    assert max(words[own]) == 1 and max(words[whole]) >= 5
+    assert len(set(whole.seen)) > len(set(own_seen))
+    assert words[own] == [] and max(words[whole]) >= 5
+    own.check_tables()
 
 
 @pytest.mark.parametrize("forced", ["xa", "xab"])
@@ -790,8 +841,9 @@ def test_one_query_per_window_the_model_reads():
     """An order-3 n-gram reads the last two ids of its serialized
     context. Behind one hint (the delimiter alone) that is one context
     id, and behind two hints none: from then on the 64 slots share one
-    query, with an empty context, on every token tick. A table model
-    (reach None) still receives every slot's whole context."""
+    window, with an empty context, and one table row on every token
+    tick. A table model (reach None) still receives every slot's whole
+    context."""
     vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
     plan = parse_plan({"plan_version": 1, "max_tokens": 12, "steps": [
         {"kind": "loop", "iterations": 3, "body": [
@@ -801,15 +853,18 @@ def test_one_query_per_window_the_model_reads():
     ngram = _ngram(vocab, 3, np.random.default_rng(7), eos=False)
     run_inference(plan, ngram, config)
     hint = steering.HINT_PREFIX
-    assert len(ngram.batches) == 12  # one call per token tick
+    calls = ngram.windows()
+    assert len(calls) == 12  # one call per token tick
     # one hint: the empty context, then one query per last context id
-    assert ngram.batches[0] == [ModelQuery((), "proposal", (hint,))]
-    windows = [q for batch in ngram.batches[1:4] for q in batch]
+    assert calls[0] == [ModelQuery((), "proposal", (hint,))]
+    windows = [q for call in calls[1:4] for q in call]
     assert all(len(q.context) == 1 and q.hints == (hint,) for q in windows)
-    assert len(windows) > 3 and all(len(batch) <= 3 for batch in ngram.batches[1:4])
+    assert len(windows) > 3 and all(len(call) <= 3 for call in calls[1:4])
     # two hints and more: one query per tick, no context id sent
-    assert ngram.batches[4:] == [[ModelQuery((), "proposal", (hint,) * k)]
-                                 for k in (2, 2, 2, 2, 3, 3, 3, 3)]
+    assert calls[4:] == [[ModelQuery((), "proposal", (hint,) * k)]
+                         for k in (2, 2, 2, 2, 3, 3, 3, 3)]
+    assert [len(table) for _, table, _ in ngram.tables[4:]] == [1] * 8
+    ngram.check_tables()
 
     no_eos, rng, rows = np.array([1 / 3, 1 / 3, 1 / 3, 0.0]), np.random.default_rng(7), {}
     for width in range(3):
@@ -937,12 +992,13 @@ def test_one_mask_build_per_tick_and_text_length(monkeypatch, mask):
     pop, most_rows, most_lengths = Population(64, vocab), 0, 0
     for index in range(4):
         lengths = sorted(set(pop.text_lengths[pop.status == ACTIVE].tolist()))
-        sent, built[:] = len(ngram.seen), []
+        sent, built[:] = len(ngram.tables), []
         execute_step(plan, index, pop, ngram, derive_keys(index, "slot", 64))
         if mask["kind"] == "max_remaining_chars":
             assert sorted(built) == lengths
         else:
             assert len(built) == 1
-        most_rows = max(most_rows, len(ngram.seen) - sent)
+        assert len(ngram.tables) == sent + 1
+        most_rows = max(most_rows, len(ngram.tables[-1][1]))
         most_lengths = max(most_lengths, len(lengths))
     assert most_rows > 2 and most_lengths > 2  # ticks draw from several rows

@@ -587,6 +587,34 @@ def test_rows_that_are_not_one_vector_per_query_are_a_protocol_error(vocab4, fau
     assert out.error.message == "_BadRows did not return one 4-entry vector per query"
 
 
+class _BadTable(TokenModel):
+    """A model whose ``next_table`` answers with rows one entry short, or
+    with one index too few."""
+
+    def __init__(self, vocabulary, fault):
+        super().__init__(vocabulary)
+        self.fault = fault
+
+    def next_table(self, windows, widths, hint_ids, hint_sets, tag, deadline=None):
+        size, n = self.vocabulary.size, len(widths)
+        if self.fault == "short":
+            return np.full((1, size - 1), 1.0 / (size - 1)), np.zeros(n, dtype=np.intp)
+        return np.full((1, size), 1.0 / size), np.zeros(n - 1, dtype=np.intp)
+
+
+@pytest.mark.parametrize("fault", ["short", "missing"])
+def test_a_table_not_over_the_vocabulary_is_a_protocol_error(vocab4, fault):
+    """The interpreter checks the table a ``next_table`` override returns
+    before it reads it: rows over the vocabulary, one index per slot."""
+    out = run_inference(make_plan([{"kind": "sample_until",
+                                    "stop": {"kind": "token_count", "value": 2}}]),
+                        _BadTable(vocab4, fault),
+                        InferenceConfig(method="importance", n_particles=4, seed=0))
+    assert isinstance(out.error, ProtocolError)
+    assert out.error.message == ("_BadTable did not return a table of 4-entry rows "
+                                 "with one index per slot")
+
+
 class TestRunCheck:
     def test_conjunction_of_constraints(self):
         plan = make_plan(
