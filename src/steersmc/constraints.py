@@ -17,7 +17,8 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import SchemaViolation, check_fields, check_kind, is_count, read_json_lines
+from .errors import (SchemaViolation, check_fields, check_kind, check_types, is_count,
+                     read_json_lines)
 from .rng import RandomStream
 
 WORD_PUNCTUATION = string.punctuation
@@ -246,10 +247,7 @@ class TaskSpec:
 
 
 def task_from_dict(doc: dict, where: str = "task") -> TaskSpec:
-    check_fields(doc, _TASK_FIELDS, where)
-    for key, kind in _TASK_FIELDS.items():
-        if not isinstance(doc.get(key), kind):
-            raise SchemaViolation(f"{where}.{key}: missing or not a {kind.__name__}")
+    check_types(check_fields(doc, _TASK_FIELDS, where), _TASK_FIELDS, where)
     specs = tuple(constraint_from_dict(c, f"{where}.constraints[{i}]")
                   for i, c in enumerate(doc["constraints"]))
     return TaskSpec(prompt_text=doc["prompt_text"], constraints=specs,

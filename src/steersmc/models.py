@@ -227,36 +227,19 @@ class TokenModel:
         ``Vocabulary.encode``. ``deadline`` (a ``time.monotonic``
         instant) bounds models that wait on I/O.
 
-        This default groups the slots exactly, with no hash, by a packed
-        key: a slot's digits are its hint-set id, then its window
-        digits, all below ``radix = max(V + 1, len(hint_sets))``. As
-        many digits go to an int64 word as keep it under 2**62, spread
-        evenly over as few words as hold them, so the packing is
-        injective and a long window takes about 1/digits as many words
-        as cells. One stable ``np.lexsort`` over the words, most
-        significant first, and one row-inequality pass give the groups,
-        each led by its lowest slot. One ``next_distributions`` call
-        gets a row per group, in order of first slot; the rows are
-        checked once to be vectors over the vocabulary, and the table
-        holds one row per distinct row object, in order of first slot.
+        This default groups the slots with one dict keyed on each slot's
+        hint-set id and window as one byte string, each group led by its
+        lowest slot. One ``next_distributions`` call gets a row per
+        group, in order of first slot; the rows are checked once to be
+        vectors over the vocabulary, and the table holds one row per
+        distinct row object, in order of first slot.
         """
         n, span = windows.shape
-        radix, per = max(self.vocabulary.size + 1, len(hint_sets)), 1
-        while radix ** (per + 1) < 2 ** 62:
-            per += 1
-        n_words = -(-(1 + span) // per)
-        per = -(-(1 + span) // n_words)
-        digits = np.zeros((n, n_words * per), dtype=np.int64)
-        digits[:, 0] = hint_ids
-        digits[:, 1:1 + span] = windows
-        keys = digits.reshape(n, n_words, per) @ radix ** np.arange(per - 1, -1, -1,
-                                                                    dtype=np.int64)
-        order = np.lexsort(keys.T[::-1])  # stable, so a group lists its slots ascending
-        ranked = keys[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        first = np.empty(n, dtype=np.intp)
-        first[order] = order[new][np.cumsum(new) - 1]  # each slot's group's lowest slot
+        # int64 cells; the hint column keeps a key at least one cell wide
+        keys = np.column_stack((hint_ids, windows)).view(f"V{8 * (span + 1)}").ravel()
+        groups: dict[bytes, int] = {}  # each key's lowest slot
+        first = np.array([groups.setdefault(key, i) for i, key in enumerate(keys.tolist())],
+                         dtype=np.intp)
         leads = first == np.arange(n)
         firsts = np.flatnonzero(leads)
         contexts = (windows[firsts, ::-1] - 1).tolist()  # oldest first, -1 before the window
@@ -462,10 +445,7 @@ class NgramModel(TokenModel):
         """Where the ids these hints add behind the delimiter lead from the
         root, newest first: the node, whether every id read matched, and
         how many context ids the window has left (the reach)."""
-        vocabulary, ids = self.vocabulary, ()
-        if vocabulary.hint_delimiter_id is not None:
-            for hint in hints:
-                ids += vocabulary.hint_ids(hint)
+        ids = self._conditioning_context(ModelQuery((), hints=hints))
         read = ids[max(0, len(ids) - (self.order - 1)):]
         node, depth = self._descend(read)
         return node, depth == len(read), self.order - 1 - len(read)

@@ -371,8 +371,9 @@ class _Pass:
         gathered into one int64 matrix straight from the slots' token
         cells: each id plus one, newest first, then 0 past the window's
         width, so token 0 never reads as padding. The returned table is
-        checked once to hold rows over the vocabulary, one index per
-        slot, so that every drawn id is a valid context id.
+        checked once to hold rows over the vocabulary, and one integer
+        index into it per slot, so that every drawn id is a valid
+        context id.
         """
         pop, tokens, hint_sets = self.pop, self.pop.tokens, self.pop.hint_sets
         n, lengths = len(slots), pop.lengths[slots]
@@ -395,6 +396,12 @@ class _Pass:
                 and np.shape(slot_rows) == (n,)):
             raise ProtocolError(f"{type(model).__name__} did not return a table of "
                                 f"{size}-entry rows with one index per slot")
+        slot_rows = np.asarray(slot_rows)
+        # as unsigned, a negative index lies past every row
+        if not (slot_rows.dtype.kind in "iu"
+                and slot_rows.astype(np.uint64).max() < len(table)):
+            raise ProtocolError(f"{type(model).__name__} returned slot indices that are "
+                                f"not integers in [0, {len(table)})")
         return table, slot_rows
 
     def force(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:

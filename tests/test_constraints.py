@@ -229,6 +229,17 @@ class TestTaskSpecs:
                 ],
             })
 
+    @pytest.mark.parametrize("field, value", [("prompt_text", None), ("task_type", 3),
+                                              ("constraints", {}), ("task_type", True)])
+    def test_a_missing_or_wrong_typed_field_is_named(self, field, value):
+        doc = {"prompt_text": "x", "task_type": "t", "constraints": []}
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(SchemaViolation, match=rf"^task\.{field}: "):
+            task_from_dict(doc)
+
     def test_unknown_constraint_kind_rejected(self):
         with pytest.raises(SchemaViolation):
             constraint_from_dict({"kind": "rhymes_with", "words": ["orange"]})

@@ -588,8 +588,9 @@ def test_rows_that_are_not_one_vector_per_query_are_a_protocol_error(vocab4, fau
 
 
 class _BadTable(TokenModel):
-    """A model whose ``next_table`` answers with rows one entry short, or
-    with one index too few."""
+    """A model whose ``next_table`` answers with rows one entry short,
+    with one index too few, or with every slot at one index into a
+    2-row table."""
 
     def __init__(self, vocabulary, fault):
         super().__init__(vocabulary)
@@ -599,20 +600,27 @@ class _BadTable(TokenModel):
         size, n = self.vocabulary.size, len(widths)
         if self.fault == "short":
             return np.full((1, size - 1), 1.0 / (size - 1)), np.zeros(n, dtype=np.intp)
-        return np.full((1, size), 1.0 / size), np.zeros(n - 1, dtype=np.intp)
+        if self.fault == "missing":
+            return np.full((1, size), 1.0 / size), np.zeros(n - 1, dtype=np.intp)
+        return np.full((2, size), 1.0 / size), np.full(n, self.fault)
 
 
-@pytest.mark.parametrize("fault", ["short", "missing"])
-def test_a_table_not_over_the_vocabulary_is_a_protocol_error(vocab4, fault):
+@pytest.mark.parametrize("fault, message", [
+    ("short", "did not return a table of 4-entry rows with one index per slot"),
+    ("missing", "did not return a table of 4-entry rows with one index per slot"),
+    (-1, "returned slot indices that are not integers in [0, 2)"),  # would read the last row
+    (2, "returned slot indices that are not integers in [0, 2)"),
+    (1.5, "returned slot indices that are not integers in [0, 2)")])
+def test_a_table_not_over_the_vocabulary_is_a_protocol_error(vocab4, fault, message):
     """The interpreter checks the table a ``next_table`` override returns
-    before it reads it: rows over the vocabulary, one index per slot."""
+    before it reads it: rows over the vocabulary, one integer row of the
+    table per slot."""
     out = run_inference(make_plan([{"kind": "sample_until",
                                     "stop": {"kind": "token_count", "value": 2}}]),
                         _BadTable(vocab4, fault),
                         InferenceConfig(method="importance", n_particles=4, seed=0))
     assert isinstance(out.error, ProtocolError)
-    assert out.error.message == ("_BadTable did not return a table of 4-entry rows "
-                                 "with one index per slot")
+    assert out.error.message == f"_BadTable {message}"
 
 
 class TestRunCheck:
