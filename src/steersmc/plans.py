@@ -13,6 +13,7 @@ oracle in ``evaluation`` run only draw, force_string, hint and loop.
 
 from __future__ import annotations
 
+import functools
 import string as _string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,8 +30,9 @@ DEFAULT_LOOP_BOUND = 1_000
 
 # Variables always available to hint templates, computed from particle
 # state; ``remaining_chars`` additionally needs a ``target_chars`` plan
-# variable.
+# variable. All but ``tokens_so_far`` are computed from the text.
 HINT_BUILTINS = ("chars_so_far", "words_so_far", "tokens_so_far", "remaining_chars")
+TEXT_BUILTINS = ("chars_so_far", "words_so_far", "remaining_chars")
 
 _CHAR_CLASSES = ("letter", "digit", "whitespace", "punctuation")
 
@@ -264,6 +266,18 @@ def _template_fields(template: str) -> set[str]:
             if spec:
                 fields |= _template_fields(spec)
     return fields
+
+
+@functools.lru_cache(maxsize=256)
+def template_reads_text(template: str) -> bool:
+    """Whether rendering a hint template needs the particle's text: it
+    reads a built-in in ``TEXT_BUILTINS``. Memoized, so a template is
+    parsed once, not once per hint clause run; a template that does not
+    parse counts as reading the text, and its render raises as before."""
+    try:
+        return not _template_fields(template).isdisjoint(TEXT_BUILTINS)
+    except SchemaViolation:
+        return True
 
 
 def _parse_clause(doc, where: str, variables: dict, depth: int = 0) -> StepClause:

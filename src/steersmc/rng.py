@@ -20,7 +20,9 @@ _INV_2_53 = 1.0 / (1 << 53)
 
 # Cells ``draw_rows`` compares at once: in one block, a 512-particle run
 # over 88 tokens peaked about 0.45 MB higher than with a draw per row;
-# in blocks of this size, about 0.2 MB.
+# in blocks of this size, about 0.2 MB. The step interpreter also caps
+# its block of precomputed uniforms (``uniform_block``) at this many
+# cells, one column at least.
 DRAW_CELLS = 16384
 
 
@@ -89,6 +91,14 @@ def uniforms_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """
     z = mix64(keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def uniform_block(keys: np.ndarray, start: int, width: int) -> np.ndarray:
+    """``uniforms_at`` over a block of counters: ``out[i, j]`` is the
+    uniform the stream with key ``keys[i]`` (a uint64 array) draws at
+    counter ``start + j``, for ``j < width``."""
+    counters = np.arange(start, start + width, dtype=np.uint64)
+    return uniforms_at(keys[:, None], counters)
 
 
 def draw_indices(probs: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:

@@ -60,10 +60,12 @@ from .plans import (  # MaskSpec and parse_plan are re-exported
     StepClause,
     forced_tokens,
     parse_plan,
+    template_reads_text,
 )
-from .rng import draw_rows, uniforms_at
+from .rng import DRAW_CELLS, draw_rows, uniform_block, uniforms_at
 
 NEG_INF = float("-inf")
+WHOLE_CONTEXT = np.iinfo(np.int64).max  # the stored reach of a model that reads it all
 
 ACTIVE, DONE, REJECTED, FAILED = range(4)  # a slot's status codes
 
@@ -156,13 +158,41 @@ class Population:
         self.text_lengths[slots] += self.vocabulary.token_lengths()[tokens]
 
 
-@dataclass(frozen=True)
 class StepUpdate:
-    """Result of one population step: every token appended in it, in slot
-    order, and the sum of every score delta applied."""
+    """Result of one population step: ``appended_tokens``, every token
+    appended in it, in slot order, and ``log_score_update``, the sum of
+    every score delta applied.
 
-    appended_tokens: tuple[int, ...]
-    log_score_update: float
+    ``appended_tokens`` may be given as a function that builds the
+    tuple, called when first read: ``execute_step`` passes one that
+    reads the step's cells, which are never written again (later
+    appends go past them, a grown matrix is a new array, and
+    ``Population.take`` copies).
+    """
+
+    __slots__ = ("_tokens", "log_score_update")
+
+    def __init__(self, appended_tokens, log_score_update: float):
+        self._tokens, self.log_score_update = appended_tokens, log_score_update
+
+    @property
+    def appended_tokens(self) -> tuple[int, ...]:
+        if callable(self._tokens):
+            self._tokens = self._tokens()
+        return self._tokens
+
+    def __eq__(self, other):
+        if type(other) is not StepUpdate:
+            return NotImplemented
+        return ((self.appended_tokens, self.log_score_update)
+                == (other.appended_tokens, other.log_score_update))
+
+    def __hash__(self):
+        return hash((self.appended_tokens, self.log_score_update))
+
+    def __repr__(self):
+        return (f"StepUpdate(appended_tokens={self.appended_tokens!r}, "
+                f"log_score_update={self.log_score_update!r})")
 
 
 @dataclass(frozen=True)
@@ -191,15 +221,18 @@ def as_model_set(models) -> ModelSet:
     raise TypeError(f"cannot interpret {type(models).__name__} as models")
 
 
-def hint_bindings_for(plan: SteeringPlan, text: str, n_tokens: int) -> dict:
-    """Plan variables plus computed built-ins for hint templates."""
+def hint_bindings_for(plan: SteeringPlan, text: str | None, n_tokens: int) -> dict:
+    """Plan variables plus computed built-ins for hint templates. With no
+    text (None), only ``tokens_so_far`` is computed: enough for a
+    template that ``plans.template_reads_text`` clears."""
     bindings = dict(plan.variables)
-    bindings["chars_so_far"] = len(text)
-    bindings["words_so_far"] = len(words(text))
     bindings["tokens_so_far"] = n_tokens
-    target = plan.variables.get("target_chars")
-    if is_integer(target):
-        bindings["remaining_chars"] = target - len(text)
+    if text is not None:
+        bindings["chars_so_far"] = len(text)
+        bindings["words_so_far"] = len(words(text))
+        target = plan.variables.get("target_chars")
+        if is_integer(target):
+            bindings["remaining_chars"] = target - len(text)
     return bindings
 
 
@@ -229,7 +262,9 @@ def _groups(labels: np.ndarray) -> list[np.ndarray]:
 class _Pass:
     """One population step: the index of the top-level clause it runs,
     the population, every slot's stream key and draw counter, and the
-    summed score delta.
+    summed score delta. What stays fixed for the step is worked out once
+    in it: a block of uniforms ahead of the counters (``uniforms``) and
+    each model's reach per hint set (``reach``).
 
     Each clause runs on an ascending array of slots and returns the
     slots still running: a slot leaves on EOS or when it dies. A slot
@@ -243,8 +278,8 @@ class _Pass:
     ends the step.
     """
 
-    __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters",
-                 "deadline", "log_update")
+    __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters", "block",
+                 "start", "reaches", "deadline", "log_update")
 
     def __init__(self, plan, index: int, models: ModelSet, pop: Population, keys,
                  deadline):
@@ -255,6 +290,8 @@ class _Pass:
         self.pop = pop
         self.keys = np.asarray(keys, dtype=np.uint64)
         self.counters = np.zeros(len(pop), dtype=np.uint64)
+        self.block, self.start = np.empty((len(pop), 0)), 0
+        self.reaches = {}
         self.deadline = deadline
         self.log_update = 0.0
 
@@ -268,6 +305,37 @@ class _Pass:
     def score(self, slots: np.ndarray, deltas: np.ndarray) -> None:
         self.pop.log_weights[slots] += deltas
         self.log_update += float(deltas.sum())
+
+    def uniforms(self, slots: np.ndarray) -> np.ndarray:
+        """Each slot's next uniform, ``uniforms_at(key, counter)``, with
+        one more draw counted.
+
+        Every counter starts the step at 0, so the uniforms come from a
+        block computed ahead: ``block[s, j]`` is slot s's uniform at
+        counter ``start + j``, and a tick inside it is one gather. A tick
+        past its end starts the next block at its highest counter t,
+        over the slots still active (the only ones that draw again),
+        t + 1 columns wide, so that blocks double, but at most
+        ``DRAW_CELLS`` cells and never past ``max_tokens``, which no
+        counter reaches. A block of one column (the step's first tick)
+        is computed directly for the tick's slots, as is a tick with a
+        slot behind the block, which waited in a loop while others drew.
+        """
+        counters = self.counters[slots]
+        self.counters[slots] = counters + np.uint64(1)
+        columns = counters - np.uint64(self.start)  # a counter behind wraps past the end
+        if columns.max() < self.block.shape[1]:
+            return self.block[slots, columns]
+        top, pop = int(counters.max()), self.pop
+        width = min(top + 1, DRAW_CELLS // len(pop), self.plan.max_tokens - top)
+        if width > 1 and top >= self.start + self.block.shape[1]:
+            live = np.flatnonzero(pop.status == ACTIVE)
+            self.block = np.empty((len(pop), width))
+            self.block[live] = uniform_block(self.keys[live], top, width)
+            self.start, columns = top, counters - np.uint64(top)
+            if columns.max() < width:
+                return self.block[slots, columns]
+        return uniforms_at(self.keys[slots], counters)
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -297,13 +365,15 @@ class _Pass:
         ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
         -inf; the prior is evaluated without hints, which condition the
         proposal side only. The tick's distinct rows are stacked into one
-        table; each mask part (all slots, or under ``max_remaining_chars``
-        those of one text length) builds its mask once, gathers the
-        allowed columns of the whole table in C order, so that each row
-        sums as it would alone, and draws with ``rng.draw_rows``, each
-        slot reading its own row of that gather. Slots whose mask allows
-        no token or leaves their row no mass die. Every pick and delta
-        is then applied in one scatter.
+        table, and each slot's uniform is read from the step's block
+        (``uniforms``); each mask part (all slots, or under
+        ``max_remaining_chars`` those of one text length) builds its mask
+        once, gathers the allowed columns of the whole table in C order,
+        so that each row sums as it would alone, and draws with
+        ``rng.draw_rows``, each slot reading its own row of that gather.
+        Slots whose mask allows no token or leaves their row no mass die.
+        Every pick and delta is then applied in one scatter; an unmasked,
+        unscored draw, whose deltas are all 0.0, applies none.
         """
         pop, vocab, mask = self.pop, self.vocab, clause.mask
         max_tokens = self.plan.max_tokens
@@ -316,8 +386,7 @@ class _Pass:
                 return slots
         table, slot_rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots,
                                      True)
-        u = uniforms_at(self.keys[slots], self.counters[slots])
-        self.counters[slots] += np.uint64(1)
+        u = self.uniforms(slots)
         picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
         parts = [np.arange(len(slots))]
         if mask is not None and mask.kind == "max_remaining_chars":
@@ -353,7 +422,8 @@ class _Pass:
                 (math.log(p) - (math.log(q) - delta)) if p > 0.0 else NEG_INF
                 for p, q, delta in zip(prior[prior_rows, picks].tolist(),
                                        table[slot_rows, picks].tolist(), deltas.tolist())])
-        self.score(slots, deltas)
+        if mask is not None or clause.score_with_prior:  # else every delta is 0.0
+            self.score(slots, deltas)
         pop.append(slots, picks, max_tokens)
         ended = picks == vocab.eos_id
         pop.status[slots[ended]] = DONE
@@ -367,29 +437,30 @@ class _Pass:
         A slot reads its hints (none unless hinted) and the window of
         its context that the model reads under them, the last
         ``model.context_reach(hints)`` ids (all of them for None), asked
-        once per hint set present (``np.bincount``). The windows are
+        once per hint set in the step (``reach``). The windows are
         gathered into one int64 matrix straight from the slots' token
         cells: each id plus one, newest first, then 0 past the window's
-        width, so token 0 never reads as padding. The returned table is
-        checked once to hold rows over the vocabulary, and one integer
-        index into it per slot, so that every drawn id is a valid
-        context id.
+        width, so token 0 never reads as padding; when every width is 0
+        the matrix has no columns and nothing is gathered. The returned
+        table is checked once to hold rows over the vocabulary, and one
+        integer index into it per slot, so that every drawn id is a
+        valid context id.
         """
-        pop, tokens, hint_sets = self.pop, self.pop.tokens, self.pop.hint_sets
+        pop, tokens = self.pop, self.pop.tokens
         n, lengths = len(slots), pop.lengths[slots]
         hints = pop.hint_ids[slots] if hinted else np.zeros(n, dtype=np.intp)
-        reach = np.zeros(int(hints.max(initial=0)) + 1, dtype=np.int64)
-        for h in np.flatnonzero(np.bincount(hints)).tolist():
-            r = model.context_reach(hint_sets[h])
-            reach[h] = tokens.shape[1] if r is None else r  # no context outgrows the matrix
-        widths = np.minimum(lengths, reach[hints])
-        span = np.arange(int(widths.max(initial=0)), dtype=np.int64)
-        # flat (row-major) indices, newest first, gather faster than 2-D
-        # ones; a cell before its row's start is past the window's width
-        back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
-        windows = np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1, dtype=np.int64)
-        windows[span >= widths[:, None]] = 0
-        table, slot_rows = model.next_table(windows, widths, hints, hint_sets, tag,
+        widths = np.minimum(lengths, self.reach(model, hints))
+        span = np.arange(int(widths.max()), dtype=np.int64)
+        if span.size:
+            # flat (row-major) indices, newest first, gather faster than
+            # 2-D ones; a cell before its row's start is past the width
+            back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
+            windows = np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1,
+                             dtype=np.int64)
+            windows[span >= widths[:, None]] = 0
+        else:  # no slot reads any context
+            windows = np.zeros((n, 0), dtype=np.int64)
+        table, slot_rows = model.next_table(windows, widths, hints, pop.hint_sets, tag,
                                             self.deadline)
         size = self.vocab.size
         if not (isinstance(table, np.ndarray) and table.ndim == 2 and table.shape[1] == size
@@ -403,6 +474,27 @@ class _Pass:
             raise ProtocolError(f"{type(model).__name__} returned slot indices that are "
                                 f"not integers in [0, {len(table)})")
         return table, slot_rows
+
+    def reach(self, model: TokenModel, hints: np.ndarray) -> np.ndarray:
+        """``model.context_reach`` of each of these hint-set ids, asked
+        once per (model, hint set) in the step, when a slot first reads
+        the set. Each model keeps an int64 array by hint-set id, -1 until
+        asked and ``WHOLE_CONTEXT`` for None, which grows with
+        ``hint_sets``: hint sets are only appended within a step."""
+        hint_sets = self.pop.hint_sets
+        known = self.reaches.get(id(model))  # models need not hash
+        if known is None or len(known) < len(hint_sets):
+            grown = np.full(len(hint_sets), -1, dtype=np.int64)
+            if known is not None:
+                grown[:len(known)] = known
+            self.reaches[id(model)] = known = grown
+        reach = known[hints]
+        if reach.min() < 0:
+            for h in np.flatnonzero(np.bincount(hints[reach < 0])).tolist():
+                r = model.context_reach(hint_sets[h])
+                known[h] = WHOLE_CONTEXT if r is None else r
+            reach = known[hints]
+        return reach
 
     def force(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Append the forced tokens to every slot and add their log
@@ -439,8 +531,13 @@ class _Pass:
         return slots[:0]
 
     def hint(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
+        """Render the clause's template for every slot and add the hint to
+        the slot's hint set; the texts are decoded only for a template
+        that reads them."""
         pop = self.pop
-        for s, n, text in zip(slots.tolist(), pop.lengths[slots].tolist(), pop.texts(slots)):
+        texts = (pop.texts(slots) if template_reads_text(clause.template)
+                 else [None] * len(slots))
+        for s, n, text in zip(slots.tolist(), pop.lengths[slots].tolist(), texts):
             hint = render_hint(clause.template, hint_bindings_for(self.plan, text, n))
             pop.hint_ids[s] = pop.intern(pop.hint_sets[pop.hint_ids[s]] + (hint,))
         return slots
@@ -510,7 +607,8 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
     nothing is checked then. Neither a failed check nor a dead end
     enters ``log_score_update``. Identical (plan, index, particle, key)
     give bit-identical results for that particle, whatever population it
-    steps in. The update lists the appended tokens slot by slot.
+    steps in. The update lists the appended tokens slot by slot, built
+    when first read.
     """
     pop = population
     step = _Pass(plan, index, as_model_set(models), pop, keys, deadline)
@@ -528,9 +626,14 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
     failed_check = [not run_check(plan, text) for text in pop.texts(finished)]
     rejected = finished[np.array(failed_check, dtype=bool)]
     pop.status[rejected], pop.log_weights[rejected] = REJECTED, NEG_INF
-    columns = np.arange(pop.tokens.shape[1])
-    new = (columns >= starts[:, None]) & (columns < pop.lengths[stepped][:, None])
-    return StepUpdate(tuple(pop.tokens[stepped][new].tolist()), step.log_update)
+    stops = pop.lengths[stepped]
+
+    def appended(tokens=pop.tokens):
+        columns = np.arange(tokens.shape[1])
+        new = (columns >= starts[:, None]) & (columns < stops[:, None])
+        return tuple(tokens[stepped][new].tolist())
+
+    return StepUpdate(appended, step.log_update)
 
 
 def run_check(plan: SteeringPlan, text: str) -> bool:

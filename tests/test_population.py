@@ -1,9 +1,9 @@
 """Population stepping against a slot-by-slot reference.
 
 ``execute_step`` runs every particle's clause together: one query per
-distinct window of context a model reads, uniforms from one vectorized
-SplitMix pass and one batched draw over the distinct rows of each mask
-part. The reference
+distinct window of context a model reads, uniforms read from blocks
+computed ahead for the step and one batched draw over the distinct rows
+of each mask part. The reference
 below is the per-particle clause walk it replaced, kept here as
 ``tests/test_rng.py`` keeps the scalar ``choice`` walk, and stepped
 slot by slot as the engine used to, forcing strings through
@@ -30,6 +30,7 @@ id, fails the latter.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -483,7 +484,15 @@ def test_population_step_matches_the_walk(case):
         with pytest.raises(SchemaViolation, match="max_new_tokens"):
             parse_plan(doc)
         return
-    plan = parse_plan(doc)
+    assert_steps_match_the_walk(parse_plan(doc), models, n, seed)
+
+
+def assert_steps_match_the_walk(plan, models, n, seed, after_step=None):
+    """Step n particles through every clause of the plan, and the walk
+    through the same, slot s drawing from the stream (seed, "slot", s,
+    step): the particles must agree bit for bit after every step, and
+    an error must end both. ``after_step(step)`` runs after each of our
+    steps."""
     ours = [Particle() for _ in range(n)]
     theirs = [Particle() for _ in range(n)]
     for step in range(len(plan.steps)):
@@ -495,6 +504,8 @@ def test_population_step_matches_the_walk(case):
             got = None
         except SteeringError as exc:
             got = exc
+        if after_step is not None:
+            after_step(step)
         if want or got is not None:
             # the first error ends our step, wherever its slot is
             assert got is not None and want
@@ -995,3 +1006,141 @@ def test_one_mask_build_per_tick_and_text_length(monkeypatch, mask):
         most_rows = max(most_rows, len(ngram.tables[-1][1]))
         most_lengths = max(most_lengths, len(lengths))
     assert most_rows > 2 and most_lengths > 2  # ticks draw from several rows
+
+
+# ---------------------------------------------------------------------------
+# What a step works out once: blocks of uniforms and each model's reach.
+
+
+def _spy(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every call to ``steering.<name>``."""
+    calls, call = [], getattr(steering, name)
+
+    def spy(*args):
+        calls.append(args)
+        return call(*args)
+
+    monkeypatch.setattr(steering, name, spy)
+    return calls
+
+
+def _draw_one():
+    return {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}
+
+
+def _no_eos(texts, weights):
+    """A table model over these token texts and EOS, every context
+    reading one row that gives EOS no mass, so that no particle ends."""
+    vocab = Vocabulary.from_tokens(texts + ["<eos>"])
+    row = np.array(weights + [0.0])
+    row.setflags(write=False)
+    model = TableModel(vocab, {}, row)
+    return model, model
+
+
+@pytest.mark.parametrize("n, max_tokens, steps, weights, blocks", [
+    # 37 draws cross four refills: after the first tick, computed
+    # directly, a block doubles from two columns, and the last stops at
+    # max_tokens
+    (3, 40, [{"kind": "sample_until", "stop": {"kind": "token_count", "value": 37}}],
+     [0.5, 0.5], [(1, 2), (3, 4), (7, 8), (15, 16), (31, 9)]),
+    # a slot that drew "b" leaves the inner loop and waits while the
+    # others draw, so the outer loop's draws meet slots at different
+    # counters, some behind the block
+    (8, 64, [{"kind": "loop", "until": {"kind": "token_count", "value": 24},
+              "max_iterations": 30, "body": [
+                  {"kind": "loop", "until": {"kind": "substring", "value": "b"},
+                   "max_iterations": 30, "body": [_draw_one()]},
+                  _draw_one()]}],
+     [0.8, 0.2], None),
+    # 2,048 slots: DRAW_CELLS // 2048 = 8 columns cap the fourth block
+    (2048, 64, [{"kind": "sample_until", "stop": {"kind": "token_count", "value": 20}}],
+     [0.5, 0.5], [(1, 2), (3, 4), (7, 8), (15, 8)]),
+], ids=["refill", "lagging", "capped"])
+def test_uniform_blocks_match_the_walk(monkeypatch, n, max_tokens, steps, weights, blocks):
+    """Uniforms read from the step's blocks are the walk's, bit for bit:
+    across refills, for slots lagging behind a block in nested ``loop
+    until`` clauses (those ticks, like the first, compute their uniforms
+    with ``uniforms_at``), and when the cell cap or ``max_tokens`` limits
+    the block."""
+    plan = parse_plan({"plan_version": 1, "max_tokens": max_tokens, "steps": steps})
+    built = _spy(monkeypatch, "uniform_block")
+    direct = _spy(monkeypatch, "uniforms_at")
+    assert_steps_match_the_walk(plan, _no_eos(["a", "b"], weights), n, 5)
+    assert all(len(keys) == n for keys, _, _ in built)  # every slot stays active
+    assert max(width for _, _, width in built) * n <= steering.DRAW_CELLS
+    if blocks is not None:
+        assert [(start, width) for _, start, width in built] == blocks
+        assert len(direct) == 1  # the first tick
+    else:
+        assert len(built) > 3 and len(direct) > 1  # refills, and ticks with a slot behind
+
+
+class _ReachByHints(TokenModel):
+    """A model whose reach shrinks as hints are added: the whole context
+    with none, then 2, 1 and 0 ids. A window it is sent is read whole,
+    so a window longer or shorter than the reach reads another row; the
+    walk's whole-context query (``next_distribution``) is cut to the
+    reach first. Rows are random but fixed by (seed, hint count,
+    window); EOS has no mass. Records each ``context_reach`` call and
+    the hint sets present in each ``next_table`` call."""
+
+    REACH = {0: None, 1: 2, 2: 1}
+
+    def __init__(self, vocab, seed):
+        super().__init__(vocab)
+        self.seed, self.asked, self.present = seed, [], []
+
+    def context_reach(self, hints):
+        self.asked.append(hints)
+        return self.REACH.get(len(hints), 0)
+
+    def next_table(self, windows, widths, hint_ids, hint_sets, tag, deadline=None):
+        self.present.append({hint_sets[h] for h in hint_ids.tolist()})
+        return super().next_table(windows, widths, hint_ids, hint_sets, tag, deadline)
+
+    def next_distribution(self, query):
+        reach, context = self.REACH.get(len(query.hints), 0), query.context
+        if reach is not None:
+            context = context[len(context) - min(reach, len(context)):]
+        return self.row(query._replace(context=context))
+
+    def next_distributions(self, queries, deadline=None):
+        return [self.row(q) for q in queries]
+
+    def row(self, query):
+        rng = np.random.default_rng([self.seed, len(query.hints), len(query.context),
+                                     *query.context])
+        row = rng.random(self.vocabulary.size)
+        row[self.vocabulary.eos_id] = 0.0
+        return row / row.sum()
+
+
+def test_reach_is_asked_once_per_model_and_hint_set_per_step():
+    """Each model's ``context_reach`` is asked once per hint set its
+    slots read in a step, and for no other: the prior, read unhinted,
+    for () alone. A hint inside a loop adds hint sets mid-step (texts of
+    different lengths give slots different hints); each gets its own
+    reach, and its windows are cut to it, so every slot reads the row
+    of the walk's whole context."""
+    vocab = Vocabulary.from_tokens(["a", "bb", "<eos>"])
+    proposal, prior = _ReachByHints(vocab, 1), _ReachByHints(vocab, 2)
+    hinted = {"kind": "hint", "template": "{chars_so_far}"}
+    plan = parse_plan({"plan_version": 1, "max_tokens": 16, "steps": [
+        {"kind": "loop", "iterations": 2, "body": [
+            hinted, {"kind": "sample_until", "score_with_prior": True,
+                     "stop": {"kind": "token_count", "value": 2}}]},
+        {"kind": "loop", "iterations": 2, "body": [hinted, _draw_one()]}]})
+    asked_sets = []
+
+    def after_step(step):
+        for model in (proposal, prior):
+            assert set(collections.Counter(model.asked).values()) <= {1}
+            assert set(model.asked) == set().union(*model.present)
+            asked_sets.append(len(model.asked))
+            model.asked, model.present = [], []
+
+    assert_steps_match_the_walk(plan, (proposal, prior), 6, 3, after_step)
+    # per step, the proposal reads one set after its first hint and
+    # several after its second; the prior reads () in the scored step
+    assert asked_sets[1::2] == [1, 0] and all(k > 2 for k in asked_sets[0::2])

@@ -14,10 +14,14 @@ from steersmc import (
     ParseError,
     ProtocolError,
     RandomStream,
+    Population,
     SchemaViolation,
+    SteeringPlan,
     StepBudgetExceeded,
     StepClause,
+    StepUpdate,
     StopSpec,
+    TableModel,
     TokenModel,
     UnboundVariable,
     UniformModel,
@@ -30,6 +34,8 @@ from steersmc import (
     run_check,
     run_inference,
 )
+from steersmc.plans import template_reads_text
+from steersmc.rng import derive_keys
 from steersmc.steering import ACTIVE, DONE, FAILED, REJECTED, hint_bindings_for, render_hint
 
 from stepping import Particle, execute_particles
@@ -241,6 +247,76 @@ class TestRenderHint:
         assert update.log_score_update == 0.0
 
 
+class TestHintTextBindings:
+    """A hint clause decodes its slots' texts only when its template reads
+    a binding computed from the text (``plans.template_reads_text``); the
+    hints it renders, and its errors, are those of the text bound."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """The slots of every ``Population.texts`` call that decodes any
+        (the step's check decodes the slots it finished, here none)."""
+        calls, texts = [], Population.texts
+        monkeypatch.setattr(Population, "texts", lambda pop, slots, starts=None: (
+            slots.size and calls.append(slots.tolist()) or texts(pop, slots, starts)))
+        return calls
+
+    @staticmethod
+    def hint_after_abc(template, model, *, plan=None):
+        """The hint buffers of two particles that forced "abc" and "ab",
+        then ran a hint clause with this template (not the last clause,
+        so that no check decodes texts in that step)."""
+        if plan is None:
+            plan = make_plan([{"kind": "force_string", "text": "a"},
+                              {"kind": "hint", "template": template},
+                              {"kind": "force_string", "text": "a"}],
+                             variables={"target_chars": 5, "x": "y"})
+        particles = [Particle(tokens=[0, 1, 2]), Particle(tokens=[0, 1])]
+        execute_particles(plan, 1, particles, model, [derive_key(0, "t", s) for s in (0, 1)])
+        return [p.hint_buffer for p in particles]
+
+    def test_a_text_binding_decodes_the_texts(self, uniform4, decoded):
+        template = "{chars_so_far}/{words_so_far}/{remaining_chars} of {tokens_so_far}"
+        assert self.hint_after_abc(template, uniform4) == [
+            ["Note to self: 3/1/2 of 3"], ["Note to self: 2/1/3 of 2"]]
+        assert decoded == [[0, 1]]
+
+    def test_a_template_without_one_decodes_nothing(self, uniform4, decoded):
+        assert self.hint_after_abc("{tokens_so_far} drawn, {x}", uniform4) == [
+            ["Note to self: 3 drawn, y"], ["Note to self: 2 drawn, y"]]
+        assert decoded == []
+
+    @pytest.mark.parametrize("template", ["{nope}", "{tokens_so_far}{nope}",
+                                          "{chars_so_far}{nope}", "{tokens_so_far:{nope}}"])
+    def test_an_unbound_name_raises_with_or_without_the_text(self, uniform4, template):
+        # parse_plan rejects undeclared names, so the plan is made directly
+        plan = SteeringPlan(proposal_tag="proposal", prior_tag="prior", max_tokens=8,
+                            steps=(StepClause("force_string", text="a"),
+                                   StepClause("hint", template=template)),
+                            check=())
+        with pytest.raises(UnboundVariable) as info:
+            self.hint_after_abc(template, uniform4, plan=plan)
+        assert info.value.clause_index == 1
+
+    @pytest.mark.parametrize("template, reads", [
+        ("plain", False), ("{tokens_so_far}", False), ("{x:>{tokens_so_far}}", False),
+        ("{chars_so_far}", True), ("{words_so_far!r}", True), ("{remaining_chars}", True),
+        ("{x:{chars_so_far}}", True), ("{0}", True), ("{x[0]}", True), ("{", True)])
+    def test_which_templates_read_the_text(self, template, reads):
+        """Nested format specs count; a template the parser would reject
+        counts as reading the text, so that rendering it raises as it
+        always did."""
+        assert template_reads_text(template) is reads
+
+    def test_bindings_without_a_text_hold_only_the_token_count(self):
+        plan = make_plan([], variables={"target_chars": 5, "x": "y"})
+        assert hint_bindings_for(plan, "ab c", 3) == {
+            "target_chars": 5, "x": "y", "tokens_so_far": 3, "chars_so_far": 4,
+            "words_so_far": 2, "remaining_chars": 1}
+        assert hint_bindings_for(plan, None, 3) == {"target_chars": 5, "x": "y",
+                                                    "tokens_so_far": 3}
+
+
 def _scan_mask(spec: MaskSpec, vocab: Vocabulary, text: str) -> list[int]:
     """The ids a mask allows, by a direct scan of the vocabulary."""
     out = []
@@ -448,6 +524,41 @@ class TestExecuteStep:
         assert (fresh.text, fresh.status) == ("b", DONE)
         assert update.appended_tokens == (1,)
         assert update.log_score_update == pytest.approx(math.log(0.2))
+
+    def test_a_deferred_update_reads_the_cells_of_its_step(self):
+        """``appended_tokens`` is built when read, from the cells the step
+        wrote: read after a later step, after a ``take`` and after the
+        token matrix grows, it equals the tuple built at the step's end,
+        and so do its equality, hash and repr."""
+        vocab = Vocabulary.from_tokens(["a", "b", "c", "<eos>"])
+        model = TableModel(vocab, {}, np.array([0.5, 0.3, 0.2, 0.0]))
+        plan = make_plan([{"kind": "sample_until",
+                           "stop": {"kind": "token_count", "value": 5}}] * 4, max_tokens=64)
+        pop, updates = Population(4, vocab), []
+
+        def step(pop, index):
+            starts = pop.lengths.copy()
+            update = execute_step(plan, index, pop, model, derive_keys(index, "t", 4))
+            eager = tuple(t for s in range(4)
+                          for t in pop.tokens[s, starts[s]:pop.lengths[s]].tolist())
+            updates.append((update, eager))
+
+        step(pop, 0)
+        step(pop, 1)  # writes past step 0's cells, in the same matrix
+        matrix = pop.tokens
+        assert updates[0][0].appended_tokens == updates[0][1]
+        pop = pop.take(np.array([3, 3, 0, 1]))
+        step(pop, 2)
+        assert updates[1][0].appended_tokens == updates[1][1]
+        step(pop, 3)  # 20 tokens outgrow the first 16 columns
+        assert pop.tokens is not matrix and pop.tokens.shape[1] > matrix.shape[1]
+        for update, eager in updates:
+            built = StepUpdate(eager, update.log_score_update)
+            assert update == built and hash(update) == hash(built)
+            assert repr(update) == repr(built) == (
+                f"StepUpdate(appended_tokens={eager!r}, "
+                f"log_score_update={update.log_score_update!r})")
+        assert len(updates[3][1]) == 20
 
     def test_deterministic_given_stream(self, uniform4):
         plan = make_plan([
