@@ -231,9 +231,10 @@ def _run_lockstep(plan: SteeringPlan, models: ModelSet, config: InferenceConfig,
             diag.steps_executed = t
             stepped = pop.status == ACTIVE
             # A dead end fails only its particle; any other typed error
-            # (Timeout, remote or schema trouble) ends the run.
+            # (Timeout, remote or schema trouble) ends the run. A run
+            # that keeps no weights has its steps compute no score.
             execute_step(plan, t - 1, pop, models, step_keys(slot_keys, t),
-                         deadline=deadline)
+                         deadline=deadline, weighted=weighted)
             for s in np.flatnonzero(stepped & (pop.status == FAILED)).tolist():
                 pop.errors[s].step_index = t
             if weighted:

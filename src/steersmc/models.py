@@ -220,9 +220,10 @@ class TokenModel:
         ``hint_sets[hint_ids[i]]``, the window of its context whose ids,
         newest first, are ``windows[i, :widths[i]] - 1``: ``windows`` is
         an int64 matrix of each id plus one, then 0 past the slot's
-        width. The step interpreter calls this once per token tick, each
-        window being the last ``context_reach(hints)`` ids of a slot's
-        context (all of them when the reach is None); every id comes
+        width. The step interpreter calls this at most once per token
+        tick, each window being the last ``context_reach(hints)`` ids of
+        a slot's context (all of them when the reach is None), and for
+        windows of no columns once per hint set in a step; every id comes
         from a row, from a checked ``force_string`` or from
         ``Vocabulary.encode``. ``deadline`` (a ``time.monotonic``
         instant) bounds models that wait on I/O.
@@ -261,8 +262,8 @@ class TokenModel:
         """One probability vector per query, for queries whose context ids
         are already known to lie in the vocabulary.
 
-        The default ``next_table`` calls this once per token tick, with
-        one query per distinct window of the tick. Rows may be shared
+        The default ``next_table`` calls this once per call, with one
+        query per distinct window and hint set it is sent. Rows may be shared
         read-only arrays. ``deadline`` (a ``time.monotonic`` instant)
         bounds models that wait on I/O.
         """

@@ -12,12 +12,12 @@ each decode the texts they read, in one gather over their slots. The
 interpreter steps a whole population through one top-level clause at
 once. On each token tick it gathers every slot's window of the context
 the model reads (``TokenModel.context_reach``) into one matrix and
-makes one ``TokenModel.next_table`` call, which answers with one table
-of distinct rows and each slot's index into it: the default groups the
-slots exactly by window and hint set and sends one query per group,
-and ``NgramModel`` walks its trie of seen windows for all slots at
-once. The draw, the prior's score and ``force_string`` read that
-table. The draw is one batched
+makes at most one ``TokenModel.next_table`` call, which answers with
+one table of distinct rows and each slot's index into it: the default
+groups the slots exactly by window and hint set and sends one query per
+group, and ``NgramModel`` walks its trie of seen windows for all slots
+at once. A row that reads no context is asked once per step. The draw,
+the prior's score and ``force_string`` read that table. The draw is one batched
 pass over that table per mask part (one part unless a
 ``max_remaining_chars`` mask sees several text lengths), which gathers
 the mask's columns of the whole table.
@@ -259,12 +259,28 @@ def _groups(labels: np.ndarray) -> list[np.ndarray]:
     return [order[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
+def _grown(known: np.ndarray | None, size: int) -> np.ndarray:
+    """An int64 array by hint-set id of at least ``size`` entries:
+    ``known``, padded with -1 (not yet asked) when shorter or missing."""
+    if known is not None and len(known) >= size:
+        return known
+    grown = np.full(size, -1, dtype=np.int64)
+    if known is not None:
+        grown[:len(known)] = known
+    return grown
+
+
 class _Pass:
     """One population step: the index of the top-level clause it runs,
-    the population, every slot's stream key and draw counter, and the
-    summed score delta. What stays fixed for the step is worked out once
-    in it: a block of uniforms ahead of the counters (``uniforms``) and
-    each model's reach per hint set (``reach``).
+    the population, every slot's stream key and draw counter, whether
+    the run reads weights, and the summed score delta. What stays fixed
+    for the step is worked out once in it: a block of uniforms ahead of
+    the counters (``uniforms``), each model's reach per hint set
+    (``reach``) and, for slots that read no context, each model's row
+    per tag and hint set (``free``). All three rest on the step's
+    invariants: every counter starts it at 0, models answer purely, and
+    hint sets are only appended, so an id names one hint set all step.
+    A run that reads no weights (rejection) asks for no score at all.
 
     Each clause runs on an ascending array of slots and returns the
     slots still running: a slot leaves on EOS or when it dies. A slot
@@ -279,10 +295,10 @@ class _Pass:
     """
 
     __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters", "block",
-                 "start", "reaches", "deadline", "log_update")
+                 "start", "reaches", "free_rows", "deadline", "weighted", "log_update")
 
     def __init__(self, plan, index: int, models: ModelSet, pop: Population, keys,
-                 deadline):
+                 deadline, weighted: bool = True):
         self.plan = plan
         self.index = index
         self.models = models
@@ -291,8 +307,9 @@ class _Pass:
         self.keys = np.asarray(keys, dtype=np.uint64)
         self.counters = np.zeros(len(pop), dtype=np.uint64)
         self.block, self.start = np.empty((len(pop), 0)), 0
-        self.reaches = {}
+        self.reaches, self.free_rows = {}, {}
         self.deadline = deadline
+        self.weighted = weighted
         self.log_update = 0.0
 
     def kill(self, slots: np.ndarray, error: type, message: str) -> None:
@@ -364,16 +381,19 @@ class _Pass:
         unmasked draw has Z = 1). Scored with the prior, the delta is
         ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
         -inf; the prior is evaluated without hints, which condition the
-        proposal side only. The tick's distinct rows are stacked into one
-        table, and each slot's uniform is read from the step's block
-        (``uniforms``); each mask part (all slots, or under
-        ``max_remaining_chars`` those of one text length) builds its mask
-        once, gathers the allowed columns of the whole table in C order,
-        so that each row sums as it would alone, and draws with
-        ``rng.draw_rows``, each slot reading its own row of that gather.
-        Slots whose mask allows no token or leaves their row no mass die.
-        Every pick and delta is then applied in one scatter; an unmasked,
-        unscored draw, whose deltas are all 0.0, applies none.
+        proposal side only. A run that reads no weights computes neither
+        and asks the prior nothing. The tick's distinct rows are one
+        table (``rows``), and each slot's uniform is read from the step's
+        block (``uniforms``). An unmasked draw is one ``rng.draw_rows``
+        over the table, and kills no slot. Otherwise each mask part (all
+        slots, or under ``max_remaining_chars`` those of one text length)
+        builds its mask once, gathers the allowed columns of the whole
+        table in C order, so that each row sums as it would alone, and
+        draws with ``rng.draw_rows``, each slot reading its own row of
+        that gather; slots whose mask allows no token or leaves their
+        row no mass die. Every pick and delta is then applied in one
+        scatter; an unmasked, unscored draw, whose deltas are all 0.0,
+        applies none.
         """
         pop, vocab, mask = self.pop, self.vocab, clause.mask
         max_tokens = self.plan.max_tokens
@@ -387,42 +407,46 @@ class _Pass:
         table, slot_rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots,
                                      True)
         u = self.uniforms(slots)
-        picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
-        parts = [np.arange(len(slots))]
-        if mask is not None and mask.kind == "max_remaining_chars":
-            parts = _groups(pop.text_lengths[slots])  # all that this mask reads
-        for members in parts:
-            if mask is None:
-                picks[members] = draw_rows(table, table.sum(axis=1), slot_rows, u)
-                continue
-            ids = mask.build(vocab, int(pop.text_lengths[slots[members[0]]]))
-            used = slot_rows[members]
-            weights = table.take(ids, axis=1)  # C-ordered, unlike table[:, ids]
-            totals = weights.sum(axis=1)
-            dead = totals[used] <= 0.0
-            if dead.any():
-                self.kill(slots[members[dead]], MaskEmpty, "mask allows no tokens"
-                          if ids.size == 0 else "mask removed all probability mass (Z=0)")
-                members, used = members[~dead], used[~dead]
-                if not members.size:
-                    continue
-            logs = np.array([0.0 if t <= 0.0 else math.log(t) for t in totals.tolist()])
-            deltas[members] = logs[used]
-            picks[members] = ids[draw_rows(weights, totals, used, u[members])]
-        live = pop.status[slots] == ACTIVE  # kill marks every death
-        if not live.all():
-            slots, picks, deltas, slot_rows = (slots[live], picks[live], deltas[live],
-                                               slot_rows[live])
-            if not slots.size:
-                return slots
-        if clause.score_with_prior:
+        scored = clause.score_with_prior and self.weighted
+        if mask is None:  # Z = 1, and no slot dies
+            picks = draw_rows(table, table.sum(axis=1), slot_rows, u)
+            deltas = np.zeros(len(slots)) if scored else None
+        else:
+            picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
+            parts = [np.arange(len(slots))]
+            if mask.kind == "max_remaining_chars":
+                parts = _groups(pop.text_lengths[slots])  # all that this mask reads
+            for members in parts:
+                ids = mask.build(vocab, int(pop.text_lengths[slots[members[0]]]))
+                used = slot_rows[members]
+                weights = table.take(ids, axis=1)  # C-ordered, unlike table[:, ids]
+                totals = weights.sum(axis=1)
+                dead = totals[used] <= 0.0
+                if dead.any():
+                    self.kill(slots[members[dead]], MaskEmpty, "mask allows no tokens"
+                              if ids.size == 0 else "mask removed all probability mass (Z=0)")
+                    members, used = members[~dead], used[~dead]
+                    if not members.size:
+                        continue
+                if self.weighted:
+                    logs = np.array([0.0 if t <= 0.0 else math.log(t)
+                                     for t in totals.tolist()])
+                    deltas[members] = logs[used]
+                picks[members] = ids[draw_rows(weights, totals, used, u[members])]
+            live = pop.status[slots] == ACTIVE  # kill marks every death
+            if not live.all():
+                slots, picks, deltas, slot_rows = (slots[live], picks[live], deltas[live],
+                                                   slot_rows[live])
+                if not slots.size:
+                    return slots
+        if scored:
             prior, prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots,
                                           False)
             deltas = np.array([
                 (math.log(p) - (math.log(q) - delta)) if p > 0.0 else NEG_INF
                 for p, q, delta in zip(prior[prior_rows, picks].tolist(),
                                        table[slot_rows, picks].tolist(), deltas.tolist())])
-        if mask is not None or clause.score_with_prior:  # else every delta is 0.0
+        if self.weighted and (mask is not None or scored):  # else every delta is 0.0
             self.score(slots, deltas)
         pop.append(slots, picks, max_tokens)
         ended = picks == vocab.eos_id
@@ -432,7 +456,7 @@ class _Pass:
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
              hinted: bool) -> tuple[np.ndarray, np.ndarray]:
         """The model's rows for these slots as one table, and each slot's
-        index into it, from one ``model.next_table`` call.
+        index into it, from at most one ``model.next_table`` call.
 
         A slot reads its hints (none unless hinted) and the window of
         its context that the model reads under them, the last
@@ -440,27 +464,31 @@ class _Pass:
         once per hint set in the step (``reach``). The windows are
         gathered into one int64 matrix straight from the slots' token
         cells: each id plus one, newest first, then 0 past the window's
-        width, so token 0 never reads as padding; when every width is 0
-        the matrix has no columns and nothing is gathered. The returned
-        table is checked once to hold rows over the vocabulary, and one
-        integer index into it per slot, so that every drawn id is a
-        valid context id.
+        width, so token 0 never reads as padding. When every width is 0
+        the rows read the hint sets alone, and come from the step's
+        memo (``free``).
         """
         pop, tokens = self.pop, self.pop.tokens
-        n, lengths = len(slots), pop.lengths[slots]
-        hints = pop.hint_ids[slots] if hinted else np.zeros(n, dtype=np.intp)
+        lengths = pop.lengths[slots]
+        hints = pop.hint_ids[slots] if hinted else np.zeros(len(slots), dtype=np.intp)
         widths = np.minimum(lengths, self.reach(model, hints))
         span = np.arange(int(widths.max()), dtype=np.int64)
-        if span.size:
-            # flat (row-major) indices, newest first, gather faster than
-            # 2-D ones; a cell before its row's start is past the width
-            back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
-            windows = np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1,
-                             dtype=np.int64)
-            windows[span >= widths[:, None]] = 0
-        else:  # no slot reads any context
-            windows = np.zeros((n, 0), dtype=np.int64)
-        table, slot_rows = model.next_table(windows, widths, hints, pop.hint_sets, tag,
+        if not span.size:  # no slot reads any context
+            return self.free(model, tag, hints)
+        # flat (row-major) indices, newest first, gather faster than 2-D
+        # ones; a cell before its row's start is past the width
+        back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
+        windows = np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1, dtype=np.int64)
+        windows[span >= widths[:, None]] = 0
+        return self.ask(model, tag, windows, widths, hints)
+
+    def ask(self, model: TokenModel, tag: str, windows: np.ndarray, widths: np.ndarray,
+            hints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One ``model.next_table`` call, whose table is checked to hold
+        rows over the vocabulary, and one integer index into it per
+        window, so that every drawn id is a valid context id."""
+        n = len(hints)
+        table, slot_rows = model.next_table(windows, widths, hints, self.pop.hint_sets, tag,
                                             self.deadline)
         size = self.vocab.size
         if not (isinstance(table, np.ndarray) and table.ndim == 2 and table.shape[1] == size
@@ -475,6 +503,39 @@ class _Pass:
                                 f"not integers in [0, {len(table)})")
         return table, slot_rows
 
+    def free(self, model: TokenModel, tag: str,
+             hints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` for slots that read no context: a row is then fixed
+        by the model, the tag and the hint set for the whole step, so it
+        is asked once per (model, tag, hint set) in the step.
+
+        Each (model, tag) keeps a table and an int64 array by hint-set
+        id of the set's row in it, -1 until asked, which grows with
+        ``hint_sets``. The unasked sets of a tick, in order of first
+        slot, go to one ``ask`` with a window matrix of no columns; their
+        rows are appended to the table. Slots that all read one row get
+        that row alone and index 0, as a one-row answer would give them.
+        """
+        key = (id(model), tag)  # models need not hash
+        table, row_of = self.free_rows.get(key, (None, None))
+        row_of = _grown(row_of, len(self.pop.hint_sets))
+        rows = row_of[hints]
+        if rows.min() < 0:
+            missing = hints[rows < 0]
+            new = np.flatnonzero(np.bincount(missing))
+            if len(new) > 1:  # in order of first slot
+                new = np.array(list(dict.fromkeys(missing.tolist())), dtype=np.intp)
+            got, got_rows = self.ask(model, tag, np.zeros((len(new), 0), dtype=np.int64),
+                                     np.zeros(len(new), dtype=np.intp), new)
+            row_of[new] = got_rows + (0 if table is None else len(table))
+            table = got if table is None else np.concatenate((table, got))
+            rows = row_of[hints]
+        self.free_rows[key] = table, row_of
+        lo = rows.min()
+        if lo == rows.max():
+            return table[lo:lo + 1], np.zeros(len(hints), dtype=np.intp)
+        return table, rows
+
     def reach(self, model: TokenModel, hints: np.ndarray) -> np.ndarray:
         """``model.context_reach`` of each of these hint-set ids, asked
         once per (model, hint set) in the step, when a slot first reads
@@ -482,12 +543,8 @@ class _Pass:
         asked and ``WHOLE_CONTEXT`` for None, which grows with
         ``hint_sets``: hint sets are only appended within a step."""
         hint_sets = self.pop.hint_sets
-        known = self.reaches.get(id(model))  # models need not hash
-        if known is None or len(known) < len(hint_sets):
-            grown = np.full(len(hint_sets), -1, dtype=np.int64)
-            if known is not None:
-                grown[:len(known)] = known
-            self.reaches[id(model)] = known = grown
+        known = _grown(self.reaches.get(id(model)), len(hint_sets))
+        self.reaches[id(model)] = known
         reach = known[hints]
         if reach.min() < 0:
             for h in np.flatnonzero(np.bincount(hints[reach < 0])).tolist():
@@ -500,7 +557,8 @@ class _Pass:
         """Append the forced tokens to every slot and add their log
         probability to its weight once, summed in token order as
         ``TokenModel.sequence_logprob`` sums it (-inf after a zero). A
-        slot at -inf makes no further queries."""
+        slot at -inf makes no further queries, and a run that reads no
+        weights makes none."""
         forced = forced_tokens(clause, self.vocab)
         if not forced:
             return slots
@@ -513,7 +571,8 @@ class _Pass:
             if not slots.size:
                 return slots
         totals = np.zeros(len(slots))
-        scoring = np.arange(len(slots))  # positions of the slots still finite
+        # positions of the slots still finite
+        scoring = np.arange(len(slots) if self.weighted else 0)
         for t in forced:
             self.check_deadline()
             if scoring.size:
@@ -589,7 +648,7 @@ class _Pass:
 
 
 def execute_step(plan: SteeringPlan, index: int, population: Population, models,
-                 keys, deadline: float | None = None) -> StepUpdate:
+                 keys, deadline: float | None = None, weighted: bool = True) -> StepUpdate:
     """Run top-level clause ``index`` on every active particle of the
     population, all together and in place; slot i draws from the stream
     with key ``keys[i]`` (a uint64), starting at counter 0. Finished and
@@ -608,10 +667,13 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
     enters ``log_score_update``. Identical (plan, index, particle, key)
     give bit-identical results for that particle, whatever population it
     steps in. The update lists the appended tokens slot by slot, built
-    when first read.
+    when first read. With ``weighted`` False (a run that reads only
+    statuses) no score is computed: no delta enters a weight or
+    ``log_score_update``, and no model is asked for a score alone, so
+    the prior is never asked; deaths and failed checks still set -inf.
     """
     pop = population
-    step = _Pass(plan, index, as_model_set(models), pop, keys, deadline)
+    step = _Pass(plan, index, as_model_set(models), pop, keys, deadline, weighted)
     stepped = np.flatnonzero(pop.status == ACTIVE)
     starts = pop.lengths[stepped]
     if index < len(plan.steps):

@@ -135,3 +135,25 @@ def test_tracer_counts_one_check_per_finished_particle(method):
     calls = tracer_module.profile(tracer.arrays(), tracer_module.NAMES)["calls"]
     assert calls["steering.run_check"] == n
     assert tracer.counters["engine.deaths.check"] == len(rejected)
+
+
+@pytest.mark.parametrize("workload, calls", [("hinted_long", 2), ("masked_smc", 11),
+                                             ("wide_smc", 12)])
+def test_model_calls_per_benchmark_operation(monkeypatch, workload, calls):
+    """One seed-0 operation of each in-process workload, built by
+    ``perfbench/workloads.py`` as the benchmark builds it, makes this many
+    ``NgramModel.next_table`` calls: ``hinted_long``'s 64 slots read no
+    context behind its hints, so its 300 ticks ask once per hint set;
+    the others ask once per tick."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  TRACER_PATH.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    inp = workloads.build_in_process(workload, 0)
+    seen, call = [], steersmc.NgramModel.next_table
+    monkeypatch.setattr(steersmc.NgramModel, "next_table",
+                        lambda self, *args: seen.append(args) or call(self, *args))
+    outcome = steersmc.run_inference(inp.plan, inp.models, inp.config)
+    assert workloads.check_outcome(inp, outcome) == []
+    assert len(seen) == calls

@@ -10,6 +10,7 @@ from steersmc import (
     AllParticlesDead,
     InferenceConfig,
     MaskEmpty,
+    ModelSet,
     Population,
     ProtocolError,
     RandomStream,
@@ -18,6 +19,7 @@ from steersmc import (
     StepBudgetExceeded,
     SteeringPlan,
     StepClause,
+    TableModel,
     Timeout,
     TokenModel,
     UnboundVariable,
@@ -37,7 +39,7 @@ from steersmc import (
 )
 from steersmc import engine
 from steersmc.engine import _dead_population_error
-from steersmc.steering import DONE, FAILED
+from steersmc.steering import DONE, FAILED, REJECTED
 
 from stepping import Particle, particles_of, population_of
 
@@ -396,6 +398,61 @@ class TestRunRejection:
                 assert c.normalized_weight == pytest.approx(1 / len(passers))
             else:
                 assert c.normalized_weight == 0.0
+
+
+    def test_rejection_asks_for_no_score(self, monkeypatch):
+        """Rejection reads no weights, so its steps compute no score: a
+        prior-scored draw asks the prior for no rows, and no mask's
+        ``log Z`` or forced string's probability is added. Statuses,
+        tokens and errors are those of steps that compute every score,
+        mask deaths included. Under importance the prior is asked once
+        per prior-scored tick, and a prior that answers with a malformed
+        table fails the run; under rejection it is never asked."""
+
+        class Prior(TableModel):
+            calls, faulty = 0, False
+
+            def next_table(self, *args):
+                self.calls += 1
+                table, rows = super().next_table(*args)
+                return (table[:, :1] if self.faulty else table), rows
+
+        vocab = Vocabulary.from_tokens(["a", "bb", "<eos>"])
+        proposal = TableModel(vocab, {}, np.array([0.5, 0.5, 0.0]))
+        prior = Prior(vocab, {}, np.array([0.7, 0.2, 0.1]))
+        models = ModelSet(proposal, prior)
+        plan = make_plan([
+            {"kind": "sample_until", "score_with_prior": True,
+             "stop": {"kind": "token_count", "value": 2}},
+            {"kind": "masked_sample", "score_with_prior": True,
+             "mask": {"kind": "explicit", "tokens": ["a", "bb"]}},
+            {"kind": "masked_sample", "mask": {"kind": "max_remaining_chars",
+                                               "target_chars": 6}},
+            {"kind": "force_string", "text": "a"}],
+            check=[{"kind": "char_count_exact", "value": 6}])
+        config = InferenceConfig(method="rejection", n_particles=32, seed=7)
+        runs = {}
+        for weighted in (False, True):
+            prior.calls = 0
+            with monkeypatch.context() as m:
+                m.setattr(engine, "execute_step", lambda *args, **kwargs: execute_step(
+                    *args, **{**kwargs, "weighted": kwargs["weighted"] or weighted}))
+                pop, _, error = engine._run_lockstep(plan, models, config,
+                                                     resample_enabled=False, weighted=False)
+            runs[weighted] = (pop.status.tolist(), pop.tokens.tolist(), error,
+                              {s: type(e) for s, e in pop.errors.items()}, prior.calls)
+            if not weighted:  # only a death or a failed check sets a weight
+                assert (pop.log_weights[pop.status == DONE] == 0.0).all()
+        assert {DONE, REJECTED, FAILED} <= set(runs[False][0])
+        assert runs[False][:4] == runs[True][:4]
+        assert (runs[False][4], runs[True][4]) == (0, 3)
+        prior.calls = 0
+        assert run_inference(plan, models, config).error is None and prior.calls == 0
+        prior.faulty = True
+        assert run_inference(plan, models, config).error is None
+        assert run_inference(plan, models, InferenceConfig(
+            method="importance", n_particles=32, seed=7)).error_code == "ProtocolError"
+        assert prior.calls == 1
 
 
 class TestErrorTaxonomy:

@@ -58,6 +58,7 @@ from steersmc import (
     TableModel,
     Timeout,
     TokenModel,
+    UniformModel,
     Vocabulary,
     as_model_set,
     derive_key,
@@ -595,10 +596,12 @@ def test_no_call_repeats_a_query(kind):
 
 
 def test_one_call_per_model_per_token_tick():
-    """Every slot of a token tick goes to the model in one ``next_table``
-    call, however many distinct windows there are: the proposal once
-    per tick (three drawn, two masked, one forced) and the prior once
-    per prior-scored tick. The order-3 n-gram reads two ids, so the
+    """Every slot of a token tick goes to the model in at most one
+    ``next_table`` call, however many distinct windows there are: the
+    proposal once per tick (three drawn, two masked, one forced) and the
+    prior once per prior-scored tick. Only the first tick, at length 0,
+    reads no context, and it is the first to ask for its hint set, so
+    it too makes one call. The order-3 n-gram reads two ids, so the
     fourth tick sends 25 distinct windows, each row once."""
     vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "e", "<eos>"])
     proposal, prior = (_ngram(vocab, 3, np.random.default_rng(seed), eos=False)
@@ -845,9 +848,9 @@ def test_one_query_per_window_the_model_reads():
     """An order-3 n-gram reads the last two ids of its serialized
     context. Behind one hint (the delimiter alone) that is one context
     id, and behind two hints none: from then on the 64 slots share one
-    window, with an empty context, and one table row on every token
-    tick. A table model (reach None) still receives every slot's whole
-    context."""
+    window, with an empty context, and one table row, asked once per
+    hint set in the step. A table model (reach None) still receives
+    every slot's whole context."""
     vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
     plan = parse_plan({"plan_version": 1, "max_tokens": 12, "steps": [
         {"kind": "loop", "iterations": 3, "body": [
@@ -858,16 +861,15 @@ def test_one_query_per_window_the_model_reads():
     run_inference(plan, ngram, config)
     hint = steering.HINT_PREFIX
     calls = ngram.windows()
-    assert len(calls) == 12  # one call per token tick
+    assert len(calls) == 6  # one call per tick that reads context, one per hint set
     # one hint: the empty context, then one query per last context id
     assert calls[0] == [ModelQuery((), "proposal", (hint,))]
     windows = [q for call in calls[1:4] for q in call]
     assert all(len(q.context) == 1 and q.hints == (hint,) for q in windows)
     assert len(windows) > 3 and all(len(call) <= 3 for call in calls[1:4])
-    # two hints and more: one query per tick, no context id sent
-    assert calls[4:] == [[ModelQuery((), "proposal", (hint,) * k)]
-                         for k in (2, 2, 2, 2, 3, 3, 3, 3)]
-    assert [len(table) for _, table, _ in ngram.tables[4:]] == [1] * 8
+    # two hints and more: one query per hint set, no context id sent
+    assert calls[4:] == [[ModelQuery((), "proposal", (hint,) * k)] for k in (2, 3)]
+    assert [len(table) for _, table, _ in ngram.tables[4:]] == [1] * 2
     ngram.check_tables()
 
     no_eos, rng, rows = np.array([1 / 3, 1 / 3, 1 / 3, 0.0]), np.random.default_rng(7), {}
@@ -1144,3 +1146,103 @@ def test_reach_is_asked_once_per_model_and_hint_set_per_step():
     # per step, the proposal reads one set after its first hint and
     # several after its second; the prior reads () in the scored step
     assert asked_sets[1::2] == [1, 0] and all(k > 2 for k in asked_sets[0::2])
+
+
+def _digits_ngram():
+    """An order-2 n-gram behind a "|" delimiter over "a", "b" and two
+    digits, with no EOS mass: unhinted it reads one context id, and a
+    hint fills its window (the delimiter, then any digits of the hint),
+    so every slot with a hint reads no context."""
+    vocab = Vocabulary.from_tokens(["a", "b", "|", "1", "2", "<eos>"], hint_delimiter="|")
+    model = _ngram(vocab, 2, np.random.default_rng(12), eos=False)
+    assert model.context_reach(()) == 1 and model.context_reach(("x",)) == 0
+    return model
+
+
+def _free_cases():
+    """(plan document, models, particle count) for each kind of context-free
+    tick."""
+    vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
+    uniform = UniformModel(vocab)
+    order1 = _ngram(vocab, 1, np.random.default_rng(10), eos=False)
+    order3 = _ngram(vocab, 3, np.random.default_rng(11), eos=False)
+    counted = {"kind": "hint", "template": "{tokens_so_far}"}
+    mixed = [{"kind": "hint", "template": "{chars_so_far}"},
+             {"kind": "masked_sample", "count": 2, "score_with_prior": True,
+              "mask": {"kind": "explicit", "tokens": ["a", "bb"]}},
+             {"kind": "force_string", "text": "a"},
+             {"kind": "masked_sample", "mask": {"kind": "max_remaining_chars",
+                                                "target_chars": 12}}]
+    digits = _digits_ngram()
+    prompts = {("proposal", ()): np.array([0.6, 0.3, 0.1, 0.0]),
+               ("prior", ()): np.array([0.2, 0.3, 0.5, 0.0])}
+    table = TableModel(vocab, prompts, np.array([0.25, 0.25, 0.25, 0.25]))
+    return {
+        # reach 0 under every hint set, proposal and prior alike
+        "uniform": ({"max_tokens": 24, "steps": [
+            {"kind": "loop", "iterations": 2, "body": mixed}]}, (uniform, uniform), 12),
+        "order-1": ({"max_tokens": 24, "steps": [
+            {"kind": "loop", "iterations": 2, "body": mixed}]}, (order1, order1), 12),
+        # behind two hints the order-3 n-gram reads no context; hint sets
+        # are added inside the loop, and texts of different lengths give
+        # slots different ones
+        "hinted": ({"max_tokens": 24, "steps": [
+            {"kind": "loop", "iterations": 3, "body": [
+                {"kind": "hint", "template": "{chars_so_far}"},
+                {"kind": "sample_until", "stop": {"kind": "token_count", "value": 6}}]}]},
+            order3, 12),
+        # slots leave a substring loop at different passes, then each
+        # takes a hint naming its length: the draws after it read no
+        # context, with slots of several hint sets in one tick
+        "several sets": ({"max_tokens": 40, "steps": [
+            {"kind": "loop", "iterations": 2, "body": [
+                {"kind": "loop", "until": {"kind": "substring", "value": "b"},
+                 "max_iterations": 12, "body": [_draw_one()]},
+                counted, _draw_one(), _draw_one()]}]}, digits, 10),
+        # one table model as proposal and prior, whose rows for the empty
+        # context differ by tag
+        "tagged": ({"max_tokens": 8, "steps": [
+            {"kind": "masked_sample", "count": 2, "score_with_prior": True,
+             "mask": {"kind": "explicit", "tokens": ["a", "bb", "|"]}},
+            {"kind": "sample_until", "score_with_prior": True,
+             "stop": {"kind": "token_count", "value": 3}}]}, (table, table), 12),
+    }
+
+
+@pytest.mark.parametrize("case", ["uniform", "order-1", "hinted", "several sets", "tagged"])
+def test_context_free_rows_are_asked_once_per_step(monkeypatch, case):
+    """A tick whose slots read no context takes its rows from the step's
+    memo: bit for bit the walk's, and each (model, tag, hint set) sent to
+    ``next_table`` once per step, however many such ticks read it. Keying
+    the memo without the tag fails the "tagged" case; a row index that
+    does not grow with ``hint_sets``, or rows stored by fill position
+    instead of by hint id, fail cases that add hint sets in a loop."""
+    doc, models, n = _free_cases()[case]
+    plan = parse_plan({"plan_version": 1, **doc})
+    sent, ticks = [], []
+    pair = as_model_set(models)
+    for model in {id(m): m for m in (pair.proposal, pair.prior)}.values():
+        def spy(windows, widths, hint_ids, hint_sets, tag, deadline=None,
+                model=model, call=model.next_table):
+            if windows.shape[1] == 0:
+                sent.append([(id(model), tag, hint_sets[h]) for h in hint_ids.tolist()])
+            return call(windows, widths, hint_ids, hint_sets, tag, deadline)
+
+        monkeypatch.setattr(model, "next_table", spy, raising=False)
+    free = steering._Pass.free
+    monkeypatch.setattr(steering._Pass, "free", lambda self, model, tag, hints: (
+        ticks.append(len(set(hints.tolist()))) or free(self, model, tag, hints)))
+    asked = []
+
+    def after_step(step):  # the calls of one step ask for distinct rows
+        assert set(collections.Counter(itertools.chain(*sent)).values()) <= {1}
+        asked.append(len(sent))
+        sent.clear()
+
+    assert_steps_match_the_walk(plan, models, n, 13, after_step)
+    if case == "tagged":  # only the first tick, at length 0, reads no context
+        assert asked == [2, 0] and len(ticks) == 2
+    else:
+        assert 0 < sum(asked) < len(ticks)
+    if case == "several sets":
+        assert max(ticks) >= 2
