@@ -20,9 +20,9 @@ _INV_2_53 = 1.0 / (1 << 53)
 
 # Cells ``draw_rows`` compares at once: in one block, a 512-particle run
 # over 88 tokens peaked about 0.45 MB higher than with a draw per row;
-# in blocks of this size, about 0.2 MB. The step interpreter also caps
-# its block of precomputed uniforms (``uniform_block``) at this many
-# cells, one column at least.
+# in blocks of this size, about 0.2 MB. A draw call of the step
+# interpreter also caps its block of precomputed uniforms
+# (``uniform_block``) at this many cells, one column at least.
 DRAW_CELLS = 16384
 
 
@@ -93,11 +93,11 @@ def uniforms_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def uniform_block(keys: np.ndarray, start: int, width: int) -> np.ndarray:
+def uniform_block(keys: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """``uniforms_at`` over a block of counters: ``out[i, j]`` is the
-    uniform the stream with key ``keys[i]`` (a uint64 array) draws at
-    counter ``start + j``, for ``j < width``."""
-    counters = np.arange(start, start + width, dtype=np.uint64)
+    uniform the stream with key ``keys[i]`` draws at counter
+    ``starts[i] + j``, for ``j < width`` (both uint64 arrays)."""
+    counters = starts[:, None] + np.arange(width, dtype=np.uint64)
     return uniforms_at(keys[:, None], counters)
 
 

@@ -22,11 +22,12 @@ pass over that table per mask part (one part unless a
 ``max_remaining_chars`` mask sees several text lengths), which gathers
 the mask's columns of the whole table.
 Tokens are drawn only by the one-token ``draw`` clause; every
-repetition is a ``loop``. A slot's fate is one status code, set by the
-step that decides it: ``ACTIVE``, ``DONE`` (finished and passed the
-plan check), ``REJECTED`` (finished and failed it, weight -inf) or
-``FAILED`` (a dead end, weight -inf); the step checks the slots it
-finishes.
+repetition is a ``loop``, and a loop of draws alone with a fixed count
+is one draw call of many ticks, which works out once what they share.
+A slot's fate is one status code, set by the step that decides it:
+``ACTIVE``, ``DONE`` (finished and passed the plan check), ``REJECTED``
+(finished and failed it, weight -inf) or ``FAILED`` (a dead end, weight
+-inf); the step checks the slots it finishes.
 
 Masked sampling renormalizes the model distribution over the allowed
 set and adds ``log Z`` (the removed mass) to the particle weight, so
@@ -62,7 +63,7 @@ from .plans import (  # MaskSpec and parse_plan are re-exported
     parse_plan,
     template_reads_text,
 )
-from .rng import DRAW_CELLS, draw_rows, uniform_block, uniforms_at
+from .rng import DRAW_CELLS, draw_rows, uniform_block
 
 NEG_INF = float("-inf")
 WHOLE_CONTEXT = np.iinfo(np.int64).max  # the stored reach of a model that reads it all
@@ -274,18 +275,22 @@ class _Pass:
     """One population step: the index of the top-level clause it runs,
     the population, every slot's stream key and draw counter, whether
     the run reads weights, and the summed score delta. What stays fixed
-    for the step is worked out once in it: a block of uniforms ahead of
-    the counters (``uniforms``), each model's reach per hint set
-    (``reach``) and, for slots that read no context, each model's row
-    per tag and hint set (``free``). All three rest on the step's
-    invariants: every counter starts it at 0, models answer purely, and
-    hint sets are only appended, so an id names one hint set all step.
-    A run that reads no weights (rejection) asks for no score at all.
+    for the step is worked out once in it: each model's reach per hint
+    set (``reach``) and, for slots that read no context, each model's
+    row per tag and hint set (``free``). Both rest on the step's
+    invariants: models answer purely, and hint sets are only appended,
+    so an id names one hint set all step. What stays fixed for the
+    ticks of one ``draw`` call is worked out once per call (see
+    ``draw``). A run that reads no weights (rejection) asks for no
+    score at all.
 
     Each clause runs on an ascending array of slots and returns the
     slots still running: a slot leaves on EOS or when it dies. A slot
     that ends a loop early waits for the others without drawing, so its
-    draws are those of a walk over its particle alone.
+    draws are those of a walk over its particle alone: slot s's j-th
+    uniform of the step is ``uniforms_at(key_s, j)`` wherever it is
+    drawn, since every counter starts the step at 0 and advances by the
+    draws its slot made.
 
     Faults follow the rule of ``brute_force_target``, where a dead end
     gives its path zero mass. A dead end (a spent step budget, or a mask
@@ -294,8 +299,8 @@ class _Pass:
     ends the step.
     """
 
-    __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters", "block",
-                 "start", "reaches", "free_rows", "deadline", "weighted", "log_update")
+    __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters", "reaches",
+                 "free_rows", "deadline", "weighted", "log_update")
 
     def __init__(self, plan, index: int, models: ModelSet, pop: Population, keys,
                  deadline, weighted: bool = True):
@@ -306,7 +311,6 @@ class _Pass:
         self.pop = pop
         self.keys = np.asarray(keys, dtype=np.uint64)
         self.counters = np.zeros(len(pop), dtype=np.uint64)
-        self.block, self.start = np.empty((len(pop), 0)), 0
         self.reaches, self.free_rows = {}, {}
         self.deadline = deadline
         self.weighted = weighted
@@ -322,37 +326,6 @@ class _Pass:
     def score(self, slots: np.ndarray, deltas: np.ndarray) -> None:
         self.pop.log_weights[slots] += deltas
         self.log_update += float(deltas.sum())
-
-    def uniforms(self, slots: np.ndarray) -> np.ndarray:
-        """Each slot's next uniform, ``uniforms_at(key, counter)``, with
-        one more draw counted.
-
-        Every counter starts the step at 0, so the uniforms come from a
-        block computed ahead: ``block[s, j]`` is slot s's uniform at
-        counter ``start + j``, and a tick inside it is one gather. A tick
-        past its end starts the next block at its highest counter t,
-        over the slots still active (the only ones that draw again),
-        t + 1 columns wide, so that blocks double, but at most
-        ``DRAW_CELLS`` cells and never past ``max_tokens``, which no
-        counter reaches. A block of one column (the step's first tick)
-        is computed directly for the tick's slots, as is a tick with a
-        slot behind the block, which waited in a loop while others drew.
-        """
-        counters = self.counters[slots]
-        self.counters[slots] = counters + np.uint64(1)
-        columns = counters - np.uint64(self.start)  # a counter behind wraps past the end
-        if columns.max() < self.block.shape[1]:
-            return self.block[slots, columns]
-        top, pop = int(counters.max()), self.pop
-        width = min(top + 1, DRAW_CELLS // len(pop), self.plan.max_tokens - top)
-        if width > 1 and top >= self.start + self.block.shape[1]:
-            live = np.flatnonzero(pop.status == ACTIVE)
-            self.block = np.empty((len(pop), width))
-            self.block[live] = uniform_block(self.keys[live], top, width)
-            self.start, columns = top, counters - np.uint64(top)
-            if columns.max() < width:
-                return self.block[slots, columns]
-        return uniforms_at(self.keys[slots], counters)
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -372,106 +345,151 @@ class _Pass:
             return self.loop(clause, slots)
         raise SchemaViolation(f"unknown clause kind {clause.kind!r}")
 
-    def draw(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
-        """Draw one token for every slot from the (masked) proposal;
-        returns the slots that neither drew EOS nor died. A slot already
-        at ``max_tokens`` dies instead.
+    def draw(self, clause: StepClause, slots: np.ndarray, count: int = 1) -> np.ndarray:
+        """Up to ``count`` ticks of the clause: each draws one token for
+        every slot from the (masked) proposal. Returns the slots that
+        neither drew EOS nor died; a slot leaves the call when it does
+        either, and a slot already at ``max_tokens`` dies instead of
+        drawing.
+
+        What the ticks share is worked out once per call, on its first
+        tick: no hint clause runs inside a call, so each slot's hint set
+        and reach (``reach``) are fixed, and when every reach is 0 so
+        are its rows, one ``free`` lookup, and their sums. The
+        ``max_tokens`` check runs only on ticks where the longest slot
+        can reach it. Uniforms come from a block computed ahead from
+        each slot's own counter c_s (``rng.uniform_block``): column j
+        holds the uniforms at ``c_s + j``, over the slots still drawing,
+        at most ``DRAW_CELLS`` cells (one column at least) and no wider
+        than the ticks left in which ``max_tokens`` lets the call's
+        shortest slot draw; a spent block is refilled at the next
+        counters. Each counter then advances by the draws its slot made.
+        A slot that leaves is sliced out of all of these. The token
+        matrix grows as tokens are appended (``Population.append``), so
+        a call that ends early by EOS widens it no further than its
+        tokens need.
 
         Unscored, a mask adds its ``log Z`` importance correction (an
         unmasked draw has Z = 1). Scored with the prior, the delta is
         ``log p_prior(t) - log q(t)`` for the masked proposal q, possibly
         -inf; the prior is evaluated without hints, which condition the
         proposal side only. A run that reads no weights computes neither
-        and asks the prior nothing. The tick's distinct rows are one
-        table (``rows``), and each slot's uniform is read from the step's
-        block (``uniforms``). An unmasked draw is one ``rng.draw_rows``
-        over the table, and kills no slot. Otherwise each mask part (all
-        slots, or under ``max_remaining_chars`` those of one text length)
-        builds its mask once, gathers the allowed columns of the whole
-        table in C order, so that each row sums as it would alone, and
-        draws with ``rng.draw_rows``, each slot reading its own row of
-        that gather; slots whose mask allows no token or leaves their
-        row no mass die. Every pick and delta is then applied in one
-        scatter; an unmasked, unscored draw, whose deltas are all 0.0,
-        applies none.
+        and asks the prior nothing. A tick whose rows are not fixed reads
+        its distinct rows as one table (``rows``). An unmasked draw is
+        one ``rng.draw_rows`` over the table, and kills no slot.
+        Otherwise each mask part (all slots, or under
+        ``max_remaining_chars`` those of one text length) gathers the
+        allowed columns of the whole table in C order, so that each row
+        sums as it would alone, and draws with ``rng.draw_rows``, each
+        slot reading its own row of that gather; slots whose mask allows
+        no token or leaves their row no mass die. Every pick and delta
+        of a tick is then applied in one scatter; an unmasked, unscored
+        draw, whose deltas are all 0.0, applies none.
         """
         pop, vocab, mask = self.pop, self.vocab, clause.mask
-        max_tokens = self.plan.max_tokens
-        full = pop.lengths[slots] >= max_tokens
-        if full.any():
-            self.kill(slots[full], StepBudgetExceeded,
-                      f"clause needs more than max_tokens={max_tokens} tokens")
-            slots = slots[~full]
-            if not slots.size:
-                return slots
-        table, slot_rows = self.rows(self.models.proposal, self.plan.proposal_tag, slots,
-                                     True)
-        u = self.uniforms(slots)
+        model, tag, max_tokens = self.models.proposal, self.plan.proposal_tag, self.plan.max_tokens
         scored = clause.score_with_prior and self.weighted
-        if mask is None:  # Z = 1, and no slot dies
-            picks = draw_rows(table, table.sum(axis=1), slot_rows, u)
-            deltas = np.zeros(len(slots)) if scored else None
-        else:
-            picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
-            parts = [np.arange(len(slots))]
-            if mask.kind == "max_remaining_chars":
-                parts = _groups(pop.text_lengths[slots])  # all that this mask reads
-            for members in parts:
-                ids = mask.build(vocab, int(pop.text_lengths[slots[members[0]]]))
-                used = slot_rows[members]
-                weights = table.take(ids, axis=1)  # C-ordered, unlike table[:, ids]
-                totals = weights.sum(axis=1)
-                dead = totals[used] <= 0.0
-                if dead.any():
-                    self.kill(slots[members[dead]], MaskEmpty, "mask allows no tokens"
-                              if ids.size == 0 else "mask removed all probability mass (Z=0)")
-                    members, used = members[~dead], used[~dead]
-                    if not members.size:
-                        continue
-                if self.weighted:
-                    logs = np.array([0.0 if t <= 0.0 else math.log(t)
-                                     for t in totals.tolist()])
-                    deltas[members] = logs[used]
-                picks[members] = ids[draw_rows(weights, totals, used, u[members])]
-            live = pop.status[slots] == ACTIVE  # kill marks every death
-            if not live.all():
-                slots, picks, deltas, slot_rows = (slots[live], picks[live], deltas[live],
-                                                   slot_rows[live])
-                if not slots.size:
-                    return slots
-        if scored:
-            prior, prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots,
-                                          False)
-            deltas = np.array([
-                (math.log(p) - (math.log(q) - delta)) if p > 0.0 else NEG_INF
-                for p, q, delta in zip(prior[prior_rows, picks].tolist(),
-                                       table[slot_rows, picks].tolist(), deltas.tolist())])
-        if self.weighted and (mask is not None or scored):  # else every delta is 0.0
-            self.score(slots, deltas)
-        pop.append(slots, picks, max_tokens)
-        ended = picks == vocab.eos_id
-        pop.status[slots[ended]] = DONE
-        return slots[~ended]
+        by_length = mask is not None and mask.kind == "max_remaining_chars"
+        entered, starts = slots, pop.lengths[slots]
+        longest, drawable = int(starts.max()), min(count, max_tokens - int(starts.min()))
+        hints = reach = table = slot_rows = totals = block = None
 
-    def rows(self, model: TokenModel, tag: str, slots: np.ndarray,
-             hinted: bool) -> tuple[np.ndarray, np.ndarray]:
+        def only(keep):  # the call's per-slot arrays, cut to these slots
+            return tuple(None if a is None else a[keep]
+                         for a in (slots, hints, reach, slot_rows, block))
+
+        for tick in range(count):
+            if tick:
+                self.check_deadline()
+            if longest + tick >= max_tokens:  # a slot may be full
+                full = pop.lengths[slots] >= max_tokens
+                if full.any():
+                    self.kill(slots[full], StepBudgetExceeded,
+                              f"clause needs more than max_tokens={max_tokens} tokens")
+                    slots, hints, reach, slot_rows, block = only(~full)
+                    if not slots.size:
+                        break
+            if not tick:
+                hints = pop.hint_ids[slots]
+                reach = self.reach(model, hints)
+                if not reach.any():  # every window is empty all call
+                    table, slot_rows = self.free(model, tag, hints)
+                    totals = table.sum(axis=1)
+            if block is None or column == block.shape[1]:  # from each slot's next counter
+                width = max(1, min(drawable - tick, DRAW_CELLS // len(slots)))
+                block = uniform_block(self.keys[slots], self.counters[slots] + np.uint64(tick),
+                                      width)
+                column = 0
+            u = block[:, column]
+            column += 1
+            if totals is None:
+                table, slot_rows = self.rows(model, tag, slots, hints, reach)
+            if mask is None:  # Z = 1, and no slot dies
+                picks = draw_rows(table, table.sum(axis=1) if totals is None else totals,
+                                  slot_rows, u)
+                deltas = np.zeros(len(slots)) if scored else None
+            else:
+                picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
+                # a max_remaining_chars mask reads the text length alone
+                parts = _groups(pop.text_lengths[slots]) if by_length else [np.arange(len(slots))]
+                for members in parts:
+                    ids = mask.build(vocab, int(pop.text_lengths[slots[members[0]]]))
+                    used = slot_rows[members]
+                    weights = table.take(ids, axis=1)  # C-ordered, unlike table[:, ids]
+                    mass = weights.sum(axis=1)
+                    dead = mass[used] <= 0.0
+                    if dead.any():
+                        self.kill(slots[members[dead]], MaskEmpty, "mask allows no tokens"
+                                  if ids.size == 0 else "mask removed all probability mass (Z=0)")
+                        members, used = members[~dead], used[~dead]
+                        if not members.size:
+                            continue
+                    if self.weighted:
+                        logs = np.array([0.0 if t <= 0.0 else math.log(t) for t in mass.tolist()])
+                        deltas[members] = logs[used]
+                    picks[members] = ids[draw_rows(weights, mass, used, u[members])]
+                live = pop.status[slots] == ACTIVE  # kill marks every death
+                if not live.all():
+                    picks, deltas = picks[live], deltas[live]
+                    slots, hints, reach, slot_rows, block = only(live)
+                    if not slots.size:
+                        break
+            if scored:
+                unhinted = np.zeros(len(slots), dtype=np.intp)
+                prior, prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots,
+                                              unhinted, self.reach(self.models.prior, unhinted))
+                deltas = np.array([
+                    (math.log(p) - (math.log(q) - delta)) if p > 0.0 else NEG_INF
+                    for p, q, delta in zip(prior[prior_rows, picks].tolist(),
+                                           table[slot_rows, picks].tolist(), deltas.tolist())])
+            if self.weighted and (mask is not None or scored):  # else every delta is 0.0
+                self.score(slots, deltas)
+            pop.append(slots, picks, max_tokens)
+            ended = picks == vocab.eos_id
+            if ended.any():
+                pop.status[slots[ended]] = DONE
+                slots, hints, reach, slot_rows, block = only(~ended)
+                if not slots.size:
+                    break
+        self.counters[entered] += (pop.lengths[entered] - starts).astype(np.uint64)
+        return slots
+
+    def rows(self, model: TokenModel, tag: str, slots: np.ndarray, hints: np.ndarray,
+             reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The model's rows for these slots as one table, and each slot's
         index into it, from at most one ``model.next_table`` call.
 
-        A slot reads its hints (none unless hinted) and the window of
-        its context that the model reads under them, the last
-        ``model.context_reach(hints)`` ids (all of them for None), asked
-        once per hint set in the step (``reach``). The windows are
-        gathered into one int64 matrix straight from the slots' token
-        cells: each id plus one, newest first, then 0 past the window's
-        width, so token 0 never reads as padding. When every width is 0
-        the rows read the hint sets alone, and come from the step's
-        memo (``free``).
+        A slot reads its hint set (id ``hints[i]``) and the window of its
+        context that the model reads under it, the last ``reach[i]`` ids
+        (``reach``). The windows are gathered into one int64 matrix
+        straight from the slots' token cells: each id plus one, newest
+        first, then 0 past the window's width, so token 0 never reads as
+        padding. When every width is 0 the rows read the hint sets
+        alone, and come from the step's memo (``free``).
         """
         pop, tokens = self.pop, self.pop.tokens
         lengths = pop.lengths[slots]
-        hints = pop.hint_ids[slots] if hinted else np.zeros(len(slots), dtype=np.intp)
-        widths = np.minimum(lengths, self.reach(model, hints))
+        widths = np.minimum(lengths, reach)
         span = np.arange(int(widths.max()), dtype=np.int64)
         if not span.size:  # no slot reads any context
             return self.free(model, tag, hints)
@@ -573,11 +591,13 @@ class _Pass:
         totals = np.zeros(len(slots))
         # positions of the slots still finite
         scoring = np.arange(len(slots) if self.weighted else 0)
+        model, hints = self.models.proposal, pop.hint_ids[slots]
+        reach = self.reach(model, hints) if scoring.size else None
         for t in forced:
             self.check_deadline()
             if scoring.size:
-                table, slot_rows = self.rows(self.models.proposal, self.plan.proposal_tag,
-                                             slots[scoring], True)
+                table, slot_rows = self.rows(model, self.plan.proposal_tag, slots[scoring],
+                                             hints[scoring], reach[scoring])
                 logs = np.array([math.log(p) if p > 0.0 else NEG_INF
                                  for p in table[:, t].tolist()])
                 totals[scoring] += logs[slot_rows]
@@ -614,9 +634,20 @@ class _Pass:
         return (lengths > 0) & (last == self.vocab.eos_id)
 
     def loop(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
+        """Run the body ``iterations`` times, or until ``stop`` holds,
+        within ``max_iterations`` passes (None: no bound but
+        ``max_tokens``); a slot still running after the last pass dies.
+
+        A loop with a fixed count whose body is one ``draw`` is one call
+        of it, of that many ticks. Any other loop runs its body once per
+        pass, so a ``draw`` in it is a call of one tick.
+        """
+        body = clause.body
         if clause.iterations is not None:
+            if len(body) == 1 and body[0].kind == "draw":
+                return self.draw(body[0], slots, clause.iterations)
             for _ in range(clause.iterations):
-                for sub in clause.body:
+                for sub in body:
                     slots = self.run(sub, slots)
                 if not slots.size:
                     break
@@ -641,7 +672,7 @@ class _Pass:
                 self.kill(slots, StepBudgetExceeded, f"loop ran {iterations} iterations "
                           "without satisfying its stop predicate")
                 slots = slots[:0]
-            for sub in clause.body:
+            for sub in body:
                 slots = self.run(sub, slots)
             iterations += 1
         return np.sort(np.concatenate(done))

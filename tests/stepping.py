@@ -56,11 +56,12 @@ def particles_of(pop: Population) -> list[Particle]:
     return out
 
 
-def execute_particles(plan, index, particles, models, keys, deadline=None):
+def execute_particles(plan, index, particles, models, keys, deadline=None, weighted=True):
     """``execute_step`` over these particles, each updated in place from
     its slot; returns the step's update."""
     population = population_of(particles, as_model_set(models).vocabulary)
-    update = execute_step(plan, index, population, models, keys, deadline=deadline)
+    update = execute_step(plan, index, population, models, keys, deadline=deadline,
+                          weighted=weighted)
     for particle, stepped in zip(particles, particles_of(population)):
         for f in fields(Particle):
             setattr(particle, f.name, getattr(stepped, f.name))

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import steersmc
-from steersmc import InferenceConfig, UniformModel, Vocabulary, parse_plan
+from steersmc import InferenceConfig, UniformModel, Vocabulary, parse_plan, steering
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -137,6 +137,18 @@ def test_tracer_counts_one_check_per_finished_particle(method):
     assert tracer.counters["engine.deaths.check"] == len(rejected)
 
 
+def benchmark_input(monkeypatch, workload: str):
+    """The seed-0 input of an in-process workload, built by
+    ``perfbench/workloads.py`` (loaded by path, read-only) as the
+    benchmark builds it, and that module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  TRACER_PATH.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    return workloads.build_in_process(workload, 0), workloads
+
+
 @pytest.mark.parametrize("workload, calls", [("hinted_long", 2), ("masked_smc", 11),
                                              ("wide_smc", 12)])
 def test_model_calls_per_benchmark_operation(monkeypatch, workload, calls):
@@ -145,15 +157,30 @@ def test_model_calls_per_benchmark_operation(monkeypatch, workload, calls):
     ``NgramModel.next_table`` calls: ``hinted_long``'s 64 slots read no
     context behind its hints, so its 300 ticks ask once per hint set;
     the others ask once per tick."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  TRACER_PATH.with_name("workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
-    inp = workloads.build_in_process(workload, 0)
+    inp, workloads = benchmark_input(monkeypatch, workload)
     seen, call = [], steersmc.NgramModel.next_table
     monkeypatch.setattr(steersmc.NgramModel, "next_table",
                         lambda self, *args: seen.append(args) or call(self, *args))
     outcome = steersmc.run_inference(inp.plan, inp.models, inp.config)
     assert workloads.check_outcome(inp, outcome) == []
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("workload, draws, tables", [("hinted_long", 2, 2),
+                                                     ("masked_smc", 6, 11),
+                                                     ("wide_smc", 12, 12)])
+def test_draw_calls_per_benchmark_operation(monkeypatch, workload, draws, tables):
+    """One seed-0 operation of each in-process workload makes one
+    ``_Pass.draw`` call per loop of draws: ``hinted_long``'s two loops
+    of 150, ``masked_smc``'s six ``masked_sample`` clauses (11 tokens)
+    and ``wide_smc``'s twelve of one token; the ``next_table`` calls do
+    not change."""
+    inp, workloads = benchmark_input(monkeypatch, workload)
+    seen, draw, call = [], steering._Pass.draw, steersmc.NgramModel.next_table
+    monkeypatch.setattr(steering._Pass, "draw", lambda self, *args: (
+        seen.append("draw") or draw(self, *args)))
+    monkeypatch.setattr(steersmc.NgramModel, "next_table",
+                        lambda self, *args: seen.append("table") or call(self, *args))
+    outcome = steersmc.run_inference(inp.plan, inp.models, inp.config)
+    assert workloads.check_outcome(inp, outcome) == []
+    assert (seen.count("draw"), seen.count("table")) == (draws, tables)

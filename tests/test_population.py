@@ -2,8 +2,8 @@
 
 ``execute_step`` runs every particle's clause together: one query per
 distinct window of context a model reads, uniforms read from blocks
-computed ahead for the step and one batched draw over the distinct rows
-of each mask part. The reference
+computed ahead for each draw call (a loop of draws runs as one call)
+and one batched draw over the distinct rows of each mask part. The reference
 below is the per-particle clause walk it replaced, kept here as
 ``tests/test_rng.py`` keeps the scalar ``choice`` walk, and stepped
 slot by slot as the engine used to, forcing strings through
@@ -488,20 +488,34 @@ def test_population_step_matches_the_walk(case):
     assert_steps_match_the_walk(parse_plan(doc), models, n, seed)
 
 
-def assert_steps_match_the_walk(plan, models, n, seed, after_step=None):
+def assert_steps_match_the_walk(plan, models, n, seed, after_step=None, weighted=True):
     """Step n particles through every clause of the plan, and the walk
     through the same, slot s drawing from the stream (seed, "slot", s,
-    step): the particles must agree bit for bit after every step, and
-    an error must end both. ``after_step(step)`` runs after each of our
-    steps."""
+    step): the particles must agree bit for bit after every step, every
+    slot's draw counter must end the step where its walk's stream does,
+    and an error must end both. ``after_step(step)`` runs after each of
+    our steps. With ``weighted`` False our steps compute no score, so a
+    weight is -inf after a death and 0.0 otherwise, and only the rest of
+    each particle is compared."""
     ours = [Particle() for _ in range(n)]
     theirs = [Particle() for _ in range(n)]
+    passes = []
+
+    class Recorded(steering._Pass):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            passes.append(self)
+
     for step in range(len(plan.steps)):
         theirs_streams = [RandomStream(seed, "slot", s, step) for s in range(n)]
         want = reference_step(plan, step, theirs, models, theirs_streams)
         try:
-            execute_particles(plan, step, ours, models,
-                              [derive_key(seed, "slot", s, step) for s in range(n)])
+            with mock.patch.object(steering, "_Pass", Recorded):
+                execute_particles(plan, step, ours, models,
+                                  [derive_key(seed, "slot", s, step) for s in range(n)],
+                                  weighted=weighted)
             got = None
         except SteeringError as exc:
             got = exc
@@ -512,9 +526,16 @@ def assert_steps_match_the_walk(plan, models, n, seed, after_step=None):
             assert got is not None and want
             assert _error(got) in [_error(exc) for exc in want]
             break
-        assert [_state(p) for p in ours] == [_state(p) for p in theirs]
+        states = [[_state(p) for p in side] for side in (ours, theirs)]
+        if not weighted:
+            assert [p.log_weight for p in ours] == [
+                NEG_INF if p.status == FAILED else 0.0 for p in ours]
+            states = [[s[:2] + s[3:] for s in side] for side in states]
+        assert states[0] == states[1]
+        assert passes.pop().counters.tolist() == [s.counter for s in theirs_streams]
         if all(p.status != ACTIVE for p in theirs):
             break
+    return ours
 
 
 keys = st.integers(0, _MASK64)
@@ -711,7 +732,9 @@ def test_rows_group_slots_by_hint_set_and_window(tick):
     pop.hint_ids[:] = hint_of
     pop.hint_sets, pop.hint_index = hint_sets, {h: i for i, h in enumerate(hint_sets)}
     step = steering._Pass(None, 0, as_model_set(model), pop, np.zeros(len(pop)), None)
-    table, slot_rows = step.rows(model, "proposal", np.array(slots), hinted)
+    hints = pop.hint_ids[slots] if hinted else np.zeros(len(slots), dtype=np.intp)
+    table, slot_rows = step.rows(model, "proposal", np.array(slots), hints,
+                                 step.reach(model, hints))
 
     queries, query_of = {}, []
     for s in slots:
@@ -962,7 +985,12 @@ def test_batched_draw_matches_one_row_at_a_time(case):
                          for r, length in zip(slot_rows.tolist(), text_lengths.tolist())],
                         vocab)
     keys = np.zeros(len(pop), dtype=np.uint64)
-    with mock.patch.object(steering, "uniforms_at", lambda keys, counters: u.copy()):
+
+    def block(keys, starts, width):  # the call's one tick, over every slot, reads u
+        assert width == 1 and starts.tolist() == [0] * len(pop)
+        return u[:, None].copy()
+
+    with mock.patch.object(steering, "uniform_block", block):
         if mask == "none" and not all(rows[r].any() for r in set(slot_rows.tolist())):
             with pytest.raises(ValueError, match="all-zero"):
                 execute_step(plan, 0, pop, _HintedRows(vocab, rows), keys)
@@ -1011,7 +1039,8 @@ def test_one_mask_build_per_tick_and_text_length(monkeypatch, mask):
 
 
 # ---------------------------------------------------------------------------
-# What a step works out once: blocks of uniforms and each model's reach.
+# What a step works out once (each model's reach), and what a draw call
+# works out once for its ticks (blocks of uniforms, fixed rows).
 
 
 def _spy(monkeypatch, name: str) -> list[tuple]:
@@ -1027,55 +1056,151 @@ def _spy(monkeypatch, name: str) -> list[tuple]:
 
 
 def _draw_one():
-    return {"kind": "sample_until", "stop": {"kind": "token_count", "value": 1}}
+    return _count(1)
 
 
-def _no_eos(texts, weights):
+def _count(k: int, **fields) -> dict:
+    return {"kind": "sample_until", "stop": {"kind": "token_count", "value": k}, **fields}
+
+
+def _one_row(texts, weights, eos=0.0):
     """A table model over these token texts and EOS, every context
-    reading one row that gives EOS no mass, so that no particle ends."""
+    reading one row; with no EOS mass no particle ends."""
     vocab = Vocabulary.from_tokens(texts + ["<eos>"])
-    row = np.array(weights + [0.0])
+    row = np.array(weights + [eos])
     row.setflags(write=False)
     model = TableModel(vocab, {}, row)
     return model, model
 
 
-@pytest.mark.parametrize("n, max_tokens, steps, weights, blocks", [
-    # 37 draws cross four refills: after the first tick, computed
-    # directly, a block doubles from two columns, and the last stops at
-    # max_tokens
-    (3, 40, [{"kind": "sample_until", "stop": {"kind": "token_count", "value": 37}}],
-     [0.5, 0.5], [(1, 2), (3, 4), (7, 8), (15, 16), (31, 9)]),
-    # a slot that drew "b" leaves the inner loop and waits while the
-    # others draw, so the outer loop's draws meet slots at different
-    # counters, some behind the block
-    (8, 64, [{"kind": "loop", "until": {"kind": "token_count", "value": 24},
-              "max_iterations": 30, "body": [
-                  {"kind": "loop", "until": {"kind": "substring", "value": "b"},
-                   "max_iterations": 30, "body": [_draw_one()]},
-                  _draw_one()]}],
-     [0.8, 0.2], None),
-    # 2,048 slots: DRAW_CELLS // 2048 = 8 columns cap the fourth block
-    (2048, 64, [{"kind": "sample_until", "stop": {"kind": "token_count", "value": 20}}],
-     [0.5, 0.5], [(1, 2), (3, 4), (7, 8), (15, 8)]),
+@pytest.mark.parametrize("n, max_tokens, steps, blocks", [
+    # 2,048 slots: DRAW_CELLS // 2048 = 8 columns per block, so a call
+    # of 20 draws refills twice, the last block cut to the 4 draws left
+    (2048, 64, [_count(20)], [({0}, 8), ({8}, 8), ({16}, 4)]),
+    # slots leave a substring loop at different passes, each pass a
+    # call of one draw, then enter one call of 10 at their own counters
+    (8, 64, [{"kind": "loop", "iterations": 1, "body": [
+        {"kind": "loop", "until": {"kind": "substring", "value": "b"},
+         "max_iterations": 30, "body": [_draw_one()]}, _count(10)]}], None),
+    # max_tokens leaves each slot 12 of the call's 20 draws; all die at
+    # the 13th tick
+    (3, 12, [_count(20)], [({0}, 12)]),
 ], ids=["refill", "lagging", "capped"])
-def test_uniform_blocks_match_the_walk(monkeypatch, n, max_tokens, steps, weights, blocks):
-    """Uniforms read from the step's blocks are the walk's, bit for bit:
-    across refills, for slots lagging behind a block in nested ``loop
-    until`` clauses (those ticks, like the first, compute their uniforms
-    with ``uniforms_at``), and when the cell cap or ``max_tokens`` limits
-    the block."""
+def test_uniform_blocks_match_the_walk(monkeypatch, n, max_tokens, steps, blocks):
+    """A draw call reads each slot's uniforms from blocks computed from
+    the slot's own counter, bit for bit the walk's: refilled when the
+    cell cap spends a block, for slots that enter the call at different
+    counters, and no wider than the draws ``max_tokens`` leaves."""
     plan = parse_plan({"plan_version": 1, "max_tokens": max_tokens, "steps": steps})
     built = _spy(monkeypatch, "uniform_block")
-    direct = _spy(monkeypatch, "uniforms_at")
-    assert_steps_match_the_walk(plan, _no_eos(["a", "b"], weights), n, 5)
-    assert all(len(keys) == n for keys, _, _ in built)  # every slot stays active
-    assert max(width for _, _, width in built) * n <= steering.DRAW_CELLS
+    assert_steps_match_the_walk(plan, _one_row(["a", "b"], [0.8, 0.2]), n, 5)
+    assert all(len(keys) * width <= steering.DRAW_CELLS for keys, _, width in built)
     if blocks is not None:
-        assert [(start, width) for _, start, width in built] == blocks
-        assert len(direct) == 1  # the first tick
+        assert all(len(keys) == n for keys, _, _ in built)  # every slot stays active
+        assert [(set(starts.tolist()), width) for _, starts, width in built] == blocks
     else:
-        assert len(built) > 3 and len(direct) > 1  # refills, and ticks with a slot behind
+        *passes, (keys, starts, width) = built
+        assert all(w == 1 for _, _, w in passes) and len(passes) > 3
+        assert len(keys) == n and width == 10 and len(set(starts.tolist())) > 3
+
+
+def _draw_call_cases():
+    """(plan document, models, particle count, weighted, the count of
+    every draw call of more than one tick, and what the run must show)
+    for each kind of multi-tick draw call."""
+    vocab = Vocabulary.from_tokens(["a", "bb", "ccc", "<eos>"])
+    order2, order3 = (_ngram(vocab, order, np.random.default_rng(20 + order))
+                      for order in (2, 3))
+    ending = _one_row(["a", "b"], [0.6, 0.3], eos=0.1)
+    scored = [_count(6, score_with_prior=True),
+              {"kind": "masked_sample", "count": 3, "score_with_prior": True,
+               "mask": {"kind": "explicit", "tokens": ["a", "bb"]}}]
+
+    def failed(kind):
+        return lambda ps: any(p.status == FAILED and isinstance(p.error, kind) for p in ps)
+
+    def done(ps):
+        return any(p.status == DONE for p in ps)
+
+    return {
+        # slots leave a substring loop at different passes, so in the
+        # call of 12 the longest reach max_tokens first, and some draw EOS
+        "deaths": ({"max_tokens": 12, "steps": [{"kind": "loop", "iterations": 1, "body": [
+            {"kind": "loop", "until": {"kind": "substring", "value": "b"},
+             "max_iterations": 8, "body": [_draw_one()]}, _count(12)]}]},
+            ending, 32, True, [12],
+            lambda ps: done(ps) and failed(StepBudgetExceeded)(ps)
+            and len({len(p.tokens) for p in ps if p.status == DONE}) > 2),
+        # DRAW_CELLS // 600 = 27 columns per block: the call of 40 draws
+        # refills its block over the slots that did not draw EOS
+        "refill": ({"max_tokens": 48, "steps": [_count(40)]},
+                   _one_row(["a", "b"], [0.6, 0.38], eos=0.02), 600, True, [40], done),
+        # order-2 rows and a max_remaining_chars mask whose parts (one per
+        # text length) change from tick to tick; some masks leave no mass
+        "remaining chars": ({"max_tokens": 8, "steps": [
+            {"kind": "masked_sample", "count": 4,
+             "mask": {"kind": "max_remaining_chars", "target_chars": 6}}]},
+            (order2, order2), 48, True, [4], done),
+        "prior-scored": ({"max_tokens": 12, "steps": scored}, (order2, order3), 24, True,
+                         [6, 3], done),
+        "unweighted": ({"max_tokens": 12, "steps": scored}, (order2, order3), 24, False,
+                       [6, 3], done),
+        # unhinted, the order-3 n-gram's windows grow from 0 to 2 ids
+        # inside the call
+        "reach 2": ({"max_tokens": 8, "steps": [_count(6)]}, (order3, order3), 24, True,
+                    [6], lambda ps: any(len(p.tokens) > 2 for p in ps)),
+        # a sample_until that stops at EOS runs one draw per pass, and
+        # its survivors die with the loop's message
+        "eos bound": ({"max_tokens": 30, "steps": [
+            {"kind": "sample_until", "stop": {"kind": "eos"}, "max_new_tokens": 5}]},
+            ending, 32, True, [], lambda ps: done(ps) and any(
+                p.status == FAILED and "5 iterations" in p.error.message for p in ps)),
+        "eos max_tokens": ({"max_tokens": 6, "steps": [
+            {"kind": "sample_until", "stop": {"kind": "eos"}, "max_new_tokens": 20}]},
+            ending, 32, True, [], lambda ps: done(ps) and failed(StepBudgetExceeded)(ps)),
+        # no bound but max_tokens: every slot ends by EOS or at max_tokens
+        "eos unbounded": ({"max_tokens": 10, "steps": [
+            {"kind": "sample_until", "stop": {"kind": "eos"}}]},
+            ending, 32, True, [], lambda ps: done(ps) and failed(StepBudgetExceeded)(ps)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_draw_call_cases()))
+def test_draw_calls_match_the_walk(monkeypatch, case):
+    """A loop of draws with a fixed count is one ``_Pass.draw`` call of
+    many ticks, bit for bit the walk: slots die of the budget and draw
+    EOS mid-call, blocks refill over the survivors, mask parts change
+    per tick, the prior scores every tick, a run that reads no weights
+    scores none, and windows grow while the call runs. Any other draw,
+    such as one in a loop that stops at EOS, is a call of one tick."""
+    doc, models, n, weighted, counts, shows = _draw_call_cases()[case]
+    plan = parse_plan({"plan_version": 1, **doc})
+    calls, draw = [], steering._Pass.draw
+    monkeypatch.setattr(steering._Pass, "draw", lambda self, clause, slots, count=1: (
+        calls.append(count) or draw(self, clause, slots, count)))
+    built = _spy(monkeypatch, "uniform_block")
+    particles = assert_steps_match_the_walk(plan, models, n, 17, weighted=weighted)
+    assert [c for c in calls if c > 1] == counts and set(calls) - set(counts) <= {1}
+    assert shows(particles)
+    if case == "refill":  # the second block covers the survivors alone
+        assert [width for _, _, width in built] == [27, 13]
+        assert len(built[0][0]) == n > len(built[1][0])
+
+
+@pytest.mark.parametrize("stop", [{"kind": "eos"}, {"kind": "token_count", "value": 3000}],
+                         ids=["eos", "count"])
+def test_token_matrix_grows_with_the_tokens_drawn(stop):
+    """The token matrix widens as tokens are appended, not to what a
+    loop might draw: particles that draw EOS within a few tokens leave
+    it narrow, although ``max_tokens`` (and the loop's count) would
+    allow thousands."""
+    plan = parse_plan({"plan_version": 1, "max_tokens": 5000,
+                       "steps": [{"kind": "sample_until", "stop": stop}]})
+    models = _one_row(["a", "b"], [0.05, 0.05], eos=0.9)
+    pop = population_of([Particle() for _ in range(16)], models[0].vocabulary)
+    execute_step(plan, 0, pop, models, derive_keys(3, "slot", 16))
+    assert (pop.status == DONE).all() and pop.lengths.max() < 16
+    assert pop.tokens.shape[1] == 16
 
 
 class _ReachByHints(TokenModel):
@@ -1213,7 +1338,8 @@ def _free_cases():
 def test_context_free_rows_are_asked_once_per_step(monkeypatch, case):
     """A tick whose slots read no context takes its rows from the step's
     memo: bit for bit the walk's, and each (model, tag, hint set) sent to
-    ``next_table`` once per step, however many such ticks read it. Keying
+    ``next_table`` once per step, however many such ticks read it. A draw
+    call whose slots all have reach 0 looks its rows up once. Keying
     the memo without the tag fails the "tagged" case; a row index that
     does not grow with ``hint_sets``, or rows stored by fill position
     instead of by hint id, fail cases that add hint sets in a loop."""
@@ -1242,6 +1368,8 @@ def test_context_free_rows_are_asked_once_per_step(monkeypatch, case):
     assert_steps_match_the_walk(plan, models, n, 13, after_step)
     if case == "tagged":  # only the first tick, at length 0, reads no context
         assert asked == [2, 0] and len(ticks) == 2
+    elif case == "hinted":  # one lookup per draw call: at length 0, then behind two hints
+        assert asked == [3] and len(ticks) == 3
     else:
         assert 0 < sum(asked) < len(ticks)
     if case == "several sets":

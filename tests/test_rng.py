@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steersmc import RandomStream, derive_key
-from steersmc.rng import derive_keys, draw_indices
+from steersmc.rng import derive_keys, draw_indices, uniform_block
 
 # The largest value RandomStream.uniform can return.
 TOP_UNIFORM = 1.0 - 2.0 ** -53
@@ -152,3 +152,18 @@ def test_slot_keys_from_one_prefix_equal_derive_key(seed):
     assert keys.dtype == np.uint64
     assert keys.tolist() == [derive_key(seed, "particle", i) for i in range(300)]
     assert derive_keys(seed, "particle", 0).tolist() == []
+
+
+def test_uniform_block_reads_each_stream_from_its_own_counter():
+    """Row i of a block holds stream i's next uniforms from its own
+    counter on, bit for bit what ``RandomStream.uniform`` returns there,
+    the counters wrapping at 2**64."""
+    keys = [derive_key(1, "slot", 0), derive_key(1, "slot", 1), 0]
+    starts = [0, 5, 2 ** 64 - 2]
+    block = uniform_block(np.array(keys, dtype=np.uint64), np.array(starts, dtype=np.uint64),
+                          4)
+    assert block.shape == (3, 4)
+    for key, start, row in zip(keys, starts, block.tolist()):
+        stream = RandomStream(0)
+        stream.key, stream.counter = key, start
+        assert row == [stream.uniform() for _ in range(4)]
