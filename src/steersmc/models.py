@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -222,8 +223,8 @@ class TokenModel:
         an int64 matrix of each id plus one, then 0 past the slot's
         width. The step interpreter calls this at most once per token
         tick, each window being the last ``context_reach(hints)`` ids of
-        a slot's context (all of them when the reach is None), and for
-        windows of no columns once per hint set in a step; every id comes
+        a slot's context (all of them when the reach is None), and once
+        per draw call whose slots all have reach 0; every id comes
         from a row, from a checked ``force_string`` or from
         ``Vocabulary.encode``. ``deadline`` (a ``time.monotonic``
         instant) bounds models that wait on I/O.
@@ -473,11 +474,18 @@ class NgramModel(TokenModel):
 
 
 def tokenize_corpus(corpus: str, tokenizer: str = "char") -> list[str]:
-    """Split corpus text into token strings ("char" or "whitespace")."""
+    """Split corpus text into token strings, which join back to it: one
+    per character ("char"), or one per word with the whitespace after
+    it, leading whitespace a token of its own ("whitespace"). The end of
+    the text breaks a word as a space does, so a last word with no
+    whitespace after it gets one and is the same token as elsewhere."""
     if tokenizer == "char":
         return list(corpus)
     if tokenizer == "whitespace":
-        return corpus.split()
+        tokens = re.findall(r"\S+\s*|\s+", corpus)
+        if tokens and not tokens[-1][-1].isspace():
+            tokens[-1] += " "
+        return tokens
     raise SchemaViolation(f"unknown tokenizer {tokenizer!r}")
 
 
@@ -491,20 +499,22 @@ def train_ngram(corpus: str | list[str], order: int, smoothing: float,
     equals training on their concatenation with ``separator`` tokens.
     ``eos_text``, when given, maps that token string to the EOS id so
     corpora can mark terminations explicitly; otherwise EOS receives
-    only smoothing mass.
+    only smoothing mass. Under the whitespace tokenizer ``separator``
+    and ``eos_text`` match a token by its non-whitespace part.
     """
     if order < 1:
         raise SchemaViolation("ngram order must be >= 1")
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise SchemaViolation("smoothing must be a finite nonnegative number")
     docs = [corpus] if isinstance(corpus, str) else list(corpus)
+    bare = str.strip if tokenizer == "whitespace" else str  # what markers match
     token_docs = []
     for doc in docs:
         toks = tokenize_corpus(doc, tokenizer)
         if separator is not None:
             split: list[list[str]] = [[]]
             for t in toks:
-                if t == separator:
+                if bare(t) == separator:
                     split.append([])
                 else:
                     split[-1].append(t)
@@ -514,14 +524,14 @@ def train_ngram(corpus: str | list[str], order: int, smoothing: float,
     if not token_docs:
         raise EmptyCorpus("corpus contains no tokens")
 
-    texts = sorted({t for doc in token_docs for t in doc} - {eos_text})
+    texts = sorted({t for doc in token_docs for t in doc if bare(t) != eos_text})
     vocab = Vocabulary.from_tokens(texts + ["<eos>"])
     by_text = {t: i for i, t in enumerate(texts)}
     eos = vocab.eos_id
 
     size = vocab.size
-    ids = np.array([eos if t == eos_text else by_text[t] for doc in token_docs for t in doc],
-                   dtype=np.int64)
+    ids = np.array([eos if bare(t) == eos_text else by_text[t]
+                    for doc in token_docs for t in doc], dtype=np.int64)
     back = np.concatenate([np.arange(len(doc)) for doc in token_docs])  # ids before, in its doc
     # Level by level, the window of each width ending before each position
     # is its parent window (one id narrower) extended one id back; the

@@ -16,11 +16,11 @@ makes at most one ``TokenModel.next_table`` call, which answers with
 one table of distinct rows and each slot's index into it: the default
 groups the slots exactly by window and hint set and sends one query per
 group, and ``NgramModel`` walks its trie of seen windows for all slots
-at once. A row that reads no context is asked once per step. The draw,
-the prior's score and ``force_string`` read that table. The draw is one batched
-pass over that table per mask part (one part unless a
-``max_remaining_chars`` mask sees several text lengths), which gathers
-the mask's columns of the whole table.
+at once. A draw call whose slots all read no context asks once, on
+its first tick. The draw, the prior's score and ``force_string`` read
+that table. The draw is one batched pass over that table per mask part
+(one part unless a ``max_remaining_chars`` mask sees several text
+lengths), which gathers the mask's columns of the whole table.
 Tokens are drawn only by the one-token ``draw`` clause; every
 repetition is a ``loop``, and a loop of draws alone with a fixed count
 is one draw call of many ticks, which works out once what they share.
@@ -260,29 +260,13 @@ def _groups(labels: np.ndarray) -> list[np.ndarray]:
     return [order[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
-def _grown(known: np.ndarray | None, size: int) -> np.ndarray:
-    """An int64 array by hint-set id of at least ``size`` entries:
-    ``known``, padded with -1 (not yet asked) when shorter or missing."""
-    if known is not None and len(known) >= size:
-        return known
-    grown = np.full(size, -1, dtype=np.int64)
-    if known is not None:
-        grown[:len(known)] = known
-    return grown
-
-
 class _Pass:
     """One population step: the index of the top-level clause it runs,
     the population, every slot's stream key and draw counter, whether
-    the run reads weights, and the summed score delta. What stays fixed
-    for the step is worked out once in it: each model's reach per hint
-    set (``reach``) and, for slots that read no context, each model's
-    row per tag and hint set (``free``). Both rest on the step's
-    invariants: models answer purely, and hint sets are only appended,
-    so an id names one hint set all step. What stays fixed for the
-    ticks of one ``draw`` call is worked out once per call (see
-    ``draw``). A run that reads no weights (rejection) asks for no
-    score at all.
+    the run reads weights, and the summed score delta. It keeps no
+    memo of rows or reaches: what stays fixed for the ticks of one
+    ``draw`` call is worked out once per call (see ``draw``). A run
+    that reads no weights (rejection) asks for no score at all.
 
     Each clause runs on an ascending array of slots and returns the
     slots still running: a slot leaves on EOS or when it dies. A slot
@@ -299,8 +283,8 @@ class _Pass:
     ends the step.
     """
 
-    __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters", "reaches",
-                 "free_rows", "deadline", "weighted", "log_update")
+    __slots__ = ("plan", "index", "models", "vocab", "pop", "keys", "counters", "deadline",
+                 "weighted", "log_update")
 
     def __init__(self, plan, index: int, models: ModelSet, pop: Population, keys,
                  deadline, weighted: bool = True):
@@ -311,7 +295,6 @@ class _Pass:
         self.pop = pop
         self.keys = np.asarray(keys, dtype=np.uint64)
         self.counters = np.zeros(len(pop), dtype=np.uint64)
-        self.reaches, self.free_rows = {}, {}
         self.deadline = deadline
         self.weighted = weighted
         self.log_update = 0.0
@@ -354,8 +337,10 @@ class _Pass:
 
         What the ticks share is worked out once per call, on its first
         tick: no hint clause runs inside a call, so each slot's hint set
-        and reach (``reach``) are fixed, and when every reach is 0 so
-        are its rows, one ``free`` lookup, and their sums. The
+        and reach (``reach``), and the prior's reach for a scored draw,
+        are fixed, and when every reach is 0 so are its rows, one
+        ``rows`` call, and their sums; a prior of reach 0 likewise has
+        its rows asked once, on the first tick it scores. The
         ``max_tokens`` check runs only on ticks where the longest slot
         can reach it. Uniforms come from a block computed ahead from
         each slot's own counter c_s (``rng.uniform_block``): column j
@@ -392,11 +377,11 @@ class _Pass:
         by_length = mask is not None and mask.kind == "max_remaining_chars"
         entered, starts = slots, pop.lengths[slots]
         longest, drawable = int(starts.max()), min(count, max_tokens - int(starts.min()))
-        hints = reach = table = slot_rows = totals = block = None
+        hints = reach = prior_reach = table = slot_rows = totals = prior_rows = block = None
 
         def only(keep):  # the call's per-slot arrays, cut to these slots
             return tuple(None if a is None else a[keep]
-                         for a in (slots, hints, reach, slot_rows, block))
+                         for a in (slots, hints, reach, slot_rows, prior_rows, block))
 
         for tick in range(count):
             if tick:
@@ -406,14 +391,16 @@ class _Pass:
                 if full.any():
                     self.kill(slots[full], StepBudgetExceeded,
                               f"clause needs more than max_tokens={max_tokens} tokens")
-                    slots, hints, reach, slot_rows, block = only(~full)
+                    slots, hints, reach, slot_rows, prior_rows, block = only(~full)
                     if not slots.size:
                         break
             if not tick:
                 hints = pop.hint_ids[slots]
                 reach = self.reach(model, hints)
+                if scored:  # the prior reads no hints
+                    prior_reach = self.reach(self.models.prior, np.zeros(1, dtype=np.intp))
                 if not reach.any():  # every window is empty all call
-                    table, slot_rows = self.free(model, tag, hints)
+                    table, slot_rows = self.rows(model, tag, slots, hints, reach)
                     totals = table.sum(axis=1)
             if block is None or column == block.shape[1]:  # from each slot's next counter
                 width = max(1, min(drawable - tick, DRAW_CELLS // len(slots)))
@@ -451,13 +438,13 @@ class _Pass:
                 live = pop.status[slots] == ACTIVE  # kill marks every death
                 if not live.all():
                     picks, deltas = picks[live], deltas[live]
-                    slots, hints, reach, slot_rows, block = only(live)
+                    slots, hints, reach, slot_rows, prior_rows, block = only(live)
                     if not slots.size:
                         break
             if scored:
-                unhinted = np.zeros(len(slots), dtype=np.intp)
-                prior, prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots,
-                                              unhinted, self.reach(self.models.prior, unhinted))
+                if prior_rows is None or prior_reach[0]:  # at reach 0, fixed all call
+                    prior, prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots,
+                                                  np.zeros(len(slots), dtype=np.intp), prior_reach)
                 deltas = np.array([
                     (math.log(p) - (math.log(q) - delta)) if p > 0.0 else NEG_INF
                     for p, q, delta in zip(prior[prior_rows, picks].tolist(),
@@ -468,7 +455,7 @@ class _Pass:
             ended = picks == vocab.eos_id
             if ended.any():
                 pop.status[slots[ended]] = DONE
-                slots, hints, reach, slot_rows, block = only(~ended)
+                slots, hints, reach, slot_rows, prior_rows, block = only(~ended)
                 if not slots.size:
                     break
         self.counters[entered] += (pop.lengths[entered] - starts).astype(np.uint64)
@@ -481,18 +468,16 @@ class _Pass:
 
         A slot reads its hint set (id ``hints[i]``) and the window of its
         context that the model reads under it, the last ``reach[i]`` ids
-        (``reach``). The windows are gathered into one int64 matrix
-        straight from the slots' token cells: each id plus one, newest
-        first, then 0 past the window's width, so token 0 never reads as
-        padding. When every width is 0 the rows read the hint sets
-        alone, and come from the step's memo (``free``).
+        (``reach``; one entry serves every slot). The windows are
+        gathered into one int64 matrix straight from the slots' token
+        cells: each id plus one, newest first, then 0 past the window's
+        width, so token 0 never reads as padding. When every width is 0
+        the matrix has no columns, and the rows read the hint sets alone.
         """
         pop, tokens = self.pop, self.pop.tokens
         lengths = pop.lengths[slots]
         widths = np.minimum(lengths, reach)
         span = np.arange(int(widths.max()), dtype=np.int64)
-        if not span.size:  # no slot reads any context
-            return self.free(model, tag, hints)
         # flat (row-major) indices, newest first, gather faster than 2-D
         # ones; a cell before its row's start is past the width
         back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
@@ -521,55 +506,15 @@ class _Pass:
                                 f"not integers in [0, {len(table)})")
         return table, slot_rows
 
-    def free(self, model: TokenModel, tag: str,
-             hints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``rows`` for slots that read no context: a row is then fixed
-        by the model, the tag and the hint set for the whole step, so it
-        is asked once per (model, tag, hint set) in the step.
-
-        Each (model, tag) keeps a table and an int64 array by hint-set
-        id of the set's row in it, -1 until asked, which grows with
-        ``hint_sets``. The unasked sets of a tick, in order of first
-        slot, go to one ``ask`` with a window matrix of no columns; their
-        rows are appended to the table. Slots that all read one row get
-        that row alone and index 0, as a one-row answer would give them.
-        """
-        key = (id(model), tag)  # models need not hash
-        table, row_of = self.free_rows.get(key, (None, None))
-        row_of = _grown(row_of, len(self.pop.hint_sets))
-        rows = row_of[hints]
-        if rows.min() < 0:
-            missing = hints[rows < 0]
-            new = np.flatnonzero(np.bincount(missing))
-            if len(new) > 1:  # in order of first slot
-                new = np.array(list(dict.fromkeys(missing.tolist())), dtype=np.intp)
-            got, got_rows = self.ask(model, tag, np.zeros((len(new), 0), dtype=np.int64),
-                                     np.zeros(len(new), dtype=np.intp), new)
-            row_of[new] = got_rows + (0 if table is None else len(table))
-            table = got if table is None else np.concatenate((table, got))
-            rows = row_of[hints]
-        self.free_rows[key] = table, row_of
-        lo = rows.min()
-        if lo == rows.max():
-            return table[lo:lo + 1], np.zeros(len(hints), dtype=np.intp)
-        return table, rows
-
     def reach(self, model: TokenModel, hints: np.ndarray) -> np.ndarray:
-        """``model.context_reach`` of each of these hint-set ids, asked
-        once per (model, hint set) in the step, when a slot first reads
-        the set. Each model keeps an int64 array by hint-set id, -1 until
-        asked and ``WHOLE_CONTEXT`` for None, which grows with
-        ``hint_sets``: hint sets are only appended within a step."""
-        hint_sets = self.pop.hint_sets
-        known = _grown(self.reaches.get(id(model)), len(hint_sets))
-        self.reaches[id(model)] = known
-        reach = known[hints]
-        if reach.min() < 0:
-            for h in np.flatnonzero(np.bincount(hints[reach < 0])).tolist():
-                r = model.context_reach(hint_sets[h])
-                known[h] = WHOLE_CONTEXT if r is None else r
-            reach = known[hints]
-        return reach
+        """``model.context_reach`` of each of these hint-set ids as int64,
+        ``WHOLE_CONTEXT`` for None, asked once per distinct id."""
+        present = np.flatnonzero(np.bincount(hints))
+        known = np.zeros(present[-1] + 1, dtype=np.int64)
+        for h in present.tolist():
+            r = model.context_reach(self.pop.hint_sets[h])
+            known[h] = WHOLE_CONTEXT if r is None else r
+        return known[hints]
 
     def force(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Append the forced tokens to every slot and add their log

@@ -248,6 +248,6 @@ class TestCoherencyProxy:
         model = train_ngram("the cat sat on the mat ", order=2, smoothing=0.1,
                             tokenizer="whitespace")
         vocab = model.vocabulary
-        fluent = tuple(vocab.encode("the") + vocab.encode("cat") + vocab.encode("sat"))
-        awkward = tuple(vocab.encode("mat") + vocab.encode("mat") + vocab.encode("mat"))
+        fluent = tuple(vocab.encode("the ") + vocab.encode("cat ") + vocab.encode("sat "))
+        awkward = tuple(vocab.encode("mat ") + vocab.encode("mat ") + vocab.encode("mat "))
         assert coherency_proxy(fluent, model) > coherency_proxy(awkward, model)

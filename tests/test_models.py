@@ -33,6 +33,7 @@ from steersmc import (
     run_inference,
     train_ngram,
 )
+from steersmc.models import tokenize_corpus
 
 NEG_INF = float("-inf")
 
@@ -300,9 +301,41 @@ class TestNgram:
     def test_whitespace_tokenizer(self):
         m = train_ngram("red fox red fox", order=2, smoothing=0.0,
                         tokenizer="whitespace")
-        (red,) = m.vocabulary.encode("red")
-        (fox,) = m.vocabulary.encode("fox")
+        (red,) = m.vocabulary.encode("red ")
+        (fox,) = m.vocabulary.encode("fox ")
         assert m.next_distribution(ModelQuery((red,)))[fox] == pytest.approx(1.0)
+
+    def test_whitespace_tokens_join_back_to_their_text(self):
+        """A whitespace token is a word and the whitespace after it, and
+        leading whitespace is a token of its own, so a document's tokens
+        join back to it and decoded words stay apart; a last word with no
+        whitespace after it takes a space, so it is the same token as the
+        word elsewhere. Separators and EOS markers match a token by its
+        word alone."""
+        for doc in ("  lead\tand  trail \n", " ", ""):
+            assert "".join(tokenize_corpus(doc, "whitespace")) == doc
+        for doc in ("the cat sat on the mat", "one"):
+            assert "".join(tokenize_corpus(doc, "whitespace")) == doc + " "
+        assert tokenize_corpus("  a b\n\nc ", "whitespace") == ["  ", "a ", "b\n\n", "c "]
+        assert tokenize_corpus("  a b\n\nc", "whitespace") == ["  ", "a ", "b\n\n", "c "]
+        doc = "the cat sat on the mat "
+        m = train_ngram(doc.rstrip(), order=2, smoothing=0.1, tokenizer="whitespace")
+        assert m.vocabulary.token_text == ("cat ", "mat ", "on ", "sat ", "the ", "")
+        assert m.vocabulary.decode(m.vocabulary.encode(doc)) == doc
+        split = train_ngram(["red fox ", "red hen\n"], order=2, smoothing=0.5,
+                            tokenizer="whitespace")
+        joined = train_ngram("red fox | red hen\n", order=2, smoothing=0.5,
+                             tokenizer="whitespace", separator="|")
+        marked = train_ngram("red fox $ red hen\n$", order=2, smoothing=0.0,
+                             tokenizer="whitespace", eos_text="$")
+        assert split.vocabulary.token_text == joined.vocabulary.token_text
+        assert marked.vocabulary.token_text == ("fox ", "hen\n", "red ", "")
+        fox, hen = 0, 1
+        for ctx in [(), (fox,), (hen,), (2,)]:
+            np.testing.assert_array_equal(split.next_distribution(ModelQuery(ctx)),
+                                          joined.next_distribution(ModelQuery(ctx)))
+        for word in (fox, hen):
+            assert marked.next_distribution(ModelQuery((word,)))[3] == pytest.approx(1.0)
 
     def test_unseen_context_with_smoothing_is_uniform(self):
         m = train_ngram("ab", order=3, smoothing=1.0)

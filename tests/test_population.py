@@ -872,7 +872,7 @@ def test_one_query_per_window_the_model_reads():
     context. Behind one hint (the delimiter alone) that is one context
     id, and behind two hints none: from then on the 64 slots share one
     window, with an empty context, and one table row, asked once per
-    hint set in the step. A table model (reach None) still receives
+    draw call. A table model (reach None) still receives
     every slot's whole context."""
     vocab = Vocabulary.from_tokens(["a", "bb", "|", "<eos>"], hint_delimiter="|")
     plan = parse_plan({"plan_version": 1, "max_tokens": 12, "steps": [
@@ -884,7 +884,7 @@ def test_one_query_per_window_the_model_reads():
     run_inference(plan, ngram, config)
     hint = steering.HINT_PREFIX
     calls = ngram.windows()
-    assert len(calls) == 6  # one call per tick that reads context, one per hint set
+    assert len(calls) == 6  # one call per tick that reads context, one per draw call
     # one hint: the empty context, then one query per last context id
     assert calls[0] == [ModelQuery((), "proposal", (hint,))]
     windows = [q for call in calls[1:4] for q in call]
@@ -1039,8 +1039,8 @@ def test_one_mask_build_per_tick_and_text_length(monkeypatch, mask):
 
 
 # ---------------------------------------------------------------------------
-# What a step works out once (each model's reach), and what a draw call
-# works out once for its ticks (blocks of uniforms, fixed rows).
+# What a draw call works out once for its ticks (each model's reach,
+# blocks of uniforms, fixed rows).
 
 
 def _spy(monkeypatch, name: str) -> list[tuple]:
@@ -1243,13 +1243,29 @@ class _ReachByHints(TokenModel):
         return row / row.sum()
 
 
-def test_reach_is_asked_once_per_model_and_hint_set_per_step():
+def _per_call(monkeypatch, name: str, before, after) -> None:
+    """Run ``before(self, clause, slots)`` on entering each
+    ``steering._Pass.<name>`` call and ``after(self, clause, slots,
+    start)``, with what ``before`` returned, on leaving it."""
+    call = getattr(steering._Pass, name)
+
+    def spy(self, clause, slots, *args):
+        start = before(self, clause, slots)
+        out = call(self, clause, slots, *args)
+        after(self, clause, slots, start)
+        return out
+
+    monkeypatch.setattr(steering._Pass, name, spy)
+
+
+def test_reach_is_asked_once_per_hint_set_per_call(monkeypatch):
     """Each model's ``context_reach`` is asked once per hint set its
-    slots read in a step, and for no other: the prior, read unhinted,
-    for () alone. A hint inside a loop adds hint sets mid-step (texts of
-    different lengths give slots different hints); each gets its own
-    reach, and its windows are cut to it, so every slot reads the row
-    of the walk's whole context."""
+    slots read in a call (a ``draw`` call or a ``force_string``), and
+    for no other: the prior, read unhinted, for () alone, once per
+    scored call however many ticks it runs. A hint inside a loop adds
+    hint sets mid-step (texts of different lengths give slots different
+    hints); each gets its own reach, and its windows are cut to it, so
+    every slot reads the row of the walk's whole context."""
     vocab = Vocabulary.from_tokens(["a", "bb", "<eos>"])
     proposal, prior = _ReachByHints(vocab, 1), _ReachByHints(vocab, 2)
     hinted = {"kind": "hint", "template": "{chars_so_far}"}
@@ -1257,20 +1273,30 @@ def test_reach_is_asked_once_per_model_and_hint_set_per_step():
         {"kind": "loop", "iterations": 2, "body": [
             hinted, {"kind": "sample_until", "score_with_prior": True,
                      "stop": {"kind": "token_count", "value": 2}}]},
-        {"kind": "loop", "iterations": 2, "body": [hinted, _draw_one()]}]})
-    asked_sets = []
+        {"kind": "loop", "iterations": 2, "body": [
+            hinted, _draw_one(), {"kind": "force_string", "text": "a"}]}]})
+    calls = []  # per call: its kind, and each model's asks and sent hint sets
 
-    def after_step(step):
+    def before(self, clause, slots):
         for model in (proposal, prior):
-            assert set(collections.Counter(model.asked).values()) <= {1}
-            assert set(model.asked) == set().union(*model.present)
-            asked_sets.append(len(model.asked))
             model.asked, model.present = [], []
 
-    assert_steps_match_the_walk(plan, (proposal, prior), 6, 3, after_step)
-    # per step, the proposal reads one set after its first hint and
-    # several after its second; the prior reads () in the scored step
-    assert asked_sets[1::2] == [1, 0] and all(k > 2 for k in asked_sets[0::2])
+    for name in ("draw", "force"):
+        _per_call(monkeypatch, name, before, lambda self, clause, slots, start, name=name: (
+            calls.append((name, [(m.asked, m.present) for m in (proposal, prior)]))))
+    assert_steps_match_the_walk(plan, (proposal, prior), 6, 3)
+    for _, ((asked, present), (prior_asked, prior_present)) in calls:
+        assert set(collections.Counter(asked).values()) <= {1}
+        assert set(asked) == set().union(*present)
+        assert prior_asked == ([()] if prior_present else [])
+        assert set().union(*prior_present) <= {()}
+    # the scored calls of two ticks ask the prior's reach once and its
+    # rows twice; the proposal reads one set after the first hint and
+    # several after the second
+    assert [(name, len(asked) > 1, len(prior_asked), len(prior_present))
+            for name, ((asked, _), (prior_asked, prior_present)) in calls] == [
+        ("draw", False, 1, 2), ("draw", True, 1, 2),
+        ("draw", True, 0, 0), ("force", True, 0, 0), ("draw", True, 0, 0), ("force", True, 0, 0)]
 
 
 def _digits_ngram():
@@ -1335,42 +1361,66 @@ def _free_cases():
 
 
 @pytest.mark.parametrize("case", ["uniform", "order-1", "hinted", "several sets", "tagged"])
-def test_context_free_rows_are_asked_once_per_step(monkeypatch, case):
-    """A tick whose slots read no context takes its rows from the step's
-    memo: bit for bit the walk's, and each (model, tag, hint set) sent to
-    ``next_table`` once per step, however many such ticks read it. A draw
-    call whose slots all have reach 0 looks its rows up once. Keying
-    the memo without the tag fails the "tagged" case; a row index that
-    does not grow with ``hint_sets``, or rows stored by fill position
-    instead of by hint id, fail cases that add hint sets in a loop."""
+def test_context_free_rows_are_asked_once_per_draw_call(monkeypatch, case):
+    """A tick whose slots read no context sends ``next_table`` a window
+    matrix of no columns, and reads the walk's rows bit for bit. A draw
+    call whose slots all have reach 0 makes one proposal ``next_table``
+    call, on its first tick, however many ticks it runs; a scored call
+    asks a prior of reach 0 for its rows once, and a prior that reads
+    context once per tick. Where every slot reads one row (under the
+    uniform, the order-1 and the table model) each draw reads a one-row
+    table."""
     doc, models, n = _free_cases()[case]
     plan = parse_plan({"plan_version": 1, **doc})
-    sent, ticks = [], []
     pair = as_model_set(models)
+    sent = []  # per next_table call: model, tag, width, hint sets, whether every reach is 0
     for model in {id(m): m for m in (pair.proposal, pair.prior)}.values():
         def spy(windows, widths, hint_ids, hint_sets, tag, deadline=None,
                 model=model, call=model.next_table):
-            if windows.shape[1] == 0:
-                sent.append([(id(model), tag, hint_sets[h]) for h in hint_ids.tolist()])
+            sets = {hint_sets[h] for h in hint_ids.tolist()}
+            sent.append((model, tag, windows.shape[1], sets,
+                         all(model.context_reach(h) == 0 for h in sets)))
             return call(windows, widths, hint_ids, hint_sets, tag, deadline)
 
         monkeypatch.setattr(model, "next_table", spy, raising=False)
-    free = steering._Pass.free
-    monkeypatch.setattr(steering._Pass, "free", lambda self, model, tag, hints: (
-        ticks.append(len(set(hints.tolist()))) or free(self, model, tag, hints)))
-    asked = []
+    free = []  # per draw call whose slots all have reach 0: its asks and ticks
+    scored = []  # per scored draw call: the widths of its prior asks, and its ticks
 
-    def after_step(step):  # the calls of one step ask for distinct rows
-        assert set(collections.Counter(itertools.chain(*sent)).values()) <= {1}
-        asked.append(len(sent))
+    def after(self, clause, slots, start):
+        first, lengths = start
+        ticks = int((self.pop.lengths[slots] - lengths).max())
+        asks = [(width, sets) for model, tag, width, sets, _ in sent[first:]
+                if model is pair.proposal and tag == plan.proposal_tag]
+        if sent[first:] and sent[first][4]:  # the first tick's ask
+            free.append((asks, ticks))
+        if clause.score_with_prior and self.weighted:
+            scored.append(([width for model, tag, width, _, _ in sent[first:]
+                            if model is pair.prior and tag == plan.prior_tag], ticks))
+
+    _per_call(monkeypatch, "draw", lambda self, clause, slots: (
+        len(sent), self.pop.lengths[slots].copy()), after)
+    drawn = _spy(monkeypatch, "draw_rows")
+    widthless = []
+
+    def after_step(step):
+        widthless.append(sum(width == 0 for _, _, width, _, _ in sent))
         sent.clear()
 
     assert_steps_match_the_walk(plan, models, n, 13, after_step)
-    if case == "tagged":  # only the first tick, at length 0, reads no context
-        assert asked == [2, 0] and len(ticks) == 2
-    elif case == "hinted":  # one lookup per draw call: at length 0, then behind two hints
-        assert asked == [3] and len(ticks) == 3
+    assert all(len(asks) == 1 and asks[0][0] == 0 for asks, _ in free)
+    if pair.prior.context_reach(()) == 0:  # the prior's rows are fixed for a call
+        assert all(widths == [0] * min(ticks, 1) for widths, ticks in scored)
     else:
-        assert 0 < sum(asked) < len(ticks)
-    if case == "several sets":
-        assert max(ticks) >= 2
+        assert all(len(widths) == ticks for widths, ticks in scored)
+    assert bool(scored) == (case in ("uniform", "order-1", "tagged"))
+    assert not scored or max(ticks for _, ticks in scored) >= 2
+    if case in ("uniform", "order-1", "tagged"):
+        assert drawn and all(len(table) == 1 for table, *_ in drawn)
+    if case == "tagged":  # reach None: only the first tick, at length 0, reads no context
+        assert widthless == [2, 0] and not free
+    elif case == "hinted":  # at length 0, then one ask per call behind two hints
+        assert widthless == [3] and [ticks for _, ticks in free] == [6, 6]
+    elif case == "several sets":
+        assert max(len(asks[0][1]) for asks, _ in free) >= 2
+    else:  # masked_sample calls of two ticks
+        assert max(ticks for _, ticks in free) == 2

@@ -1,7 +1,9 @@
-"""The CI workflow parses and runs the Tier-1 command that ROADMAP.md names."""
+"""The CI workflow parses, runs the Tier-1 command that ROADMAP.md names,
+and reads the benchmark's workload names."""
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -18,3 +20,16 @@ def test_workflow_runs_the_tier1_command():
     runs = [step.get("run", "").strip() for step in workflow["jobs"]["tier1"]["steps"]
             if step.get("name") == "Tier-1 tests"]
     assert runs == [command]
+
+
+def test_workflow_reads_the_workload_names():
+    """The benchmark steps loop over the names BENCHMARK.json declares,
+    read when they run, so that a new workload needs no workflow edit; a
+    failed or empty read fails its step rather than leaving the loops
+    nothing to run."""
+    text = (ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+    names = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    assert names and not [name for name in names if name in text]
+    assert "for W in $WORKLOADS; do" in text and "for W in $IN_PROCESS; do" in text
+    assert 'test -n "$W"' in text and 'test -n "$P"' in text
