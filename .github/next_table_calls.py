@@ -9,11 +9,11 @@ Run from the root of a checkout: its ``src/steersmc`` and
 counts any tree it is run in. For each in-process workload (all three
 by default) it builds the seed-0 input as the benchmark does, wraps
 ``TokenModel.next_table``, ``NgramModel.next_table``,
-``steering._Pass.draw`` and the uniform functions the step interpreter
-calls (``uniform_block``, and ``uniforms_at`` in a tree that calls it),
-runs one ``run_inference`` operation and prints ``WORKLOAD CALLS DRAWS
-CELLS``: the ``next_table`` calls, the ``_Pass.draw`` calls and the
-uniform cells mixed. The benchmark's tracer hooks
+``steering._Pass.draw`` and ``steering.uniform_block``, the uniform
+function the step interpreter calls, runs one ``run_inference``
+operation and prints ``WORKLOAD CALLS DRAWS CELLS``: the
+``next_table`` calls, the ``_Pass.draw`` calls and the uniform cells
+mixed. The benchmark's tracer hooks
 ``next_distribution``, which the step interpreter no longer calls, so
 it does not see these calls. Report only: it checks nothing.
 """
@@ -51,9 +51,7 @@ def counts_per_operation(workload: str) -> tuple[int, int, int]:
     for cls in (TokenModel, NgramModel):
         counted(cls, "next_table", tables)
     counted(steering._Pass, "draw", draws)
-    for name in ("uniform_block", "uniforms_at"):
-        if name in steering.__dict__:
-            counted(steering, name, cells, lambda out: out.size)
+    counted(steering, "uniform_block", cells, lambda out: out.size)
     steersmc.run_inference(inp.plan, inp.models, inp.config)
     return tables[0], draws[0], cells[0]
 

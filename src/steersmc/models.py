@@ -192,6 +192,23 @@ class ModelQuery(NamedTuple):
     hints: tuple[str, ...] = ()
 
 
+def check_rows(table: np.ndarray, source: str) -> None:
+    """The rule for a model's rows where they enter the step interpreter
+    (``_Pass.rows``) and the oracle (``TokenModel.next_distribution``),
+    after each checks their shape: every entry of the 2-D ``table`` is a
+    number in [0, 1], and every row sums to 1 within ROW_SUM_TOLERANCE,
+    as stored rows must at load time; any other table is a ProtocolError
+    naming ``source``. The entries are bounded before any sum, which
+    +inf with -inf (NaN) or huge entries (overflow) would make warn."""
+    if not (table.dtype.kind in "fiu" and table.min(initial=0) >= 0
+            and table.max(initial=0) <= 1.0 + ROW_SUM_TOLERANCE):
+        raise ProtocolError(f"{source} returned a row with an entry that is not a probability")
+    sums = table.sum(axis=1)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
+    if off.any():
+        raise ProtocolError(f"{source} returned a row summing to {sums[off][0]:.9g}, not 1")
+
+
 class TokenModel:
     """Base class: a pure conditional next-token distribution.
 
@@ -205,12 +222,15 @@ class TokenModel:
         self.vocabulary = vocabulary
 
     def next_distribution(self, query: ModelQuery) -> np.ndarray:
-        """Probability vector over the vocabulary for ``query``."""
+        """Probability vector over the vocabulary for ``query``, held to
+        ``check_rows``: the oracle and ``sequence_logprob`` read rows here."""
         size = self.vocabulary.size
         for t in query.context:
             if not 0 <= t < size:
                 raise InvalidContext(f"token id {t} out of range [0, {size})")
-        return self.next_distributions((query,))[0]
+        row = self._vectors((query,))[0]
+        check_rows(row[None], type(self).__name__)
+        return row
 
     def next_table(self, windows: np.ndarray, widths: np.ndarray, hint_ids: np.ndarray,
                    hint_sets, tag: str, deadline: float | None = None
@@ -248,12 +268,7 @@ class TokenModel:
         queries = [ModelQuery(tuple(c[span - w:]), tag, hint_sets[h])
                    for c, w, h in zip(contexts, widths[firsts].tolist(),
                                       hint_ids[firsts].tolist())]
-        rows = self.next_distributions(queries, deadline)
-        size = self.vocabulary.size
-        if len(rows) != len(queries) or not all(
-                isinstance(r, np.ndarray) and r.shape == (size,) for r in rows):
-            raise ProtocolError(f"{type(self).__name__} did not return one "
-                                f"{size}-entry vector per query")
+        rows = self._vectors(queries, deadline)
         distinct = {id(r): r for r in rows}  # one table row per distinct row object
         index = {key: i for i, key in enumerate(distinct)}
         query_rows = np.array([index[id(r)] for r in rows])
@@ -270,6 +285,17 @@ class TokenModel:
         """
         return [self._distribution(self._conditioning_context(q), q.prompt_tag)
                 for q in queries]
+
+    def _vectors(self, queries, deadline: float | None = None) -> list:
+        """``next_distributions``, checked to return one vector over the
+        vocabulary per query, or a ProtocolError."""
+        rows = self.next_distributions(queries, deadline)
+        size = self.vocabulary.size
+        if len(rows) != len(queries) or not all(
+                isinstance(r, np.ndarray) and r.shape == (size,) for r in rows):
+            raise ProtocolError(f"{type(self).__name__} did not return one "
+                                f"{size}-entry vector per query")
+        return rows
 
     def sequence_logprob(self, prefix, continuation, prompt_tag: str = "proposal",
                          hints: tuple[str, ...] = ()) -> float:
@@ -393,13 +419,11 @@ class NgramModel(TokenModel):
         # the end
         self._keys = np.concatenate(([-1], keys, [np.iinfo(np.int64).max]))
         self._unseen = len(keys) + 1 if smoothing > 0.0 else None
-        self._starts = functools.lru_cache(maxsize=HINT_MEMO_SIZE)(self._start)
-        self._starts_vocabulary = vocabulary
 
     def context_reach(self, hints):
         """The last ``order - 1`` ids of the serialized context, less the
-        ids the hints add after the context."""
-        return self._hinted(hints)[2]
+        ids the hints add after the context (``_start``)."""
+        return self._start(hints)[2]
 
     def next_table(self, windows, widths, hint_ids, hint_sets, tag, deadline=None):
         """Every slot's row from one vectorized walk of the trie.
@@ -418,7 +442,7 @@ class NgramModel(TokenModel):
         present = np.flatnonzero(np.bincount(hint_ids)).tolist()
         starts = np.zeros((3, present[-1] + 1), dtype=np.int64)
         for h in present:
-            starts[:, h] = self._hinted(hint_sets[h])
+            starts[:, h] = self._start(hint_sets[h])
         nodes, walking, left = starts[:, hint_ids]
         walking = walking.astype(bool)
         limit = np.minimum(widths, left)
@@ -434,19 +458,13 @@ class NgramModel(TokenModel):
         reached = np.bincount(nodes) > 0
         return self._matrix[np.flatnonzero(reached)], (np.cumsum(reached) - 1)[nodes]
 
-    def _hinted(self, hints: tuple[str, ...]) -> tuple[int, bool, int]:
-        """``_start`` of these hints, memoized in an LRU of HINT_MEMO_SIZE
-        hint sets that empties when the vocabulary is replaced, as it
-        may be after training to declare a delimiter."""
-        if self._starts_vocabulary is not self.vocabulary:
-            self._starts.cache_clear()
-            self._starts_vocabulary = self.vocabulary
-        return self._starts(hints)
-
     def _start(self, hints: tuple[str, ...]) -> tuple[int, bool, int]:
         """Where the ids these hints add behind the delimiter lead from the
         root, newest first: the node, whether every id read matched, and
-        how many context ids the window has left (the reach)."""
+        how many context ids the window has left (the reach). Each hint's
+        ids come from ``Vocabulary.hint_ids``, the one hint memo, of the
+        model's current vocabulary, so a vocabulary replaced after
+        training (to declare a delimiter) is read as it encodes hints."""
         ids = self._conditioning_context(ModelQuery((), hints=hints))
         read = ids[max(0, len(ids) - (self.order - 1)):]
         node, depth = self._descend(read)

@@ -54,7 +54,7 @@ from .errors import (
     UnboundVariable,
     is_integer,
 )
-from .models import TokenModel, Vocabulary
+from .models import TokenModel, Vocabulary, check_rows
 from .plans import (  # MaskSpec and parse_plan are re-exported
     MaskSpec,
     SteeringPlan,
@@ -464,7 +464,8 @@ class _Pass:
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray, hints: np.ndarray,
              reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The model's rows for these slots as one table, and each slot's
-        index into it, from at most one ``model.next_table`` call.
+        index into it, from one ``model.next_table`` call: the one place
+        where the interpreter asks a model for rows.
 
         A slot reads its hint set (id ``hints[i]``) and the window of its
         context that the model reads under it, the last ``reach[i]`` ids
@@ -473,6 +474,11 @@ class _Pass:
         cells: each id plus one, newest first, then 0 past the window's
         width, so token 0 never reads as padding. When every width is 0
         the matrix has no columns, and the rows read the hint sets alone.
+
+        The answer is checked before any of it is read: a table of rows
+        over the vocabulary that keep ``models.check_rows``, and one
+        integer index into it per slot, so that every drawn id is a valid
+        context id. Anything else is a ProtocolError.
         """
         pop, tokens = self.pop, self.pop.tokens
         lengths = pop.lengths[slots]
@@ -483,27 +489,20 @@ class _Pass:
         back = (slots * tokens.shape[1] + lengths - 1)[:, None] - span
         windows = np.add(np.take(tokens, np.maximum(back, 0, out=back)), 1, dtype=np.int64)
         windows[span >= widths[:, None]] = 0
-        return self.ask(model, tag, windows, widths, hints)
-
-    def ask(self, model: TokenModel, tag: str, windows: np.ndarray, widths: np.ndarray,
-            hints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One ``model.next_table`` call, whose table is checked to hold
-        rows over the vocabulary, and one integer index into it per
-        window, so that every drawn id is a valid context id."""
-        n = len(hints)
-        table, slot_rows = model.next_table(windows, widths, hints, self.pop.hint_sets, tag,
+        table, slot_rows = model.next_table(windows, widths, hints, pop.hint_sets, tag,
                                             self.deadline)
-        size = self.vocab.size
+        name, size = type(model).__name__, self.vocab.size
         if not (isinstance(table, np.ndarray) and table.ndim == 2 and table.shape[1] == size
-                and np.shape(slot_rows) == (n,)):
-            raise ProtocolError(f"{type(model).__name__} did not return a table of "
-                                f"{size}-entry rows with one index per slot")
+                and np.shape(slot_rows) == (len(hints),)):
+            raise ProtocolError(f"{name} did not return a table of {size}-entry rows "
+                                "with one index per slot")
         slot_rows = np.asarray(slot_rows)
         # as unsigned, a negative index lies past every row
         if not (slot_rows.dtype.kind in "iu"
                 and slot_rows.astype(np.uint64).max() < len(table)):
-            raise ProtocolError(f"{type(model).__name__} returned slot indices that are "
+            raise ProtocolError(f"{name} returned slot indices that are "
                                 f"not integers in [0, {len(table)})")
+        check_rows(table, name)
         return table, slot_rows
 
     def reach(self, model: TokenModel, hints: np.ndarray) -> np.ndarray:

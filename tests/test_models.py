@@ -472,11 +472,12 @@ def test_ngram_table_rows_are_the_rows_of_the_whole_contexts(case):
 
 
 def test_hint_memo_stays_bounded():
-    """The start node of each hint set is memoized in an LRU of
-    ``HINT_MEMO_SIZE`` entries: ten times as many distinct hints leave
-    it at the bound, and every answer is still the row of the context.
-    Replacing the vocabulary empties it, so that hints then read as the
-    new vocabulary encodes them."""
+    """Hints are memoized once, by ``Vocabulary.hint_ids`` in an LRU of
+    ``HINT_MEMO_SIZE`` hints per vocabulary: ten times as many distinct
+    hints leave the memo of the model's vocabulary at the bound, and
+    every answer is still the row of the context. A replaced vocabulary
+    brings its own memo, so that hints then read as the new vocabulary
+    encodes them."""
     model = train_ngram("ab|ab|ba", order=3, smoothing=0.0)
     plain = model.vocabulary
     model.vocabulary = dataclasses.replace(plain, hint_delimiter_id=plain.token_text.index("|"))
@@ -491,12 +492,11 @@ def test_hint_memo_stays_bounded():
 
     for i in range(10 * bound):
         assert row_is_the_context_row(("ab"[i % 2] + str(i),))
-        assert model._starts.cache_info().currsize <= bound
-    assert model._starts.cache_info().currsize == bound
+        assert model.vocabulary._hint_memo.cache_info().currsize <= bound
+    assert model.vocabulary._hint_memo.cache_info().currsize == bound
     delimited = model.next_distribution(ModelQuery((), "proposal", ("b",)))
     model.vocabulary = plain
     assert row_is_the_context_row(("b",))
-    assert model._starts.cache_info().currsize == 1
     assert model.next_distribution(ModelQuery((), "proposal", ("b",))) is not delimited
 
 

@@ -51,6 +51,7 @@ from steersmc import (
     ModelQuery,
     NgramModel,
     Population,
+    ProtocolError,
     RandomStream,
     SchemaViolation,
     SteeringError,
@@ -661,14 +662,16 @@ def test_a_window_ends_where_its_context_starts():
 
 class _Windows(TokenModel):
     """A model over ``size`` tokens whose reach is looked up by hint
-    tuple. It answers each query with a one-byte-per-token broadcast row
-    (so that a vocabulary of 2**20 tokens stays small), one row object
-    per distinct query, or per hint tuple and newest context id when
-    ``coarse``, as an n-gram's backoff shares rows."""
+    tuple. It answers each query with a one-hot int8 row, a view of one
+    shared row (so that a vocabulary of 2**20 tokens stays small), one
+    row object per distinct query, or per hint tuple and newest context
+    id when ``coarse``, as an n-gram's backoff shares rows."""
 
     def __init__(self, size, reaches, coarse):
         super().__init__(SimpleNamespace(size=size))  # ``rows`` reads only the size
         self.reaches, self.coarse, self.answers, self.batches = reaches, coarse, {}, []
+        self.one_hot = np.zeros(size, dtype=np.int8)
+        self.one_hot[0] = 1
 
     def context_reach(self, hints):
         return self.reaches[hints]
@@ -680,7 +683,7 @@ class _Windows(TokenModel):
     def row(self, query):
         key = (query.hints, query.context[-1:]) if self.coarse else query
         if key not in self.answers:
-            self.answers[key] = np.broadcast_to(np.int8(0), (self.vocabulary.size,))
+            self.answers[key] = self.one_hot[:]
         return self.answers[key]
 
 
@@ -931,7 +934,8 @@ class _HintedRows(TokenModel):
 def batched_draws(draw):
     """Up to 300 distinct rows over up to 100 tokens, with exact zeros,
     all-zero rows, weights across many magnitudes and uniforms at the
-    top of [0, 1), drawn by up to 600 slots under one mask."""
+    top of [0, 1), drawn by up to 600 slots under one mask. Every row
+    that is not all zero is divided by its sum."""
     size = draw(st.integers(2, 100))
     n_rows, n_slots = draw(st.integers(1, 300)), draw(st.integers(1, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
@@ -940,6 +944,7 @@ def batched_draws(draw):
         table = table * 10.0 ** rng.integers(-300, 150, (n_rows, size))
     table[rng.random((n_rows, size)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
     table[rng.random(n_rows) < draw(st.sampled_from([0.0, 0.05]))] = 0.0
+    table = _normalized(table)
     mask = draw(st.sampled_from(["none", "explicit", "max_remaining_chars"]))
     if mask == "explicit":
         mask = {"kind": "explicit",
@@ -952,25 +957,31 @@ def batched_draws(draw):
     return table, rng.integers(0, n_rows, n_slots), rng.integers(0, 5, n_slots), mask, u
 
 
+def _normalized(table):
+    """Each row of ``table`` divided by its sum, an all-zero row kept."""
+    sums = table.sum(axis=1, keepdims=True)
+    return table / np.where(sums > 0.0, sums, 1.0)
+
+
 def _wide_case():
     """600 slots over 300 distinct rows of 88 weights under one static
     mask: more cells than one block of the comparison holds."""
     rng = np.random.default_rng(1)
-    return (rng.random((300, 88)), np.arange(600) % 300, np.zeros(600, dtype=int),
+    return (_normalized(rng.random((300, 88))), np.arange(600) % 300, np.zeros(600, dtype=int),
             {"kind": "explicit", "ids": list(range(0, 88, 2))}, rng.random(600))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(case=batched_draws())
 @example(case=_wide_case())
-@example(case=(np.array([[1e16] + [1.0] * 15 + [0.0], [0.0] * 16 + [1.0]]),
+@example(case=(_normalized(np.array([[1e16] + [1.0] * 15 + [0.0], [0.0] * 16 + [1.0]])),
                np.array([0, 1, 0]), np.zeros(3, dtype=int),
                {"kind": "explicit", "ids": list(range(17))}, np.full(3, TOP_UNIFORM)))
 def test_batched_draw_matches_one_row_at_a_time(case):
     """Each slot's pick is ``draw_indices`` over its own masked row, bit
     for bit, and its ``log Z`` is ``math.log`` of the 1-D sum of that
     row; a mask that leaves no token or no mass kills the slot, and an
-    unmasked all-zero row raises ValueError. Gathering the masked
+    all-zero row, masked or not, is a ProtocolError. Gathering the masked
     columns in F order in ``_Pass.draw``, as ``table[rows_used][:, ids]``
     or ``table[:, ids]`` return them, fails this test."""
     table, slot_rows, text_lengths, mask, u = case
@@ -991,8 +1002,8 @@ def test_batched_draw_matches_one_row_at_a_time(case):
         return u[:, None].copy()
 
     with mock.patch.object(steering, "uniform_block", block):
-        if mask == "none" and not all(rows[r].any() for r in set(slot_rows.tolist())):
-            with pytest.raises(ValueError, match="all-zero"):
+        if not all(rows[r].any() for r in set(slot_rows.tolist())):
+            with pytest.raises(ProtocolError, match="summing to 0, not 1"):
                 execute_step(plan, 0, pop, _HintedRows(vocab, rows), keys)
             return
         execute_step(plan, 0, pop, _HintedRows(vocab, rows), keys)

@@ -667,9 +667,26 @@ class TestPlanTermination:
             assert len(particle.tokens) <= plan.max_tokens
 
 
+# Rows over four tokens that break the rule for rows (``models.check_rows``),
+# each with the end of the ProtocolError message it gives.
+NOT_A_PROBABILITY = "returned a row with an entry that is not a probability"
+VALUE_FAULTS = {
+    "nan": ([math.nan, 0.25, 0.25, 0.25], NOT_A_PROBABILITY),
+    "negative": ([-0.5, 0.5, 0.5, 0.5], NOT_A_PROBABILITY),  # sums to 1
+    "unnormalized": ([0.5, 0.5, 0.5, 0.5], "returned a row summing to 2, not 1"),
+    "+inf": ([math.inf, 0.0, 0.0, 0.0], NOT_A_PROBABILITY),
+    "all-zero": ([0.0, 0.0, 0.0, 0.0], "returned a row summing to 0, not 1"),
+    "-inf": ([-math.inf, 0.5, 0.25, 0.25], NOT_A_PROBABILITY),
+    # summed before its entries are bounded, this row warns (inf - inf)
+    "+inf and -inf": ([math.inf, -math.inf, 0.0, 0.0], NOT_A_PROBABILITY)}
+ALL_METHODS = ("smc", "importance", "rejection")
+
+
 class _BadRows(TokenModel):
     """Uniform rows spoiled one way: each one entry ``short``, each a
-    Python ``list``, or the last query's row ``missing``."""
+    Python ``list``, the last query's row ``missing``, or each row one
+    of ``VALUE_FAULTS``. It reads the whole context (reach None), so it
+    is asked on every tick."""
 
     def __init__(self, vocabulary, fault):
         super().__init__(vocabulary)
@@ -677,6 +694,8 @@ class _BadRows(TokenModel):
 
     def next_distributions(self, queries, deadline=None):
         size = self.vocabulary.size
+        if self.fault in VALUE_FAULTS:
+            return [np.array(VALUE_FAULTS[self.fault][0]) for _ in queries]
         if self.fault == "short":
             return [np.full(size - 1, 1.0 / (size - 1)) for _ in queries]
         if self.fault == "list":
@@ -684,24 +703,47 @@ class _BadRows(TokenModel):
         return [np.full(size, 1.0 / size) for _ in queries][:-1]
 
 
-@pytest.mark.parametrize("fault", ["short", "list", "missing"])
+SHAPE_FAULT = "did not return one 4-entry vector per query"
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("short", SHAPE_FAULT), ("list", SHAPE_FAULT), ("missing", SHAPE_FAULT),
+    *((fault, message) for fault, (_, message) in VALUE_FAULTS.items())],
+    ids=["short", "list", "missing", *VALUE_FAULTS])
 @pytest.mark.parametrize("clause", [
     {"kind": "sample_until", "stop": {"kind": "token_count", "value": 2}},
-    {"kind": "force_string", "text": "ab"}], ids=["draw", "force_string"])
-def test_rows_that_are_not_one_vector_per_query_are_a_protocol_error(vocab4, fault,
+    {"kind": "force_string", "text": "ab"},
+    {"kind": "sample_until", "score_with_prior": True,
+     "stop": {"kind": "token_count", "value": 2}}], ids=["draw", "force_string", "prior"])
+def test_rows_that_are_not_one_vector_per_query_are_a_protocol_error(vocab4, fault, message,
                                                                      clause):
     """The interpreter checks a model's rows before it reads any of them,
-    so no drawn or forced id comes from a malformed row."""
-    out = run_inference(make_plan([clause]), _BadRows(vocab4, fault),
-                        InferenceConfig(method="importance", n_particles=4, seed=0))
-    assert isinstance(out.error, ProtocolError)
-    assert out.error.message == "_BadRows did not return one 4-entry vector per query"
+    so no drawn or forced id or score comes from a malformed row or from
+    one that is not a distribution, under every method; in a scored draw
+    the prior alone is faulty. A run that reads no weights (rejection)
+    asks no model for a score, neither for a forced string nor the prior,
+    so it ends without an error there. The oracle refuses the same rows
+    with the same message."""
+    plan, bad = make_plan([clause]), _BadRows(vocab4, fault)
+    scored = clause.get("score_with_prior", False)
+    models = (UniformModel(vocab4), bad) if scored else bad
+    for method in ALL_METHODS:
+        out = run_inference(plan, models,
+                            InferenceConfig(method=method, n_particles=4, seed=0))
+        if method == "rejection" and (scored or clause["kind"] == "force_string"):
+            assert out.error is None
+        else:
+            assert isinstance(out.error, ProtocolError)
+            assert out.error.message == f"_BadRows {message}"
+    with pytest.raises(ProtocolError) as raised:
+        brute_force_target(plan, models, 4)
+    assert raised.value.message == f"_BadRows {message}"
 
 
 class _BadTable(TokenModel):
     """A model whose ``next_table`` answers with rows one entry short,
-    with one index too few, or with every slot at one index into a
-    2-row table."""
+    with one index too few, with every slot at one index into a 2-row
+    table, or with one row of ``VALUE_FAULTS``."""
 
     def __init__(self, vocabulary, fault):
         super().__init__(vocabulary)
@@ -709,6 +751,8 @@ class _BadTable(TokenModel):
 
     def next_table(self, windows, widths, hint_ids, hint_sets, tag, deadline=None):
         size, n = self.vocabulary.size, len(widths)
+        if self.fault in VALUE_FAULTS:
+            return np.array([VALUE_FAULTS[self.fault][0]]), np.zeros(n, dtype=np.intp)
         if self.fault == "short":
             return np.full((1, size - 1), 1.0 / (size - 1)), np.zeros(n, dtype=np.intp)
         if self.fault == "missing":
@@ -721,17 +765,19 @@ class _BadTable(TokenModel):
     ("missing", "did not return a table of 4-entry rows with one index per slot"),
     (-1, "returned slot indices that are not integers in [0, 2)"),  # would read the last row
     (2, "returned slot indices that are not integers in [0, 2)"),
-    (1.5, "returned slot indices that are not integers in [0, 2)")])
+    (1.5, "returned slot indices that are not integers in [0, 2)"),
+    *((fault, message) for fault, (_, message) in VALUE_FAULTS.items())])
 def test_a_table_not_over_the_vocabulary_is_a_protocol_error(vocab4, fault, message):
     """The interpreter checks the table a ``next_table`` override returns
-    before it reads it: rows over the vocabulary, one integer row of the
-    table per slot."""
-    out = run_inference(make_plan([{"kind": "sample_until",
-                                    "stop": {"kind": "token_count", "value": 2}}]),
-                        _BadTable(vocab4, fault),
-                        InferenceConfig(method="importance", n_particles=4, seed=0))
-    assert isinstance(out.error, ProtocolError)
-    assert out.error.message == f"_BadTable {message}"
+    before it reads it, under every method: rows over the vocabulary
+    that are distributions, one integer row of the table per slot."""
+    for method in ALL_METHODS:
+        out = run_inference(make_plan([{"kind": "sample_until",
+                                        "stop": {"kind": "token_count", "value": 2}}]),
+                            _BadTable(vocab4, fault),
+                            InferenceConfig(method=method, n_particles=4, seed=0))
+        assert isinstance(out.error, ProtocolError)
+        assert out.error.message == f"_BadTable {message}"
 
 
 class TestRunCheck:
