@@ -286,10 +286,9 @@ def _candidates(pop: Population, weights, passed, raw) -> list[WeightedCandidate
 
 
 def _weighted_candidates(pop: Population) -> list[WeightedCandidate]:
-    """Softmax-weighted candidates; empty when no weight is finite."""
+    """Softmax-weighted candidates. Some weight is finite: a weighted
+    run whose step leaves none ends in an error (``_run_lockstep``)."""
     raw = pop.log_weights
-    if float(np.max(raw)) == NEG_INF:
-        return []
     return _candidates(pop, normalize_weights(raw).tolist(), (pop.status == DONE).tolist(),
                        raw.tolist())
 

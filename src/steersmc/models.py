@@ -192,14 +192,15 @@ class ModelQuery(NamedTuple):
     hints: tuple[str, ...] = ()
 
 
-def check_rows(table: np.ndarray, source: str) -> None:
+def check_rows(table: np.ndarray, source: str) -> np.ndarray:
     """The rule for a model's rows where they enter the step interpreter
     (``_Pass.rows``) and the oracle (``TokenModel.next_distribution``),
     after each checks their shape: every entry of the 2-D ``table`` is a
     number in [0, 1], and every row sums to 1 within ROW_SUM_TOLERANCE,
     as stored rows must at load time; any other table is a ProtocolError
     naming ``source``. The entries are bounded before any sum, which
-    +inf with -inf (NaN) or huge entries (overflow) would make warn."""
+    +inf with -inf (NaN) or huge entries (overflow) would make warn.
+    Returns the row sums, which an unmasked draw reads."""
     if not (table.dtype.kind in "fiu" and table.min(initial=0) >= 0
             and table.max(initial=0) <= 1.0 + ROW_SUM_TOLERANCE):
         raise ProtocolError(f"{source} returned a row with an entry that is not a probability")
@@ -207,6 +208,7 @@ def check_rows(table: np.ndarray, source: str) -> None:
     off = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
     if off.any():
         raise ProtocolError(f"{source} returned a row summing to {sums[off][0]:.9g}, not 1")
+    return sums
 
 
 class TokenModel:

@@ -360,8 +360,9 @@ class _Pass:
         -inf; the prior is evaluated without hints, which condition the
         proposal side only. A run that reads no weights computes neither
         and asks the prior nothing. A tick whose rows are not fixed reads
-        its distinct rows as one table (``rows``). An unmasked draw is
-        one ``rng.draw_rows`` over the table, and kills no slot.
+        its distinct rows as one table, with their sums (``rows``). An
+        unmasked draw is one ``rng.draw_rows`` over the table and those
+        sums, and kills no slot.
         Otherwise each mask part (all slots, or under
         ``max_remaining_chars`` those of one text length) gathers the
         allowed columns of the whole table in C order, so that each row
@@ -377,7 +378,7 @@ class _Pass:
         by_length = mask is not None and mask.kind == "max_remaining_chars"
         entered, starts = slots, pop.lengths[slots]
         longest, drawable = int(starts.max()), min(count, max_tokens - int(starts.min()))
-        hints = reach = prior_reach = table = slot_rows = totals = prior_rows = block = None
+        hints = reach = prior_reach = table = slot_rows = sums = prior_rows = block = None
 
         def only(keep):  # the call's per-slot arrays, cut to these slots
             return tuple(None if a is None else a[keep]
@@ -399,9 +400,7 @@ class _Pass:
                 reach = self.reach(model, hints)
                 if scored:  # the prior reads no hints
                     prior_reach = self.reach(self.models.prior, np.zeros(1, dtype=np.intp))
-                if not reach.any():  # every window is empty all call
-                    table, slot_rows = self.rows(model, tag, slots, hints, reach)
-                    totals = table.sum(axis=1)
+                fixed = not reach.any()  # every window is empty all call
             if block is None or column == block.shape[1]:  # from each slot's next counter
                 width = max(1, min(drawable - tick, DRAW_CELLS // len(slots)))
                 block = uniform_block(self.keys[slots], self.counters[slots] + np.uint64(tick),
@@ -409,11 +408,10 @@ class _Pass:
                 column = 0
             u = block[:, column]
             column += 1
-            if totals is None:
-                table, slot_rows = self.rows(model, tag, slots, hints, reach)
+            if table is None or not fixed:
+                table, slot_rows, sums = self.rows(model, tag, slots, hints, reach)
             if mask is None:  # Z = 1, and no slot dies
-                picks = draw_rows(table, table.sum(axis=1) if totals is None else totals,
-                                  slot_rows, u)
+                picks = draw_rows(table, sums, slot_rows, u)
                 deltas = np.zeros(len(slots)) if scored else None
             else:
                 picks, deltas = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
@@ -443,8 +441,8 @@ class _Pass:
                         break
             if scored:
                 if prior_rows is None or prior_reach[0]:  # at reach 0, fixed all call
-                    prior, prior_rows = self.rows(self.models.prior, self.plan.prior_tag, slots,
-                                                  np.zeros(len(slots), dtype=np.intp), prior_reach)
+                    prior, prior_rows, _ = self.rows(self.models.prior, self.plan.prior_tag, slots,
+                                                     np.zeros_like(slots), prior_reach)
                 deltas = np.array([
                     (math.log(p) - (math.log(q) - delta)) if p > 0.0 else NEG_INF
                     for p, q, delta in zip(prior[prior_rows, picks].tolist(),
@@ -462,10 +460,11 @@ class _Pass:
         return slots
 
     def rows(self, model: TokenModel, tag: str, slots: np.ndarray, hints: np.ndarray,
-             reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The model's rows for these slots as one table, and each slot's
-        index into it, from one ``model.next_table`` call: the one place
-        where the interpreter asks a model for rows.
+             reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The model's rows for these slots as one table, each slot's
+        index into it, and the table's row sums, from one
+        ``model.next_table`` call: the one place where the interpreter
+        asks a model for rows.
 
         A slot reads its hint set (id ``hints[i]``) and the window of its
         context that the model reads under it, the last ``reach[i]`` ids
@@ -478,7 +477,8 @@ class _Pass:
         The answer is checked before any of it is read: a table of rows
         over the vocabulary that keep ``models.check_rows``, and one
         integer index into it per slot, so that every drawn id is a valid
-        context id. Anything else is a ProtocolError.
+        context id. Anything else is a ProtocolError. The sums are the
+        check's.
         """
         pop, tokens = self.pop, self.pop.tokens
         lengths = pop.lengths[slots]
@@ -502,8 +502,7 @@ class _Pass:
                 and slot_rows.astype(np.uint64).max() < len(table)):
             raise ProtocolError(f"{name} returned slot indices that are "
                                 f"not integers in [0, {len(table)})")
-        check_rows(table, name)
-        return table, slot_rows
+        return table, slot_rows, check_rows(table, name)
 
     def reach(self, model: TokenModel, hints: np.ndarray) -> np.ndarray:
         """``model.context_reach`` of each of these hint-set ids as int64,
@@ -540,8 +539,8 @@ class _Pass:
         for t in forced:
             self.check_deadline()
             if scoring.size:
-                table, slot_rows = self.rows(model, self.plan.proposal_tag, slots[scoring],
-                                             hints[scoring], reach[scoring])
+                table, slot_rows, _ = self.rows(model, self.plan.proposal_tag, slots[scoring],
+                                                hints[scoring], reach[scoring])
                 logs = np.array([math.log(p) if p > 0.0 else NEG_INF
                                  for p in table[:, t].tolist()])
                 totals[scoring] += logs[slot_rows]
@@ -566,16 +565,15 @@ class _Pass:
         return slots
 
     def stopped(self, stop, slots: np.ndarray, texts: list[str] | None) -> np.ndarray:
-        """Which slots satisfy the stop predicate of ``loop until``; a
-        ``token_count`` stop compares the sequence length, a
-        ``substring`` stop searches the loop's texts by slot."""
-        pop, lengths = self.pop, self.pop.lengths[slots]
+        """Which slots satisfy the stop predicate of ``loop until``: a
+        ``token_count`` stop compares the sequence length, a ``substring``
+        stop searches the loop's texts by slot, and an ``eos`` stop holds
+        for none, since a slot leaves on the EOS it draws or forces."""
         if stop.kind == "token_count":
-            return lengths >= stop.value
+            return self.pop.lengths[slots] >= stop.value
         if stop.kind == "substring":
             return np.array([stop.value in texts[s] for s in slots.tolist()], dtype=bool)
-        last = pop.tokens[slots, lengths - 1] if pop.tokens.shape[1] else lengths
-        return (lengths > 0) & (last == self.vocab.eos_id)
+        return np.zeros(len(slots), dtype=bool)
 
     def loop(self, clause: StepClause, slots: np.ndarray) -> np.ndarray:
         """Run the body ``iterations`` times, or until ``stop`` holds,

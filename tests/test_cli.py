@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,38 @@ class TestRemoteEndToEnd:
         assert len(record["selected"]) == 2
         paths = {path for path, _ in ep.calls}
         assert "/v1/generate_plan" in paths and "/v1/next_logprobs" in paths
+
+    @pytest.mark.parametrize("fault, code", [("nan", "ProtocolError"),
+                                             ("http 500", "RemoteUnavailable")])
+    def test_a_faulty_model_endpoint_ends_every_task_in_an_error(self, tmp_path,
+                                                                 local_endpoint, fault, code):
+        """A model endpoint that passes the construction-time health
+        query and then answers NaN logprobs or HTTP 500: every task of a
+        ``--jobs 8`` run ends in a record of that fault's error, the run
+        exits 0, and no thread outlives ``main``."""
+        vocab = json.loads((FIXTURES / "models/toy_char.model.json").read_text())["vocab"]
+
+        def respond(path, body):
+            if body.get("prompt_tag") == "health":
+                return 200, {"logprobs": [0.0] * len(vocab)}
+            if fault == "http 500":
+                return 500, {}
+            return 200, {"logprobs": [float("nan")] * len(vocab)}
+
+        ep = local_endpoint(respond)
+        vocab_file = tmp_path / "vocab.json"
+        vocab_file.write_text(json.dumps(vocab))
+        out = tmp_path / "records.jsonl"
+        threads = threading.active_count()
+        status = run_cli("run", "--tasks", str(FIXTURES / "tasks/char_suite.tasks"),
+                         "--plans", str(FIXTURES / "plans"), "--model", f"remote:{ep.url}",
+                         "--model-vocab", str(vocab_file), "--method", "smc", "-N", "8",
+                         "--jobs", "8", "--out", str(out))
+        assert status == 0
+        records = read_records(out)
+        assert [r["error"] for r in records] == [code] * 3
+        assert threading.active_count() == threads
+        assert {path for path, _ in ep.calls} == {"/v1/next_logprobs"}
 
 
 class TestCmdEval:

@@ -41,7 +41,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from steersmc import (
@@ -53,6 +53,7 @@ from steersmc import (
     Population,
     ProtocolError,
     RandomStream,
+    RemoteUnavailable,
     SchemaViolation,
     SteeringError,
     StepBudgetExceeded,
@@ -497,7 +498,9 @@ def assert_steps_match_the_walk(plan, models, n, seed, after_step=None, weighted
     and an error must end both. ``after_step(step)`` runs after each of
     our steps. With ``weighted`` False our steps compute no score, so a
     weight is -inf after a death and 0.0 otherwise, and only the rest of
-    each particle is compared."""
+    each particle is compared. After each of our steps, raised or not,
+    no active slot ends in EOS: a slot leaves on the EOS it draws or
+    forces, which is why an ``eos`` loop stop needs no test of its own."""
     ours = [Particle() for _ in range(n)]
     theirs = [Particle() for _ in range(n)]
     passes = []
@@ -520,6 +523,9 @@ def assert_steps_match_the_walk(plan, models, n, seed, after_step=None, weighted
             got = None
         except SteeringError as exc:
             got = exc
+        pop = passes[-1].pop
+        live = np.flatnonzero((pop.status == ACTIVE) & (pop.lengths > 0))
+        assert not (pop.tokens[live, pop.lengths[live] - 1] == pop.vocabulary.eos_id).any()
         if after_step is not None:
             after_step(step)
         if want or got is not None:
@@ -736,8 +742,8 @@ def test_rows_group_slots_by_hint_set_and_window(tick):
     pop.hint_sets, pop.hint_index = hint_sets, {h: i for i, h in enumerate(hint_sets)}
     step = steering._Pass(None, 0, as_model_set(model), pop, np.zeros(len(pop)), None)
     hints = pop.hint_ids[slots] if hinted else np.zeros(len(slots), dtype=np.intp)
-    table, slot_rows = step.rows(model, "proposal", np.array(slots), hints,
-                                 step.reach(model, hints))
+    table, slot_rows, _ = step.rows(model, "proposal", np.array(slots), hints,
+                                    step.reach(model, hints))
 
     queries, query_of = {}, []
     for s in slots:
@@ -1435,3 +1441,80 @@ def test_context_free_rows_are_asked_once_per_draw_call(monkeypatch, case):
         assert max(len(asks[0][1]) for asks, _ in free) >= 2
     else:  # masked_sample calls of two ticks
         assert max(ticks for _, ticks in free) == 2
+
+
+# ---------------------------------------------------------------------------
+# Faults injected where rows enter: every one ends the run in a typed error.
+
+FAULTS = ["nan", "+inf", "-inf", "negative", "all zero", "unnormalized", "short row", "list",
+          Timeout, RemoteUnavailable]
+
+
+def _corrupt(table: np.ndarray, fault: str):
+    """A valid table broken in one way: a bad entry or row, rows one
+    entry short, or a list in place of the array."""
+    if fault == "list":
+        return table.tolist()
+    if fault == "short row":
+        return table[:, :-1]
+    bad = np.array(table, dtype=np.float64)
+    if fault == "all zero":
+        bad[0] = 0.0
+    elif fault == "unnormalized":
+        bad[0] *= 0.5
+    else:
+        bad[0, 0] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "negative": -0.25}[fault]
+    return bad
+
+
+class _Faulty(TokenModel):
+    """A model that passes the ``next_table`` answers of ``inner``
+    through until call ``start`` (counted from 0), then answers every
+    call with ``fault``: a corruption of the inner answer, or an error
+    type raised. ``fired`` records whether it did. Its reach is the
+    default None, so no draw call keeps a first tick's rows and hides a
+    fault."""
+
+    def __init__(self, inner: TokenModel, start: int, fault):
+        super().__init__(inner.vocabulary)
+        self.inner, self.start, self.fault = inner, start, fault
+        self.calls, self.fired = 0, False
+
+    def next_table(self, windows, widths, hint_ids, hint_sets, tag, deadline=None):
+        table, slot_rows = self.inner.next_table(windows, widths, hint_ids, hint_sets, tag,
+                                                 deadline)
+        self.calls += 1
+        if self.calls <= self.start:
+            return table, slot_rows
+        self.fired = True
+        if isinstance(self.fault, type):
+            raise self.fault("injected fault")
+        return _corrupt(table, self.fault), slot_rows
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f if isinstance(f, str) else f.__name__)
+@pytest.mark.parametrize("method", ["smc", "importance", "rejection"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=cases(), role=st.sampled_from(["proposal", "prior"]), data=st.data())
+def test_an_injected_fault_ends_the_run_in_its_typed_error(method, case, role, fault, data):
+    """``run_inference`` never raises: from a drawn call of the proposal
+    or the prior on, a bad table ends the run in ProtocolError and a
+    raised error in that error, with no RuntimeWarning. The call is
+    drawn below the count of a run whose wrapper never fires; a run
+    that asks the wrapped model nothing (a prior under rejection, or an
+    unscored plan) gets no such error."""
+    doc, models, n, seed = case
+    assume(not never_finishes(doc["steps"]))
+    plan, config = parse_plan(doc), InferenceConfig(method=method, n_particles=n, seed=seed)
+
+    def run(start):
+        faulty = _Faulty(models[role == "prior"], start, fault)
+        pair = (faulty, models[1]) if role == "proposal" else (models[0], faulty)
+        return faulty, run_inference(plan, pair, config)
+
+    clean, _ = run(math.inf)
+    faulty, outcome = run(data.draw(st.integers(0, max(clean.calls - 1, 0)), label="start"))
+    if faulty.fired:
+        assert type(outcome.error) is (ProtocolError if isinstance(fault, str) else fault)
+    else:
+        assert not isinstance(outcome.error, (ProtocolError, Timeout, RemoteUnavailable))
