@@ -46,6 +46,7 @@ STEERING, ENGINE, MODELS = "src/steersmc/steering.py", "src/steersmc/engine.py",
 WALK = "tests/test_population.py::test_population_step_matches_the_walk"
 FREE_ROWS = "tests/test_population.py::test_context_free_rows_are_asked_once_per_draw_call"
 NGRAM_ROWS = "tests/test_models.py::test_ngram_table_rows_are_the_rows_of_the_whole_contexts"
+ORACLE = "tests/test_population.py::test_random_plans_agree_with_the_oracle_on_support"
 
 MUTANTS = (
     Mutant("resample resets survivors to weight 0", ENGINE,
@@ -95,7 +96,7 @@ MUTANTS = (
     Mutant("a context-free draw call asks for its rows every tick", STEERING,
            "if table is None or not fixed:", "if True:",
            (FREE_ROWS,
-            "tests/test_benchmark_hooks.py::test_model_calls_per_benchmark_operation")),
+            "tests/test_benchmark_hooks.py::test_draw_calls_per_benchmark_operation")),
     Mutant("the prior's rows asked every tick at reach 0", STEERING,
            "if prior_rows is None or prior_reach[0]:", "if True:", (FREE_ROWS,)),
     Mutant("the prior's rows kept for a call although it reads context", STEERING,
@@ -114,6 +115,13 @@ MUTANTS = (
            "np.where(found, at, nodes if self._unseen is None\n"
            "                                               else self._unseen)",
            "np.where(found, at, nodes)", (NGRAM_ROWS,)),
+    Mutant("a zero-probability forced token keeps a finite weight", STEERING,
+           "math.log(p) if p > 0.0 else NEG_INF", "math.log(p) if p > 0.0 else 0.0",
+           (ORACLE, WALK)),
+    Mutant("the hint memo bypassed", MODELS,
+           "return self._hint_memo(hint)",
+           "return (self.hint_delimiter_id,) + self.encode(hint, lenient=True)",
+           ("tests/test_models.py::test_hint_memo_stays_bounded",)),
 )
 
 

@@ -122,7 +122,7 @@ class Vocabulary:
         such characters are skipped instead (hints may carry text the
         vocabulary cannot spell).
         """
-        by_text, max_len = self._text_index()[:2]
+        by_text, max_len = self._text_index[:2]
         out: list[int] = []
         i = 0
         while i < len(text):
@@ -141,30 +141,33 @@ class Vocabulary:
 
     def token_lengths(self) -> np.ndarray:
         """Read-only character length of every token text."""
-        return self._text_index()[2]
+        return self._text_index[2]
 
     def token_pieces(self) -> np.ndarray:
         """Every token text in a read-only object array, which a matrix
         of ids indexes to gather many rows' texts at once."""
-        return self._text_index()[3]
+        return self._text_index[3]
 
+    @functools.cached_property
     def _text_index(self) -> tuple[dict[str, int], int, np.ndarray, np.ndarray]:
         """Token id by text, the longest token text, every token text's
-        length and every token text as an object array; built once."""
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            # keep first id on duplicate texts; EOS ("") never matches
-            by_text: dict[str, int] = {}
-            for i, t in enumerate(self.token_text):
-                if t and t not in by_text:
-                    by_text[t] = i
-            lengths = np.array([len(t) for t in self.token_text], dtype=np.intp)
-            pieces = np.array(self.token_text, dtype=object)
-            lengths.setflags(write=False)
-            pieces.setflags(write=False)
-            cached = (by_text, int(lengths.max()), lengths, pieces)
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        length and every token text as an object array."""
+        # keep first id on duplicate texts; EOS ("") never matches
+        by_text: dict[str, int] = {}
+        for i, t in enumerate(self.token_text):
+            if t and t not in by_text:
+                by_text[t] = i
+        lengths = np.array([len(t) for t in self.token_text], dtype=np.intp)
+        pieces = np.array(self.token_text, dtype=object)
+        lengths.setflags(write=False)
+        pieces.setflags(write=False)
+        return by_text, int(lengths.max()), lengths, pieces
+
+    @functools.cached_property
+    def _hint_memo(self):
+        """The LRU that ``hint_ids`` reads."""
+        return functools.lru_cache(maxsize=HINT_MEMO_SIZE)(
+            lambda hint: (self.hint_delimiter_id,) + self.encode(hint, lenient=True))
 
     def hint_ids(self, hint: str) -> tuple[int, ...]:
         """The ids a hint adds to a context: the delimiter, then the
@@ -174,13 +177,7 @@ class Vocabulary:
         a particle's hints are serialized again for every distinct query
         it joins and measured by ``TokenModel.context_reach``.
         """
-        memo = getattr(self, "_hint_memo", None)
-        if memo is None:
-            delim = self.hint_delimiter_id
-            memo = functools.lru_cache(maxsize=HINT_MEMO_SIZE)(
-                lambda h: (delim,) + self.encode(h, lenient=True))
-            object.__setattr__(self, "_hint_memo", memo)
-        return memo(hint)
+        return self._hint_memo(hint)
 
 
 class ModelQuery(NamedTuple):
@@ -600,7 +597,7 @@ def load_table_model(source: str | bytes | dict | Path) -> TableModel:
         row.setflags(write=False)
         return row
 
-    by_text = vocab._text_index()[0]
+    by_text = vocab._text_index[0]
     rows: dict[tuple[str | None, tuple[int, ...]], np.ndarray] = {}
     row_docs = doc.get("rows", [])
     if not isinstance(row_docs, list):

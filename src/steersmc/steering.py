@@ -85,7 +85,10 @@ class Population:
     slot to its error. Texts are not stored: a slot's text is the
     concatenation of its tokens' texts in ``vocabulary``, and ``texts``
     decodes it where it is read. ``ancestors`` holds the slots the last ``take`` copied,
-    if any.
+    if any. ``text_lengths`` is stored, not summed from the token texts
+    where read: a ``max_remaining_chars`` mask reads it every tick, and
+    a sum over a slot's cells costs O(length) per slot per tick, which
+    made a long such loop about 1.4 times slower.
     """
 
     __slots__ = ("tokens", "lengths", "text_lengths", "log_weights", "status",

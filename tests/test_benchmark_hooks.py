@@ -149,45 +149,37 @@ def benchmark_input(monkeypatch, workload: str):
     return workloads.build_in_process(workload, 0), workloads
 
 
-@pytest.mark.parametrize("workload, calls", [("hinted_long", 2), ("masked_smc", 11),
-                                             ("wide_smc", 12)])
-def test_model_calls_per_benchmark_operation(monkeypatch, workload, calls):
+@pytest.mark.parametrize("workload, draws, tables, one_row, cells", [
+    ("hinted_long", 2, 2, 300, 19_200), ("masked_smc", 6, 11, 1, 5_612),
+    ("wide_smc", 12, 12, 1, 49_152)])
+def test_draw_calls_per_benchmark_operation(monkeypatch, workload, draws, tables, one_row,
+                                            cells):
     """One seed-0 operation of each in-process workload, built by
-    ``perfbench/workloads.py`` as the benchmark builds it, makes this many
-    ``NgramModel.next_table`` calls: ``hinted_long``'s 64 slots read no
-    context behind its hints, so each of its two draw calls of 150
-    ticks asks once; the others ask once per tick."""
-    inp, workloads = benchmark_input(monkeypatch, workload)
-    seen, call = [], steersmc.NgramModel.next_table
-    monkeypatch.setattr(steersmc.NgramModel, "next_table",
-                        lambda self, *args: seen.append(args) or call(self, *args))
-    outcome = steersmc.run_inference(inp.plan, inp.models, inp.config)
-    assert workloads.check_outcome(inp, outcome) == []
-    assert len(seen) == calls
-
-
-@pytest.mark.parametrize("workload, draws, tables, one_row", [("hinted_long", 2, 2, 300),
-                                                              ("masked_smc", 6, 11, 1),
-                                                              ("wide_smc", 12, 12, 1)])
-def test_draw_calls_per_benchmark_operation(monkeypatch, workload, draws, tables, one_row):
-    """One seed-0 operation of each in-process workload makes one
+    ``perfbench/workloads.py`` as the benchmark builds it, makes one
     ``_Pass.draw`` call per loop of draws: ``hinted_long``'s two loops
     of 150, ``masked_smc``'s six ``masked_sample`` clauses (11 tokens)
-    and ``wide_smc``'s twelve of one token; the ``next_table`` calls do
-    not change. This many ``rng.draw_rows`` calls draw from a one-row
-    table: every tick of ``hinted_long``, whose 64 slots read one row
-    behind their hints, and the first tick of the others, at length
-    0."""
+    and ``wide_smc``'s twelve of one token. It makes this many
+    ``NgramModel.next_table`` calls: ``hinted_long``'s 64 slots read no
+    context behind its hints, so each of its two draw calls asks once;
+    the others ask once per tick. This many ``rng.draw_rows`` calls draw
+    from a one-row table: every tick of ``hinted_long``, and the first
+    tick of the others, at length 0. And ``rng.uniform_block`` mixes
+    this many uniform cells. The benchmark's tracer hooks
+    ``next_distribution``, which the step interpreter does not call, so
+    these counts are pinned here; a change that moves one edits its
+    number."""
     inp, workloads = benchmark_input(monkeypatch, workload)
     seen, draw, call = [], steering._Pass.draw, steersmc.NgramModel.next_table
-    rows = steering.draw_rows
+    rows, block, blocks = steering.draw_rows, steering.uniform_block, []
     monkeypatch.setattr(steering._Pass, "draw", lambda self, *args: (
         seen.append("draw") or draw(self, *args)))
     monkeypatch.setattr(steersmc.NgramModel, "next_table",
                         lambda self, *args: seen.append("table") or call(self, *args))
     monkeypatch.setattr(steering, "draw_rows", lambda table, *args: (
         seen.append("one row" if len(table) == 1 else "rows") or rows(table, *args)))
+    monkeypatch.setattr(steering, "uniform_block", lambda *args: (
+        blocks.append(block(*args)) or blocks[-1]))
     outcome = steersmc.run_inference(inp.plan, inp.models, inp.config)
     assert workloads.check_outcome(inp, outcome) == []
-    assert (seen.count("draw"), seen.count("table"), seen.count("one row")) == (
-        draws, tables, one_row)
+    assert (seen.count("draw"), seen.count("table"), seen.count("one row"),
+            sum(b.size for b in blocks)) == (draws, tables, one_row, cells)

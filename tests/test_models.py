@@ -224,6 +224,32 @@ class TestTableModel:
         for hint in ("x b!", "abba", "", "x b!", "zz", "abba"):
             assert vocab.hint_ids(hint) == (3,) + vocab.encode(hint, lenient=True)
 
+    def test_text_index_is_built_once_and_leaves_equality_alone(self):
+        """A vocabulary keeps its text index and hint memo once built:
+        the same read-only arrays come back on every call, and a
+        vocabulary that has built them still equals, and hashes as, one
+        that has not."""
+        vocab = Vocabulary.from_tokens(["a", "b", "ab", "|", "<eos>"], hint_delimiter="|")
+        fresh = Vocabulary.from_tokens(["a", "b", "ab", "|", "<eos>"], hint_delimiter="|")
+        lengths, pieces = vocab.token_lengths(), vocab.token_pieces()
+        assert vocab.hint_ids("ab") == (3, 2)
+        assert vocab.token_lengths() is lengths and vocab.token_pieces() is pieces
+        assert lengths.tolist() == [1, 1, 2, 1, 0]
+        assert pieces.tolist() == ["a", "b", "ab", "|", ""]
+        assert not lengths.flags.writeable and not pieces.flags.writeable
+        assert vocab == fresh and hash(vocab) == hash(fresh) and {fresh: 1}[vocab] == 1
+
+    def test_each_vocabulary_encodes_hints_with_its_own_memo(self):
+        """Two vocabularies spell one hint with their own ids, in
+        either order of asking: the hint memo belongs to the instance."""
+        ab = Vocabulary.from_tokens(["a", "b", "|", "<eos>"], hint_delimiter="|")
+        ba = Vocabulary.from_tokens(["b", "a", "|", "<eos>"], hint_delimiter="|")
+        for _ in range(2):
+            assert ab.hint_ids("ab") == (2, 0, 1)
+            assert ba.hint_ids("ab") == (2, 1, 0)
+        assert ab._hint_memo is not ba._hint_memo
+        assert ab._hint_memo.cache_info().currsize == ba._hint_memo.cache_info().currsize == 1
+
     def test_repeated_hints_condition_as_a_fresh_serialization(self):
         m = load_table_model({
             "vocab": ["a", "b", "|", "<eos>"],

@@ -63,6 +63,7 @@ from steersmc import (
     UniformModel,
     Vocabulary,
     as_model_set,
+    brute_force_target,
     derive_key,
     execute_step,
     parse_plan,
@@ -439,6 +440,45 @@ def never_finishes(steps) -> bool:
                 and doc.get("max_new_tokens", stop["value"]) < stop["value"]):
             return True
     return False
+
+
+def forces_or_scores(steps) -> bool:
+    """Whether some clause forces tokens or is scored with the prior."""
+    return any(doc["kind"] == "force_string" or doc.get("score_with_prior")
+               or doc["kind"] == "loop" and forces_or_scores(doc["body"]) for doc in steps)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=cases())
+def test_random_plans_agree_with_the_oracle_on_support(case):
+    """Every method, at N = 8 and N = 64, against ``brute_force_target``
+    on the same plan: a typed error the oracle raises ends every run in
+    an error of that type; a target of no mass (Z = 0) ends every run
+    in an error that selects nothing; otherwise every candidate of
+    positive weight, and the selected answer, has target mass.
+    ``rejection`` reads no weights, so a forced token of probability 0
+    or a prior-scored draw the prior gives 0 does not remove its
+    particle there; it runs only plans with neither."""
+    doc, models, _, seed = case
+    if never_finishes(doc["steps"]):
+        return
+    plan = parse_plan(doc)
+    try:
+        target, want = brute_force_target(plan, models, plan.max_tokens), None
+    except SteeringError as exc:
+        target, want = None, type(exc)
+    methods = ("smc", "importance") + (() if forces_or_scores(doc["steps"]) else ("rejection",))
+    for method, n in itertools.product(methods, (8, 64)):
+        outcome = run_inference(plan, models, InferenceConfig(method=method, n_particles=n,
+                                                              seed=seed))
+        if want is not None:
+            assert type(outcome.error) is want
+        elif target.z == 0.0:
+            assert outcome.error is not None and outcome.selected is None
+        else:
+            assert all(c.tokens in target.probs for c in outcome.candidates
+                       if c.normalized_weight > 0.0)
+            assert outcome.selected is None or outcome.selected in target.probs
 
 
 def _mask_mass_case():
