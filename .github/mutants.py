@@ -47,6 +47,7 @@ WALK = "tests/test_population.py::test_population_step_matches_the_walk"
 FREE_ROWS = "tests/test_population.py::test_context_free_rows_are_asked_once_per_draw_call"
 NGRAM_ROWS = "tests/test_models.py::test_ngram_table_rows_are_the_rows_of_the_whole_contexts"
 ORACLE = "tests/test_population.py::test_random_plans_agree_with_the_oracle_on_support"
+CHECKED = "tests/test_population.py::test_the_step_check_agrees_with_run_check"
 
 MUTANTS = (
     Mutant("resample resets survivors to weight 0", ENGINE,
@@ -76,6 +77,12 @@ MUTANTS = (
            "[not run_check(plan, text) for",
            "[not run_check(plan, text) and not run_check(plan, text) for",
            ("tests/test_benchmark_hooks.py::test_tracer_counts_one_check_per_finished_particle",)),
+    Mutant("the length rule passes a short text", STEERING,
+           "pop.text_lengths[finished, None] != [", "pop.text_lengths[finished, None] > [",
+           (CHECKED,)),
+    Mutant("a mixed check takes the length rule alone", STEERING,
+           'if all(spec.kind == "char_count_exact"', 'if any(spec.kind == "char_count_exact"',
+           (CHECKED,)),
     Mutant("the rule for rows skipped in _Pass.rows", STEERING,
            "return table, slot_rows, check_rows(table, name)",
            "return table, slot_rows, table.sum(axis=1)",

@@ -10,8 +10,8 @@ checks the particles it finishes and sets each slot's one status code
 (``steering.execute_step``): a rejected or failed particle already has
 weight -inf when the engine reads the weights. The candidates are built
 in one pass at the end, their texts decoded from their tokens in one
-gather. All randomness flows through
-counter-based streams keyed on (seed, particle slot, particle step), so
+gather: the run's only decode under a check of text lengths alone. All
+randomness flows through counter-based streams keyed on (seed, particle slot, particle step), so
 outcomes are bit-identical for a given seed, and importance sampling
 coincides exactly with SMC at a zero resample threshold.
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from operator import getitem
 from typing import NamedTuple
 
@@ -281,7 +282,7 @@ def _candidates(pop: Population, weights, passed, raw) -> list[WeightedCandidate
     lengths = pop.lengths.tolist()
     rows = pop.tokens[:, :max(lengths)].tolist()
     tokens = map(tuple, map(getitem, rows, map(slice, lengths)))  # row[:length] each
-    return list(map(WeightedCandidate._make,
+    return list(map(partial(tuple.__new__, WeightedCandidate),
                     zip(tokens, weights, passed, raw, pop.texts(np.arange(len(pop))))))
 
 

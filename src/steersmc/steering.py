@@ -4,27 +4,28 @@
 Executing one clause on a particle extends its token sequence and
 multiplies a score update into its weight; the weighted law over
 finished sequences is the plan's target distribution, which the
-inference engine approximates. A ``Population`` holds the particles of
-a run as arrays, and resampling copies them with one ``take`` by
-ancestor slot. A particle's text is a function of its tokens, so it is
-not stored: a hint, a substring stop, the plan check and the records
-each decode the texts they read, in one gather over their slots. The
-interpreter steps a whole population through one top-level clause at
-once. On each token tick it gathers every slot's window of the context
-the model reads (``TokenModel.context_reach``) into one matrix and
-makes at most one ``TokenModel.next_table`` call, which answers with
-one table of distinct rows and each slot's index into it: the default
-groups the slots exactly by window and hint set and sends one query per
-group, and ``NgramModel`` walks its trie of seen windows for all slots
-at once. A draw call whose slots all read no context asks once, on
-its first tick. The draw, the prior's score and ``force_string`` read
-that table. The draw is one batched pass over that table per mask part
-(one part unless a ``max_remaining_chars`` mask sees several text
-lengths), which gathers the mask's columns of the whole table.
-Tokens are drawn only by the one-token ``draw`` clause; every
+inference engine approximates. A ``Population`` holds the particles of a
+run as arrays, and resampling copies them with one ``take`` by ancestor
+slot. A particle's text is a function of its tokens, so it is not
+stored: a hint, a substring stop, a plan check that reads more than text
+lengths and the records each decode the texts they read, in one gather
+over their slots; a check of ``char_count_exact`` specs alone reads
+``text_lengths``. The interpreter steps a whole population through one
+top-level clause at once. On each token tick it gathers every slot's
+window of the context the model reads (``TokenModel.context_reach``)
+into one matrix and makes at most one ``TokenModel.next_table`` call,
+which answers with one table of distinct rows and each slot's index into
+it: the default groups the slots exactly by window and hint set and
+sends one query per group, and ``NgramModel`` walks its trie of seen
+windows for all slots at once. A draw call whose slots all read no
+context asks once, on its first tick. The draw, the prior's score and
+``force_string`` read that table. The draw is one batched pass over that
+table per mask part (one part unless a ``max_remaining_chars`` mask sees
+several text lengths), which gathers the mask's columns of the whole
+table. Tokens are drawn only by the one-token ``draw`` clause; every
 repetition is a ``loop``, and a loop of draws alone with a fixed count
-is one draw call of many ticks, which works out once what they share.
-A slot's fate is one status code, set by the step that decides it:
+is one draw call of many ticks, which works out once what they share. A
+slot's fate is one status code, set by the step that decides it:
 ``ACTIVE``, ``DONE`` (finished and passed the plan check), ``REJECTED``
 (finished and failed it, weight -inf) or ``FAILED`` (a dead end, weight
 -inf); the step checks the slots it finishes.
@@ -631,10 +632,13 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
     failed slots are left untouched.
 
     A particle finishes on EOS, or when it is still active after the
-    plan's last clause; the texts of the particles this step finished
-    are then decoded in one gather and checked by ``run_check``, one
-    call each, and a particle is ``DONE`` if its text passes and
-    ``REJECTED``, with weight -inf, if it fails. A particle that reaches
+    plan's last clause; the particles this step finished are then
+    checked, and a particle is ``DONE`` if its text passes and
+    ``REJECTED``, with weight -inf, if it fails. A check of
+    ``char_count_exact`` specs alone (or of none) is a function of
+    ``Population.text_lengths``: one comparison over the finished slots,
+    with no decode. Any other check decodes their texts in one gather
+    and asks ``run_check`` once per text. A particle that reaches
     a dead end (StepBudgetExceeded, or MaskEmpty when its mask allows no
     token or no probability mass) is ``FAILED``, with that error
     (carrying ``index``) and weight -inf; its siblings go on. Any other
@@ -661,8 +665,11 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
     if index + 1 >= len(plan.steps):
         pop.status[stepped[pop.status[stepped] == ACTIVE]] = DONE
     finished = stepped[pop.status[stepped] == DONE]
-    failed_check = [not run_check(plan, text) for text in pop.texts(finished)]
-    rejected = finished[np.array(failed_check, dtype=bool)]
+    if all(spec.kind == "char_count_exact" for spec in plan.check):  # reads lengths alone
+        failed = (pop.text_lengths[finished, None] != [s.value for s in plan.check]).any(axis=1)
+    else:
+        failed = np.array([not run_check(plan, text) for text in pop.texts(finished)], dtype=bool)
+    rejected = finished[failed]
     pop.status[rejected], pop.log_weights[rejected] = REJECTED, NEG_INF
     stops = pop.lengths[stepped]
 
@@ -675,6 +682,7 @@ def execute_step(plan: SteeringPlan, index: int, population: Population, models,
 
 
 def run_check(plan: SteeringPlan, text: str) -> bool:
-    """Whether a finished text passes the plan's check; ``execute_step``
-    and the oracle ask this."""
+    """Whether a finished text passes the plan's check; the oracle asks
+    this, and so does ``execute_step`` for a check that reads more than
+    the text's length."""
     return not any(fails(spec, text) for spec in plan.check)

@@ -10,8 +10,11 @@ takes ``len()`` of what ``resample`` returns, and the benchmark installs
 the tracer for its warm-up even untraced, so a population without
 ``len()`` would fail every benchmark operation. Its ``steering.run_check``
 hook counts one check per finished particle and one
-``engine.deaths.check`` per rejected one, so a check that is skipped or
-run twice fails here too.
+``engine.deaths.check`` per rejected one, for a check that reads more
+than text lengths, so such a check skipped or run twice fails here too.
+A check of ``char_count_exact`` specs alone, or none, is decided on
+``Population.text_lengths`` without ``run_check``, so the hook counts
+nothing for it.
 """
 
 from __future__ import annotations
@@ -149,11 +152,11 @@ def benchmark_input(monkeypatch, workload: str):
     return workloads.build_in_process(workload, 0), workloads
 
 
-@pytest.mark.parametrize("workload, draws, tables, one_row, cells", [
-    ("hinted_long", 2, 2, 300, 19_200), ("masked_smc", 6, 11, 1, 5_612),
-    ("wide_smc", 12, 12, 1, 49_152)])
+@pytest.mark.parametrize("workload, draws, tables, one_row, cells, checks, decodes", [
+    ("hinted_long", 2, 2, 300, 19_200, 0, 1), ("masked_smc", 6, 11, 1, 5_612, 0, 1),
+    ("wide_smc", 12, 12, 1, 49_152, 0, 1)])
 def test_draw_calls_per_benchmark_operation(monkeypatch, workload, draws, tables, one_row,
-                                            cells):
+                                            cells, checks, decodes):
     """One seed-0 operation of each in-process workload, built by
     ``perfbench/workloads.py`` as the benchmark builds it, makes one
     ``_Pass.draw`` call per loop of draws: ``hinted_long``'s two loops
@@ -164,10 +167,12 @@ def test_draw_calls_per_benchmark_operation(monkeypatch, workload, draws, tables
     the others ask once per tick. This many ``rng.draw_rows`` calls draw
     from a one-row table: every tick of ``hinted_long``, and the first
     tick of the others, at length 0. And ``rng.uniform_block`` mixes
-    this many uniform cells. The benchmark's tracer hooks
-    ``next_distribution``, which the step interpreter does not call, so
-    these counts are pinned here; a change that moves one edits its
-    number."""
+    this many uniform cells. Each workload's check is ``char_count_exact``
+    alone or empty, so no ``run_check`` call decides it, and its texts
+    are decoded once (``Population.texts``), for the candidates. The
+    benchmark's tracer hooks ``next_distribution``, which the step
+    interpreter does not call, so these counts are pinned here; a change
+    that moves one edits its number."""
     inp, workloads = benchmark_input(monkeypatch, workload)
     seen, draw, call = [], steering._Pass.draw, steersmc.NgramModel.next_table
     rows, block, blocks = steering.draw_rows, steering.uniform_block, []
@@ -179,7 +184,13 @@ def test_draw_calls_per_benchmark_operation(monkeypatch, workload, draws, tables
         seen.append("one row" if len(table) == 1 else "rows") or rows(table, *args)))
     monkeypatch.setattr(steering, "uniform_block", lambda *args: (
         blocks.append(block(*args)) or blocks[-1]))
+    check, texts = steering.run_check, steering.Population.texts
+    monkeypatch.setattr(steering, "run_check", lambda *args: (
+        seen.append("check") or check(*args)))
+    monkeypatch.setattr(steering.Population, "texts", lambda self, *args: (
+        seen.append("decode") or texts(self, *args)))
     outcome = steersmc.run_inference(inp.plan, inp.models, inp.config)
     assert workloads.check_outcome(inp, outcome) == []
     assert (seen.count("draw"), seen.count("table"), seen.count("one row"),
-            sum(b.size for b in blocks)) == (draws, tables, one_row, cells)
+            sum(b.size for b in blocks), seen.count("check"),
+            seen.count("decode")) == (draws, tables, one_row, cells, checks, decodes)

@@ -69,12 +69,14 @@ from steersmc import (
     parse_plan,
     run_inference,
 )
+from steersmc import engine
 from steersmc import models as models_module
 from steersmc import steering
 from steersmc.plans import forced_tokens
 from steersmc.rng import (_GOLDEN, _MASK64, _mix, derive_keys, draw_indices, mix64, step_keys,
                           uniforms_at)
-from steersmc.steering import ACTIVE, DONE, FAILED, hint_bindings_for, render_hint
+from steersmc.steering import (ACTIVE, DONE, FAILED, REJECTED, hint_bindings_for, render_hint,
+                               run_check)
 
 from stepping import Particle, execute_particles, particles_of, population_of
 
@@ -479,6 +481,65 @@ def test_random_plans_agree_with_the_oracle_on_support(case):
             assert all(c.tokens in target.probs for c in outcome.candidates
                        if c.normalized_weight > 0.0)
             assert outcome.selected is None or outcome.selected in target.probs
+
+
+def checks(draw) -> list[dict]:
+    """A plan check: none, one or two ``char_count_exact`` specs, one
+    mixed with a word kind, or a word kind alone."""
+    lengths = st.builds(lambda v: {"kind": "char_count_exact", "value": v}, st.integers(0, 8))
+    word_kinds = st.one_of(
+        st.builds(lambda v: {"kind": "word_count_exact", "value": v}, st.integers(0, 3)),
+        st.builds(lambda w: {"kind": "forbidden_words", "words": w},
+                  st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, max_size=2)))
+    return draw(st.one_of(
+        st.just([]),
+        st.lists(lengths, min_size=1, max_size=2),
+        st.tuples(lengths, word_kinds).flatmap(st.permutations),
+        st.lists(word_kinds, min_size=1, max_size=1)))
+
+
+@st.composite
+def checked_cases(draw):
+    """``cases()`` with a drawn plan check."""
+    doc, models, n, seed = draw(cases())
+    return {**doc, "check": checks(draw)}, models, n, seed
+
+
+def _forced_case(check):
+    """Every particle's text is "a", under this check."""
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    doc = {"plan_version": 1, "max_tokens": 1, "check": check,
+           "steps": [{"kind": "force_string", "text": "a"}]}
+    return doc, (UniformModel(vocab), UniformModel(vocab)), 1, 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=checked_cases())
+@example(case=_forced_case([{"kind": "char_count_exact", "value": 3}]))  # too short
+@example(case=_forced_case([{"kind": "char_count_exact", "value": 1},
+                            {"kind": "forbidden_words", "words": ["b"]}]))  # passes both
+def test_the_step_check_agrees_with_run_check(case):
+    """Every method, at N = 8 and N = 64, on random plans with a drawn
+    check: a candidate passes the check exactly when its slot is
+    ``DONE``, and a finished one (``DONE`` or ``REJECTED``) exactly when
+    ``run_check`` passes its text, whether the step decided on text
+    lengths alone or on the decoded texts."""
+    doc, models, _, seed = case
+    if never_finishes(doc["steps"]):
+        return
+    plan, candidates = parse_plan(doc), engine._candidates
+
+    def checked(pop, *columns):
+        out = candidates(pop, *columns)
+        for c, status in zip(out, pop.status.tolist(), strict=True):
+            assert c.passed_check == (status == DONE)
+            if status in (DONE, REJECTED):
+                assert c.passed_check == run_check(plan, c.text)
+        return out
+
+    for method, n in itertools.product(("smc", "importance", "rejection"), (8, 64)):
+        with mock.patch.object(engine, "_candidates", checked):
+            run_inference(plan, models, InferenceConfig(method=method, n_particles=n, seed=seed))
 
 
 def _mask_mass_case():
