@@ -46,6 +46,8 @@ STEERING, ENGINE, MODELS = "src/steersmc/steering.py", "src/steersmc/engine.py",
 WALK = "tests/test_population.py::test_population_step_matches_the_walk"
 FREE_ROWS = "tests/test_population.py::test_context_free_rows_are_asked_once_per_draw_call"
 NGRAM_ROWS = "tests/test_models.py::test_ngram_table_rows_are_the_rows_of_the_whole_contexts"
+NGRAM_COUNTS = \
+    "tests/test_models.py::test_ngram_rows_are_the_smoothed_counts_of_the_training_corpus"
 ORACLE = "tests/test_population.py::test_random_plans_agree_with_the_oracle_on_support"
 CHECKED = "tests/test_population.py::test_the_step_check_agrees_with_run_check"
 
@@ -119,9 +121,16 @@ MUTANTS = (
     Mutant("the n-gram table walk ignores each slot's width", MODELS,
            "limit = np.minimum(widths, left)", "limit = left", (NGRAM_ROWS,)),
     Mutant("the n-gram table walk drops the unseen row", MODELS,
-           "np.where(found, at, nodes if self._unseen is None\n"
+           "np.where(found, down, nodes if self._unseen is None\n"
            "                                               else self._unseen)",
-           "np.where(found, at, nodes)", (NGRAM_ROWS,)),
+           "np.where(found, down, nodes)", (NGRAM_ROWS,)),
+    Mutant("the n-gram table walk reads a leaf's child past the child table", MODELS,
+           "child[np.minimum(nodes, leaf) * radix + digits]", "child[nodes * radix + digits]",
+           (NGRAM_COUNTS,)),
+    Mutant("the n-gram child table's no-children block filled with 0", MODELS,
+           "        self._child[keys] = nodes\n",
+           "        self._child[keys] = nodes\n        self._child[-(size + 1):] = 0\n",
+           (NGRAM_COUNTS,)),
     Mutant("a zero-probability forced token keeps a finite weight", STEERING,
            "math.log(p) if p > 0.0 else NEG_INF", "math.log(p) if p > 0.0 else 0.0",
            (ORACLE, WALK)),

@@ -391,13 +391,23 @@ class NgramModel(TokenModel):
     The seen windows form an exact trie of shared suffixes, read newest
     id first. ``counts`` holds one row of counts per seen window, row 0
     for the empty window, and with positive smoothing one more, all-zero
-    row that every unseen window reads. The sorted int64 ``keys`` link
-    the windows: ``keys[i] = parent * (V + 1) + id + 1`` says that
-    window row ``i + 1`` is window row ``parent`` extended one id
-    further back by ``id``. The seen windows must be closed under
-    suffixes, as every window of a training stream is. The model takes
-    ``counts`` over and makes each row its smoothed distribution in
-    place, so the rows are stored once, in one read-only matrix.
+    row that every unseen window reads. The int64 ``keys`` link the
+    windows: ``keys[i] = parent * (V + 1) + id + 1`` says that window
+    row ``i + 1`` is window row ``parent`` extended one id further back
+    by ``id``. The seen windows must be closed under suffixes, as every
+    window of a training stream is; a repeated link, a parent that is
+    not an earlier row or an id outside the vocabulary is a
+    SchemaViolation. The model takes ``counts`` over and makes each row
+    its smoothed distribution in place, so the rows are stored once, in
+    one read-only matrix.
+
+    The links are kept as one child table, the double-array layout of a
+    trie (Aoe, IEEE TSE 1989): ``_child[parent * (V + 1) + id + 1]`` is
+    the row that the link reaches and every other cell is -1. No node
+    from ``_leaf``, one more than the largest parent, on has children;
+    all of them (leaves and the unseen row) read the table's last block
+    of V + 1 cells, so one step down the trie is one read at
+    ``min(node, _leaf) * (V + 1) + id + 1``.
     """
 
     def __init__(self, vocabulary: Vocabulary, order: int, smoothing: float,
@@ -406,18 +416,24 @@ class NgramModel(TokenModel):
         self.order = order
         self.smoothing = smoothing
         size = vocabulary.size
+        parents, digits = np.divmod(keys, size + 1)
+        if not np.all((parents >= 0) & (parents <= np.arange(len(keys)))):
+            raise SchemaViolation("ngram keys link a window to a parent that is not an earlier row")
+        if not np.all(digits > 0):
+            raise SchemaViolation("ngram keys link a window by an id outside the vocabulary")
+        self._leaf = int(parents.max(initial=-1)) + 1
+        self._child = np.full((self._leaf + 1) * (size + 1), -1, dtype=np.intp)
+        nodes = np.arange(1, len(keys) + 1)
+        self._child[keys] = nodes
+        if not np.array_equal(self._child[keys], nodes):  # a repeated link kept its last node
+            raise SchemaViolation("ngram keys repeat a link")
+        self._unseen = len(keys) + 1 if smoothing > 0.0 else None
         denom = counts.sum(axis=1) + smoothing * size
         counts += smoothing
         counts /= denom[:, None]
         counts.setflags(write=False)
         self._matrix = counts
         self._views: dict[int, np.ndarray] = {}  # the row object of each row read alone
-        # ``_keys[node]`` is the link that reaches a node: -1 for the root,
-        # then ``keys``, then a last key no link reaches, so that a search
-        # finds a link's node at the index it returns and never runs off
-        # the end
-        self._keys = np.concatenate(([-1], keys, [np.iinfo(np.int64).max]))
-        self._unseen = len(keys) + 1 if smoothing > 0.0 else None
 
     def context_reach(self, hints):
         """The last ``order - 1`` ids of the serialized context, less the
@@ -429,9 +445,9 @@ class NgramModel(TokenModel):
 
         Each slot starts at the node its hint set leads to (``_start``)
         and descends one level per window column, newest id first, with
-        one ``np.searchsorted`` of every slot's link per level; it
-        stops at its first unseen link, at its width, or at the ids its
-        hints leave for the context. The deepest node reached is the
+        one gather of every slot's child from the child table per level;
+        it stops at its first unseen link, at its width, or at the ids
+        its hints leave for the context. The deepest node reached is the
         longest seen suffix of the serialized window. With positive
         smoothing only a walk that matched the whole window keeps its
         node; any other slot reads the unseen row. The table holds each
@@ -442,16 +458,15 @@ class NgramModel(TokenModel):
         starts = np.zeros((3, present[-1] + 1), dtype=np.int64)
         for h in present:
             starts[:, h] = self._start(hint_sets[h])
-        nodes, walking, left = starts[:, hint_ids]
+        nodes, walking, left = starts.take(hint_ids, axis=1)
         walking = walking.astype(bool)
         limit = np.minimum(widths, left)
-        keys, radix = self._keys, self._matrix.shape[1] + 1
+        child, leaf, radix = self._child, self._leaf, self._matrix.shape[1] + 1
         for level, digits in enumerate(windows.T[:self.order - 1]):
-            links = nodes * radix + digits
-            at = keys.searchsorted(links)
-            found = keys[at] == links
+            down = child[np.minimum(nodes, leaf) * radix + digits]
+            found = down >= 0
             walking &= level < limit
-            nodes = np.where(walking, np.where(found, at, nodes if self._unseen is None
+            nodes = np.where(walking, np.where(found, down, nodes if self._unseen is None
                                                else self._unseen), nodes)
             walking &= found
         reached = np.bincount(nodes) > 0
@@ -471,15 +486,15 @@ class NgramModel(TokenModel):
 
     def _descend(self, ids) -> tuple[int, int]:
         """The deepest node that ``ids`` (oldest first) lead to from the
-        root, newest id first, and how many ids matched; with positive
-        smoothing a partial match reads the unseen row."""
-        keys, radix, node = self._keys, self._matrix.shape[1] + 1, 0
+        root, newest id first, one child table read per id, and how many
+        ids matched; with positive smoothing a partial match reads the
+        unseen row."""
+        child, leaf, radix, node = self._child, self._leaf, self._matrix.shape[1] + 1, 0
         for depth, t in enumerate(reversed(ids)):
-            link = node * radix + t + 1
-            at = int(keys.searchsorted(link))
-            if keys[at] != link:
+            down = int(child[min(node, leaf) * radix + t + 1])
+            if down < 0:
                 return (node if self._unseen is None else self._unseen), depth
-            node = at
+            node = down
         return node, len(ids)
 
     def _distribution(self, context, prompt_tag):

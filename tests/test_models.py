@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steersmc
@@ -443,7 +443,7 @@ def table_cases(draw):
     smoothing 0 or 0.1 and "|" declared the hint delimiter after
     training or not; up to 12 slots, each a context (random ids or a
     stretch of the corpus, so that deep windows are seen) and up to two
-    hints; and a reach of the model's own or None."""
+    hints; a reach of the model's own or None; and the training corpus."""
     order = draw(st.one_of(st.integers(1, 5), st.just(16)))
     alphabet = "ab |" if order < 16 else "abcdefghijklmnopqrs|"
     corpus = draw(st.text(alphabet=alphabet, min_size=1, max_size=40))
@@ -463,7 +463,21 @@ def table_cases(draw):
             context = stretch[max(0, end - draw(st.integers(0, order + 2))):end]
         hints = draw(st.lists(st.sampled_from(["", "a", "b|", "x ab"]), max_size=2))
         slots.append((tuple(context), tuple(hints)))
-    return model, slots, draw(st.booleans())
+    return model, slots, draw(st.booleans()), corpus
+
+
+def table_arguments(model, slots, own_reach):
+    """The ``next_table`` arguments for these (context, hints) slots,
+    each window the whole context or the model's own reach of it."""
+    hint_sets = list(dict.fromkeys(hints for _, hints in slots))
+    hint_ids = np.array([hint_sets.index(hints) for _, hints in slots])
+    widths = np.array([len(context) if not own_reach else
+                       min(len(context), model.context_reach(hints))
+                       for context, hints in slots])
+    windows = np.zeros((len(slots), int(widths.max())), dtype=np.int64)
+    for i, ((context, _), width) in enumerate(zip(slots, widths.tolist())):
+        windows[i, :width] = np.array(context[len(context) - width:][::-1]) + 1
+    return windows, widths, hint_ids, hint_sets
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -475,15 +489,8 @@ def test_ngram_table_rows_are_the_rows_of_the_whole_contexts(case):
     object: back-off to the longest seen suffix with smoothing 0, the
     unseen row for any window not seen whole above 0. The default
     grouping of ``TokenModel.next_table`` gives every slot the same row."""
-    model, slots, own_reach = case
-    hint_sets = list(dict.fromkeys(hints for _, hints in slots))
-    hint_ids = np.array([hint_sets.index(hints) for _, hints in slots])
-    widths = np.array([len(context) if not own_reach else
-                       min(len(context), model.context_reach(hints))
-                       for context, hints in slots])
-    windows = np.zeros((len(slots), int(widths.max())), dtype=np.int64)
-    for i, ((context, _), width) in enumerate(zip(slots, widths.tolist())):
-        windows[i, :width] = np.array(context[len(context) - width:][::-1]) + 1
+    model, slots, own_reach, _ = case
+    windows, widths, hint_ids, hint_sets = table_arguments(model, slots, own_reach)
     table, slot_rows = model.next_table(windows, widths, hint_ids, hint_sets, "proposal")
     rows = [model.next_distribution(ModelQuery(context, "proposal", hints))
             for context, hints in slots]
@@ -495,6 +502,64 @@ def test_ngram_table_rows_are_the_rows_of_the_whole_contexts(case):
     base, base_rows = steersmc.TokenModel.next_table(model, windows, widths, hint_ids,
                                                      hint_sets, "proposal")
     assert base[base_rows].tobytes() == table[slot_rows].tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=table_cases())
+# "|" is seen only at the start of "|ab", so its node is a leaf above the
+# deepest level, numbered after every node with children: a walk reads
+# the child table's no-children block only from such a node
+@example(case=(train_ngram("|ab", order=3, smoothing=0.0), [((0, 2), ()), ((2,), ())],
+                False, "|ab"))
+def test_ngram_rows_are_the_smoothed_counts_of_the_training_corpus(case):
+    """An oracle that reads no trie: each slot's row from ``next_table``
+    and from ``next_distribution`` is, bit for bit, ``(c + s) / (sum(c)
+    + s * V)`` over counts recounted from the training corpus for the
+    last ``order - 1`` ids of the context with its hints serialized
+    behind the delimiter. With smoothing 0, ``c`` counts the longest
+    suffix of that window seen in training; above 0, the whole window,
+    or nothing (the uniform unseen row) when it was not seen."""
+    model, slots, own_reach, corpus = case
+    vocab, s, span = model.vocabulary, model.smoothing, model.order - 1
+    ids = [vocab.token_text.index(ch) for ch in corpus]
+    seen: dict[tuple[int, ...], np.ndarray] = {}  # window -> counts of the id after it
+    for i, t in enumerate(ids):
+        for width in range(min(i, span) + 1):
+            seen.setdefault(tuple(ids[i - width:i]), np.zeros(vocab.size))[t] += 1.0
+    table, slot_rows = model.next_table(*table_arguments(model, slots, own_reach), "proposal")
+    for slot, (context, hints) in enumerate(slots):
+        serialized = context
+        if vocab.hint_delimiter_id is not None:
+            for hint in hints:
+                serialized += (vocab.hint_delimiter_id,) + vocab.encode(hint, lenient=True)
+        window = serialized[max(0, len(serialized) - span):]
+        if s > 0.0:
+            c = seen.get(window, np.zeros(vocab.size))
+        else:
+            c = next(seen[window[cut:]] for cut in range(len(window) + 1)
+                     if window[cut:] in seen)
+        expected = ((c + s) / (c.sum() + s * vocab.size)).tobytes()
+        assert table[slot_rows[slot]].tobytes() == expected
+        assert model.next_distribution(ModelQuery(context, "proposal", hints)
+                                       ).tobytes() == expected
+
+
+@pytest.mark.parametrize("keys, fault", [([1, 1], "repeat a link"),
+                                         ([1, 2 * 4 + 2], "not an earlier row"),
+                                         ([-3], "not an earlier row"),
+                                         ([1, 4], "outside the vocabulary")],
+                         ids=["repeated-link", "later-parent", "negative-parent",
+                              "id-outside-vocabulary"])
+def test_malformed_ngram_keys_are_a_schema_violation(keys, fault):
+    """The links of an n-gram's windows are checked where the model is
+    built: a repeated link, a parent that is not an earlier row and an
+    id outside the vocabulary (``4 = 1 * (V + 1) + 0``: id -1 below row
+    1, or id V below the root) are each a SchemaViolation, not rows
+    read from the wrong window."""
+    vocab = Vocabulary.from_tokens(["a", "b", "<eos>"])
+    counts = np.ones((len(keys) + 1, vocab.size))
+    with pytest.raises(SchemaViolation, match=fault):
+        steersmc.models.NgramModel(vocab, 2, 0.0, counts, np.array(keys, dtype=np.int64))
 
 
 def test_hint_memo_stays_bounded():
